@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use vitality_tensor::Matrix;
+use vitality_tensor::{simd, Matrix};
 
 /// Stable identifier of a tape node, used to look gradients up after a backward pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -499,12 +499,11 @@ impl Var {
     /// GELU activation (tanh approximation, as used by ViT MLP blocks).
     pub fn gelu(&self) -> Var {
         let x = self.value();
-        let value = x.map(gelu_scalar);
+        let mut value = x.clone();
+        simd::gelu_inplace(value.as_mut_slice());
         self.unary(value, move |grad| {
             let mut dx = grad.clone();
-            for (g, &xv) in dx.as_mut_slice().iter_mut().zip(x.as_slice().iter()) {
-                *g *= gelu_grad_scalar(xv);
-            }
+            simd::gelu_grad_mul(x.as_slice(), dx.as_mut_slice());
             vec![dx]
         })
     }
@@ -738,21 +737,6 @@ impl Var {
             vec![dx.scale(scale)]
         })
     }
-}
-
-/// GELU with the tanh approximation used by ViT implementations.
-fn gelu_scalar(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)).tanh())
-}
-
-/// Derivative of [`gelu_scalar`].
-fn gelu_grad_scalar(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    let inner = SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x);
-    let tanh = inner.tanh();
-    let sech2 = 1.0 - tanh * tanh;
-    0.5 * (1.0 + tanh) + 0.5 * x * sech2 * SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044_715 * x * x)
 }
 
 #[cfg(test)]
@@ -1036,10 +1020,15 @@ mod tests {
     #[test]
     fn gelu_matches_reference_values() {
         // Reference values from the tanh approximation itself at well-known points.
-        assert!(gelu_scalar(0.0).abs() < 1e-6);
-        assert!((gelu_scalar(1.0) - 0.841_192).abs() < 1e-3);
-        assert!((gelu_scalar(-1.0) + 0.158_808).abs() < 1e-3);
+        let g = Graph::new();
+        let x = g.parameter(mat(&[vec![0.0, 1.0, -1.0]]));
+        let y = x.gelu();
+        let v = y.value();
+        assert!(v.get(0, 0).abs() < 1e-6);
+        assert!((v.get(0, 1) - 0.841_192).abs() < 1e-3);
+        assert!((v.get(0, 2) + 0.158_808).abs() < 1e-3);
         // Derivative at 0 is 0.5.
-        assert!((gelu_grad_scalar(0.0) - 0.5).abs() < 1e-5);
+        let grads = g.backward(&y.sum());
+        assert!((grads.get(&x).unwrap().get(0, 0) - 0.5).abs() < 1e-5);
     }
 }

@@ -21,7 +21,11 @@
 //!   fused and traced f32 Taylor paths, with an accuracy-delta column — top-1
 //!   agreement between the int8-calibrated and f32 Taylor models on the synthetic
 //!   eval set (gates: delta ≤ 1% top-1, int8 ≥ 1.0× the traced f32 throughput at
-//!   n = 196, kernel divergence within the documented quantization tolerance).
+//!   n = 196, kernel divergence within the documented quantization tolerance);
+//! * `elementwise` — the `tensor::simd` GELU kernel vs the libm-`tanh` formula it
+//!   replaced (kept here only as the comparison) in ns/element at the MLP hidden
+//!   shapes `196 × 64` and `1024 × 256`, and the LayerNorm row kernel in ns/row at
+//!   `d ∈ {32, 64}` (gate: kernel ≥ 3× libm at `1024 × 256` on SIMD hosts).
 //!
 //! Usage: `cargo run --release -p vitality-bench --bin bench_attention [-- --quick]`.
 //! `--quick` drops the `n = 4096` Taylor point (used by CI to keep the job short); the
@@ -39,7 +43,7 @@ use vitality_attention::{
     QuantizedTaylorKernel, SoftmaxAttention, TaylorAttention, UnifiedAttentionKernel,
     INT8_TAYLOR_TOLERANCE,
 };
-use vitality_tensor::{cpu_features, init, matmul_backend, MatmulBackend, Matrix, Workspace};
+use vitality_tensor::{cpu_features, init, matmul_backend, simd, MatmulBackend, Matrix, Workspace};
 use vitality_vit::{AttentionVariant, TrainConfig, VisionTransformer};
 
 /// Median ns/op over enough repetitions to fill ~0.5 s (minimum 3 runs).
@@ -337,6 +341,53 @@ fn measure_matmul(size: usize) -> MatmulPoint {
     }
 }
 
+/// The GELU the forward pass ran before the `tensor::simd` kernel: f32 arithmetic
+/// around one libm `tanhf` call per element.
+fn gelu_libm(x: f32) -> f32 {
+    0.5 * x * (1.0 + (0.797_884_6 * (x + 0.044_715 * x * x * x)).tanh())
+}
+
+/// GELU over a `rows × cols` hidden buffer: kernel vs libm formula, ns per element.
+fn measure_gelu(rows: usize, cols: usize) -> JsonValue {
+    let h = init::normal(&mut StdRng::seed_from_u64(51), rows, cols, 0.0, 1.5);
+    let mut buf = h.clone();
+    let elements = (rows * cols) as f64;
+    let kernel_ns = measure_ns(|| {
+        buf.as_mut_slice().copy_from_slice(h.as_slice());
+        simd::gelu_inplace(buf.as_mut_slice());
+    }) / elements;
+    let libm_ns = measure_ns(|| {
+        buf.as_mut_slice().copy_from_slice(h.as_slice());
+        buf.map_inplace(gelu_libm);
+    }) / elements;
+    println!(
+        "gelu {rows:>4}x{cols:<3}: kernel {kernel_ns:>5.2} ns/elem | libm tanh {libm_ns:>5.2} ns/elem ({:.1}x)",
+        libm_ns / kernel_ns
+    );
+    let mut o = JsonValue::object();
+    o.set("rows", rows)
+        .set("cols", cols)
+        .set("kernel_ns_per_element", kernel_ns)
+        .set("libm_ns_per_element", libm_ns)
+        .set("kernel_speedup_over_libm", libm_ns / kernel_ns);
+    o
+}
+
+/// LayerNorm over 1024 rows of width `d`: ns per row.
+fn measure_layer_norm(d: usize) -> JsonValue {
+    const ROWS: usize = 1024;
+    let x = init::normal(&mut StdRng::seed_from_u64(52), ROWS, d, 0.5, 2.0);
+    let (gamma, beta) = (vec![1.0f32; d], vec![0.0f32; d]);
+    let mut out = vec![0.0f32; ROWS * d];
+    let ns_per_row =
+        measure_ns(|| simd::layer_norm_rows(x.as_slice(), &gamma, &beta, 1e-5, &mut out))
+            / ROWS as f64;
+    println!("layer norm d={d:>2}: {ns_per_row:>6.1} ns/row");
+    let mut o = JsonValue::object();
+    o.set("d", d).set("ns_per_row", ns_per_row);
+    o
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
 
@@ -488,6 +539,19 @@ fn main() {
         );
     }
 
+    // Elementwise kernels at the two MLP hidden shapes the benchmark workloads run
+    // (vit196: 196 × 64, vit1024: 1024 × 256) and both LayerNorm widths.
+    let gelu_points: Vec<JsonValue> = [(196, 64), (1024, 256)]
+        .iter()
+        .map(|&(rows, cols)| measure_gelu(rows, cols))
+        .collect();
+    let layer_norm_points: Vec<JsonValue> =
+        [32, 64].iter().map(|&d| measure_layer_norm(d)).collect();
+    let mut elementwise = JsonValue::object();
+    elementwise
+        .set("gelu", gelu_points)
+        .set("layer_norm", layer_norm_points);
+
     let int8_eval_images = if quick { 32 } else { 96 };
     let int8_delta_pct = int8_top1_delta_pct(int8_eval_images);
     println!(
@@ -588,6 +652,7 @@ fn main() {
         .set("attention", attention)
         .set("unified", unified)
         .set("int8", int8)
+        .set("elementwise", elementwise)
         .set("perf_supported", perf_supported)
         .set("kernel_counters", kernel_counters)
         .set("int8_eval_images", int8_eval_images)

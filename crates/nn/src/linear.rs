@@ -4,7 +4,7 @@ use rand::Rng;
 
 use crate::registry::{qualify, NamedParameters, ParamRegistry};
 use vitality_autograd::{Graph, Var};
-use vitality_tensor::{init, Matrix};
+use vitality_tensor::{init, simd, Matrix};
 
 /// A dense layer computing `y = x W + b` for row-major token matrices.
 ///
@@ -103,6 +103,16 @@ impl Linear {
         x.matmul_into(&self.weight, out);
         if let Some(b) = &self.bias {
             out.add_row_inplace(b);
+        }
+    }
+
+    /// [`Linear::infer_into`] followed by GELU, with the bias folded into the
+    /// activation sweep (the MLP's `fc1` epilogue).
+    pub(crate) fn infer_gelu_into(&self, x: &Matrix, out: &mut Matrix) {
+        x.matmul_into(&self.weight, out);
+        match &self.bias {
+            Some(b) => simd::bias_gelu_rows(out.as_mut_slice(), b.as_slice()),
+            None => simd::gelu_inplace(out.as_mut_slice()),
         }
     }
 

@@ -68,28 +68,29 @@ impl Mlp {
         self.fc2.forward(graph, reg, &qualify(prefix, "fc2"), &h)
     }
 
-    /// Pure-inference forward pass (activation applied in place on the hidden buffer).
+    /// Pure-inference forward pass: the allocating form of [`Mlp::infer_into`].
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut h = self.fc1.infer(x);
-        match self.activation {
-            Activation::Gelu => h.map_inplace(gelu),
-            Activation::Relu => h.map_inplace(|v| v.max(0.0)),
-        }
-        self.fc2.infer(&h)
+        let mut out = Matrix::zeros(x.rows(), self.features());
+        self.infer_into(x, &mut Workspace::new(), &mut out);
+        out
     }
 
     /// Allocation-free forward pass into `x.rows() x features` output storage; the
-    /// hidden activation buffer is checked out of (and recycled back into) `ws`.
+    /// hidden activation buffer is checked out of (and recycled back into) `ws`. The
+    /// GELU path folds `fc1`'s bias into the activation sweep (one pass over the
+    /// hidden buffer instead of two).
     ///
     /// # Panics
     ///
     /// Panics when the shapes are inconsistent.
     pub fn infer_into(&self, x: &Matrix, ws: &mut Workspace, out: &mut Matrix) {
         let mut h = ws.take(x.rows(), self.hidden());
-        self.fc1.infer_into(x, &mut h);
         match self.activation {
-            Activation::Gelu => h.map_inplace(gelu),
-            Activation::Relu => h.map_inplace(|v| v.max(0.0)),
+            Activation::Gelu => self.fc1.infer_gelu_into(x, &mut h),
+            Activation::Relu => {
+                self.fc1.infer_into(x, &mut h);
+                h.map_inplace(|v| v.max(0.0));
+            }
         }
         self.fc2.infer_into(&h, out);
         ws.recycle(h);
@@ -99,11 +100,6 @@ impl Mlp {
     pub fn macs(&self, tokens: usize) -> usize {
         self.fc1.macs(tokens) + self.fc2.macs(tokens)
     }
-}
-
-fn gelu(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)).tanh())
 }
 
 impl NamedParameters for Mlp {
@@ -138,7 +134,7 @@ mod tests {
         let graph = Graph::new();
         let mut reg = ParamRegistry::new();
         let y = mlp.forward(&graph, &mut reg, "mlp", &graph.constant(x.clone()));
-        assert!(y.value().approx_eq(&mlp.infer(&x), 1e-4));
+        assert!(y.value().approx_eq(&mlp.infer(&x), 1e-6));
         assert_eq!(reg.len(), 4);
     }
 

@@ -2,7 +2,7 @@
 
 use crate::registry::{qualify, NamedParameters, ParamRegistry};
 use vitality_autograd::{Graph, Var};
-use vitality_tensor::Matrix;
+use vitality_tensor::{simd, Matrix};
 
 /// Layer normalisation over the feature dimension with a learned affine transform.
 ///
@@ -61,20 +61,17 @@ impl LayerNorm {
     ///
     /// # Panics
     ///
-    /// Panics when `out.shape() != x.shape()`.
+    /// Panics when `out.shape() != x.shape()` or `x.cols() != self.features()`.
     pub fn infer_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(out.shape(), x.shape(), "layer norm output shape mismatch");
-        let d = x.cols();
-        for i in 0..x.rows() {
-            let row = x.row(i);
-            let mean = row.iter().sum::<f32>() / d as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-            let inv_std = 1.0 / (var + self.eps).sqrt();
-            for (j, o) in out.row_mut(i).iter_mut().enumerate() {
-                let normalised = (row[j] - mean) * inv_std;
-                *o = normalised * self.gamma.get(0, j) + self.beta.get(0, j);
-            }
-        }
+        assert_eq!(x.cols(), self.features(), "layer norm width mismatch");
+        simd::layer_norm_rows(
+            x.as_slice(),
+            self.gamma.as_slice(),
+            self.beta.as_slice(),
+            self.eps,
+            out.as_mut_slice(),
+        );
     }
 }
 

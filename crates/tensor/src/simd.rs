@@ -17,6 +17,11 @@
 //!   `-128` (where `_mm256_sign_epi8`'s negation would wrap) and fall back to the
 //!   scalar-exact path instead.
 //!
+//! The elementwise kernels further down (`tanh`/GELU/LayerNorm sweeps) take the
+//! other route to the same hardware: no intrinsics, one plain-arithmetic body per
+//! kernel compiled once for the baseline target and once under
+//! `#[target_feature(enable = "avx2")]`, bit-identical across both.
+//!
 //! Everything here is gated twice: at compile time on `target_arch = "x86_64"` plus the
 //! `--cfg force_scalar` escape hatch (useful under Miri, which does not model the
 //! intrinsics), and at runtime on [`cpu_features`] (cached
@@ -229,6 +234,276 @@ pub fn i8_column_sums_scalar(data: &[i8], out: &mut [i32]) {
             *acc += i32::from(v);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Elementwise kernels: tanh / GELU / LayerNorm
+// ---------------------------------------------------------------------------
+//
+// Unlike the sweeps above, these carry no intrinsics. Each kernel is one
+// `#[inline(always)]` body of plain, branch-free f32 arithmetic (no `mul_add`, no
+// libm call, reductions in an explicit fixed order), instantiated twice: a baseline
+// instantiation the compiler vectorises for the build target (SSE2 on x86-64), and a
+// `#[target_feature(enable = "avx2")]` instantiation it vectorises eight lanes wide,
+// selected by `simd_available()`. Both run the identical IEEE op sequence per element,
+// so every tier — and `--cfg force_scalar`, which compiles the second instantiation
+// out — returns the same bits. `tests/simd_differential.rs` pins that on every
+// remainder-lane length.
+//
+// Adding one: write the `*_body`, give it the dispatcher + `*_baseline` + `*_avx2`
+// trio below, and extend `elementwise_tiers_are_bit_identical_on_every_remainder_lane`.
+
+const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+const GELU_CUBIC: f32 = 0.044_715;
+
+/// Where the rational `tanh` saturates: the 13/6 form below evaluates to exactly `1.0`
+/// in f32 here and stays within `[-1, 1]` on every float below it (checked
+/// exhaustively), so clamping to it makes large arguments return exactly `±1`.
+const TANH_CLAMP: f32 = 7.905_311;
+
+/// `tanh(x)` as a clamped degree-13 / degree-6 rational (odd numerator over even
+/// denominator in `x²`, Horner form): ≤ 4.4e-7 absolute error against f64 `tanh`
+/// over the whole line. NaN propagates (`clamp` keeps it), `±0` keeps its sign.
+#[inline(always)]
+fn tanh_rational(x: f32) -> f32 {
+    let x = x.clamp(-TANH_CLAMP, TANH_CLAMP);
+    let x2 = x * x;
+    let mut p = x2 * -2.760_768_5e-16 + 2.000_188e-13;
+    p = x2 * p + -8.604_672e-11;
+    p = x2 * p + 5.122_297_1e-8;
+    p = x2 * p + 1.485_722_4e-5;
+    p = x2 * p + 6.372_619_3e-4;
+    p = x2 * p + 4.893_524_6e-3;
+    let mut q = x2 * 1.198_258_4e-6 + 1.185_347_1e-4;
+    q = x2 * q + 2.268_434_6e-3;
+    q = x2 * q + 4.893_525e-3;
+    x * p / q
+}
+
+/// GELU with the tanh approximation used by ViT implementations.
+#[inline(always)]
+fn gelu_value(x: f32) -> f32 {
+    let inner = SQRT_2_OVER_PI * (x + GELU_CUBIC * x * x * x);
+    0.5 * x * (1.0 + tanh_rational(inner))
+}
+
+/// Derivative of [`gelu_value`].
+#[inline(always)]
+fn gelu_derivative(x: f32) -> f32 {
+    let inner = SQRT_2_OVER_PI * (x + GELU_CUBIC * x * x * x);
+    let tanh = tanh_rational(inner);
+    let sech2 = 1.0 - tanh * tanh;
+    0.5 * (1.0 + tanh) + 0.5 * x * sech2 * SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * x * x)
+}
+
+#[inline(always)]
+fn gelu_body(xs: &mut [f32]) {
+    for v in xs {
+        *v = gelu_value(*v);
+    }
+}
+
+#[inline(always)]
+fn bias_gelu_rows_body(data: &mut [f32], bias: &[f32]) {
+    for row in data.chunks_exact_mut(bias.len()) {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            *v = gelu_value(*v + b);
+        }
+    }
+}
+
+#[inline(always)]
+fn gelu_grad_mul_body(xs: &[f32], grad: &mut [f32]) {
+    for (g, &x) in grad.iter_mut().zip(xs) {
+        *g *= gelu_derivative(x);
+    }
+}
+
+/// `Σ f(v)` over a row in a fixed order: eight strided lane accumulators (so the
+/// adds vectorise without reassociation licence), combined by a fixed tree, then the
+/// `len % 8` tail added in sequence.
+#[inline(always)]
+fn lane_sum(row: &[f32], f: impl Fn(f32) -> f32) -> f32 {
+    let chunks = row.chunks_exact(8);
+    let tail = chunks.remainder();
+    let mut lanes = [0.0f32; 8];
+    for chunk in chunks {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            *lane += f(v);
+        }
+    }
+    let mut acc = ((lanes[0] + lanes[4]) + (lanes[1] + lanes[5]))
+        + ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7]));
+    for &v in tail {
+        acc += f(v);
+    }
+    acc
+}
+
+#[inline(always)]
+fn layer_norm_rows_body(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
+    let d = gamma.len();
+    for (row, out_row) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+        let mean = lane_sum(row, |v| v) / d as f32;
+        let var = lane_sum(row, |v| (v - mean) * (v - mean)) / d as f32;
+        let inv_std = 1.0 / (var + eps).sqrt();
+        for (((o, &v), &g), &b) in out_row.iter_mut().zip(row).zip(gamma).zip(beta) {
+            *o = (v - mean) * inv_std * g + b;
+        }
+    }
+}
+
+/// GELU (tanh approximation) over a slice, in place. Max-abs error against the f64
+/// formula is below `2e-6` on `[-12, 12]`; NaN → NaN, `+inf` → `+inf`, `-inf` → NaN
+/// and `±0` → `±0`, exactly as the libm-`tanh` formula behaves.
+pub fn gelu_inplace(xs: &mut [f32]) {
+    #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+    if simd_available() {
+        // SAFETY: simd_available() verified the CPU advertises avx2; this tier is
+        // pinned to the baseline one by
+        // simd_differential::elementwise_tiers_are_bit_identical_on_every_remainder_lane.
+        return unsafe { gelu_inplace_avx2(xs) };
+    }
+    gelu_inplace_baseline(xs);
+}
+
+/// Baseline instantiation of [`gelu_inplace`] — public for differential tests.
+#[doc(hidden)]
+pub fn gelu_inplace_baseline(xs: &mut [f32]) {
+    gelu_body(xs);
+}
+
+/// # Safety
+///
+/// CPU must support `avx2`.
+#[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+#[target_feature(enable = "avx2")]
+unsafe fn gelu_inplace_avx2(xs: &mut [f32]) {
+    gelu_body(xs);
+}
+
+/// Fused `x W + b → GELU` epilogue: one sweep over row-major `data` (rows of
+/// `bias.len()`) computing `gelu(data[r][j] + bias[j])` in place — the same bits as a
+/// bias broadcast followed by [`gelu_inplace`], in one pass over memory instead of two.
+///
+/// # Panics
+///
+/// Panics when `data.len()` is not a multiple of `bias.len()`, or `bias` is empty
+/// while `data` is not.
+pub fn bias_gelu_rows(data: &mut [f32], bias: &[f32]) {
+    if data.is_empty() {
+        return;
+    }
+    assert!(
+        !bias.is_empty() && data.len().is_multiple_of(bias.len()),
+        "bias_gelu_rows: data length {} not a multiple of bias width {}",
+        data.len(),
+        bias.len()
+    );
+    #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+    if simd_available() {
+        // SAFETY: simd_available() verified the CPU advertises avx2; this tier is
+        // pinned to the baseline one by
+        // simd_differential::elementwise_tiers_are_bit_identical_on_every_remainder_lane.
+        return unsafe { bias_gelu_rows_avx2(data, bias) };
+    }
+    bias_gelu_rows_baseline(data, bias);
+}
+
+/// Baseline instantiation of [`bias_gelu_rows`] — public for differential tests.
+/// `bias` must be non-empty.
+#[doc(hidden)]
+pub fn bias_gelu_rows_baseline(data: &mut [f32], bias: &[f32]) {
+    bias_gelu_rows_body(data, bias);
+}
+
+/// # Safety
+///
+/// CPU must support `avx2`.
+#[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+#[target_feature(enable = "avx2")]
+unsafe fn bias_gelu_rows_avx2(data: &mut [f32], bias: &[f32]) {
+    bias_gelu_rows_body(data, bias);
+}
+
+/// GELU backward sweep: `grad[i] *= gelu'(xs[i])`, sharing [`gelu_inplace`]'s `tanh`.
+///
+/// # Panics
+///
+/// Panics when `xs.len() != grad.len()`.
+pub fn gelu_grad_mul(xs: &[f32], grad: &mut [f32]) {
+    assert_eq!(xs.len(), grad.len(), "gelu_grad_mul length mismatch");
+    #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+    if simd_available() {
+        // SAFETY: simd_available() verified the CPU advertises avx2; this tier is
+        // pinned to the baseline one by
+        // simd_differential::elementwise_tiers_are_bit_identical_on_every_remainder_lane.
+        return unsafe { gelu_grad_mul_avx2(xs, grad) };
+    }
+    gelu_grad_mul_baseline(xs, grad);
+}
+
+/// Baseline instantiation of [`gelu_grad_mul`] — public for differential tests.
+#[doc(hidden)]
+pub fn gelu_grad_mul_baseline(xs: &[f32], grad: &mut [f32]) {
+    gelu_grad_mul_body(xs, grad);
+}
+
+/// # Safety
+///
+/// CPU must support `avx2`.
+#[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+#[target_feature(enable = "avx2")]
+unsafe fn gelu_grad_mul_avx2(xs: &[f32], grad: &mut [f32]) {
+    gelu_grad_mul_body(xs, grad);
+}
+
+/// Layer normalisation of every `gamma.len()`-wide row of row-major `x` into `out`:
+/// `out[r][j] = (x[r][j] - mean_r) / sqrt(var_r + eps) · gamma[j] + beta[j]` with the
+/// biased variance. The row reductions run in [`lane_sum`]'s fixed order, so results
+/// are within rounding (≤ 1e-6 at unit scale) of a sequential sum and identical on
+/// every dispatch tier.
+///
+/// # Panics
+///
+/// Panics when `gamma`, `beta` widths or `x`, `out` lengths disagree, or `x.len()` is
+/// not a multiple of the width.
+pub fn layer_norm_rows(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
+    assert_eq!(gamma.len(), beta.len(), "layer_norm_rows gamma/beta width");
+    assert_eq!(x.len(), out.len(), "layer_norm_rows output length mismatch");
+    if x.is_empty() {
+        return;
+    }
+    assert!(
+        !gamma.is_empty() && x.len().is_multiple_of(gamma.len()),
+        "layer_norm_rows: data length {} not a multiple of width {}",
+        x.len(),
+        gamma.len()
+    );
+    #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+    if simd_available() {
+        // SAFETY: simd_available() verified the CPU advertises avx2; this tier is
+        // pinned to the baseline one by
+        // simd_differential::layer_norm_kernel_tracks_the_sequential_loop_on_every_width.
+        return unsafe { layer_norm_rows_avx2(x, gamma, beta, eps, out) };
+    }
+    layer_norm_rows_baseline(x, gamma, beta, eps, out);
+}
+
+/// Baseline instantiation of [`layer_norm_rows`] — public for differential tests.
+/// Shapes as checked by the dispatcher.
+#[doc(hidden)]
+pub fn layer_norm_rows_baseline(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
+    layer_norm_rows_body(x, gamma, beta, eps, out);
+}
+
+/// # Safety
+///
+/// CPU must support `avx2`.
+#[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+#[target_feature(enable = "avx2")]
+unsafe fn layer_norm_rows_avx2(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
+    layer_norm_rows_body(x, gamma, beta, eps, out);
 }
 
 /// Test-only direct entry to the AVX2 f32 driver, bypassing the small-product
@@ -822,6 +1097,18 @@ mod tests {
         assert_eq!(simd_available(), {
             cfg!(all(target_arch = "x86_64", not(force_scalar))) && first.simd_ready()
         });
+    }
+
+    #[test]
+    fn rational_tanh_saturates_exactly_and_keeps_nan_and_signed_zero() {
+        assert_eq!(tanh_rational(TANH_CLAMP), 1.0);
+        assert_eq!(tanh_rational(f32::INFINITY), 1.0);
+        assert_eq!(tanh_rational(f32::NEG_INFINITY), -1.0);
+        assert!(tanh_rational(f32::NAN).is_nan());
+        assert_eq!(tanh_rational(-0.0).to_bits(), (-0.0f32).to_bits());
+        for x in [-3.0f32, -0.5, 1e-3, 0.9, 5.0] {
+            assert!((f64::from(tanh_rational(x)) - f64::from(x).tanh()).abs() < 5e-7);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Differential pinning of the AVX2/FMA microkernels against the scalar references.
 //!
-//! Two contracts, straight from the dispatch layer's documentation:
+//! Three contracts, straight from the dispatch layer's documentation:
 //!
 //! * **f32** — the AVX2 kernel may reassociate nothing (it accumulates each output
 //!   lane sequentially over `k`, like the scalar kernels) but FMA keeps the
@@ -11,6 +11,10 @@
 //!   **bit-identical** to the scalar `gemm_i8_into` reference, including reductions
 //!   longer than `I8_EXACT_CHUNK` (the native path does not chunk; the f32 lattice
 //!   path does — both must agree exactly).
+//! * **elementwise** — the tanh/GELU/LayerNorm kernels are one plain-arithmetic body
+//!   instantiated per dispatch tier, so the dispatched entry must be **bit-identical**
+//!   to the baseline instantiation on every remainder-lane length and alignment, and
+//!   the polynomial `tanh` is held to an f64 libm reference (which lives only here).
 //!
 //! On hosts or builds without AVX2/FMA (non-x86, `--cfg force_scalar`, old CPUs) the
 //! SIMD entry points report unavailable / fall back; the suite then degenerates to
@@ -401,4 +405,206 @@ fn avx2_dispatch_on_unsupported_hosts_still_computes_correct_products() {
     );
     let diff = max_abs_diff(&via_avx2, &reference);
     assert!(diff <= 1e-5, "Avx2 dispatch diverged by {diff}");
+}
+
+/// Values sweeping the GELU transition, both saturated tails and the `tanh` clamp.
+fn activation(i: usize) -> f32 {
+    ((i * 89 + 13) % 241) as f32 / 10.0 - 12.0
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
+fn gelu_f64(x: f64) -> f64 {
+    let inner = (2.0 / std::f64::consts::PI).sqrt() * (x + 0.044_715 * x * x * x);
+    0.5 * x * (1.0 + inner.tanh())
+}
+
+fn gelu_grad_f64(x: f64) -> f64 {
+    let c = (2.0 / std::f64::consts::PI).sqrt();
+    let t = (c * (x + 0.044_715 * x * x * x)).tanh();
+    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * 0.044_715 * x * x)
+}
+
+/// The formula the kernels replaced: f32 arithmetic over libm `tanhf`.
+fn gelu_libm(x: f32) -> f32 {
+    0.5 * x * (1.0 + (0.797_884_6 * (x + 0.044_715 * x * x * x)).tanh())
+}
+
+#[test]
+fn elementwise_tiers_are_bit_identical_on_every_remainder_lane() {
+    use vitality_tensor::simd::{
+        bias_gelu_rows, bias_gelu_rows_baseline, gelu_grad_mul, gelu_grad_mul_baseline,
+        gelu_inplace, gelu_inplace_baseline,
+    };
+    const ROWS: usize = 3;
+    // Every length through two 8-lane blocks and their tails, each started at every
+    // f32 offset inside a 32-byte line so no tier can lean on alignment.
+    for len in 0..=40usize {
+        for off in 0..8usize {
+            let src: Vec<f32> = (0..off + len * ROWS).map(activation).collect();
+            let xs = &src[off..off + len];
+
+            let mut dispatched = xs.to_vec();
+            let mut baseline = xs.to_vec();
+            gelu_inplace(&mut dispatched);
+            gelu_inplace_baseline(&mut baseline);
+            assert_eq!(
+                bits(&dispatched),
+                bits(&baseline),
+                "gelu len {len} off {off}"
+            );
+
+            let mut dispatched: Vec<f32> = (0..len).map(|i| activation(i + 7) * 0.1).collect();
+            let mut baseline = dispatched.clone();
+            gelu_grad_mul(xs, &mut dispatched);
+            gelu_grad_mul_baseline(xs, &mut baseline);
+            assert_eq!(
+                bits(&dispatched),
+                bits(&baseline),
+                "gelu_grad len {len} off {off}"
+            );
+
+            // `len` doubles as the row width of the fused epilogue.
+            let bias: Vec<f32> = (0..len).map(|j| activation(j + 3) * 0.05).collect();
+            let rows = &src[off..];
+            let mut dispatched = rows.to_vec();
+            bias_gelu_rows(&mut dispatched, &bias);
+            if len > 0 {
+                let mut baseline = rows.to_vec();
+                bias_gelu_rows_baseline(&mut baseline, &bias);
+                assert_eq!(
+                    bits(&dispatched),
+                    bits(&baseline),
+                    "bias_gelu width {len} off {off}"
+                );
+            }
+            // Fused means fused, not different: broadcast-then-activate gives the same bits.
+            let mut unfused = rows.to_vec();
+            for (i, v) in unfused.iter_mut().enumerate() {
+                *v += bias[i % len.max(1)];
+            }
+            gelu_inplace(&mut unfused);
+            assert_eq!(
+                bits(&dispatched),
+                bits(&unfused),
+                "fused vs unfused width {len}"
+            );
+        }
+    }
+}
+
+#[test]
+fn gelu_tracks_the_f64_libm_reference_within_2e6() {
+    use vitality_tensor::simd::{gelu_grad_mul, gelu_inplace};
+    // [-12, 12] at step 2^-12: every point is exactly representable in f32.
+    let xs: Vec<f32> = (0..=24 * 4096).map(|i| i as f32 / 4096.0 - 12.0).collect();
+    let mut ys = xs.clone();
+    gelu_inplace(&mut ys);
+    let mut grads = vec![1.0f32; xs.len()];
+    gelu_grad_mul(&xs, &mut grads);
+    let (mut worst, mut worst_grad) = (0.0f64, 0.0f64);
+    for ((&x, &y), &g) in xs.iter().zip(&ys).zip(&grads) {
+        worst = worst.max((f64::from(y) - gelu_f64(f64::from(x))).abs());
+        worst_grad = worst_grad.max((f64::from(g) - gelu_grad_f64(f64::from(x))).abs());
+    }
+    assert!(
+        worst <= 2e-6,
+        "gelu max-abs error {worst:e} vs f64 reference"
+    );
+    // `1 - tanh²` cancels, so the derivative amplifies the tanh error by up to
+    // `x · (1 + 0.134 x²)` before sech² itself vanishes: a looser bound, still three
+    // orders of magnitude inside the gradcheck tolerance.
+    assert!(
+        worst_grad <= 1e-5,
+        "gelu' max-abs error {worst_grad:e} vs f64 reference"
+    );
+}
+
+#[test]
+fn gelu_special_values_give_what_the_libm_formula_gave() {
+    use vitality_tensor::simd::gelu_inplace;
+    let subnormal = f32::from_bits(0x0000_1234);
+    let mut xs = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        subnormal,
+        -subnormal,
+        f32::MIN_POSITIVE,
+        1e30,
+        -1e30,
+        // Padding past one 8-lane block so both the vector body and the tail see
+        // non-finite lanes next to ordinary ones.
+        1.0,
+        f32::NAN,
+        -1.0,
+    ];
+    let expected = xs.map(gelu_libm);
+    gelu_inplace(&mut xs);
+    assert!(xs[0].is_nan(), "NaN -> NaN");
+    assert_eq!(xs[1], f32::INFINITY, "+inf -> +inf");
+    assert!(xs[2].is_nan(), "-inf -> NaN (inf * 0, as with libm tanh)");
+    assert_eq!(xs[3].to_bits(), 0.0f32.to_bits(), "+0 preserved");
+    assert_eq!(xs[4].to_bits(), (-0.0f32).to_bits(), "-0 preserved");
+    for (i, (&got, &want)) in xs.iter().zip(&expected).enumerate() {
+        if want.is_nan() {
+            assert!(got.is_nan(), "entry {i}: expected NaN, got {got}");
+        } else if want.abs() > 1e-30 && want.is_finite() {
+            assert!((got - want).abs() <= 2e-6, "entry {i}: {got:e} vs {want:e}");
+        } else {
+            // Zeros, subnormals, saturated tails and infinities: exactly libm's bits.
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "entry {i}: {got:e} vs {want:e}"
+            );
+        }
+    }
+}
+
+#[test]
+fn layer_norm_kernel_tracks_the_sequential_loop_on_every_width() {
+    use vitality_tensor::simd::{layer_norm_rows, layer_norm_rows_baseline};
+    const ROWS: usize = 5;
+    let eps = 1e-5f32;
+    for &d in &[1usize, 7, 8, 9, 32, 64] {
+        for off in [0usize, 1, 3] {
+            let src: Vec<f32> = (0..off + ROWS * d)
+                .map(|i| entry(i / d, i % d) * 4.0 + 0.25)
+                .collect();
+            let x = &src[off..];
+            let gamma: Vec<f32> = (0..d).map(|j| 1.0 + entry(j, 3)).collect();
+            let beta: Vec<f32> = (0..d).map(|j| entry(5, j)).collect();
+
+            // The loop `LayerNorm::infer_into` ran before the kernel existed.
+            let mut reference = vec![0.0f32; x.len()];
+            for (row, out) in x.chunks_exact(d).zip(reference.chunks_exact_mut(d)) {
+                let mean = row.iter().sum::<f32>() / d as f32;
+                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
+                let inv_std = 1.0 / (var + eps).sqrt();
+                for (j, o) in out.iter_mut().enumerate() {
+                    *o = (row[j] - mean) * inv_std * gamma[j] + beta[j];
+                }
+            }
+
+            let mut dispatched = vec![f32::NAN; x.len()];
+            let mut baseline = vec![f32::NAN; x.len()];
+            layer_norm_rows(x, &gamma, &beta, eps, &mut dispatched);
+            layer_norm_rows_baseline(x, &gamma, &beta, eps, &mut baseline);
+            assert_eq!(
+                bits(&dispatched),
+                bits(&baseline),
+                "tiers diverged at d={d} off={off}"
+            );
+            let diff = max_abs_diff(&dispatched, &reference);
+            assert!(
+                diff <= 1e-6,
+                "layer norm d={d} off={off} diverged by {diff:e}"
+            );
+        }
+    }
 }
