@@ -1,8 +1,7 @@
 //! Efficient Attention (Shen et al.): softmax applied separately to queries and keys.
 
 use crate::opcount::OpCounts;
-use crate::taxonomy::AttentionFamily;
-use crate::{validate_qkv, AttentionMechanism};
+use crate::validate_qkv;
 use vitality_tensor::Matrix;
 
 /// Efficient Attention: `softmax_rows(Q) (softmax_cols(K)^T V)`.
@@ -26,14 +25,13 @@ impl EfficientAttention {
     pub fn softmax_cols(m: &Matrix) -> Matrix {
         m.transpose().softmax_rows().transpose()
     }
-}
 
-impl AttentionMechanism for EfficientAttention {
-    fn name(&self) -> &'static str {
-        "efficient-attention"
-    }
-
-    fn compute(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
+    /// Computes the per-head attention score `Z` (`n x d`) from queries, keys and values.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the `(Q, K, V)` shapes are inconsistent.
+    pub fn compute(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
         validate_qkv(q, k, v);
         let q_norm = q.softmax_rows(); // feature-wise distribution per query
         let k_norm = Self::softmax_cols(k); // token-wise distribution per feature
@@ -41,7 +39,9 @@ impl AttentionMechanism for EfficientAttention {
         q_norm.matmul(&context)
     }
 
-    fn op_counts(&self, n: usize, d: usize) -> OpCounts {
+    /// Scalar-operation model for one head with `n` tokens and `d` feature dimensions
+    /// (what Table IV reads).
+    pub fn op_counts(&self, n: usize, d: usize) -> OpCounts {
         let (n, d) = (n as u64, d as u64);
         OpCounts {
             mul: 2 * n * d * d,
@@ -49,10 +49,6 @@ impl AttentionMechanism for EfficientAttention {
             div: 2 * n * d,
             exp: 2 * n * d,
         }
-    }
-
-    fn family(&self) -> AttentionFamily {
-        AttentionFamily::KernelBased
     }
 }
 
@@ -95,7 +91,5 @@ mod tests {
         let b = attn.op_counts(300, 16);
         assert_eq!(b.mul, a.mul * 3);
         assert!(attn.op_counts(64, 16).exp > 0);
-        assert_eq!(attn.family(), AttentionFamily::KernelBased);
-        assert_eq!(attn.name(), "efficient-attention");
     }
 }

@@ -1,17 +1,30 @@
-//! The [`AttentionKernel`] trait: the allocation-free inference interface every served
-//! attention variant implements, plus the fused unified low-rank + sparse kernel.
+//! The [`AttentionKernel`] trait — the crate's one attention interface — and the fused
+//! Algorithm-1 passes its implementations share.
 //!
-//! [`AttentionMechanism`](crate::AttentionMechanism) is the *analytical* interface — a
-//! convenient `compute` returning a fresh matrix plus an op-count model, used by the
-//! taxonomy tables and the accelerator simulators. `AttentionKernel` is the *serving*
-//! interface: implementations write into a caller-provided output buffer and draw every
-//! intermediate from a [`Workspace`], so a warm serving process runs attention with zero
-//! per-call heap traffic. The ViT substrate (`vitality-vit`) builds one boxed kernel per
-//! model from its `AttentionVariant` and reuses it across every layer, head and request.
+//! Every trained or served mechanism answers "how is it computed?" exactly twice:
+//!
+//! * a **reference** — an unfused, allocating inherent method beside the mechanism's
+//!   definition, written to be read against the paper (the textbook
+//!   [`SoftmaxAttention::attention_map`](crate::SoftmaxAttention::attention_map)` · V`,
+//!   the step-by-step
+//!   [`TaylorAttention::compute_with_trace`](crate::TaylorAttention::compute_with_trace),
+//!   [`UnifiedLowRankSparseAttention::compute_traced`](crate::UnifiedLowRankSparseAttention::compute_traced));
+//! * a **production path** — [`AttentionKernel::compute_into`], which writes into a
+//!   caller-provided output buffer and draws every intermediate from a [`Workspace`],
+//!   so a warm serving process runs attention with zero per-call heap traffic.
+//!
+//! The conformance suite holds the second against the first. The ViT substrate
+//! (`vitality-vit`) builds one shared kernel per model from its `AttentionVariant` and
+//! reuses it across every layer, head and request; training reaches the same object
+//! through [`AttentionKernel::forward_train`]. Each mechanism's `impl AttentionKernel`
+//! lives in the mechanism's own module, next to its reference; this module holds the
+//! trait and the passes more than one implementation runs. Kernels are single-threaded
+//! by construction — parallelism belongs to the caller's per-image axis.
 //!
 //! # How to add a variant
 //!
-//! Implement the trait for your mechanism, then add one arm to
+//! Implement the trait in your mechanism's module, beside its inherent reference
+//! method, then add one arm to
 //! `AttentionVariant::kernel()` in `vitality-vit` **and one entry to
 //! `AttentionVariant::all()`** (and, to serve it, nothing else — the registry keys
 //! models by `name:<label>` automatically). The `all()` entry is what puts the new
@@ -19,8 +32,9 @@
 //! acceptance gate every variant must pass — CI runs it as a named step. It asserts,
 //! with zero per-variant test code:
 //!
-//! * `compute_into` matches the variant's traced/unfused reference within its
-//!   documented tolerance;
+//! * `compute_into` matches the variant's reference within its documented tolerance
+//!   (add the reference — an inherent method, a different code path from the kernel —
+//!   to the suite's `reference_and_tolerance` match);
 //! * `label()` is unique and `:`-free (it becomes the registry key half and the
 //!   `/metrics` tag);
 //! * workspace reuse is bit-exact and allocation-free on a warm pool;
@@ -72,11 +86,8 @@
 //! ```
 
 use crate::opcount::OpCounts;
-use crate::softmax::SoftmaxAttention;
 use crate::sparse::{quantize_symmetric_into, SangerSparseAttention};
-use crate::taylor::TaylorAttention;
-use crate::unified::UnifiedLowRankSparseAttention;
-use crate::{validate_qkv, AttentionMechanism};
+use crate::validate_qkv;
 use std::fmt;
 use vitality_autograd::Var;
 use vitality_tensor::backend::Operand;
@@ -84,7 +95,7 @@ use vitality_tensor::{matmul_backend, MatmulBackend, Matrix, Workspace};
 
 /// Query rows processed per block by the workspace kernels — bounds the scratch slice
 /// of any `n x n` interaction to `ROW_BLOCK x n` regardless of the token count.
-const ROW_BLOCK: usize = 64;
+pub(crate) const ROW_BLOCK: usize = 64;
 
 /// A single-head attention kernel with an allocation-free inference entry point.
 ///
@@ -273,12 +284,11 @@ pub(crate) fn low_rank_outputs(
 /// Applies the Sanger mask rule to one row of raw quantized prediction logits:
 /// scale by `1/sqrt(d)`, softmax in place, threshold the normalised probabilities, and
 /// fall back to the argmax when nothing survives — the same rule
-/// [`SangerSparseAttention::prediction_mask`] applies densely, shared by the fused
-/// unified kernel and its int8 sibling so their surviving sets cannot drift apart.
+/// [`SangerSparseAttention::prediction_mask`] applies densely.
 ///
 /// `p_row` is left holding the (unnormalised) exponentials; `surviving` is cleared and
 /// refilled with the surviving column indices in ascending order.
-pub(crate) fn sanger_row_survivors(
+fn sanger_row_survivors(
     p_row: &mut [f32],
     inv_sqrt_d: f32,
     threshold: f32,
@@ -318,421 +328,107 @@ pub(crate) fn sanger_row_survivors(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Softmax baseline
-// ---------------------------------------------------------------------------
+/// The sparse half of the unified kernels: adds the masked strong residual
+/// `Σ_j mask_ij (softmax_ij − weak_ij) v_j` onto the low-rank rows already in `out`,
+/// without any `n x n` intermediate.
+///
+/// The **prediction** (4-bit quantized) and **exact** logit blocks are computed
+/// [`ROW_BLOCK`] query rows at a time through the backend GEMM; per query row,
+/// [`sanger_row_survivors`] picks the positions where the residual is evaluated, and
+/// only those SDDMM-style terms accumulate `strong_ij · v_j` onto the output row.
+/// `denoms` holds each row's Taylor denominator `t_D` as [`low_rank_outputs`] left it,
+/// so the weak map is normalised by what the low-rank half actually produced — f32 or
+/// integer. Shared by the f32 and int8 unified kernels so the two cannot drift apart.
+pub(crate) fn add_masked_strong_residual(
+    sparse: &SangerSparseAttention,
+    q: &Matrix,
+    k_hat: &Matrix,
+    v: &Matrix,
+    denoms: &[f32],
+    ws: &mut Workspace,
+    out: &mut Matrix,
+) {
+    let n = k_hat.rows();
+    let d_k = k_hat.cols();
+    let n_q = q.rows();
+    let inv_sqrt_d = 1.0 / (q.cols() as f32).sqrt();
+    let threshold = sparse.threshold();
+    let backend = matmul_backend();
 
-impl AttentionKernel for SoftmaxAttention {
-    fn label(&self) -> &'static str {
-        "softmax"
-    }
+    // Sanger predicts on the mean-centred logits, matching the training pipeline.
+    let mut q_p = ws.take(n_q, d_k);
+    quantize_symmetric_into(q, sparse.quant_bits(), &mut q_p);
+    let mut k_p = ws.take(n, d_k);
+    quantize_symmetric_into(k_hat, sparse.quant_bits(), &mut k_p);
 
-    /// Blockwise fused softmax attention: [`ROW_BLOCK`] query rows at a time, the logit
-    /// block and the `P·V` product both through the blocked GEMM backend into workspace
-    /// scratch, normalisation folded into the output write — the sequential,
-    /// allocation-free sibling of
-    /// [`fused_softmax_attention`](crate::fused_softmax_attention) (parallelism belongs
-    /// to the caller's per-image axis).
-    fn compute_into(
-        &self,
-        q: &Matrix,
-        k: &Matrix,
-        v: &Matrix,
-        ws: &mut Workspace,
-        out: &mut Matrix,
-    ) {
-        validate_out(q, k, v, out);
-        let n = k.rows();
-        let d = q.cols();
-        let d_v = v.cols();
-        let n_q = q.rows();
-        let scale = 1.0 / (d as f32).sqrt();
-        let backend = matmul_backend();
-        let bs_max = ROW_BLOCK.min(n_q.max(1));
-        let mut probs = ws.take_vec(bs_max * n);
-        let mut z = ws.take_vec(bs_max * d_v);
-        let mut inv_sums = [0.0f32; ROW_BLOCK];
-        for lo in (0..n_q).step_by(ROW_BLOCK) {
-            let hi = (lo + ROW_BLOCK).min(n_q);
-            let bs = hi - lo;
-            backend.gemm_into(
-                &mut probs[..bs * n],
-                bs,
-                d,
-                n,
-                Operand::row_major(&q.as_slice()[lo * d..hi * d], d),
-                Operand::transposed(k.as_slice(), d),
-            );
-            for (local, inv) in inv_sums.iter_mut().enumerate().take(bs) {
-                let row = &mut probs[local * n..(local + 1) * n];
-                let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x * scale));
-                let mut sum = 0.0f32;
-                for x in row.iter_mut() {
-                    *x = (*x * scale - max).exp();
-                    sum += *x;
-                }
-                *inv = if sum > 0.0 { 1.0 / sum } else { 0.0 };
-            }
-            backend.gemm_into(
-                &mut z[..bs * d_v],
-                bs,
-                n,
-                d_v,
-                Operand::row_major(&probs[..bs * n], n),
-                Operand::row_major(v.as_slice(), d_v),
-            );
-            for local in 0..bs {
-                let inv = inv_sums[local];
-                for (o, &zv) in out
-                    .row_mut(lo + local)
-                    .iter_mut()
-                    .zip(z[local * d_v..(local + 1) * d_v].iter())
-                {
-                    *o = zv * inv;
-                }
-            }
-        }
-        ws.recycle_vec(probs);
-        ws.recycle_vec(z);
-    }
+    let bs_max = ROW_BLOCK.min(n_q.max(1));
+    let mut exact = ws.take_vec(bs_max * n);
+    let mut pred = ws.take_vec(bs_max * n);
+    let mut surviving = ws.take_indices();
 
-    fn op_counts(&self, n: usize, d: usize) -> OpCounts {
-        AttentionMechanism::op_counts(self, n, d)
-    }
-
-    fn forward_train(&self, q: &Var, k: &Var, v: &Var) -> Var {
-        SoftmaxAttention::forward_train(self, q, k, v)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Linear Taylor attention
-// ---------------------------------------------------------------------------
-
-impl AttentionKernel for TaylorAttention {
-    fn label(&self) -> &'static str {
-        if self.mean_centering() {
-            "taylor"
-        } else {
-            "taylor-no-centering"
-        }
-    }
-
-    /// The fused three-pass Algorithm-1 kernel of
-    /// [`TaylorAttention::compute_fused`], restated over workspace scratch: one
-    /// reduction for `\bar{K}`, the `(G, \hat{k}_{sum}, v_{sum})` aggregates with
-    /// `G = \hat{K}^T V` on the backend GEMM, and the `Q G` output pass on the same
-    /// GEMM with Steps 4–6's epilogue folded over the product rows.
-    fn compute_into(
-        &self,
-        q: &Matrix,
-        k: &Matrix,
-        v: &Matrix,
-        ws: &mut Workspace,
-        out: &mut Matrix,
-    ) {
-        validate_out(q, k, v, out);
-        let n = k.rows();
-        let d_k = k.cols();
-        let d_v = v.cols();
-        let n_q = q.rows();
-        let sqrt_d = (q.cols() as f32).sqrt();
-        let backend = matmul_backend();
-
-        let mut k_bar = ws.take_vec(d_k);
-        fill_k_bar(k, self.mean_centering(), &mut k_bar);
-        let mut k_hat = ws.take_vec(n * d_k);
-        center_keys_into(k, &k_bar, &mut k_hat);
-
-        let mut g = ws.take_vec(d_k * d_v);
-        let mut k_sum = ws.take_vec(d_k);
-        let mut v_sum = ws.take_vec(d_v);
-        taylor_aggregates_from_centred(backend, &k_hat, v, &mut g, &mut k_sum, &mut v_sum);
-
-        let n_sqrt_d = n as f32 * sqrt_d;
-        let mut denoms = ws.take_vec(n_q);
-        low_rank_outputs(
-            backend,
-            q.as_slice(),
+    for lo in (0..n_q).step_by(ROW_BLOCK) {
+        let hi = (lo + ROW_BLOCK).min(n_q);
+        let bs = hi - lo;
+        backend.gemm_into(
+            &mut exact[..bs * n],
+            bs,
             d_k,
-            &g,
-            &k_sum,
-            &v_sum,
-            sqrt_d,
-            n_sqrt_d,
-            out.as_mut_slice(),
-            &mut denoms,
+            n,
+            Operand::row_major(&q.as_slice()[lo * d_k..hi * d_k], d_k),
+            Operand::transposed(k_hat.as_slice(), d_k),
         );
-
-        ws.recycle_vec(k_bar);
-        ws.recycle_vec(k_hat);
-        ws.recycle_vec(g);
-        ws.recycle_vec(k_sum);
-        ws.recycle_vec(v_sum);
-        ws.recycle_vec(denoms);
-    }
-
-    fn op_counts(&self, n: usize, d: usize) -> OpCounts {
-        AttentionMechanism::op_counts(self, n, d)
-    }
-
-    fn forward_train(&self, q: &Var, k: &Var, v: &Var) -> Var {
-        TaylorAttention::forward_train(self, q, k, v)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sanger-style sparse attention
-// ---------------------------------------------------------------------------
-
-impl AttentionKernel for SangerSparseAttention {
-    fn label(&self) -> &'static str {
-        "sparse"
-    }
-
-    /// Delegates to the allocating [`AttentionMechanism::compute`] pipeline: the SPARSE
-    /// baseline is a training/ablation arm, not a serving hot path, so it trades
-    /// workspace discipline for reuse of the audited mask/renormalise code.
-    fn compute_into(
-        &self,
-        q: &Matrix,
-        k: &Matrix,
-        v: &Matrix,
-        _ws: &mut Workspace,
-        out: &mut Matrix,
-    ) {
-        validate_out(q, k, v, out);
-        out.copy_from(&AttentionMechanism::compute(self, q, k, v));
-    }
-
-    fn op_counts(&self, n: usize, d: usize) -> OpCounts {
-        AttentionMechanism::op_counts(self, n, d)
-    }
-
-    fn forward_train(&self, q: &Var, k: &Var, v: &Var) -> Var {
-        SangerSparseAttention::forward_train(self, q, k, v)
-    }
-
-    fn sparse_occupancy(&self, q: &Matrix, k: &Matrix) -> f32 {
-        self.prediction_mask(q, &crate::taylor::mean_center_keys(k))
-            .sparsity()
-            .mul_add(-1.0, 1.0)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fused unified low-rank + sparse kernel
-// ---------------------------------------------------------------------------
-
-/// The fused serving kernel for the paper's unified low-rank + sparse attention.
-///
-/// [`UnifiedLowRankSparseAttention::compute`] is the traced reference: it materialises
-/// the exact `n x n` softmax map, the weak Taylor map, the prediction mask and the
-/// masked strong component before a zero-skipping `n x n` map-times-`V` product. This
-/// kernel produces the same score without any `n x n` intermediate:
-///
-/// 1. the **low-rank** part runs the fused Algorithm-1 accumulation (`G`,
-///    `\hat{k}_{sum}`, `v_{sum}`) exactly as the Taylor kernel does;
-/// 2. the **prediction** and **exact** logit blocks are computed [`ROW_BLOCK`] query
-///    rows at a time through the blocked GEMM backend (quantized and full-precision
-///    operands respectively);
-/// 3. per query row, the surviving positions of the Sanger mask (threshold on the
-///    quantized softmax prediction, argmax fallback — the same rule
-///    [`SangerSparseAttention::prediction_mask`] applies, hence the same row indices a
-///    [`PackedMask`](crate::PackedMask) built from it would report) select where the
-///    strong residual `softmax_ij − weak_ij` is evaluated, and only those SDDMM-style
-///    terms accumulate `strong_ij · v_j` onto the low-rank output row.
-///
-/// The result stays within `1e-4` of the traced reference (property-tested across
-/// token counts and thresholds) while doing one fewer `n²d` GEMM and touching no
-/// `n x n` memory.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UnifiedAttentionKernel {
-    reference: UnifiedLowRankSparseAttention,
-}
-
-impl UnifiedAttentionKernel {
-    /// Creates the fused kernel with the given sparsity threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the threshold is outside `[0, 1]`.
-    pub fn new(threshold: f32) -> Self {
-        Self {
-            reference: UnifiedLowRankSparseAttention::new(threshold),
-        }
-    }
-
-    /// The sparsity threshold of the sparse component.
-    pub fn threshold(&self) -> f32 {
-        self.reference.threshold()
-    }
-
-    /// The traced (unfused) reference implementation this kernel is differentially
-    /// tested against.
-    pub fn reference(&self) -> UnifiedLowRankSparseAttention {
-        self.reference
-    }
-}
-
-impl AttentionKernel for UnifiedAttentionKernel {
-    fn label(&self) -> &'static str {
-        "unified"
-    }
-
-    fn compute_into(
-        &self,
-        q: &Matrix,
-        k: &Matrix,
-        v: &Matrix,
-        ws: &mut Workspace,
-        out: &mut Matrix,
-    ) {
-        validate_out(q, k, v, out);
-        let n = k.rows();
-        let d_k = k.cols();
-        let d_v = v.cols();
-        let n_q = q.rows();
-        let inv_sqrt_d = 1.0 / (q.cols() as f32).sqrt();
-        let sqrt_d = (q.cols() as f32).sqrt();
-        let threshold = self.threshold();
-        let bits = self.reference.sparse().quant_bits();
-        let backend = matmul_backend();
-
-        // Mean-centred keys (the prediction *and* the exact map both run on \hat{K},
-        // matching the training pipeline) and the quantized prediction operands.
-        let mut k_bar = ws.take_vec(d_k);
-        fill_k_bar(k, true, &mut k_bar);
-        let mut k_hat = ws.take(n, d_k);
-        center_keys_into(k, &k_bar, k_hat.as_mut_slice());
-        let mut q_q = ws.take(n_q, d_k);
-        quantize_symmetric_into(q, bits, &mut q_q);
-        let mut k_q = ws.take(n, d_k);
-        quantize_symmetric_into(&k_hat, bits, &mut k_q);
-
-        // Low-rank aggregates and the full low-rank output sweep: the same fused
-        // GEMM-backed Algorithm-1 passes the Taylor kernel runs; the per-row loop
-        // below only applies the SDDMM correction on top.
-        let mut g = ws.take_vec(d_k * d_v);
-        let mut k_sum = ws.take_vec(d_k);
-        let mut v_sum = ws.take_vec(d_v);
-        taylor_aggregates_from_centred(
-            backend,
-            k_hat.as_slice(),
-            v,
-            &mut g,
-            &mut k_sum,
-            &mut v_sum,
-        );
-        let n_sqrt_d = n as f32 * sqrt_d;
-        let mut denoms = ws.take_vec(n_q);
-        low_rank_outputs(
-            backend,
-            q.as_slice(),
+        backend.gemm_into(
+            &mut pred[..bs * n],
+            bs,
             d_k,
-            &g,
-            &k_sum,
-            &v_sum,
-            sqrt_d,
-            n_sqrt_d,
-            out.as_mut_slice(),
-            &mut denoms,
+            n,
+            Operand::row_major(&q_p.as_slice()[lo * d_k..hi * d_k], d_k),
+            Operand::transposed(k_p.as_slice(), d_k),
         );
+        for local in 0..bs {
+            let i = lo + local;
+            let l_row = &mut exact[local * n..(local + 1) * n];
+            let p_row = &mut pred[local * n..(local + 1) * n];
+            sanger_row_survivors(p_row, inv_sqrt_d, threshold, &mut surviving);
 
-        let bs_max = ROW_BLOCK.min(n_q.max(1));
-        let mut exact = ws.take_vec(bs_max * n);
-        let mut pred = ws.take_vec(bs_max * n);
-        let mut surviving = ws.take_indices();
+            // Exact (mean-centred) softmax row statistics.
+            let mut l_max = f32::NEG_INFINITY;
+            for l in l_row.iter_mut() {
+                *l *= inv_sqrt_d;
+                l_max = l_max.max(*l);
+            }
+            let mut z_sum = 0.0f32;
+            for &l in l_row.iter() {
+                z_sum += (l - l_max).exp();
+            }
 
-        for lo in (0..n_q).step_by(ROW_BLOCK) {
-            let hi = (lo + ROW_BLOCK).min(n_q);
-            let bs = hi - lo;
-            backend.gemm_into(
-                &mut exact[..bs * n],
-                bs,
-                d_k,
-                n,
-                Operand::row_major(&q.as_slice()[lo * d_k..hi * d_k], d_k),
-                Operand::transposed(k_hat.as_slice(), d_k),
-            );
-            backend.gemm_into(
-                &mut pred[..bs * n],
-                bs,
-                d_k,
-                n,
-                Operand::row_major(&q_q.as_slice()[lo * d_k..hi * d_k], d_k),
-                Operand::transposed(k_q.as_slice(), d_k),
-            );
-            for local in 0..bs {
-                let i = lo + local;
-                let l_row = &mut exact[local * n..(local + 1) * n];
-                let p_row = &mut pred[local * n..(local + 1) * n];
-
-                // Sanger mask for this row: softmax of the quantized logits, threshold,
-                // argmax fallback — the same rule `prediction_mask` applies densely.
-                sanger_row_survivors(p_row, inv_sqrt_d, threshold, &mut surviving);
-
-                // Exact (mean-centred) softmax row statistics.
-                let mut l_max = f32::NEG_INFINITY;
-                for l in l_row.iter_mut() {
-                    *l *= inv_sqrt_d;
-                    l_max = l_max.max(*l);
-                }
-                let mut z_sum = 0.0f32;
-                for &l in l_row.iter() {
-                    z_sum += (l - l_max).exp();
-                }
-
-                // The low-rank output row is already in place from the GEMM-backed
-                // sweep above; apply the SDDMM correction at the surviving positions.
-                let out_row = out.row_mut(i);
-                // Weak denominator in expansion units: t_i = n + q_i k_sum^T / sqrt(d).
-                let t_i = denoms[i] * inv_sqrt_d;
-                let inv_z = if z_sum > 0.0 { 1.0 / z_sum } else { 0.0 };
-                let inv_t = 1.0 / t_i;
-                for &j in surviving.iter() {
-                    let exact_ij = (l_row[j] - l_max).exp() * inv_z;
-                    let weak_ij = (1.0 + l_row[j]) * inv_t;
-                    let strong = exact_ij - weak_ij;
-                    for (o, &vv) in out_row.iter_mut().zip(v.row(j)) {
-                        *o += strong * vv;
-                    }
+            let out_row = out.row_mut(i);
+            // Weak denominator in expansion units: t_i = n + q_i k_sum^T / sqrt(d).
+            let t_i = denoms[i] * inv_sqrt_d;
+            let inv_z = if z_sum > 0.0 { 1.0 / z_sum } else { 0.0 };
+            let inv_t = 1.0 / t_i;
+            for &j in surviving.iter() {
+                let exact_ij = (l_row[j] - l_max).exp() * inv_z;
+                let weak_ij = (1.0 + l_row[j]) * inv_t;
+                let strong = exact_ij - weak_ij;
+                for (o, &vv) in out_row.iter_mut().zip(v.row(j)) {
+                    *o += strong * vv;
                 }
             }
         }
-
-        // Everything is recycled together at the end: recycling small buffers mid-run
-        // would let a later, larger checkout grow them (best-fit falls back to the
-        // largest pooled buffer), destabilising the pool's size classes across calls.
-        ws.recycle_vec(k_bar);
-        ws.recycle(k_hat);
-        ws.recycle(q_q);
-        ws.recycle(k_q);
-        ws.recycle_vec(g);
-        ws.recycle_vec(k_sum);
-        ws.recycle_vec(v_sum);
-        ws.recycle_vec(denoms);
-        ws.recycle_vec(exact);
-        ws.recycle_vec(pred);
-        ws.recycle_indices(surviving);
     }
 
-    fn op_counts(&self, n: usize, d: usize) -> OpCounts {
-        AttentionMechanism::op_counts(&self.reference, n, d)
-    }
-
-    fn forward_train(&self, q: &Var, k: &Var, v: &Var) -> Var {
-        self.reference.forward_train(q, k, v)
-    }
-
-    fn sparse_occupancy(&self, q: &Matrix, k: &Matrix) -> f32 {
-        self.reference.sparse_occupancy(q, k)
-    }
+    ws.recycle(q_p);
+    ws.recycle(k_p);
+    ws.recycle_vec(exact);
+    ws.recycle_vec(pred);
+    ws.recycle_indices(surviving);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SoftmaxAttention, TaylorAttention, UnifiedLowRankSparseAttention};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vitality_tensor::init;
@@ -747,103 +443,12 @@ mod tests {
     }
 
     #[test]
-    fn softmax_kernel_matches_the_parallel_fused_pipeline() {
-        for n in [3usize, 64, 150] {
-            let (q, k, v) = qkv(n, 16, 0.6, 60);
-            let kernel: &dyn AttentionKernel = &SoftmaxAttention::new();
-            let expected = crate::fused_softmax_attention(&q, &k, &v);
-            assert!(
-                kernel.compute(&q, &k, &v).approx_eq(&expected, 1e-5),
-                "softmax kernel diverged at n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn taylor_kernel_matches_compute_fused_for_both_centring_modes() {
-        for attention in [
-            TaylorAttention::new(),
-            TaylorAttention::without_mean_centering(),
-        ] {
-            let (q, k, v) = qkv(129, 16, 0.4, 61);
-            let kernel: &dyn AttentionKernel = &attention;
-            let expected = attention.compute_fused(&q, &k, &v);
-            assert!(
-                kernel.compute(&q, &k, &v).approx_eq(&expected, 1e-5),
-                "taylor kernel diverged (centring={})",
-                attention.mean_centering()
-            );
-        }
-    }
-
-    #[test]
-    fn sparse_kernel_matches_the_mechanism_pipeline() {
-        let (q, k, v) = qkv(24, 8, 0.7, 62);
-        let sparse = SangerSparseAttention::new(0.05);
-        let kernel: &dyn AttentionKernel = &sparse;
-        assert!(kernel
-            .compute(&q, &k, &v)
-            .approx_eq(&AttentionMechanism::compute(&sparse, &q, &k, &v), 0.0));
-        assert!(AttentionKernel::sparse_occupancy(&sparse, &q, &k) > 0.0);
-    }
-
-    #[test]
-    fn unified_kernel_matches_the_traced_reference() {
-        for &n in &[1usize, 7, 64, 196] {
-            for &threshold in &[0.0f32, 0.1, 0.5] {
-                let (q, k, v) = qkv(n, 16, 0.6, 63 + n as u64);
-                let kernel = UnifiedAttentionKernel::new(threshold);
-                let fused = kernel.compute(&q, &k, &v);
-                let traced = kernel.reference().compute(&q, &k, &v);
-                let diff = fused.max_abs_diff(&traced);
-                assert!(
-                    diff <= 1e-4,
-                    "fused unified kernel diverged at n={n} threshold={threshold}: {diff}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn unified_kernel_survivors_match_the_packed_mask_row_indices() {
-        // The fused per-row mask rule must agree with the dense prediction mask that
-        // PackedMask packs: spot-check by comparing against a zero-threshold run (all
-        // entries survive => fused == exact softmax reconstruction) and the dense mask.
-        let (q, k, _) = qkv(24, 8, 0.8, 70);
-        let kernel = UnifiedAttentionKernel::new(0.1);
-        let k_hat = crate::taylor::mean_center_keys(&k);
-        let mask = kernel.reference().sparse().prediction_mask(&q, &k_hat);
-        let packed = crate::PackedMask::new(mask, 4);
-        // Re-derive the fused kernel's surviving set for each row via the packed mask
-        // and check it is non-empty and within bounds — the full functional agreement
-        // is covered by `unified_kernel_matches_the_traced_reference`.
-        for r in 0..24 {
-            let indices: Vec<usize> = packed.row_indices(r).collect();
-            assert!(!indices.is_empty(), "row {r} lost every entry");
-            assert!(indices.iter().all(|&j| j < 24));
-        }
-    }
-
-    #[test]
-    fn unified_kernel_exposes_threshold_label_and_opcounts() {
-        let kernel = UnifiedAttentionKernel::new(0.5);
-        assert_eq!(kernel.threshold(), 0.5);
-        assert_eq!(kernel.label(), "unified");
-        assert_eq!(
-            AttentionKernel::op_counts(&kernel, 64, 16).total(),
-            AttentionMechanism::op_counts(&kernel.reference(), 64, 16).total()
-        );
-        let (q, k, _) = qkv(16, 8, 0.8, 71);
-        assert!(AttentionKernel::sparse_occupancy(&kernel, &q, &k) >= 0.0);
-    }
-
-    #[test]
     fn kernels_reuse_workspace_buffers_bit_exactly() {
         let (q, k, v) = qkv(40, 12, 0.5, 72);
         let kernels: Vec<Box<dyn AttentionKernel>> = vec![
             Box::new(SoftmaxAttention::new()),
             Box::new(TaylorAttention::new()),
-            Box::new(UnifiedAttentionKernel::new(0.1)),
+            Box::new(UnifiedLowRankSparseAttention::new(0.1)),
         ];
         for kernel in &kernels {
             let mut ws = Workspace::new();
@@ -877,7 +482,7 @@ mod tests {
             Box::new(SoftmaxAttention::new()),
             Box::new(TaylorAttention::new()),
             Box::new(SangerSparseAttention::new(0.05)),
-            Box::new(UnifiedAttentionKernel::new(0.1)),
+            Box::new(UnifiedLowRankSparseAttention::new(0.1)),
         ];
         for kernel in &kernels {
             let graph = Graph::new();

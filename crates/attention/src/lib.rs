@@ -13,21 +13,27 @@
 //! * [`LinformerAttention`], [`PerformerAttention`], [`LinearKernelAttention`],
 //!   [`EfficientAttention`] — the linear-attention baselines of Table IV / Table VI.
 //!
-//! Every mechanism exposes the same [`AttentionMechanism`] interface (a per-head
-//! `n x d -> n x d` map plus an operation-count model), so the ViT substrate, the training
-//! schemes and the accelerator simulators can swap mechanisms freely. The *served*
-//! variants additionally implement [`AttentionKernel`] (see the [`kernel`] module) — the
-//! allocation-free `compute_into` interface the ViT inference hot path and the serving
-//! engine run on, including the fused [`UnifiedAttentionKernel`] for the low-rank +
-//! sparse path and the int8-quantized [`QuantizedTaylorKernel`] /
+//! The first four are trained and served, and implement the crate's one attention trait,
+//! [`AttentionKernel`] (see the [`kernel`] module): `compute_into`, the allocation-free
+//! production path the ViT inference hot path and the serving engine run on;
+//! `forward_train`, the same mechanism on the autograd tape; and the `op_counts` model
+//! the op-count tables read. So do the int8-quantized [`QuantizedTaylorKernel`] /
 //! [`QuantizedUnifiedKernel`] pair (see the [`quantized`] module) that reproduce the
-//! accelerator's integer deployment path.
+//! accelerator's integer deployment path. Each mechanism also keeps one unfused,
+//! allocating **reference** as an inherent method — `attention_map(q, k) · V`,
+//! [`TaylorAttention::compute_with_trace`],
+//! [`UnifiedLowRankSparseAttention::compute_traced`] — which the conformance suite
+//! holds the production path against.
+//!
+//! The four linear baselines are never trained or served — Table IV reads only their
+//! op counts, Table VI only their taxonomy row ([`taxonomy`]) — so they stay outside
+//! the trait: `compute` and `op_counts` are plain inherent methods.
 //!
 //! # Example: the Taylor attention approximates the softmax attention
 //!
 //! ```
 //! use rand::SeedableRng;
-//! use vitality_attention::{AttentionMechanism, SoftmaxAttention, TaylorAttention};
+//! use vitality_attention::{AttentionKernel, SoftmaxAttention, TaylorAttention};
 //! use vitality_tensor::init;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
@@ -57,7 +63,7 @@ pub mod taylor;
 pub mod unified;
 
 pub use efficient::EfficientAttention;
-pub use kernel::{AttentionKernel, UnifiedAttentionKernel};
+pub use kernel::AttentionKernel;
 pub use linear_kernel::LinearKernelAttention;
 pub use linformer::LinformerAttention;
 pub use opcount::OpCounts;
@@ -66,35 +72,13 @@ pub use quantized::{
     Int8Calibration, QuantizedTaylorKernel, QuantizedUnifiedKernel, INT8_TAYLOR_TOLERANCE,
     INT8_UNIFIED_TOLERANCE,
 };
-pub use softmax::{fused_softmax_attention, SoftmaxAttention};
+pub use softmax::SoftmaxAttention;
 pub use sparse::{quantize_symmetric, quantize_symmetric_into, PackedMask, SangerSparseAttention};
 pub use taxonomy::{AttentionFamily, PostProcessorKind, PreProcessorKind, TaxonomyEntry};
 pub use taylor::{mean_center_keys, TaylorAttention, TaylorTrace};
 pub use unified::UnifiedLowRankSparseAttention;
 
 use vitality_tensor::Matrix;
-
-/// A single-head attention mechanism mapping `(Q, K, V)` (each `n x d`) to an `n x d`
-/// attention score matrix, together with an analytical operation-count model.
-pub trait AttentionMechanism {
-    /// Human-readable mechanism name (used in experiment output).
-    fn name(&self) -> &'static str;
-
-    /// Computes the per-head attention score `Z` from queries, keys and values.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic when the operand shapes are inconsistent (different numbers
-    /// of rows, or mismatched feature dimensions).
-    fn compute(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix;
-
-    /// Number of scalar multiplications / additions / divisions / exponentiations needed
-    /// for one head with `n` tokens and `d` feature dimensions.
-    fn op_counts(&self, n: usize, d: usize) -> OpCounts;
-
-    /// Which taxonomy family the mechanism belongs to (Table VI of the paper).
-    fn family(&self) -> AttentionFamily;
-}
 
 /// Validates that `(Q, K, V)` agree on the token count and feature dimension.
 ///
@@ -121,7 +105,9 @@ mod tests {
     use rand::SeedableRng;
     use vitality_tensor::init;
 
-    /// Every mechanism must produce an `n x d` score and a non-trivial op-count model.
+    /// Every mechanism must produce an `n x d` score and a non-trivial op-count model:
+    /// the trained/served ones through [`AttentionKernel`], the four linear baselines
+    /// through their inherent methods.
     #[test]
     fn all_mechanisms_produce_correctly_shaped_scores() {
         let mut rng = StdRng::seed_from_u64(99);
@@ -130,27 +116,40 @@ mod tests {
         let k = init::normal(&mut rng, n, d, 0.0, 0.3);
         let v = init::normal(&mut rng, n, d, 0.0, 1.0);
 
-        let mechanisms: Vec<Box<dyn AttentionMechanism>> = vec![
+        let kernels: Vec<Box<dyn AttentionKernel>> = vec![
             Box::new(SoftmaxAttention::new()),
             Box::new(TaylorAttention::new()),
             Box::new(SangerSparseAttention::new(0.02)),
             Box::new(UnifiedLowRankSparseAttention::new(0.5)),
-            Box::new(LinformerAttention::new(&mut rng, n, 4)),
-            Box::new(PerformerAttention::new(&mut rng, d, 8)),
-            Box::new(LinearKernelAttention::new()),
-            Box::new(EfficientAttention::new()),
+            Box::new(QuantizedTaylorKernel::new(Int8Calibration::Dynamic)),
+            Box::new(QuantizedUnifiedKernel::new(0.5, Int8Calibration::Dynamic)),
         ];
-        for m in &mechanisms {
-            let z = m.compute(&q, &k, &v);
-            assert_eq!(z.shape(), (n, d), "{} produced a wrong shape", m.name());
-            assert!(
-                z.iter().all(|v| v.is_finite()),
-                "{} produced NaN/inf",
-                m.name()
-            );
-            let ops = m.op_counts(n, d);
-            assert!(ops.total() > 0, "{} reported zero operations", m.name());
-            assert!(!m.name().is_empty());
+        let linformer = LinformerAttention::new(&mut rng, n, 4);
+        let performer = PerformerAttention::new(&mut rng, d, 8);
+        let (elu, efficient) = (LinearKernelAttention::new(), EfficientAttention::new());
+        let check = |label: &str, z: Matrix, ops: OpCounts| {
+            assert_eq!(z.shape(), (n, d), "{label} produced a wrong shape");
+            assert!(z.iter().all(|v| v.is_finite()), "{label} produced NaN/inf");
+            assert!(ops.total() > 0, "{label} reported zero operations");
+        };
+        for m in &kernels {
+            check(m.label(), m.compute(&q, &k, &v), m.op_counts(n, d));
         }
+        check(
+            "linformer",
+            linformer.compute(&q, &k, &v),
+            linformer.op_counts(n, d),
+        );
+        check(
+            "performer",
+            performer.compute(&q, &k, &v),
+            performer.op_counts(n, d),
+        );
+        check("linear-elu", elu.compute(&q, &k, &v), elu.op_counts(n, d));
+        check(
+            "efficient",
+            efficient.compute(&q, &k, &v),
+            efficient.op_counts(n, d),
+        );
     }
 }

@@ -1,8 +1,7 @@
 //! Linear Transformer attention with the `elu(x) + 1` kernel (Katharopoulos et al.).
 
 use crate::opcount::OpCounts;
-use crate::taxonomy::AttentionFamily;
-use crate::{validate_qkv, AttentionMechanism};
+use crate::validate_qkv;
 use vitality_tensor::Matrix;
 
 /// Linear Transformer attention: `phi(x) = elu(x) + 1` applied elementwise to queries and
@@ -23,14 +22,13 @@ impl LinearKernelAttention {
     pub fn feature_map(x: &Matrix) -> Matrix {
         x.map(|v| if v > 0.0 { v + 1.0 } else { v.exp() })
     }
-}
 
-impl AttentionMechanism for LinearKernelAttention {
-    fn name(&self) -> &'static str {
-        "linear-transformer-elu"
-    }
-
-    fn compute(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
+    /// Computes the per-head attention score `Z` (`n x d`) from queries, keys and values.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the `(Q, K, V)` shapes are inconsistent.
+    pub fn compute(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
         validate_qkv(q, k, v);
         let q_prime = Self::feature_map(q);
         let k_prime = Self::feature_map(k);
@@ -41,7 +39,9 @@ impl AttentionMechanism for LinearKernelAttention {
         numerator.broadcast_div_col(&denominator)
     }
 
-    fn op_counts(&self, n: usize, d: usize) -> OpCounts {
+    /// Scalar-operation model for one head with `n` tokens and `d` feature dimensions
+    /// (what Table IV reads).
+    pub fn op_counts(&self, n: usize, d: usize) -> OpCounts {
         let (n, d) = (n as u64, d as u64);
         OpCounts {
             mul: 2 * n * d * d + n * d,
@@ -50,10 +50,6 @@ impl AttentionMechanism for LinearKernelAttention {
             // elu's negative branch costs an exponential; assume half the entries hit it.
             exp: n * d,
         }
-    }
-
-    fn family(&self) -> AttentionFamily {
-        AttentionFamily::KernelBased
     }
 }
 
@@ -93,7 +89,5 @@ mod tests {
         let a = attn.op_counts(100, 32);
         let b = attn.op_counts(200, 32);
         assert_eq!(b.mul, a.mul * 2);
-        assert_eq!(attn.family(), AttentionFamily::KernelBased);
-        assert_eq!(attn.name(), "linear-transformer-elu");
     }
 }

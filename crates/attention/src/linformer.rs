@@ -3,8 +3,7 @@
 use rand::Rng;
 
 use crate::opcount::OpCounts;
-use crate::taxonomy::AttentionFamily;
-use crate::{validate_qkv, AttentionMechanism};
+use crate::validate_qkv;
 use vitality_tensor::{init, Matrix};
 
 /// Linformer attention: keys and values are projected from `n` tokens down to `k`
@@ -43,14 +42,13 @@ impl LinformerAttention {
     pub fn tokens(&self) -> usize {
         self.proj_k.cols()
     }
-}
 
-impl AttentionMechanism for LinformerAttention {
-    fn name(&self) -> &'static str {
-        "linformer"
-    }
-
-    fn compute(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
+    /// Computes the per-head attention score `Z` (`n x d`) from queries, keys and values.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the `(Q, K, V)` shapes are inconsistent.
+    pub fn compute(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
         validate_qkv(q, k, v);
         assert_eq!(
             k.rows(),
@@ -66,7 +64,9 @@ impl AttentionMechanism for LinformerAttention {
         scores.softmax_rows().matmul(&v_proj)
     }
 
-    fn op_counts(&self, n: usize, d: usize) -> OpCounts {
+    /// Scalar-operation model for one head with `n` tokens and `d` feature dimensions
+    /// (what Table IV reads).
+    pub fn op_counts(&self, n: usize, d: usize) -> OpCounts {
         let k = self.landmarks().min(n) as u64;
         let (n, d) = (n as u64, d as u64);
         OpCounts {
@@ -77,16 +77,12 @@ impl AttentionMechanism for LinformerAttention {
             exp: n * k,
         }
     }
-
-    fn family(&self) -> AttentionFamily {
-        AttentionFamily::LowRankProjection
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::softmax::SoftmaxAttention;
+    use crate::{AttentionKernel, SoftmaxAttention};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -129,7 +125,6 @@ mod tests {
         let a = attn.op_counts(128, 64);
         let b = attn.op_counts(256, 64);
         assert_eq!(b.mul, a.mul * 2);
-        assert_eq!(attn.family(), AttentionFamily::LowRankProjection);
     }
 
     #[test]

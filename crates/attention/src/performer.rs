@@ -3,8 +3,7 @@
 use rand::Rng;
 
 use crate::opcount::OpCounts;
-use crate::taxonomy::AttentionFamily;
-use crate::{validate_qkv, AttentionMechanism};
+use crate::validate_qkv;
 use vitality_tensor::{init, Matrix};
 
 /// Performer attention (FAVOR+): the softmax kernel `exp(q k^T)` is approximated with the
@@ -51,6 +50,38 @@ impl PerformerAttention {
         }
         out
     }
+
+    /// Computes the per-head attention score `Z` (`n x d`) from queries, keys and values.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the `(Q, K, V)` shapes are inconsistent.
+    pub fn compute(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
+        validate_qkv(q, k, v);
+        let q_prime = self.feature_map(q); // n x m
+        let k_prime = self.feature_map(k); // n x m
+                                           // Linear attention: numerator = Q' (K'^T V), denominator = Q' (K'^T 1_n).
+        let context = k_prime.transpose_matmul(v); // m x d
+        let numerator = q_prime.matmul(&context); // n x d
+        let k_sum = k_prime.col_sum(); // 1 x m
+        let denominator = q_prime.matmul_transpose_b(&k_sum); // n x 1
+        let safe_denominator = denominator.map(|x| if x.abs() < 1e-8 { 1e-8 } else { x });
+        numerator.broadcast_div_col(&safe_denominator)
+    }
+
+    /// Scalar-operation model for one head with `n` tokens and `d` feature dimensions
+    /// (what Table IV reads).
+    pub fn op_counts(&self, n: usize, d: usize) -> OpCounts {
+        let m = self.features() as u64;
+        let (n, d) = (n as u64, d as u64);
+        OpCounts {
+            // Feature maps (2 n d m) + context (n m d) + numerator (n m d) + denominator (n m).
+            mul: 2 * n * d * m + 2 * n * m * d + n * m,
+            add: 2 * n * d * m + 2 * n * m * d + 2 * n * m,
+            div: n * d + 2 * n * m,
+            exp: 2 * n * m,
+        }
+    }
 }
 
 /// Gram–Schmidt orthogonalisation of the rows (in place), preserving row norms by
@@ -84,45 +115,10 @@ fn orthogonalise_rows(m: &mut Matrix) {
     }
 }
 
-impl AttentionMechanism for PerformerAttention {
-    fn name(&self) -> &'static str {
-        "performer"
-    }
-
-    fn compute(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
-        validate_qkv(q, k, v);
-        let q_prime = self.feature_map(q); // n x m
-        let k_prime = self.feature_map(k); // n x m
-                                           // Linear attention: numerator = Q' (K'^T V), denominator = Q' (K'^T 1_n).
-        let context = k_prime.transpose_matmul(v); // m x d
-        let numerator = q_prime.matmul(&context); // n x d
-        let k_sum = k_prime.col_sum(); // 1 x m
-        let denominator = q_prime.matmul_transpose_b(&k_sum); // n x 1
-        let safe_denominator = denominator.map(|x| if x.abs() < 1e-8 { 1e-8 } else { x });
-        numerator.broadcast_div_col(&safe_denominator)
-    }
-
-    fn op_counts(&self, n: usize, d: usize) -> OpCounts {
-        let m = self.features() as u64;
-        let (n, d) = (n as u64, d as u64);
-        OpCounts {
-            // Feature maps (2 n d m) + context (n m d) + numerator (n m d) + denominator (n m).
-            mul: 2 * n * d * m + 2 * n * m * d + n * m,
-            add: 2 * n * d * m + 2 * n * m * d + 2 * n * m,
-            div: n * d + 2 * n * m,
-            exp: 2 * n * m,
-        }
-    }
-
-    fn family(&self) -> AttentionFamily {
-        AttentionFamily::KernelBased
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::softmax::SoftmaxAttention;
+    use crate::{AttentionKernel, SoftmaxAttention};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -193,8 +189,6 @@ mod tests {
         let a = attn.op_counts(100, 64);
         let b = attn.op_counts(200, 64);
         assert_eq!(b.mul, a.mul * 2);
-        assert_eq!(attn.family(), AttentionFamily::KernelBased);
-        assert_eq!(attn.name(), "performer");
     }
 
     #[test]

@@ -41,25 +41,22 @@
 //! mirrors the paper's deployment (quantization is an inference/accelerator concern,
 //! not a training scheme).
 
-use crate::kernel::{fill_k_bar, sanger_row_survivors, validate_out, AttentionKernel};
+use crate::kernel::{
+    add_masked_strong_residual, center_keys_into, fill_k_bar, low_rank_outputs, validate_out,
+    AttentionKernel,
+};
 use crate::opcount::OpCounts;
-use crate::sparse::quantize_symmetric_into;
 #[cfg(doc)]
-use crate::sparse::SangerSparseAttention;
+use crate::sparse::{quantize_symmetric_into, SangerSparseAttention};
 use crate::taylor::TaylorAttention;
 use crate::unified::UnifiedLowRankSparseAttention;
-use crate::AttentionMechanism;
 use vitality_autograd::Var;
-use vitality_tensor::backend::{IntOperand, Operand};
+use vitality_tensor::backend::IntOperand;
 // `absmax` dispatches to the AVX2 `vandnps`/`vmaxps` sweep when the host supports it;
 // the calibration sweeps are three full passes over `Q`/`K̂`/`V` per head, a
 // measurable share of the quantized kernel's non-GEMM time.
 use vitality_tensor::simd::absmax;
 use vitality_tensor::{matmul_backend, AlignedVec, MatmulBackend, Matrix, Workspace};
-
-/// Query rows per block in the quantized unified kernel's residual pass (matches the
-/// fused unified kernel's blocking so the two share scratch-size classes).
-const ROW_BLOCK: usize = 64;
 
 /// Documented conformance tolerance of [`QuantizedTaylorKernel`] against the f32
 /// Taylor trace at the conformance suite's input scales (|entries| ≲ 1.5).
@@ -148,10 +145,10 @@ fn quantize_lattice(src: &[f32], absmax: f32, lattice: &mut [f32]) -> f32 {
 /// only inside [`Int8LowRank::accumulate`]. The query is quantized to its f32 lattice
 /// view only: its sole consumer is the f32 output sweep, so an int8 query store would
 /// be write-only work. The `(G, k̂_sum, v_sum)` aggregates are accumulated **exactly**
-/// in integer arithmetic: `G` through [`MatmulBackend::gemm_i8_native_into`]'s
-/// `maddubs` microkernel when the resolved backend supports it, otherwise through the
-/// bit-identical widen-to-f32 chunked-exact kernel
-/// ([`MatmulBackend::gemm_i8_exact_into`]); the sums in `i32` over the int8 operands.
+/// in integer arithmetic: `G` through [`MatmulBackend::gemm_i8_fast_into`] (the
+/// `maddubs` microkernel when the resolved backend and host support it, otherwise the
+/// bit-identical widen-to-f32 chunked-exact route); the sums in `i32` over the int8
+/// operands.
 /// The aggregates are then dequantized once per head with the query scale folded in —
 /// `g = s_q s_k s_v · G`, `k_sum = s_q s_k · k̂_sum`, `v_sum = s_v · v_sum` — so the
 /// per-query output sweep is *identical* to the f32 Taylor kernel's fused Steps-4–6
@@ -167,8 +164,8 @@ struct Int8LowRank {
 
 impl Int8LowRank {
     /// Quantizes `(Q, K̂, V)` per head and runs the fused Algorithm-1 accumulation on
-    /// exact integer arithmetic: `G = K̂_q ᵀ V_q` through the chunked-exact integer
-    /// GEMM, `k̂_sum` and `v_sum` as `i32` column sums of the int8 operands.
+    /// exact integer arithmetic: `G = K̂_q ᵀ V_q` through the production integer GEMM,
+    /// `k̂_sum` and `v_sum` as `i32` column sums of the int8 operands.
     ///
     /// `k_hat` is the **already mean-centred** key buffer (`n × d_k` row-major) —
     /// centring happens before quantization to keep the logits small (the point of
@@ -200,27 +197,19 @@ impl Int8LowRank {
         let s_v = quantize_slice(v.as_slice(), v_max, &mut v_q);
 
         // G = K̂_qᵀ V_q: exact integer accumulation straight off the canonical int8
-        // operands. The native `maddubs` microkernel consumes them directly through
-        // the *clamped* entry — the quantizer's ±127 saturation guarantees the
-        // operands sit inside its domain, so the `-128` scans the general entry runs
-        // would be two redundant full-buffer sweeps here. When the resolved backend
-        // or host lacks the kernel, the widen-to-f32 chunked-exact kernel computes
-        // the bit-identical product from workspace scratch.
-        let backend = matmul_backend();
+        // operands, marked clamped — the quantizer's ±127 saturation guarantees they
+        // sit inside the native `maddubs` kernel's domain, so the `-128` scans would
+        // be two redundant full-buffer sweeps here.
         let mut g_i = ws.take_i32_vec(d_k * d_v);
-        let k_op = IntOperand::transposed(&k_q, d_k);
-        let v_op = IntOperand::row_major(&v_q, d_v);
-        if !backend.gemm_i8_native_clamped_into(&mut g_i, d_k, n, d_v, k_op, v_op) {
-            let mut a_f = ws.take_vec(n * d_k);
-            let mut b_f = ws.take_vec(n * d_v);
-            let mut c_f = ws.take_vec(d_k * d_v);
-            backend.gemm_i8_exact_into(
-                &mut g_i, d_k, n, d_v, k_op, v_op, &mut a_f, &mut b_f, &mut c_f,
-            );
-            ws.recycle_vec(a_f);
-            ws.recycle_vec(b_f);
-            ws.recycle_vec(c_f);
-        }
+        matmul_backend().gemm_i8_fast_into(
+            &mut g_i,
+            d_k,
+            n,
+            d_v,
+            IntOperand::transposed(&k_q, d_k).clamped(),
+            IntOperand::row_major(&v_q, d_v).clamped(),
+            ws,
+        );
         // Exact integer column sums in i32 over the canonical int8 operands, via the
         // widen-and-add SIMD sweep when the host supports it.
         let mut k_sum_i = ws.take_i32_vec(d_k);
@@ -271,7 +260,7 @@ impl Int8LowRank {
         out: &mut [f32],
         denoms: &mut [f32],
     ) {
-        crate::kernel::low_rank_outputs(
+        low_rank_outputs(
             backend,
             &self.q_lat,
             self.k_sum.len(),
@@ -346,7 +335,7 @@ impl AttentionKernel for QuantizedTaylorKernel {
         let mut k_bar = ws.take_vec(d_k);
         fill_k_bar(k, true, &mut k_bar);
         let mut k_hat = ws.take_vec(n * d_k);
-        crate::kernel::center_keys_into(k, &k_bar, &mut k_hat);
+        center_keys_into(k, &k_bar, &mut k_hat);
         let lr = Int8LowRank::accumulate(q, &k_hat, v, self.calibration, ws);
         let n_sqrt_d = n as f32 * sqrt_d;
         let mut denoms = ws.take_vec(q.rows());
@@ -366,7 +355,7 @@ impl AttentionKernel for QuantizedTaylorKernel {
     fn op_counts(&self, n: usize, d: usize) -> OpCounts {
         // Same operation structure as the f32 Taylor path; the quantize/dequantize
         // sweeps are O(nd) and vanish against the O(nd²) accumulation the count models.
-        AttentionMechanism::op_counts(&self.reference, n, d)
+        self.reference.op_counts(n, d)
     }
 
     fn forward_train(&self, q: &Var, k: &Var, v: &Var) -> Var {
@@ -439,105 +428,39 @@ impl AttentionKernel for QuantizedUnifiedKernel {
         validate_out(q, k, v, out);
         let n = k.rows();
         let d_k = k.cols();
-        let n_q = q.rows();
         let sqrt_d = (q.cols() as f32).sqrt();
-        let inv_sqrt_d = 1.0 / sqrt_d;
-        let threshold = self.threshold();
-        let bits = self.reference.sparse().quant_bits();
-        let backend = matmul_backend();
 
-        // Mean-centred keys (f32, for the exact residual logits) and the 4-bit
-        // quantized prediction operands — identical to the f32 unified kernel.
+        // Mean-centred keys, f32: the integer accumulation quantizes them, the exact
+        // residual logits read them as they are.
         let mut k_bar = ws.take_vec(d_k);
         fill_k_bar(k, true, &mut k_bar);
         let mut k_hat = ws.take(n, d_k);
-        crate::kernel::center_keys_into(k, &k_bar, k_hat.as_mut_slice());
-        let mut q_p = ws.take(n_q, d_k);
-        quantize_symmetric_into(q, bits, &mut q_p);
-        let mut k_p = ws.take(n, d_k);
-        quantize_symmetric_into(&k_hat, bits, &mut k_p);
+        center_keys_into(k, &k_bar, k_hat.as_mut_slice());
 
-        // Integer low-rank aggregates (the int8 Taylor accumulation), reusing the
-        // centred keys already materialised for the exact residual logits, and the
-        // full GEMM-backed low-rank output sweep; the blocked loop below only applies
-        // the SDDMM correction on top.
+        // Integer low-rank aggregates (the int8 Taylor accumulation) and the full
+        // GEMM-backed low-rank output sweep; the residual pass — identical to the f32
+        // unified kernel's — then applies the SDDMM correction on top, normalised by
+        // the integer rows' own denominators.
         let lr = Int8LowRank::accumulate(q, k_hat.as_slice(), v, self.calibration, ws);
         let n_sqrt_d = n as f32 * sqrt_d;
-        let mut denoms = ws.take_vec(n_q);
-        lr.output_sweep(backend, sqrt_d, n_sqrt_d, out.as_mut_slice(), &mut denoms);
-
-        let bs_max = ROW_BLOCK.min(n_q.max(1));
-        let mut exact = ws.take_vec(bs_max * n);
-        let mut pred = ws.take_vec(bs_max * n);
-        let mut surviving = ws.take_indices();
-
-        for lo in (0..n_q).step_by(ROW_BLOCK) {
-            let hi = (lo + ROW_BLOCK).min(n_q);
-            let bs = hi - lo;
-            backend.gemm_into(
-                &mut exact[..bs * n],
-                bs,
-                d_k,
-                n,
-                Operand::row_major(&q.as_slice()[lo * d_k..hi * d_k], d_k),
-                Operand::transposed(k_hat.as_slice(), d_k),
-            );
-            backend.gemm_into(
-                &mut pred[..bs * n],
-                bs,
-                d_k,
-                n,
-                Operand::row_major(&q_p.as_slice()[lo * d_k..hi * d_k], d_k),
-                Operand::transposed(k_p.as_slice(), d_k),
-            );
-            for local in 0..bs {
-                let i = lo + local;
-                let l_row = &mut exact[local * n..(local + 1) * n];
-                let p_row = &mut pred[local * n..(local + 1) * n];
-                sanger_row_survivors(p_row, inv_sqrt_d, threshold, &mut surviving);
-
-                // Exact (mean-centred) softmax row statistics for the residual.
-                let mut l_max = f32::NEG_INFINITY;
-                for l in l_row.iter_mut() {
-                    *l *= inv_sqrt_d;
-                    l_max = l_max.max(*l);
-                }
-                let mut z_sum = 0.0f32;
-                for &l in l_row.iter() {
-                    z_sum += (l - l_max).exp();
-                }
-
-                // The integer low-rank row is already in place from the GEMM-backed
-                // sweep; apply the SDDMM correction at the surviving positions,
-                // normalised by the integer row's own denominator.
-                let out_row = out.row_mut(i);
-                let t_i = denoms[i] * inv_sqrt_d;
-                let inv_z = if z_sum > 0.0 { 1.0 / z_sum } else { 0.0 };
-                let inv_t = 1.0 / t_i;
-                for &j in surviving.iter() {
-                    let exact_ij = (l_row[j] - l_max).exp() * inv_z;
-                    let weak_ij = (1.0 + l_row[j]) * inv_t;
-                    let strong = exact_ij - weak_ij;
-                    for (o, &vv) in out_row.iter_mut().zip(v.row(j)) {
-                        *o += strong * vv;
-                    }
-                }
-            }
-        }
+        let mut denoms = ws.take_vec(q.rows());
+        lr.output_sweep(
+            matmul_backend(),
+            sqrt_d,
+            n_sqrt_d,
+            out.as_mut_slice(),
+            &mut denoms,
+        );
+        add_masked_strong_residual(&self.reference.sparse(), q, &k_hat, v, &denoms, ws, out);
 
         ws.recycle_vec(k_bar);
         ws.recycle(k_hat);
-        ws.recycle(q_p);
-        ws.recycle(k_p);
         ws.recycle_vec(denoms);
-        ws.recycle_vec(exact);
-        ws.recycle_vec(pred);
-        ws.recycle_indices(surviving);
         lr.recycle(ws);
     }
 
     fn op_counts(&self, n: usize, d: usize) -> OpCounts {
-        AttentionMechanism::op_counts(&self.reference, n, d)
+        self.reference.op_counts(n, d)
     }
 
     fn forward_train(&self, q: &Var, k: &Var, v: &Var) -> Var {
@@ -613,7 +536,7 @@ mod tests {
             let kernel = QuantizedTaylorKernel::new(Int8Calibration::Dynamic);
             kernel
                 .compute(&q, &k, &v)
-                .max_abs_diff(&kernel.reference().compute_fused(&q, &k, &v))
+                .max_abs_diff(&kernel.reference().compute(&q, &k, &v))
         };
         // The quantization step scales with absmax, so the divergence must too.
         assert!(err_at(0.1) < err_at(1.0));
@@ -646,7 +569,7 @@ mod tests {
                 let (q, k, v) = qkv(n, 16, 0.6, 90 + n as u64);
                 let kernel = QuantizedUnifiedKernel::new(threshold, Int8Calibration::Dynamic);
                 let int8 = kernel.compute(&q, &k, &v);
-                let traced = kernel.reference().compute(&q, &k, &v);
+                let traced = kernel.reference().compute_traced(&q, &k, &v);
                 let diff = int8.max_abs_diff(&traced);
                 assert!(
                     diff <= INT8_UNIFIED_TOLERANCE,
@@ -662,15 +585,15 @@ mod tests {
         assert_eq!(taylor.label(), "int8");
         assert_eq!(taylor.calibration(), Int8Calibration::Dynamic);
         assert_eq!(
-            AttentionKernel::op_counts(&taylor, 64, 16).total(),
-            AttentionMechanism::op_counts(&TaylorAttention::new(), 64, 16).total()
+            taylor.op_counts(64, 16).total(),
+            TaylorAttention::new().op_counts(64, 16).total()
         );
         let unified = QuantizedUnifiedKernel::new(0.5, Int8Calibration::Dynamic);
         assert_eq!(unified.label(), "int8-unified");
         assert_eq!(unified.threshold(), 0.5);
         let (q, k, _) = qkv(16, 8, 0.8, 95);
-        assert_eq!(AttentionKernel::sparse_occupancy(&taylor, &q, &k), 0.0);
-        assert!(AttentionKernel::sparse_occupancy(&unified, &q, &k) > 0.0);
+        assert_eq!(taylor.sparse_occupancy(&q, &k), 0.0);
+        assert!(unified.sparse_occupancy(&q, &k) > 0.0);
     }
 
     #[test]

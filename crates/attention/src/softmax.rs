@@ -1,15 +1,10 @@
 //! The vanilla (quadratic) softmax attention — the paper's BASELINE.
 
+use crate::kernel::{validate_out, AttentionKernel, ROW_BLOCK};
 use crate::opcount::{vanilla_softmax_ops, OpCounts};
-use crate::taxonomy::AttentionFamily;
-use crate::{validate_qkv, AttentionMechanism};
-use rayon::prelude::*;
 use vitality_autograd::Var;
-use vitality_tensor::Matrix;
-
-/// Query rows per block in the fused kernel — bounds the materialised slice of the
-/// attention map to `Q_BLOCK x n` regardless of the token count.
-const Q_BLOCK: usize = 64;
+use vitality_tensor::backend::Operand;
+use vitality_tensor::{matmul_backend, Matrix, Workspace};
 
 /// Computes the scaled dot-product similarity `Q K^T / sqrt(d)` — the input to the softmax
 /// in Step 2 of the vanilla attention (Fig. 2 of the paper).
@@ -18,63 +13,11 @@ pub fn scaled_similarity(q: &Matrix, k: &Matrix) -> Matrix {
     q.matmul_transpose_b(k).scale(1.0 / d.sqrt())
 }
 
-/// Fused softmax attention: `softmax(Q K^T / sqrt(d)) V` one query block at a time.
-///
-/// The textbook pipeline materialises the full `n x n` attention map, scans it once for
-/// the row maxima, again for the exponentials and normalisation, and a third time for the
-/// `S V` product. This kernel processes [`Q_BLOCK`] query rows per (parallel) work unit:
-/// the logit block comes from the blocked GEMM backend, the scale / row-max / `exp` /
-/// row-sum steps run in a single in-place pass, the *unnormalised* probabilities multiply
-/// `V` through the blocked backend again, and the normalisation folds into one final
-/// scaling pass — so at most `Q_BLOCK x n` of the map ever exists, and the map is read
-/// exactly once.
-///
-/// # Panics
-///
-/// Panics when the `(Q, K, V)` shapes are inconsistent.
-pub fn fused_softmax_attention(q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
-    validate_qkv(q, k, v);
-    let scale = 1.0 / (q.cols() as f32).sqrt();
-    let d_v = v.cols();
-    let mut out = Matrix::zeros(q.rows(), d_v);
-    let n_q = q.rows();
-    out.as_mut_slice()
-        .par_chunks_mut(Q_BLOCK * d_v)
-        .enumerate()
-        .for_each(|(block, out_rows)| {
-            let lo = block * Q_BLOCK;
-            let hi = (lo + Q_BLOCK).min(n_q);
-            let q_block = q.slice_rows(lo, hi);
-            let mut probs = q_block.matmul_transpose_b(k);
-            let mut inv_sums = vec![0.0f32; hi - lo];
-            for (local, inv) in inv_sums.iter_mut().enumerate() {
-                let row = probs.row_mut(local);
-                let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x * scale));
-                let mut sum = 0.0f32;
-                for x in row.iter_mut() {
-                    *x = (*x * scale - max).exp();
-                    sum += *x;
-                }
-                *inv = if sum > 0.0 { 1.0 / sum } else { 0.0 };
-            }
-            let z = probs.matmul(v);
-            for ((o, zv), &inv) in out_rows
-                .chunks_exact_mut(d_v)
-                .zip((0..hi - lo).map(|r| z.row(r)))
-                .zip(inv_sums.iter())
-            {
-                for (o, &zv) in o.iter_mut().zip(zv) {
-                    *o = zv * inv;
-                }
-            }
-        });
-    out
-}
-
 /// The standard softmax attention `softmax(Q K^T / sqrt(d)) V`.
 ///
-/// Materialises the full `n x n` attention map, so both its compute and its memory cost
-/// grow quadratically with the token count — the bottleneck ViTALiTy removes.
+/// Both its compute and — in the textbook form, [`SoftmaxAttention::attention_map`]` · V`,
+/// which materialises the full `n x n` map — its memory cost grow quadratically with
+/// the token count: the bottleneck ViTALiTy removes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SoftmaxAttention {
     _private: (),
@@ -90,32 +33,93 @@ impl SoftmaxAttention {
     pub fn attention_map(&self, q: &Matrix, k: &Matrix) -> Matrix {
         scaled_similarity(q, k).softmax_rows()
     }
-
-    /// Training-time softmax attention on the autograd tape.
-    pub fn forward_train(&self, q: &Var, k: &Var, v: &Var) -> Var {
-        let d = q.shape().1 as f32;
-        q.matmul_transpose_b(k)
-            .scale(1.0 / d.sqrt())
-            .softmax_rows()
-            .matmul(v)
-    }
 }
 
-impl AttentionMechanism for SoftmaxAttention {
-    fn name(&self) -> &'static str {
-        "vanilla-softmax"
+impl AttentionKernel for SoftmaxAttention {
+    fn label(&self) -> &'static str {
+        "softmax"
     }
 
-    fn compute(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
-        fused_softmax_attention(q, k, v)
+    /// Blockwise fused softmax attention. The textbook pipeline
+    /// ([`SoftmaxAttention::attention_map`]` · V`, this kernel's reference) materialises
+    /// the full `n x n` map and scans it three times; this processes 64 query rows at
+    /// a time — the logit block and the *unnormalised* `P·V` product both through the
+    /// backend GEMM into workspace scratch, scale / row-max / `exp` / row-sum in one
+    /// in-place pass, normalisation folded into the output write — so at most
+    /// `64 x n` of the map ever exists, and it is read exactly once.
+    fn compute_into(
+        &self,
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        ws: &mut Workspace,
+        out: &mut Matrix,
+    ) {
+        validate_out(q, k, v, out);
+        let n = k.rows();
+        let d = q.cols();
+        let d_v = v.cols();
+        let n_q = q.rows();
+        let scale = 1.0 / (d as f32).sqrt();
+        let backend = matmul_backend();
+        let bs_max = ROW_BLOCK.min(n_q.max(1));
+        let mut probs = ws.take_vec(bs_max * n);
+        let mut z = ws.take_vec(bs_max * d_v);
+        let mut inv_sums = [0.0f32; ROW_BLOCK];
+        for lo in (0..n_q).step_by(ROW_BLOCK) {
+            let hi = (lo + ROW_BLOCK).min(n_q);
+            let bs = hi - lo;
+            backend.gemm_into(
+                &mut probs[..bs * n],
+                bs,
+                d,
+                n,
+                Operand::row_major(&q.as_slice()[lo * d..hi * d], d),
+                Operand::transposed(k.as_slice(), d),
+            );
+            for (local, inv) in inv_sums.iter_mut().enumerate().take(bs) {
+                let row = &mut probs[local * n..(local + 1) * n];
+                let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x * scale));
+                let mut sum = 0.0f32;
+                for x in row.iter_mut() {
+                    *x = (*x * scale - max).exp();
+                    sum += *x;
+                }
+                *inv = if sum > 0.0 { 1.0 / sum } else { 0.0 };
+            }
+            backend.gemm_into(
+                &mut z[..bs * d_v],
+                bs,
+                n,
+                d_v,
+                Operand::row_major(&probs[..bs * n], n),
+                Operand::row_major(v.as_slice(), d_v),
+            );
+            for local in 0..bs {
+                let inv = inv_sums[local];
+                for (o, &zv) in out
+                    .row_mut(lo + local)
+                    .iter_mut()
+                    .zip(z[local * d_v..(local + 1) * d_v].iter())
+                {
+                    *o = zv * inv;
+                }
+            }
+        }
+        ws.recycle_vec(probs);
+        ws.recycle_vec(z);
     }
 
     fn op_counts(&self, n: usize, d: usize) -> OpCounts {
         vanilla_softmax_ops(n, d)
     }
 
-    fn family(&self) -> AttentionFamily {
-        AttentionFamily::VanillaSoftmax
+    fn forward_train(&self, q: &Var, k: &Var, v: &Var) -> Var {
+        let d = q.shape().1 as f32;
+        q.matmul_transpose_b(k)
+            .scale(1.0 / d.sqrt())
+            .softmax_rows()
+            .matmul(v)
     }
 }
 
@@ -183,13 +187,13 @@ mod tests {
     #[test]
     fn fused_kernel_matches_the_unfused_map_pipeline() {
         let mut rng = StdRng::seed_from_u64(22);
-        // 150 rows straddles two Q_BLOCK work units; 3 exercises the ragged tail.
+        // 150 rows straddles two ROW_BLOCK blocks; 3 exercises the ragged tail.
         for n in [3usize, 64, 150] {
             let q = init::normal(&mut rng, n, 16, 0.0, 0.8);
             let k = init::normal(&mut rng, n, 16, 0.0, 0.8);
             let v = init::normal(&mut rng, n, 16, 0.0, 1.0);
             let attn = SoftmaxAttention::new();
-            let fused = fused_softmax_attention(&q, &k, &v);
+            let fused = attn.compute(&q, &k, &v);
             let unfused = attn.attention_map(&q, &k).matmul(&v);
             assert!(
                 fused.approx_eq(&unfused, 1e-4),
@@ -221,10 +225,6 @@ mod tests {
     fn op_counts_are_quadratic_and_include_exponentiations() {
         let ops = SoftmaxAttention::new().op_counts(197, 64);
         assert_eq!(ops.exp, 197 * 197);
-        assert_eq!(
-            SoftmaxAttention::new().family(),
-            AttentionFamily::VanillaSoftmax
-        );
-        assert_eq!(SoftmaxAttention::new().name(), "vanilla-softmax");
+        assert_eq!(SoftmaxAttention::new().label(), "softmax");
     }
 }

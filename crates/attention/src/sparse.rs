@@ -8,12 +8,12 @@
 //! SPARSE baseline and as the training-time regulariser that approximates the "strong"
 //! higher-order Taylor terms.
 
+use crate::kernel::{validate_out, AttentionKernel};
 use crate::opcount::{vanilla_softmax_ops, OpCounts};
 use crate::softmax::scaled_similarity;
-use crate::taxonomy::AttentionFamily;
-use crate::{validate_qkv, AttentionMechanism};
+use crate::taylor::mean_center_keys;
 use vitality_autograd::Var;
-use vitality_tensor::Matrix;
+use vitality_tensor::{Matrix, Workspace};
 
 /// Default sparsity threshold used by the SPARSE baseline (Sanger's published default).
 pub const DEFAULT_SPARSITY_THRESHOLD: f32 = 0.02;
@@ -238,25 +238,9 @@ impl SangerSparseAttention {
         PackedMask::new(self.prediction_mask(q, k), block_rows)
     }
 
-    /// Differentiable Sanger-style sparse attention on the autograd tape.
-    ///
-    /// The mask comes from the quantized prediction (treated as a constant), the
-    /// surviving probabilities are renormalised per row, and gradients flow through the
-    /// full-precision path only — exactly Sanger's straight-through training recipe.
-    pub fn forward_train(&self, q: &Var, k: &Var, v: &Var) -> Var {
-        let d = q.shape().1 as f32;
-        let mask = self.prediction_mask(&q.value(), &k.value());
-        let probs = q
-            .matmul_transpose_b(k)
-            .scale(1.0 / d.sqrt())
-            .softmax_rows()
-            .apply_mask(&mask);
-        let renormalised = probs.broadcast_div_col(&probs.row_sum().add_scalar(1e-9));
-        renormalised.matmul(v)
-    }
-
     /// The exact sparse softmax attention map: full-precision logits, masked positions set
     /// to `-inf` before the softmax so each row renormalises over the surviving entries.
+    /// Times `V`, this is the mechanism's **reference**.
     pub fn sparse_attention_map(&self, q: &Matrix, k: &Matrix) -> Matrix {
         let mask = self.prediction_mask(q, k);
         let logits = scaled_similarity(q, k);
@@ -271,16 +255,25 @@ impl SangerSparseAttention {
     }
 }
 
-impl AttentionMechanism for SangerSparseAttention {
-    fn name(&self) -> &'static str {
-        "sanger-sparse"
+impl AttentionKernel for SangerSparseAttention {
+    fn label(&self) -> &'static str {
+        "sparse"
     }
 
-    fn compute(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
-        validate_qkv(q, k, v);
-        // The masked map is mostly structural zeros: the zero-skipping sparse kernel
-        // beats the dense blocked backend here.
-        self.sparse_attention_map(q, k).matmul_sparse(v)
+    /// The SPARSE baseline is a training/ablation arm, not a serving hot path, so it
+    /// trades workspace discipline for reuse of the audited mask/renormalise code: the
+    /// masked map is mostly structural zeros, which the zero-skipping sparse product
+    /// handles better than the dense blocked backend.
+    fn compute_into(
+        &self,
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        _ws: &mut Workspace,
+        out: &mut Matrix,
+    ) {
+        validate_out(q, k, v, out);
+        out.copy_from(&self.sparse_attention_map(q, k).matmul_sparse(v));
     }
 
     fn op_counts(&self, n: usize, d: usize) -> OpCounts {
@@ -298,8 +291,26 @@ impl AttentionMechanism for SangerSparseAttention {
         full + prediction
     }
 
-    fn family(&self) -> AttentionFamily {
-        AttentionFamily::DynamicSparse
+    /// Differentiable Sanger-style sparse attention: the mask comes from the quantized
+    /// prediction (treated as a constant), the surviving probabilities are renormalised
+    /// per row, and gradients flow through the full-precision path only — exactly
+    /// Sanger's straight-through training recipe.
+    fn forward_train(&self, q: &Var, k: &Var, v: &Var) -> Var {
+        let d = q.shape().1 as f32;
+        let mask = self.prediction_mask(&q.value(), &k.value());
+        let probs = q
+            .matmul_transpose_b(k)
+            .scale(1.0 / d.sqrt())
+            .softmax_rows()
+            .apply_mask(&mask);
+        let renormalised = probs.broadcast_div_col(&probs.row_sum().add_scalar(1e-9));
+        renormalised.matmul(v)
+    }
+
+    fn sparse_occupancy(&self, q: &Matrix, k: &Matrix) -> f32 {
+        self.prediction_mask(q, &mean_center_keys(k))
+            .sparsity()
+            .mul_add(-1.0, 1.0)
     }
 }
 
@@ -421,9 +432,13 @@ mod tests {
         let sparse = SangerSparseAttention::new(0.02).op_counts(64, 32);
         let vanilla = vanilla_softmax_ops(64, 32);
         assert!(sparse.total() > vanilla.total());
-        assert_eq!(
-            SangerSparseAttention::new(0.02).family(),
-            AttentionFamily::DynamicSparse
-        );
+    }
+
+    #[test]
+    fn occupancy_probe_reports_the_mask_density() {
+        let (q, k, _) = qkv(24, 8, 36);
+        let sparse = SangerSparseAttention::new(0.05);
+        let occupancy = sparse.sparse_occupancy(&q, &k);
+        assert!(occupancy > 0.0 && occupancy <= 1.0);
     }
 }

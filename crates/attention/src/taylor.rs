@@ -8,12 +8,15 @@
 //! products it only ever materialises the `d x d` global context matrix `G = \hat{K}^T V`
 //! instead of the `n x n` attention map.
 
+use crate::kernel::{
+    center_keys_into, fill_k_bar, low_rank_outputs, taylor_aggregates_from_centred, validate_out,
+    AttentionKernel,
+};
 use crate::opcount::{taylor_attention_ops, OpCounts};
 use crate::softmax::scaled_similarity;
-use crate::taxonomy::AttentionFamily;
-use crate::{validate_qkv, AttentionMechanism};
+use crate::validate_qkv;
 use vitality_autograd::Var;
-use vitality_tensor::{matmul_backend, Matrix};
+use vitality_tensor::{matmul_backend, Matrix, Workspace};
 
 /// Mean-centres the keys: returns `\hat{K} = K - 1_n \bar{K}` where `\bar{K}` is the
 /// column (token-wise) mean of `K`.
@@ -79,7 +82,9 @@ impl TaylorAttention {
         self.mean_center
     }
 
-    /// Runs Algorithm 1 and returns every intermediate (Steps 1–6).
+    /// Runs Algorithm 1 step by step and returns every intermediate (Steps 1–6) — the
+    /// **reference** the fused [`AttentionKernel::compute_into`] is held against (its
+    /// `score` field), and what the accelerator simulator replays.
     ///
     /// # Panics
     ///
@@ -130,75 +135,17 @@ impl TaylorAttention {
         }
     }
 
-    /// Fused inference kernel: Algorithm 1 without its analytical intermediates.
-    ///
-    /// [`TaylorAttention::compute_with_trace`] materialises every step of Algorithm 1 —
-    /// `\hat{K}`, `G`, the broadcast `1_n v_{sum}`, the numerator and the denominator —
-    /// which is what the accelerator simulator replays but wastes memory traffic at
-    /// inference. This kernel produces the identical score in three passes:
-    ///
-    /// 1. one reduction over `K` for `\bar{K}`, then the centred keys;
-    /// 2. the `(G = \hat{K}^T V, \hat{k}_{sum}, v_{sum})` aggregates, with `G` on the
-    ///    backend GEMM (the SIMD microkernels) and the sums in one `O(nd)` sweep;
-    /// 3. the `Q G` product on the same GEMM, with Steps 4–6's epilogue —
-    ///    `(sqrt(d) v_{sum} + q_i G) / (n sqrt(d) + q_i \hat{k}_{sum}^T)` — folded
-    ///    over the product rows, with no `t_D`, `T_N` or broadcast buffers.
-    ///
-    /// These are the same shared passes the serving
-    /// [`AttentionKernel`](crate::kernel::AttentionKernel) implementation runs, so the
-    /// two stay in lockstep bit for bit.
-    pub fn compute_fused(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
-        validate_qkv(q, k, v);
-        let n = k.rows();
-        let d_k = k.cols();
-        let d_v = v.cols();
-        let sqrt_d = (q.cols() as f32).sqrt();
-        let backend = matmul_backend();
-
-        // Pass 1: \bar{K} (all-zero when centring is ablated, so the centring sweep
-        // can subtract unconditionally).
-        let k_bar = if self.mean_center {
-            k.col_mean().into_vec()
-        } else {
-            vec![0.0f32; d_k]
-        };
-        let mut k_hat = vec![0.0f32; n * d_k];
-        crate::kernel::center_keys_into(k, &k_bar, &mut k_hat);
-
-        // Pass 2: aggregates, G through the backend GEMM.
-        let mut g = vec![0.0f32; d_k * d_v];
-        let mut k_sum = vec![0.0f32; d_k];
-        let mut v_sum = vec![0.0f32; d_v];
-        crate::kernel::taylor_aggregates_from_centred(
-            backend, &k_hat, v, &mut g, &mut k_sum, &mut v_sum,
-        );
-
-        // Pass 3: Steps 4–6 fused over the Q G product.
-        let n_sqrt_d = n as f32 * sqrt_d;
-        let mut score = Matrix::zeros(q.rows(), d_v);
-        let mut denoms = vec![0.0f32; q.rows()];
-        crate::kernel::low_rank_outputs(
-            backend,
-            q.as_slice(),
-            d_k,
-            &g,
-            &k_sum,
-            &v_sum,
-            sqrt_d,
-            n_sqrt_d,
-            score.as_mut_slice(),
-            &mut denoms,
-        );
-        score
-    }
-
     /// The first-order ("weak") Taylor attention *map* — the explicit `n x n` matrix
     /// `diag^{-1}(t_D) (sqrt(d) 1_n 1_n^T + Q \hat{K}^T)`.
     ///
     /// Never used at inference (it defeats the linear-complexity point of the method); it
     /// exists for the decomposition analysis and the training-time sparse residual.
     pub fn weak_attention_map(&self, q: &Matrix, k: &Matrix) -> Matrix {
-        validate_qkv(q, k, &Matrix::zeros(k.rows(), k.cols()));
+        assert_eq!(
+            q.cols(),
+            k.cols(),
+            "queries and keys must share the feature dimension"
+        );
         let d = q.cols();
         let sqrt_d = (d as f32).sqrt();
         let k_hat = if self.mean_center {
@@ -233,11 +180,87 @@ impl TaylorAttention {
         let weak = self.weak_attention_map(q, k);
         exact.try_sub(&weak).expect("map shapes")
     }
+}
 
-    /// Training-time Taylor attention on the autograd tape. `q`, `k` and `v` are tape
-    /// variables (typically outputs of the Q/K/V projections); the returned score is
-    /// differentiable with respect to all of them.
-    pub fn forward_train(&self, q: &Var, k: &Var, v: &Var) -> Var {
+impl AttentionKernel for TaylorAttention {
+    fn label(&self) -> &'static str {
+        if self.mean_center {
+            "taylor"
+        } else {
+            "taylor-no-centering"
+        }
+    }
+
+    /// Fused Algorithm 1, without its analytical intermediates.
+    ///
+    /// [`TaylorAttention::compute_with_trace`] materialises every step — `\hat{K}`,
+    /// `G`, the broadcast `1_n v_{sum}`, the numerator and the denominator — which is
+    /// what the accelerator simulator replays but wastes memory traffic at inference.
+    /// This produces the same score in three passes over workspace scratch:
+    ///
+    /// 1. one reduction over `K` for `\bar{K}` (all-zero when centring is ablated, so
+    ///    the centring sweep can subtract unconditionally), then the centred keys;
+    /// 2. the `(G = \hat{K}^T V, \hat{k}_{sum}, v_{sum})` aggregates, with `G` on the
+    ///    backend GEMM (the SIMD microkernels) and the sums in one `O(nd)` sweep;
+    /// 3. the `Q G` product on the same GEMM, with Steps 4–6's epilogue —
+    ///    `(sqrt(d) v_{sum} + q_i G) / (n sqrt(d) + q_i \hat{k}_{sum}^T)` — folded
+    ///    over the product rows, with no `t_D`, `T_N` or broadcast buffers.
+    fn compute_into(
+        &self,
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        ws: &mut Workspace,
+        out: &mut Matrix,
+    ) {
+        validate_out(q, k, v, out);
+        let n = k.rows();
+        let d_k = k.cols();
+        let d_v = v.cols();
+        let n_q = q.rows();
+        let sqrt_d = (q.cols() as f32).sqrt();
+        let backend = matmul_backend();
+
+        let mut k_bar = ws.take_vec(d_k);
+        fill_k_bar(k, self.mean_center, &mut k_bar);
+        let mut k_hat = ws.take_vec(n * d_k);
+        center_keys_into(k, &k_bar, &mut k_hat);
+
+        let mut g = ws.take_vec(d_k * d_v);
+        let mut k_sum = ws.take_vec(d_k);
+        let mut v_sum = ws.take_vec(d_v);
+        taylor_aggregates_from_centred(backend, &k_hat, v, &mut g, &mut k_sum, &mut v_sum);
+
+        let n_sqrt_d = n as f32 * sqrt_d;
+        let mut denoms = ws.take_vec(n_q);
+        low_rank_outputs(
+            backend,
+            q.as_slice(),
+            d_k,
+            &g,
+            &k_sum,
+            &v_sum,
+            sqrt_d,
+            n_sqrt_d,
+            out.as_mut_slice(),
+            &mut denoms,
+        );
+
+        ws.recycle_vec(k_bar);
+        ws.recycle_vec(k_hat);
+        ws.recycle_vec(g);
+        ws.recycle_vec(k_sum);
+        ws.recycle_vec(v_sum);
+        ws.recycle_vec(denoms);
+    }
+
+    fn op_counts(&self, n: usize, d: usize) -> OpCounts {
+        taylor_attention_ops(n, d)
+    }
+
+    /// `q`, `k` and `v` are tape variables (typically outputs of the Q/K/V
+    /// projections); the returned score is differentiable with respect to all of them.
+    fn forward_train(&self, q: &Var, k: &Var, v: &Var) -> Var {
         let (n, d) = (k.shape().0, q.shape().1);
         let sqrt_d = (d as f32).sqrt();
         let k_hat = if self.mean_center {
@@ -253,28 +276,6 @@ impl TaylorAttention {
             .matmul(&global_context)
             .add(&v_sum.scale(sqrt_d).broadcast_row_to(q.shape().0));
         numerator.broadcast_div_col(&denominator)
-    }
-}
-
-impl AttentionMechanism for TaylorAttention {
-    fn name(&self) -> &'static str {
-        if self.mean_center {
-            "vitality-taylor"
-        } else {
-            "taylor-no-centering"
-        }
-    }
-
-    fn compute(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
-        self.compute_fused(q, k, v)
-    }
-
-    fn op_counts(&self, n: usize, d: usize) -> OpCounts {
-        taylor_attention_ops(n, d)
-    }
-
-    fn family(&self) -> AttentionFamily {
-        AttentionFamily::TaylorBased
     }
 }
 
@@ -406,7 +407,7 @@ mod tests {
         assert!(TaylorAttention::new().mean_centering());
         assert!(!TaylorAttention::without_mean_centering().mean_centering());
         assert_eq!(
-            TaylorAttention::without_mean_centering().name(),
+            TaylorAttention::without_mean_centering().label(),
             "taylor-no-centering"
         );
     }
@@ -438,7 +439,7 @@ mod tests {
                 TaylorAttention::new(),
                 TaylorAttention::without_mean_centering(),
             ] {
-                let fused = attention.compute_fused(&q, &k, &v);
+                let fused = attention.compute(&q, &k, &v);
                 let traced = attention.compute_with_trace(&q, &k, &v).score;
                 assert!(
                     fused.approx_eq(&traced, 1e-4),
@@ -469,9 +470,5 @@ mod tests {
         let ops = TaylorAttention::new().op_counts(197, 64);
         assert_eq!(ops.exp, 0);
         assert!(ops.mul > 0);
-        assert_eq!(
-            TaylorAttention::new().family(),
-            AttentionFamily::TaylorBased
-        );
     }
 }

@@ -1,13 +1,16 @@
 //! The training-time unification of the low-rank Taylor attention and the sparse
 //! approximation of the "strong" higher-order terms (Fig. 4 of the paper).
 
+use crate::kernel::{
+    add_masked_strong_residual, center_keys_into, fill_k_bar, low_rank_outputs,
+    taylor_aggregates_from_centred, validate_out, AttentionKernel,
+};
 use crate::opcount::{taylor_attention_ops, vanilla_softmax_ops, OpCounts};
 use crate::sparse::SangerSparseAttention;
-use crate::taxonomy::AttentionFamily;
 use crate::taylor::{mean_center_keys, TaylorAttention};
-use crate::{validate_qkv, AttentionMechanism};
+use crate::validate_qkv;
 use vitality_autograd::Var;
-use vitality_tensor::Matrix;
+use vitality_tensor::{matmul_backend, Matrix, Workspace};
 
 /// Unified low-rank + sparse attention used while fine-tuning ViTALiTy models.
 ///
@@ -63,22 +66,114 @@ impl UnifiedLowRankSparseAttention {
         strong.apply_mask(&mask)
     }
 
-    /// Fraction of non-zero entries in the masked strong component (the y-axis of Fig. 14).
-    pub fn sparse_occupancy(&self, q: &Matrix, k: &Matrix) -> f32 {
-        let masked = self.masked_strong_component(q, k);
-        if masked.is_empty() {
-            return 0.0;
-        }
-        let significant = masked.iter().filter(|v| v.abs() > 1e-6).count();
-        significant as f32 / masked.len() as f32
+    /// The traced **reference**: materialises the exact `n x n` softmax map, the weak
+    /// Taylor map, the prediction mask and the masked strong component, adds their
+    /// zero-skipping product with `V` to the step-by-step Algorithm-1 score
+    /// ([`TaylorAttention::compute_with_trace`]). Shares no arithmetic with the fused
+    /// [`AttentionKernel::compute_into`], which is held within `1e-4` of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the `(Q, K, V)` shapes are inconsistent.
+    pub fn compute_traced(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
+        validate_qkv(q, k, v);
+        let low_rank = self.taylor.compute_with_trace(q, k, v).score;
+        let residual = self.masked_strong_component(q, k).matmul_sparse(v);
+        low_rank
+            .try_add(&residual)
+            .expect("unified component shapes")
+    }
+}
+
+impl AttentionKernel for UnifiedLowRankSparseAttention {
+    fn label(&self) -> &'static str {
+        "unified"
     }
 
-    /// Training-time forward pass on the autograd tape.
+    /// The fused kernel: the same score as
+    /// [`UnifiedLowRankSparseAttention::compute_traced`] without any `n x n`
+    /// intermediate, one fewer `n²d` GEMM, and every buffer from the workspace.
     ///
+    /// 1. the **low-rank** part runs the fused Algorithm-1 accumulation (`G`,
+    ///    `\hat{k}_{sum}`, `v_{sum}`) and output sweep exactly as the Taylor kernel does;
+    /// 2. the **sparse** part evaluates the strong residual `softmax_ij − weak_ij` only
+    ///    at the positions surviving the Sanger mask (threshold on the quantized
+    ///    softmax prediction, argmax fallback — the same rule
+    ///    [`SangerSparseAttention::prediction_mask`] applies, hence the same row indices
+    ///    a [`PackedMask`](crate::PackedMask) built from it would report), 64 query
+    ///    rows at a time, accumulating `strong_ij · v_j` onto the low-rank output row.
+    fn compute_into(
+        &self,
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        ws: &mut Workspace,
+        out: &mut Matrix,
+    ) {
+        validate_out(q, k, v, out);
+        let n = k.rows();
+        let d_k = k.cols();
+        let d_v = v.cols();
+        let sqrt_d = (q.cols() as f32).sqrt();
+        let backend = matmul_backend();
+
+        // Mean-centred keys: the prediction *and* the exact map both run on \hat{K},
+        // matching the training pipeline.
+        let mut k_bar = ws.take_vec(d_k);
+        fill_k_bar(k, true, &mut k_bar);
+        let mut k_hat = ws.take(n, d_k);
+        center_keys_into(k, &k_bar, k_hat.as_mut_slice());
+
+        let mut g = ws.take_vec(d_k * d_v);
+        let mut k_sum = ws.take_vec(d_k);
+        let mut v_sum = ws.take_vec(d_v);
+        taylor_aggregates_from_centred(
+            backend,
+            k_hat.as_slice(),
+            v,
+            &mut g,
+            &mut k_sum,
+            &mut v_sum,
+        );
+        let n_sqrt_d = n as f32 * sqrt_d;
+        let mut denoms = ws.take_vec(q.rows());
+        low_rank_outputs(
+            backend,
+            q.as_slice(),
+            d_k,
+            &g,
+            &k_sum,
+            &v_sum,
+            sqrt_d,
+            n_sqrt_d,
+            out.as_mut_slice(),
+            &mut denoms,
+        );
+        add_masked_strong_residual(&self.sparse, q, &k_hat, v, &denoms, ws, out);
+
+        // Nothing is recycled before the last checkout (the residual pass's): recycling
+        // small buffers mid-run would let a later, larger checkout grow them (best-fit
+        // falls back to the largest pooled buffer), destabilising the pool's size
+        // classes across calls.
+        ws.recycle_vec(k_bar);
+        ws.recycle(k_hat);
+        ws.recycle_vec(g);
+        ws.recycle_vec(k_sum);
+        ws.recycle_vec(v_sum);
+        ws.recycle_vec(denoms);
+    }
+
+    fn op_counts(&self, n: usize, d: usize) -> OpCounts {
+        // The training-time cost is the linear attention plus the full quadratic path that
+        // the sparse residual needs (prediction + exact attention). This is only paid
+        // during fine-tuning; inference pays `taylor_attention_ops` alone.
+        taylor_attention_ops(n, d) + vanilla_softmax_ops(n, d)
+    }
+
     /// Gradients flow through both the low-rank path and the masked softmax residual; the
     /// mask itself is derived from the (non-differentiable) quantized prediction and is
     /// treated as a constant, exactly as Sanger's straight-through training does.
-    pub fn forward_train(&self, q: &Var, k: &Var, v: &Var) -> Var {
+    fn forward_train(&self, q: &Var, k: &Var, v: &Var) -> Var {
         let low_rank = self.taylor.forward_train(q, k, v);
         // Strong residual on the tape: softmax map minus weak Taylor map, masked.
         let d = q.shape().1 as f32;
@@ -98,31 +193,16 @@ impl UnifiedLowRankSparseAttention {
             .prediction_mask(&q.value(), &mean_center_keys(&k.value()));
         strong_map.apply_mask(&mask).matmul(v).add(&low_rank)
     }
-}
 
-impl AttentionMechanism for UnifiedLowRankSparseAttention {
-    fn name(&self) -> &'static str {
-        "vitality-unified-lowrank-sparse"
-    }
-
-    fn compute(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
-        validate_qkv(q, k, v);
-        let low_rank = self.taylor.compute(q, k, v);
-        let residual = self.masked_strong_component(q, k).matmul_sparse(v);
-        low_rank
-            .try_add(&residual)
-            .expect("unified component shapes")
-    }
-
-    fn op_counts(&self, n: usize, d: usize) -> OpCounts {
-        // The training-time cost is the linear attention plus the full quadratic path that
-        // the sparse residual needs (prediction + exact attention). This is only paid
-        // during fine-tuning; inference pays `taylor_attention_ops` alone.
-        taylor_attention_ops(n, d) + vanilla_softmax_ops(n, d)
-    }
-
-    fn family(&self) -> AttentionFamily {
-        AttentionFamily::TaylorBased
+    /// Fraction of non-zero entries in the masked strong component (the y-axis of
+    /// Fig. 14).
+    fn sparse_occupancy(&self, q: &Matrix, k: &Matrix) -> f32 {
+        let masked = self.masked_strong_component(q, k);
+        if masked.is_empty() {
+            return 0.0;
+        }
+        let significant = masked.iter().filter(|v| v.abs() > 1e-6).count();
+        significant as f32 / masked.len() as f32
     }
 }
 
@@ -183,8 +263,41 @@ mod tests {
         assert_eq!(unified.threshold(), 0.5);
         assert!(unified.low_rank().mean_centering());
         assert_eq!(unified.sparse().threshold(), 0.5);
-        assert_eq!(unified.name(), "vitality-unified-lowrank-sparse");
-        assert_eq!(unified.family(), AttentionFamily::TaylorBased);
+        assert_eq!(unified.label(), "unified");
+    }
+
+    #[test]
+    fn fused_kernel_matches_the_traced_reference() {
+        for &n in &[1usize, 7, 64, 196] {
+            for &threshold in &[0.0f32, 0.1, 0.5] {
+                let (q, k, v) = qkv(n, 16, 0.6, 63 + n as u64);
+                let unified = UnifiedLowRankSparseAttention::new(threshold);
+                let fused = unified.compute(&q, &k, &v);
+                let traced = unified.compute_traced(&q, &k, &v);
+                let diff = fused.max_abs_diff(&traced);
+                assert!(
+                    diff <= 1e-4,
+                    "fused unified kernel diverged at n={n} threshold={threshold}: {diff}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn packed_mask_rows_keep_at_least_one_in_bounds_survivor() {
+        // The fused kernel's per-row mask rule is the dense prediction mask that
+        // PackedMask packs; every row must keep an in-bounds entry (the argmax
+        // fallback). Full functional agreement is covered by
+        // `fused_kernel_matches_the_traced_reference`.
+        let (q, k, _) = qkv(24, 8, 0.8, 70);
+        let unified = UnifiedLowRankSparseAttention::new(0.1);
+        let mask = unified.sparse().prediction_mask(&q, &mean_center_keys(&k));
+        let packed = crate::PackedMask::new(mask, 4);
+        for r in 0..24 {
+            let indices: Vec<usize> = packed.row_indices(r).collect();
+            assert!(!indices.is_empty(), "row {r} lost every entry");
+            assert!(indices.iter().all(|&j| j < 24));
+        }
     }
 
     #[test]

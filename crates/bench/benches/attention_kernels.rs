@@ -11,10 +11,10 @@ use rand::SeedableRng;
 use std::hint::black_box;
 
 use vitality_attention::{
-    AttentionMechanism, EfficientAttention, LinearKernelAttention, SangerSparseAttention,
+    AttentionKernel, EfficientAttention, LinearKernelAttention, SangerSparseAttention,
     SoftmaxAttention, TaylorAttention,
 };
-use vitality_tensor::{init, Matrix};
+use vitality_tensor::{init, Matrix, Workspace};
 
 fn qkv(n: usize, d: usize, seed: u64) -> (Matrix, Matrix, Matrix) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -25,18 +25,32 @@ fn qkv(n: usize, d: usize, seed: u64) -> (Matrix, Matrix, Matrix) {
     )
 }
 
+/// Times a served kernel the way the engine runs it: `compute_into` on a warm workspace.
+fn iter_served(
+    b: &mut criterion::Bencher,
+    kernel: &dyn AttentionKernel,
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+) {
+    let mut ws = Workspace::new();
+    let mut out = Matrix::zeros(q.rows(), v.cols());
+    b.iter(|| {
+        kernel.compute_into(q, k, v, &mut ws, &mut out);
+        black_box(out.as_slice()[0])
+    })
+}
+
 fn bench_attention_scaling(c: &mut Criterion) {
     let d = 64;
     let mut group = c.benchmark_group("attention_scaling");
     for &n in &[64usize, 197, 400] {
         let (q, k, v) = qkv(n, d, n as u64);
         group.bench_with_input(BenchmarkId::new("vanilla_softmax", n), &n, |b, _| {
-            let attn = SoftmaxAttention::new();
-            b.iter(|| black_box(attn.compute(&q, &k, &v)))
+            iter_served(b, &SoftmaxAttention::new(), &q, &k, &v)
         });
         group.bench_with_input(BenchmarkId::new("vitality_taylor", n), &n, |b, _| {
-            let attn = TaylorAttention::new();
-            b.iter(|| black_box(attn.compute(&q, &k, &v)))
+            iter_served(b, &TaylorAttention::new(), &q, &k, &v)
         });
         group.bench_with_input(BenchmarkId::new("linear_elu", n), &n, |b, _| {
             let attn = LinearKernelAttention::new();
@@ -57,10 +71,7 @@ fn bench_sparse_attention(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("sanger_threshold", format!("{threshold}")),
             &threshold,
-            |b, &t| {
-                let attn = SangerSparseAttention::new(t);
-                b.iter(|| black_box(attn.compute(&q, &k, &v)))
-            },
+            |b, &t| iter_served(b, &SangerSparseAttention::new(t), &q, &k, &v),
         );
     }
     group.finish();

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 use crate::format::{format_percent, render_table};
 use vitality_attention::{
-    AttentionMechanism, EfficientAttention, LinearKernelAttention, LinformerAttention,
+    AttentionKernel, EfficientAttention, LinearKernelAttention, LinformerAttention,
     PerformerAttention, SangerSparseAttention, SoftmaxAttention, TaylorAttention,
 };
 use vitality_train::{

@@ -13,10 +13,9 @@
 //! * per token count `n ∈ {196, 1024, 4096}` (head dim 64): fused Taylor attention,
 //!   the unfused Algorithm-1 trace path, the fused softmax baseline, and the max
 //!   absolute fused-vs-traced divergence (gate: ≤ 1e-4);
-//! * per token count `n ∈ {196, 1024}`: the fused unified low-rank + sparse kernel
-//!   ([`UnifiedAttentionKernel`]) vs the traced
-//!   [`UnifiedLowRankSparseAttention::compute`] reference, with the same ≤ 1e-4
-//!   divergence gate and a fused-beats-traced gate;
+//! * per token count `n ∈ {196, 1024}`: the fused unified low-rank + sparse kernel vs
+//!   its traced [`UnifiedLowRankSparseAttention::compute_traced`] reference, with the
+//!   same ≤ 1e-4 divergence gate and a fused-beats-traced gate;
 //! * per token count `n ∈ {196, 1024}`: the int8 [`QuantizedTaylorKernel`] vs the
 //!   fused and traced f32 Taylor paths, with an accuracy-delta column — top-1
 //!   agreement between the int8-calibrated and f32 Taylor models on the synthetic
@@ -26,6 +25,9 @@
 //!   replaced (kept here only as the comparison) in ns/element at the MLP hidden
 //!   shapes `196 × 64` and `1024 × 256`, and the LayerNorm row kernel in ns/row at
 //!   `d ∈ {32, 64}` (gate: kernel ≥ 3× libm at `1024 × 256` on SIMD hosts).
+//!
+//! Every "fused" arm is the served path: [`AttentionKernel::compute_into`] into reused
+//! output storage on a warm [`Workspace`], exactly as the engine runs it.
 //!
 //! Usage: `cargo run --release -p vitality-bench --bin bench_attention [-- --quick]`.
 //! `--quick` drops the `n = 4096` Taylor point (used by CI to keep the job short); the
@@ -39,9 +41,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::json::JsonValue;
 use vitality_attention::{
-    fused_softmax_attention, AttentionKernel, AttentionMechanism, Int8Calibration,
-    QuantizedTaylorKernel, SoftmaxAttention, TaylorAttention, UnifiedAttentionKernel,
-    INT8_TAYLOR_TOLERANCE,
+    AttentionKernel, Int8Calibration, QuantizedTaylorKernel, SoftmaxAttention, TaylorAttention,
+    UnifiedLowRankSparseAttention, INT8_TAYLOR_TOLERANCE,
 };
 use vitality_tensor::{cpu_features, init, matmul_backend, simd, MatmulBackend, Matrix, Workspace};
 use vitality_vit::{AttentionVariant, TrainConfig, VisionTransformer};
@@ -60,6 +61,14 @@ fn measure_ns<R, F: FnMut() -> R>(mut f: F) -> f64 {
     }
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2] * 1e9
+}
+
+/// [`measure_ns`] of a kernel the way the engine runs it: `compute_into` into reused
+/// output storage on a warm workspace (the first, untimed call warms the pool).
+fn measure_served_ns(kernel: &dyn AttentionKernel, q: &Matrix, k: &Matrix, v: &Matrix) -> f64 {
+    let mut ws = Workspace::new();
+    let mut out = Matrix::zeros(q.rows(), v.cols());
+    measure_ns(|| kernel.compute_into(q, k, v, &mut ws, &mut out))
 }
 
 /// Repetitions inside one hardware-counter window. Counters are cumulative over
@@ -115,43 +124,29 @@ fn measure_kernel_counters(token_counts: &[usize], d: usize) -> Vec<JsonValue> {
         let q = init::normal(&mut rng, n, d, 0.0, 0.3);
         let k = init::normal(&mut rng, n, d, 0.0, 0.3);
         let v = init::normal(&mut rng, n, d, 0.0, 1.0);
-        let taylor = TaylorAttention::new();
-        let int8 = QuantizedTaylorKernel::new(Int8Calibration::Dynamic);
-        let unified = UnifiedAttentionKernel::new(UNIFIED_THRESHOLD);
-        let mut ws = Workspace::new();
-        let mut out = Matrix::zeros(n, d);
-        // Warm every path once outside the window: first-touch allocation and
-        // lazy workspace growth must not be attributed to the kernels.
-        taylor.compute_fused(&q, &k, &v);
-        fused_softmax_attention(&q, &k, &v);
-        int8.compute_into(&q, &k, &v, &mut ws, &mut out);
-        unified.compute_into(&q, &k, &v, &mut ws, &mut out);
-        let rows = [
-            (
-                "taylor",
-                measure_counters(n, COUNTER_REPS, || {
-                    std::hint::black_box(taylor.compute_fused(&q, &k, &v));
-                }),
-            ),
-            (
-                "softmax",
-                measure_counters(n, COUNTER_REPS, || {
-                    std::hint::black_box(fused_softmax_attention(&q, &k, &v));
-                }),
-            ),
+        let kernels: [(&str, &dyn AttentionKernel); 4] = [
+            ("taylor", &TaylorAttention::new()),
+            ("softmax", &SoftmaxAttention::new()),
             (
                 "int8",
-                measure_counters(n, COUNTER_REPS, || {
-                    int8.compute_into(&q, &k, &v, &mut ws, &mut out);
-                }),
+                &QuantizedTaylorKernel::new(Int8Calibration::Dynamic),
             ),
             (
                 "unified",
-                measure_counters(n, COUNTER_REPS, || {
-                    unified.compute_into(&q, &k, &v, &mut ws, &mut out);
-                }),
+                &UnifiedLowRankSparseAttention::new(UNIFIED_THRESHOLD),
             ),
         ];
+        let mut ws = Workspace::new();
+        let mut out = Matrix::zeros(n, d);
+        let rows = kernels.map(|(name, kernel)| {
+            // Warm the path once outside the window: first-touch allocation and
+            // lazy workspace growth must not be attributed to the kernel.
+            kernel.compute_into(&q, &k, &v, &mut ws, &mut out);
+            let counters = measure_counters(n, COUNTER_REPS, || {
+                kernel.compute_into(&q, &k, &v, &mut ws, &mut out);
+            });
+            (name, counters)
+        });
         for (kernel, counters) in rows {
             let mut o = JsonValue::object();
             o.set("kernel", kernel)
@@ -178,16 +173,17 @@ fn measure_attention(n: usize, d: usize) -> AttentionPoint {
     let q = init::normal(&mut rng, n, d, 0.0, 0.3);
     let k = init::normal(&mut rng, n, d, 0.0, 0.3);
     let v = init::normal(&mut rng, n, d, 0.0, 1.0);
-    let taylor = TaylorAttention::new();
+    let (taylor, softmax) = (TaylorAttention::new(), SoftmaxAttention::new());
     let diff = taylor
-        .compute_fused(&q, &k, &v)
+        .compute(&q, &k, &v)
         .max_abs_diff(&taylor.compute_with_trace(&q, &k, &v).score);
     // Cross-check the fused softmax against the unfused map pipeline before reporting —
     // a bench that quietly times a wrong kernel is worse than none. (Skipped at 4096,
     // where the n x n map would dominate the whole run.)
     if n <= 1024 {
-        let softmax_diff = fused_softmax_attention(&q, &k, &v)
-            .max_abs_diff(&SoftmaxAttention::new().attention_map(&q, &k).matmul(&v));
+        let softmax_diff = softmax
+            .compute(&q, &k, &v)
+            .max_abs_diff(&softmax.attention_map(&q, &k).matmul(&v));
         assert!(
             softmax_diff <= 1e-4,
             "fused softmax diverged from the map pipeline at n={n} by {softmax_diff}"
@@ -196,9 +192,9 @@ fn measure_attention(n: usize, d: usize) -> AttentionPoint {
     AttentionPoint {
         n,
         d,
-        taylor_fused_ns: measure_ns(|| taylor.compute_fused(&q, &k, &v)),
+        taylor_fused_ns: measure_served_ns(&taylor, &q, &k, &v),
         taylor_traced_ns: measure_ns(|| taylor.compute_with_trace(&q, &k, &v).score),
-        softmax_fused_ns: measure_ns(|| fused_softmax_attention(&q, &k, &v)),
+        softmax_fused_ns: measure_served_ns(&softmax, &q, &k, &v),
         fused_vs_traced_max_abs_diff: diff,
     }
 }
@@ -220,19 +216,15 @@ fn measure_unified(n: usize, d: usize) -> UnifiedPoint {
     let q = init::normal(&mut rng, n, d, 0.0, 0.3);
     let k = init::normal(&mut rng, n, d, 0.0, 0.3);
     let v = init::normal(&mut rng, n, d, 0.0, 1.0);
-    let kernel = UnifiedAttentionKernel::new(UNIFIED_THRESHOLD);
-    let reference = kernel.reference();
-    let diff = AttentionKernel::compute(&kernel, &q, &k, &v)
-        .max_abs_diff(&AttentionMechanism::compute(&reference, &q, &k, &v));
-    // Time the fused kernel the way the serving path runs it: into reused output
-    // storage on a warm workspace.
-    let mut ws = Workspace::new();
-    let mut out = Matrix::zeros(n, d);
+    let unified = UnifiedLowRankSparseAttention::new(UNIFIED_THRESHOLD);
+    let diff = unified
+        .compute(&q, &k, &v)
+        .max_abs_diff(&unified.compute_traced(&q, &k, &v));
     UnifiedPoint {
         n,
         d,
-        fused_ns: measure_ns(|| kernel.compute_into(&q, &k, &v, &mut ws, &mut out)),
-        traced_ns: measure_ns(|| AttentionMechanism::compute(&reference, &q, &k, &v)),
+        fused_ns: measure_served_ns(&unified, &q, &k, &v),
+        traced_ns: measure_ns(|| unified.compute_traced(&q, &k, &v)),
         fused_vs_traced_max_abs_diff: diff,
     }
 }
@@ -253,21 +245,18 @@ fn measure_int8(n: usize, d: usize) -> Int8Point {
     let v = init::normal(&mut rng, n, d, 0.0, 1.0);
     let kernel = QuantizedTaylorKernel::new(Int8Calibration::Dynamic);
     let taylor = kernel.reference();
-    let diff = AttentionKernel::compute(&kernel, &q, &k, &v)
-        .max_abs_diff(&taylor.compute_fused(&q, &k, &v));
+    let diff = kernel
+        .compute(&q, &k, &v)
+        .max_abs_diff(&taylor.compute(&q, &k, &v));
     assert!(
         diff <= INT8_TAYLOR_TOLERANCE,
         "int8 kernel diverged from the f32 taylor at n={n} by {diff}"
     );
-    // Time the int8 kernel the way the serving path runs it: into reused output
-    // storage on a warm workspace (pooled i8 operands + i32 accumulators).
-    let mut ws = Workspace::new();
-    let mut out = Matrix::zeros(n, d);
     Int8Point {
         n,
         d,
-        int8_fused_ns: measure_ns(|| kernel.compute_into(&q, &k, &v, &mut ws, &mut out)),
-        taylor_fused_ns: measure_ns(|| taylor.compute_fused(&q, &k, &v)),
+        int8_fused_ns: measure_served_ns(&kernel, &q, &k, &v),
+        taylor_fused_ns: measure_served_ns(&taylor, &q, &k, &v),
         taylor_traced_ns: measure_ns(|| taylor.compute_with_trace(&q, &k, &v).score),
         int8_vs_f32_max_abs_diff: diff,
     }

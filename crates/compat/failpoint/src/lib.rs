@@ -37,7 +37,7 @@
 //!   healthy.
 //!
 //! `FAILPOINTS="name=spec;name2=spec2"` configures points from the environment on
-//! first use; programmatic [`cfg`] calls override it.
+//! first use; programmatic [`cfg()`] calls override it.
 //!
 //! # Worked example: adding a new failpoint site
 //!

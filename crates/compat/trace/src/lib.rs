@@ -462,7 +462,7 @@ pub fn spans_json(spans: &[Span]) -> JsonValue {
 
 /// Parses a reply-embedded span array back into spans (the gateway half of
 /// [`spans_json`]). Returns `None` when the value is not a span array; entries
-/// missing required fields are skipped, and at most [`MAX_REMOTE_SPANS`] entries
+/// missing required fields are skipped, and at most `MAX_REMOTE_SPANS` (512) entries
 /// are read.
 pub fn spans_from_json(value: &JsonValue) -> Option<Vec<Span>> {
     let items = value.as_array()?;

@@ -6,7 +6,7 @@
 //! exact unified path (`accuracy` tier). The [`BrownoutController`] watches the
 //! pressure signal the prober already collects — probed backend queue depths and
 //! in-flight batches, optionally the miss-path p95 latency — and, past the
-//! configured [`BrownoutConfig`](crate::config::BrownoutConfig) thresholds,
+//! configured [`BrownoutConfig`] thresholds,
 //! downgrades `accuracy`-tier requests to the latency variant. The response is
 //! annotated (`"degraded": true`) and counted, so clients and dashboards can see
 //! the trade being made; explicit model keys and `latency`-tier requests are never

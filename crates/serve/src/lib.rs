@@ -5,8 +5,8 @@
 //! serving engine built entirely on `std::net` / `std::thread` (no third-party runtime;
 //! JSON comes from the workspace's `serde` shim), with five pieces:
 //!
-//! 1. **[`ModelRegistry`]** — warm, shareable [`VisionTransformer`]
-//!    (vitality_vit::VisionTransformer) instances keyed by `name:variant`
+//! 1. **[`ModelRegistry`]** — warm, shareable
+//!    [`VisionTransformer`](vitality_vit::VisionTransformer) instances keyed by `name:variant`
 //!    (`"deit:taylor"`, `"deit:softmax"`), handed out as `Arc`s so every thread serves
 //!    the same weights.
 //! 2. **[`Batcher`]** — a bounded admission queue that coalesces concurrent

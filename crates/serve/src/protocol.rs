@@ -28,37 +28,8 @@ use crate::batcher::InferReply;
 use crate::error::ServeError;
 use vitality_tensor::Matrix;
 
-/// Builds the body of a `POST /v1/infer` request.
-pub fn infer_request_json(model: &str, image: &Matrix) -> JsonValue {
-    infer_request_json_with_tier(model, image, None)
-}
-
-/// Builds a `POST /v1/infer` body carrying an optional routing-tier hint.
-pub fn infer_request_json_with_tier(model: &str, image: &Matrix, tier: Option<&str>) -> JsonValue {
-    infer_request_json_with_options(model, image, tier, None)
-}
-
-/// Builds a `POST /v1/infer` body with every optional field: a routing-tier hint and
-/// a remaining-deadline budget in milliseconds.
-pub fn infer_request_json_with_options(
-    model: &str,
-    image: &Matrix,
-    tier: Option<&str>,
-    deadline_ms: Option<u64>,
-) -> JsonValue {
-    infer_request_json_opts(
-        model,
-        image,
-        &InferOptions {
-            tier,
-            deadline_ms,
-            ..InferOptions::default()
-        },
-    )
-}
-
 /// Every optional `POST /v1/infer` field in one place, so adding a field does not
-/// grow another `_with_*` constructor rung.
+/// grow another request constructor.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InferOptions<'a> {
     /// Routing-tier hint (`"latency"` / `"accuracy"`), consumed by the gateway.
@@ -439,7 +410,7 @@ mod tests {
             vec![9.0, 8.0, 7.0],
         ])
         .unwrap();
-        let body = infer_request_json("m:taylor", &image);
+        let body = infer_request_json_opts("m:taylor", &image, &InferOptions::default());
         let parsed = serde::json::parse(&body.to_json()).unwrap();
         let (model, back) = parse_infer_request(&parsed).unwrap();
         assert_eq!(model, "m:taylor");
@@ -483,7 +454,14 @@ mod tests {
     #[test]
     fn tier_hints_parse_and_round_trip() {
         let image = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let body = infer_request_json_with_tier("m:taylor", &image, Some("latency"));
+        let body = infer_request_json_opts(
+            "m:taylor",
+            &image,
+            &InferOptions {
+                tier: Some("latency"),
+                ..InferOptions::default()
+            },
+        );
         let parsed = serde::json::parse(&body.to_json()).unwrap();
         assert_eq!(parse_infer_tier(&parsed).unwrap(), Some("latency".into()));
         // The engine-side request parse is oblivious to the hint.
@@ -491,7 +469,10 @@ mod tests {
         assert_eq!(model, "m:taylor");
         assert_eq!(back, image);
         // Absent tier is None; a non-string tier is a typed 400.
-        let plain = serde::json::parse(&infer_request_json("m:taylor", &image).to_json()).unwrap();
+        let plain = serde::json::parse(
+            &infer_request_json_opts("m:taylor", &image, &InferOptions::default()).to_json(),
+        )
+        .unwrap();
         assert_eq!(parse_infer_tier(&plain).unwrap(), None);
         let bad = serde::json::parse(r#"{"model": "m", "tier": 3}"#).unwrap();
         assert!(matches!(
@@ -503,12 +484,23 @@ mod tests {
     #[test]
     fn deadline_budgets_parse_and_round_trip() {
         let image = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let body = infer_request_json_with_options("m:taylor", &image, Some("accuracy"), Some(250));
+        let body = infer_request_json_opts(
+            "m:taylor",
+            &image,
+            &InferOptions {
+                tier: Some("accuracy"),
+                deadline_ms: Some(250),
+                ..InferOptions::default()
+            },
+        );
         let parsed = serde::json::parse(&body.to_json()).unwrap();
         assert_eq!(parse_infer_deadline_ms(&parsed).unwrap(), Some(250));
         assert_eq!(parse_infer_tier(&parsed).unwrap(), Some("accuracy".into()));
         // Absent deadline is None, zero is valid ("already expired"), junk is a 400.
-        let plain = serde::json::parse(&infer_request_json("m:taylor", &image).to_json()).unwrap();
+        let plain = serde::json::parse(
+            &infer_request_json_opts("m:taylor", &image, &InferOptions::default()).to_json(),
+        )
+        .unwrap();
         assert_eq!(parse_infer_deadline_ms(&plain).unwrap(), None);
         let zero = serde::json::parse(r#"{"model": "m", "deadline_ms": 0}"#).unwrap();
         assert_eq!(parse_infer_deadline_ms(&zero).unwrap(), Some(0));
@@ -552,7 +544,10 @@ mod tests {
         assert_eq!(model, "m:taylor");
         assert_eq!(back, image);
         // Absent fields have inert defaults.
-        let plain = serde::json::parse(&infer_request_json("m", &image).to_json()).unwrap();
+        let plain = serde::json::parse(
+            &infer_request_json_opts("m", &image, &InferOptions::default()).to_json(),
+        )
+        .unwrap();
         assert_eq!(parse_infer_request_id(&plain).unwrap(), None);
         assert!(!parse_infer_trace_flag(&plain).unwrap());
         // Typed 400s: non-string, empty, oversized ids; non-boolean trace.
@@ -640,7 +635,7 @@ mod tests {
         // at realistic image sizes the decimal-text pixels dominate.
         let big = Matrix::from_vec(32, 32, (0..1024).map(|i| i as f32 * 0.37).collect()).unwrap();
         let wire = encode_binary_infer("m:taylor", &big, &InferOptions::default());
-        let json = infer_request_json("m:taylor", &big).to_json();
+        let json = infer_request_json_opts("m:taylor", &big, &InferOptions::default()).to_json();
         assert!(
             wire.len() * 2 < json.len(),
             "binary {} vs JSON {}",

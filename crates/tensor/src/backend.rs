@@ -16,8 +16,7 @@
 //!   Row panels of the output are distributed over threads with rayon.
 //! * [`MatmulBackend::Avx2`] — the same blocking structure with the hand-written
 //!   AVX2/FMA microkernels from [`crate::simd`]: 256-bit FMA register tiles for f32 and
-//!   a native `maddubs` i8×i8→i32 kernel that lets [`gemm_lattice_exact_into`]
-//!   (and [`gemm_i8_native_into`]) skip the widened-f32 lattice round trip entirely.
+//!   a native `maddubs` i8×i8→i32 kernel for the integer product.
 //!   The default wherever [`crate::simd::simd_available`] holds; elsewhere every call
 //!   transparently degrades to the scalar blocked path.
 //!
@@ -25,6 +24,17 @@
 //! `A·Bᵀ` ([`Matrix::matmul_transpose_b`](crate::Matrix::matmul_transpose_b)) and `Aᵀ·B`
 //! ([`Matrix::transpose_matmul`](crate::Matrix::transpose_matmul)) — by packing through a
 //! layout accessor instead of materialising the transpose.
+//!
+//! # Integer GEMM: one reference, one production entry
+//!
+//! [`MatmulBackend::gemm_i8_into`] is the scalar widening loop every integer result is
+//! differentially tested against. [`MatmulBackend::gemm_i8_fast_into`] is what the
+//! int8 attention kernels call: it runs the native `maddubs` kernel when this backend
+//! is [`MatmulBackend::Avx2`], the host has the features and neither operand holds
+//! `-128` (an [`IntOperand`] marked [`IntOperand::clamped`] skips that scan), and
+//! otherwise widens the operands into [`crate::Workspace`] scratch and runs the f32
+//! kernel over reduction chunks of [`I8_EXACT_CHUNK`], where every partial sum is an
+//! exactly representable integer. Both routes return the reference's bits.
 //!
 //! # Backend selection
 //!
@@ -54,7 +64,7 @@
 //! 3. **Teach the enum**: add the variant here, a `BACKEND_*` code for the atomic, a
 //!    [`MatmulBackend::label`] string, an env-variable spelling in [`matmul_backend`]
 //!    (unsupported hosts must `trace::warn!` and fall back, never panic), and a
-//!    [`MatmulBackend::dispatch`] arm that degrades to the scalar blocked path when
+//!    `MatmulBackend::dispatch` arm that degrades to the scalar blocked path when
 //!    the runtime check fails — explicit `*_with(new_tier)` callers on old hardware
 //!    still get correct answers.
 //! 4. **Pin it differentially**: extend `crates/tensor/tests/simd_differential.rs`
@@ -110,13 +120,13 @@ pub const NC: usize = 512;
 /// and runs a plain `i k j` loop instead.
 pub const SMALL_GEMM_LIMIT: usize = 32 * 1024;
 
-/// Reduction-chunk bound of [`MatmulBackend::gemm_i8_exact_into`]: the largest number
-/// of `i8 × i8` partial products whose sum is guaranteed below `2²⁴`
-/// (`1024 · 127² = 16 516 096 < 16 777 216`), i.e. exactly representable in `f32`.
+/// Reduction-chunk bound of [`MatmulBackend::gemm_i8_fast_into`]'s widened-f32 route:
+/// the largest number of `i8 × i8` partial products whose sum cannot exceed `2²⁴`
+/// (`1024 · 128² = 16 777 216`), i.e. stays exactly representable in `f32`.
 pub const I8_EXACT_CHUNK: usize = 1024;
 
 /// Process-wide hardware-counter accumulator for the dense-GEMM hot paths: every
-/// non-small [`MatmulBackend`] product (f32 dispatch, chunked int8 lattice, native
+/// non-small [`MatmulBackend`] product (f32 dispatch, chunked widened int8, native
 /// int8 `maddubs`) runs under a [`perf::PerfRegion`] charging this sink, so
 /// `/metrics` can report GEMM-attributed IPC and LLC miss rate separately from the
 /// whole-batch compute counters. Products at or below [`SMALL_GEMM_LIMIT`]
@@ -124,7 +134,8 @@ pub const I8_EXACT_CHUNK: usize = 1024;
 /// are absent (never zero) on hosts where `perf_event_open(2)` is unavailable.
 static GEMM_PERF: perf::PerfStats = perf::PerfStats::new();
 
-/// The shared GEMM hardware-counter sink (see [`GEMM_PERF`]'s wiring notes).
+/// The shared GEMM hardware-counter sink: every non-small [`MatmulBackend`] product
+/// charges it, so `/metrics` can report GEMM-attributed IPC and LLC miss rate.
 pub fn gemm_perf() -> &'static perf::PerfStats {
     &GEMM_PERF
 }
@@ -283,12 +294,14 @@ impl<'a> Operand<'a> {
 }
 
 /// One integer GEMM operand: a flat `i8` buffer, its row stride, and how to index it —
-/// the quantized sibling of [`Operand`], consumed by [`MatmulBackend::gemm_i8_into`].
+/// the quantized sibling of [`Operand`], consumed by [`MatmulBackend::gemm_i8_into`]
+/// and [`MatmulBackend::gemm_i8_fast_into`].
 #[derive(Debug, Clone, Copy)]
 pub struct IntOperand<'a> {
     data: &'a [i8],
     stride: usize,
     layout: Layout,
+    clamped: bool,
 }
 
 impl<'a> IntOperand<'a> {
@@ -298,6 +311,7 @@ impl<'a> IntOperand<'a> {
             data,
             stride,
             layout: Layout::RowMajor,
+            clamped: false,
         }
     }
 
@@ -307,7 +321,28 @@ impl<'a> IntOperand<'a> {
             data,
             stride,
             layout: Layout::Transposed,
+            clamped: false,
         }
+    }
+
+    /// Marks the buffer as the output of the ±127-saturating quantizer
+    /// ([`crate::simd::quantize_i8`]), which cannot produce `-128` — the one value the
+    /// `maddubs` kernel's `abs`/`sign` idiom cannot represent. The production GEMM then
+    /// skips its `O(len)` domain scan of this operand, pure overhead on the attention
+    /// hot path where every byte is clamped by construction.
+    ///
+    /// Marking a buffer that does hold `-128` yields incorrect *values* on the native
+    /// route (the `_mm256_sign_epi8` negation wraps) but is memory-safe; debug builds
+    /// re-check.
+    pub fn clamped(mut self) -> Self {
+        self.clamped = true;
+        self
+    }
+
+    /// Whether every byte lies in the `maddubs` kernel's `[-127, 127]` domain.
+    #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+    fn in_native_domain(&self) -> bool {
+        self.clamped || !self.data.contains(&i8::MIN)
     }
 
     #[inline(always)]
@@ -365,9 +400,9 @@ impl MatmulBackend {
     /// is exact for any shared dimension up to `k ≤ 2³¹ / 16129 ≈ 1.3·10⁵` — far
     /// beyond any token count this workspace serves; the bound is asserted. This form
     /// is kept as the obviously-correct differential baseline; hot paths should call
-    /// [`MatmulBackend::gemm_i8_exact_into`], which produces bit-identical results
-    /// through the packed f32 microkernel at a multiple of the throughput (baseline
-    /// x86-64 has no vector `i8 → i32` widening multiply, so this loop stays scalar).
+    /// [`MatmulBackend::gemm_i8_fast_into`], which produces bit-identical results at a
+    /// multiple of the throughput (baseline x86-64 has no vector `i8 → i32` widening
+    /// multiply, so this loop stays scalar).
     ///
     /// # Panics
     ///
@@ -417,27 +452,28 @@ impl MatmulBackend {
         }
     }
 
-    /// Fast exact integer GEMM: bit-identical to [`MatmulBackend::gemm_i8_into`], run
-    /// through the packed f32 microkernel.
+    /// Integer GEMM **production entry**: bit-identical to
+    /// [`MatmulBackend::gemm_i8_into`] (`out` overwritten), on the fastest route this
+    /// backend and host offer.
     ///
-    /// The `i8` operands are widened into caller-provided `f32` scratch and multiplied
-    /// with the ordinary (vectorised, register-tiled) float kernel. Every operand
-    /// value is an integer with magnitude ≤ 127 and every partial sum over one
-    /// reduction chunk is bounded by [`I8_EXACT_CHUNK`]` · 127² < 2²⁴`, so each f32
-    /// operation lands on an exactly-representable integer — the float pipeline *is*
-    /// an integer accumulator here, just one with SIMD lanes. Reductions longer than
-    /// one chunk are split and the exact per-chunk integer results accumulated in
-    /// `i32`. Differentially tested against the scalar reference.
+    /// * **Native** — when this is [`MatmulBackend::Avx2`], the host has AVX2/FMA and
+    ///   neither operand holds `-128` ([`IntOperand::clamped`] operands are taken at
+    ///   their word, others are scanned), the `maddubs` kernel multiplies the `i8`
+    ///   operands directly with i32 accumulation: no widening, no chunking, no scratch.
+    /// * **Widened f32** — otherwise the operands are widened into `f32` scratch from
+    ///   `ws` and multiplied by this backend's ordinary float kernel. Every operand is
+    ///   an integer of magnitude ≤ 128 and every partial sum over one reduction chunk
+    ///   of [`I8_EXACT_CHUNK`] stays within `2²⁴`, so each f32 operation lands on an
+    ///   exactly representable integer — the float pipeline *is* an integer
+    ///   accumulator here. The exact per-chunk results accumulate in `i32`.
     ///
-    /// Scratch requirements (all overwritten): `a_f ≥ a.data.len()`,
-    /// `b_f ≥ b.data.len()`, `c_f ≥ m · n`. Hot paths draw them from a
-    /// [`crate::Workspace`], keeping the quantized kernels allocation-free.
+    /// On a warm workspace neither route allocates.
     ///
     /// # Panics
     ///
-    /// Panics when `out.len() != m * n` or a scratch slice is too small.
+    /// Panics when `out.len() != m * n` or `k` exceeds the i32 exactness bound.
     #[allow(clippy::too_many_arguments)]
-    pub fn gemm_i8_exact_into(
+    pub fn gemm_i8_fast_into(
         self,
         out: &mut [i32],
         m: usize,
@@ -445,181 +481,64 @@ impl MatmulBackend {
         n: usize,
         a: IntOperand<'_>,
         b: IntOperand<'_>,
-        a_f: &mut [f32],
-        b_f: &mut [f32],
-        c_f: &mut [f32],
+        ws: &mut crate::Workspace,
     ) {
-        assert_eq!(out.len(), m * n, "gemm_i8_exact_into output buffer length");
+        assert_eq!(out.len(), m * n, "gemm_i8_fast_into output buffer length");
+        // The same exactness bound the scalar reference asserts: beyond it the i32
+        // accumulation could wrap, silently breaking the bit-identical contract.
         assert!(
-            a_f.len() >= a.data.len() && b_f.len() >= b.data.len() && c_f.len() >= m * n,
-            "gemm_i8_exact_into scratch too small"
+            k <= (i32::MAX / (127 * 127)) as usize,
+            "gemm_i8_fast_into shared dimension {k} would overflow the i32 accumulator"
         );
+        for operand in [&a, &b] {
+            debug_assert!(
+                !operand.clamped || !operand.data.contains(&i8::MIN),
+                "operand marked clamped contains -128, outside the maddubs domain"
+            );
+        }
+        #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+        if self == MatmulBackend::Avx2
+            && crate::simd::simd_available()
+            && a.in_native_domain()
+            && b.in_native_domain()
+        {
+            let _perf = gemm_perf_region(m, k, n);
+            crate::simd::gemm_i8_avx2(out, m, k, n, a, b);
+            return;
+        }
+        out.fill(0);
+        if m == 0 || n == 0 || k == 0 {
+            return;
+        }
+        let mut a_f = ws.take_vec(a.data.len());
+        let mut b_f = ws.take_vec(b.data.len());
+        let mut c_f = ws.take_vec(m * n);
         for (f, &iv) in a_f.iter_mut().zip(a.data) {
             *f = f32::from(iv);
         }
         for (f, &iv) in b_f.iter_mut().zip(b.data) {
             *f = f32::from(iv);
         }
-        let a_lat = Operand {
-            data: &a_f[..a.data.len()],
-            stride: a.stride,
-            layout: a.layout,
-        };
-        let b_lat = Operand {
-            data: &b_f[..b.data.len()],
-            stride: b.stride,
-            layout: b.layout,
-        };
-        self.gemm_lattice_exact_into(out, m, k, n, a_lat, b_lat, c_f);
-    }
-
-    /// The core of [`MatmulBackend::gemm_i8_exact_into`] for operands already held in
-    /// the widened "lattice" form: `f32` buffers whose every element is an integer
-    /// with `|v| ≤ 127` (e.g. produced directly by a quantization sweep). Accumulates
-    /// the exact integer product into `i32`, chunking reductions at
-    /// [`I8_EXACT_CHUNK`] so every f32 partial sum stays below `2²⁴` and therefore
-    /// exactly integer. `c_f` (`≥ m · n`) is overwritten scratch.
-    ///
-    /// The lattice contract is the caller's to uphold — a non-integer or
-    /// out-of-range operand silently loses exactness (the int8 kernels' differential
-    /// tests against the scalar reference are the guard).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len() != m * n` or `c_f` is too small.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_lattice_exact_into(
-        self,
-        out: &mut [i32],
-        m: usize,
-        k: usize,
-        n: usize,
-        a: Operand<'_>,
-        b: Operand<'_>,
-        c_f: &mut [f32],
-    ) {
-        assert_eq!(out.len(), m * n, "gemm_lattice_exact_into output length");
-        assert!(
-            c_f.len() >= m * n,
-            "gemm_lattice_exact_into scratch too small"
-        );
-        // The same exactness bound the scalar reference asserts: beyond it the
-        // per-chunk i32 accumulation could wrap, silently breaking the
-        // bit-identical-to-reference contract.
-        assert!(
-            k <= (i32::MAX / (127 * 127)) as usize,
-            "gemm_lattice_exact_into shared dimension {k} would overflow the i32 accumulator"
-        );
-        out.fill(0);
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        // SIMD fast path: re-narrow the lattice to i8 (one cheap O(len) sweep into
-        // thread-local aligned scratch) and run the native maddubs kernel — exact
-        // integer arithmetic on both routes, so results stay bit-identical to the
-        // chunked f32 path and the scalar reference. Values outside [-127, 127]
-        // (beyond the documented lattice contract, but tolerated by the f32 route)
-        // make the sweep bail out to the chunked path instead.
-        #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
-        if self == MatmulBackend::Avx2
-            && crate::simd::simd_available()
-            && lattice_native(out, m, k, n, a, b)
-        {
-            return;
-        }
         for lo in (0..k).step_by(I8_EXACT_CHUNK) {
             let kc = I8_EXACT_CHUNK.min(k - lo);
-            // Offset the operand buffers so the sub-operand starts at reduction
+            // Offset the widened buffers so the sub-operand starts at reduction
             // index `lo` under either layout.
             let a_op = match a.layout {
-                Layout::RowMajor => Operand::row_major(&a.data[lo..], a.stride),
-                Layout::Transposed => Operand::transposed(&a.data[lo * a.stride..], a.stride),
+                Layout::RowMajor => Operand::row_major(&a_f[lo..], a.stride),
+                Layout::Transposed => Operand::transposed(&a_f[lo * a.stride..], a.stride),
             };
             let b_op = match b.layout {
-                Layout::RowMajor => Operand::row_major(&b.data[lo * b.stride..], b.stride),
-                Layout::Transposed => Operand::transposed(&b.data[lo..], b.stride),
+                Layout::RowMajor => Operand::row_major(&b_f[lo * b.stride..], b.stride),
+                Layout::Transposed => Operand::transposed(&b_f[lo..], b.stride),
             };
-            self.gemm_into(&mut c_f[..m * n], m, kc, n, a_op, b_op);
+            self.gemm_into(&mut c_f, m, kc, n, a_op, b_op);
             for (o, &s) in out.iter_mut().zip(c_f.iter()) {
                 *o += s as i32;
             }
         }
-    }
-
-    /// Native int8 GEMM: the `maddubs` AVX2 kernel multiplying the `i8` operands
-    /// directly with i32 accumulation — no f32 widening, no [`I8_EXACT_CHUNK`]
-    /// splitting (integer accumulation is exact up to the asserted `k` bound).
-    ///
-    /// Returns `true` when the SIMD kernel ran and `out` holds the product
-    /// (bit-identical to [`MatmulBackend::gemm_i8_into`]). Returns `false` — with
-    /// `out` untouched — when this backend is not [`MatmulBackend::Avx2`], the host
-    /// lacks the features, or an operand contains `-128` (the one i8 value the
-    /// `abs`/`sign` maddubs idiom cannot represent; quantized attention operands are
-    /// clamped to `±127` and never hit this). Callers fall back to
-    /// [`MatmulBackend::gemm_i8_exact_into`] on `false`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len() != m * n` or `k` exceeds the i32 exactness bound.
-    pub fn gemm_i8_native_into(
-        self,
-        out: &mut [i32],
-        m: usize,
-        k: usize,
-        n: usize,
-        a: IntOperand<'_>,
-        b: IntOperand<'_>,
-    ) -> bool {
-        if !(self == MatmulBackend::Avx2 && crate::simd::simd_available()) {
-            return false;
-        }
-        if a.data.contains(&i8::MIN) || b.data.contains(&i8::MIN) {
-            return false;
-        }
-        self.gemm_i8_native_clamped_into(out, m, k, n, a, b)
-    }
-
-    /// [`MatmulBackend::gemm_i8_native_into`] minus the `-128` operand scans, for
-    /// callers that produce their operands through the ±127-saturating quantizer
-    /// ([`crate::simd::quantize_i8`]) and can therefore *guarantee* the `maddubs`
-    /// domain. The scans are `O(m·k + k·n)` full-buffer sweeps — pure overhead on the
-    /// attention hot path, where every operand byte is clamped by construction.
-    ///
-    /// Feeding an operand containing `-128` here returns incorrect *values* (the
-    /// `_mm256_sign_epi8` negation wraps) but is memory-safe, hence a safe `fn` with
-    /// a debug-only re-check rather than an `unsafe` one.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len() != m * n` or `k` exceeds the i32 exactness bound; debug
-    /// builds also re-assert the no-`-128` contract.
-    pub fn gemm_i8_native_clamped_into(
-        self,
-        out: &mut [i32],
-        m: usize,
-        k: usize,
-        n: usize,
-        a: IntOperand<'_>,
-        b: IntOperand<'_>,
-    ) -> bool {
-        assert_eq!(out.len(), m * n, "gemm_i8_native_into output buffer length");
-        assert!(
-            k <= (i32::MAX / (127 * 127)) as usize,
-            "gemm_i8_native_into shared dimension {k} would overflow the i32 accumulator"
-        );
-        debug_assert!(
-            !a.data.contains(&i8::MIN) && !b.data.contains(&i8::MIN),
-            "gemm_i8_native_clamped_into operand contains -128, outside the maddubs domain"
-        );
-        #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
-        if self == MatmulBackend::Avx2 && crate::simd::simd_available() {
-            let _perf = gemm_perf_region(m, k, n);
-            crate::simd::gemm_i8_avx2(out, m, k, n, a, b);
-            return true;
-        }
-        #[cfg(not(all(target_arch = "x86_64", not(force_scalar))))]
-        let _ = (a, b);
-        false
+        ws.recycle_vec(a_f);
+        ws.recycle_vec(b_f);
+        ws.recycle_vec(c_f);
     }
 
     /// The stable lower-case name of this backend, as spelled in
@@ -666,67 +585,6 @@ impl MatmulBackend {
             }
         }
     }
-}
-
-#[cfg(all(target_arch = "x86_64", not(force_scalar)))]
-std::thread_local! {
-    // Narrowed-lattice scratch for the SIMD fast path of `gemm_lattice_exact_into`;
-    // distinct cells from the panel scratch inside `crate::simd`, which stays
-    // borrowed while the kernel runs.
-    static LATTICE_A_I8: std::cell::RefCell<crate::AlignedVec<i8>> =
-        std::cell::RefCell::new(crate::AlignedVec::new());
-    static LATTICE_B_I8: std::cell::RefCell<crate::AlignedVec<i8>> =
-        std::cell::RefCell::new(crate::AlignedVec::new());
-}
-
-/// Narrows a widened-lattice operand back to `i8` scratch; `false` when any value
-/// falls outside `[-127, 127]` (the caller then keeps the f32 route, which tolerates
-/// such beyond-contract operands).
-#[cfg(all(target_arch = "x86_64", not(force_scalar)))]
-fn narrow_lattice(dst: &mut crate::AlignedVec<i8>, src: &[f32]) -> bool {
-    dst.reset_zeroed(src.len());
-    let mut in_range = true;
-    for (d, &v) in dst.iter_mut().zip(src) {
-        in_range &= (-127.0..=127.0).contains(&v);
-        *d = v as i8;
-    }
-    in_range
-}
-
-/// The SIMD fast path of [`MatmulBackend::gemm_lattice_exact_into`]: narrow both
-/// lattice operands to thread-local aligned `i8` buffers and run the native maddubs
-/// kernel. Returns `false` (with `out` still all-zero) when an operand breaks the
-/// `[-127, 127]` lattice contract.
-#[cfg(all(target_arch = "x86_64", not(force_scalar)))]
-fn lattice_native(
-    out: &mut [i32],
-    m: usize,
-    k: usize,
-    n: usize,
-    a: Operand<'_>,
-    b: Operand<'_>,
-) -> bool {
-    LATTICE_A_I8.with(|a_cell| {
-        LATTICE_B_I8.with(|b_cell| {
-            let mut a_i8 = a_cell.borrow_mut();
-            let mut b_i8 = b_cell.borrow_mut();
-            if !narrow_lattice(&mut a_i8, a.data) || !narrow_lattice(&mut b_i8, b.data) {
-                return false;
-            }
-            let a_op = IntOperand {
-                data: &a_i8,
-                stride: a.stride,
-                layout: a.layout,
-            };
-            let b_op = IntOperand {
-                data: &b_i8,
-                stride: b.stride,
-                layout: b.layout,
-            };
-            crate::simd::gemm_i8_avx2(out, m, k, n, a_op, b_op);
-            true
-        })
-    })
 }
 
 /// Reference kernel: the textbook scalar triple loop, one dot product per output element.
@@ -992,9 +850,10 @@ mod tests {
 
     #[test]
     fn fast_integer_gemm_is_bit_identical_to_the_scalar_reference() {
-        // Shapes straddling the small-product cutoff and the exactness chunk,
-        // including a reduction longer than I8_EXACT_CHUNK at worst-case ±127
-        // magnitudes (the chunk-boundary stress for f32 integer exactness).
+        // The widened-f32 route (scalar backends never take the native one). Shapes
+        // straddling the small-product cutoff and the exactness chunk, including a
+        // reduction longer than I8_EXACT_CHUNK at worst-case magnitudes (the
+        // chunk-boundary stress for f32 integer exactness).
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (9, 7, 10),
@@ -1029,21 +888,17 @@ mod tests {
                 IntOperand::row_major(&a, k),
                 IntOperand::row_major(&b, n),
             );
-            let mut a_f = vec![0f32; m * k];
-            let mut b_f = vec![0f32; k * n];
-            let mut c_f = vec![0f32; m * n];
+            let mut ws = crate::Workspace::new();
             for backend in [MatmulBackend::Naive, MatmulBackend::Blocked] {
                 let mut fast = vec![7i32; m * n];
-                backend.gemm_i8_exact_into(
+                backend.gemm_i8_fast_into(
                     &mut fast,
                     m,
                     k,
                     n,
                     IntOperand::row_major(&a, k),
                     IntOperand::row_major(&b, n),
-                    &mut a_f,
-                    &mut b_f,
-                    &mut c_f,
+                    &mut ws,
                 );
                 assert_eq!(fast, reference, "({m},{k},{n}) diverged on {backend:?}");
                 // Transposed-A form (the attention kernels' G = K̂ᵀV shape).
@@ -1058,16 +913,14 @@ mod tests {
                         IntOperand::transposed(&a, m),
                         IntOperand::row_major(&b, n),
                     );
-                    backend.gemm_i8_exact_into(
+                    backend.gemm_i8_fast_into(
                         &mut via_t,
                         m,
                         k,
                         n,
                         IntOperand::transposed(&a, m),
                         IntOperand::row_major(&b, n),
-                        &mut a_f,
-                        &mut b_f,
-                        &mut c_f,
+                        &mut ws,
                     );
                     assert_eq!(via_t, expected_t, "transposed ({m},{k},{n}) diverged");
                 }

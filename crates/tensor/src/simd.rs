@@ -141,7 +141,7 @@ pub fn absmax_scalar(xs: &[f32]) -> f32 {
 }
 
 /// Quantizes `src` onto the symmetric int8 grid: `dst[i] = rne(clamp(src[i] · inv,
-/// -127, 127))` with round-to-nearest-even via the [`MAGIC`] constant. Finite inputs
+/// -127, 127))` with round-to-nearest-even via the `1.5 · 2²³` magic constant. Finite inputs
 /// assumed. The AVX2 path and the scalar fallback run the identical IEEE op sequence
 /// (multiply, clamp, magic add, mantissa extract) lane for lane, so the two are
 /// bit-identical; the saturating `packs` narrowing in the SIMD path never engages
@@ -197,9 +197,10 @@ pub fn quantize_lattice_scalar(src: &[f32], inv: f32, dst: &mut [f32]) {
     }
 }
 
-/// Exact per-column i32 sums of a row-major `i8` matrix: `out[c] = Σ_r data[r * cols
-/// + c]`. The integer-sum half of the quantized attention aggregates (`k̂_sum`,
-/// `v_sum`), hoisted here so it can ride the AVX2 `vpmovsxbd` widen-and-add path.
+/// Exact per-column i32 sums of a row-major `i8` matrix:
+/// `out[c] = Σ_r data[r * cols + c]`. The integer-sum half of the quantized attention
+/// aggregates (`k̂_sum`, `v_sum`), hoisted here so it can ride the AVX2 `vpmovsxbd`
+/// widen-and-add path.
 ///
 /// # Panics
 ///
@@ -460,7 +461,7 @@ unsafe fn gelu_grad_mul_avx2(xs: &[f32], grad: &mut [f32]) {
 
 /// Layer normalisation of every `gamma.len()`-wide row of row-major `x` into `out`:
 /// `out[r][j] = (x[r][j] - mean_r) / sqrt(var_r + eps) · gamma[j] + beta[j]` with the
-/// biased variance. The row reductions run in [`lane_sum`]'s fixed order, so results
+/// biased variance. The row reductions run in a fixed eight-lane order, so results
 /// are within rounding (≤ 1e-6 at unit scale) of a sequential sum and identical on
 /// every dispatch tier.
 ///

@@ -7,10 +7,11 @@
 //!   unrounded product, so results may differ from the scalar reference by rounding
 //!   only: within `1e-5` across shapes covering every remainder lane of the 8×8
 //!   register tile.
-//! * **i8** — the native `maddubs` path is exact integer arithmetic and must be
-//!   **bit-identical** to the scalar `gemm_i8_into` reference, including reductions
-//!   longer than `I8_EXACT_CHUNK` (the native path does not chunk; the f32 lattice
-//!   path does — both must agree exactly).
+//! * **i8** — the production entry `gemm_i8_fast_into` is exact integer arithmetic on
+//!   both of its routes and must be **bit-identical** to the scalar `gemm_i8_into`
+//!   reference, including reductions longer than `I8_EXACT_CHUNK` (the native
+//!   `maddubs` route does not chunk; the widened-f32 route does — both must agree
+//!   exactly) and operands holding `-128` (which only the widened route can take).
 //! * **elementwise** — the tanh/GELU/LayerNorm kernels are one plain-arithmetic body
 //!   instantiated per dispatch tier, so the dispatched entry must be **bit-identical**
 //!   to the baseline instantiation on every remainder-lane length and alignment, and
@@ -22,7 +23,7 @@
 
 use vitality_tensor::backend::{IntOperand, Operand, I8_EXACT_CHUNK};
 use vitality_tensor::simd::gemm_f32_avx2_direct;
-use vitality_tensor::{cpu_features, MatmulBackend};
+use vitality_tensor::{cpu_features, MatmulBackend, Workspace};
 
 /// Shapes from the issue spec: every combination straddles a different mix of full
 /// and remainder lanes of the MR × NR = 8 × 8 register tile (1 ≪ 8, 7/9 hug the
@@ -141,10 +142,26 @@ fn f32_simd_kernel_handles_transposed_operands() {
     assert!(diff <= 1e-5, "transposed-A avx2 f32 diverged by {diff}");
 }
 
+/// Runs the production int8 entry on a fresh workspace and reports whether it took
+/// the native `maddubs` route — the only one that checks nothing out of the workspace.
+fn fast_i8(
+    backend: MatmulBackend,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: IntOperand<'_>,
+    b: IntOperand<'_>,
+) -> (Vec<i32>, bool) {
+    let mut ws = Workspace::new();
+    let mut out = vec![i32::MIN; m * n];
+    backend.gemm_i8_fast_into(&mut out, m, k, n, a, b, &mut ws);
+    (out, ws.checkouts() == 0)
+}
+
 #[test]
-fn i8_native_kernel_is_bit_identical_to_the_scalar_reference() {
+fn i8_production_entry_is_bit_identical_to_the_scalar_reference_on_both_routes() {
     // Shapes covering every remainder-lane mix, plus reductions straddling the
-    // KG = 4 depth grouping and the I8_EXACT_CHUNK split of the lattice path.
+    // KG = 4 depth grouping and the I8_EXACT_CHUNK split of the widened-f32 route.
     for &(m, k, n) in &[
         (1usize, 1usize, 1usize),
         (7, 9, 8),
@@ -156,135 +173,79 @@ fn i8_native_kernel_is_bit_identical_to_the_scalar_reference() {
     ] {
         let a: Vec<i8> = (0..m * k).map(|i| entry_i8(i, 11)).collect();
         let b: Vec<i8> = (0..k * n).map(|i| entry_i8(i, 7)).collect();
+        let (a_op, b_op) = (IntOperand::row_major(&a, k), IntOperand::row_major(&b, n));
         let mut reference = vec![0i32; m * n];
-        MatmulBackend::Blocked.gemm_i8_into(
-            &mut reference,
-            m,
-            k,
-            n,
-            IntOperand::row_major(&a, k),
-            IntOperand::row_major(&b, n),
-        );
+        MatmulBackend::Blocked.gemm_i8_into(&mut reference, m, k, n, a_op, b_op);
 
-        let mut native = vec![i32::MIN; m * n];
-        let ran = MatmulBackend::Avx2.gemm_i8_native_into(
-            &mut native,
-            m,
-            k,
-            n,
-            IntOperand::row_major(&a, k),
-            IntOperand::row_major(&b, n),
-        );
-        if cpu_features().simd_ready() {
-            assert!(ran, "in-domain operands must take the native path");
-            assert_eq!(
-                native, reference,
-                "native i8 ({m},{k},{n}) not bit-identical"
-            );
-        } else {
-            assert!(!ran, "native path must refuse without AVX2/FMA");
-        }
-
-        // The lattice route (widen → exact gemm) must stay bit-identical under the
-        // Avx2 backend too — it now narrows back to the maddubs kernel internally.
-        let mut a_f = vec![0f32; m * k];
-        let mut b_f = vec![0f32; k * n];
-        let mut c_f = vec![0f32; m * n];
-        let mut lattice = vec![7i32; m * n];
-        MatmulBackend::Avx2.gemm_i8_exact_into(
-            &mut lattice,
-            m,
-            k,
-            n,
-            IntOperand::row_major(&a, k),
-            IntOperand::row_major(&b, n),
-            &mut a_f,
-            &mut b_f,
-            &mut c_f,
-        );
+        let (fast, native) = fast_i8(MatmulBackend::Avx2, m, k, n, a_op, b_op);
         assert_eq!(
-            lattice, reference,
-            "lattice i8 ({m},{k},{n}) not bit-identical"
+            native,
+            cpu_features().simd_ready(),
+            "in-domain operands take the native route exactly where AVX2/FMA exist"
+        );
+        assert_eq!(fast, reference, "avx2 i8 ({m},{k},{n}) not bit-identical");
+
+        // A scalar backend never takes the native route: this is the widened-f32
+        // route every non-AVX2 host serves from.
+        let (widened, native) = fast_i8(MatmulBackend::Blocked, m, k, n, a_op, b_op);
+        assert!(!native, "the blocked backend has no native int8 route");
+        assert_eq!(
+            widened, reference,
+            "widened i8 ({m},{k},{n}) not bit-identical"
         );
     }
 }
 
 #[test]
-fn i8_native_kernel_handles_transposed_operands_bit_identically() {
+fn i8_production_entry_handles_transposed_and_clamped_operands_bit_identically() {
     let (m, k, n) = (64usize, 196usize, 64usize);
     // A^T stored row-major (k × m) — the attention kernels' G = K̂ᵀV shape.
     let at: Vec<i8> = (0..k * m).map(|i| entry_i8(i, 29)).collect();
     let b: Vec<i8> = (0..k * n).map(|i| entry_i8(i, 13)).collect();
+    let (a_op, b_op) = (IntOperand::transposed(&at, m), IntOperand::row_major(&b, n));
     let mut reference = vec![0i32; m * n];
-    MatmulBackend::Blocked.gemm_i8_into(
-        &mut reference,
-        m,
-        k,
-        n,
-        IntOperand::transposed(&at, m),
-        IntOperand::row_major(&b, n),
-    );
-    let mut native = vec![0i32; m * n];
-    let ran = MatmulBackend::Avx2.gemm_i8_native_into(
-        &mut native,
-        m,
-        k,
-        n,
-        IntOperand::transposed(&at, m),
-        IntOperand::row_major(&b, n),
-    );
-    if cpu_features().simd_ready() {
-        assert!(ran);
-        assert_eq!(native, reference, "transposed native i8 not bit-identical");
+    MatmulBackend::Blocked.gemm_i8_into(&mut reference, m, k, n, a_op, b_op);
+    // Scanned and marked-clamped operands (what the int8 attention kernels pass: the
+    // quantizer saturates at ±127) must reach the same route and the same bits.
+    for (a_op, b_op) in [(a_op, b_op), (a_op.clamped(), b_op.clamped())] {
+        let (fast, native) = fast_i8(MatmulBackend::Avx2, m, k, n, a_op, b_op);
+        assert_eq!(native, cpu_features().simd_ready());
+        assert_eq!(fast, reference, "transposed i8 not bit-identical");
     }
 }
 
 #[test]
-fn i8_native_path_refuses_minus_128_and_the_fallback_stays_exact() {
+fn i8_production_entry_routes_minus_128_to_the_widened_path_and_stays_exact() {
     // -128 is the one i8 value the abs/sign maddubs idiom cannot represent
-    // (`_mm256_sign_epi8` negation wraps); the native entry must refuse it and the
-    // lattice route must still produce the exact product through the f32 fallback.
+    // (`_mm256_sign_epi8` negation wraps); an unmarked operand holding it must be
+    // caught by the domain scan and multiplied exactly on the widened-f32 route.
     let (m, k, n) = (9usize, 65usize, 7usize);
     let mut a: Vec<i8> = (0..m * k).map(|i| entry_i8(i, 3)).collect();
     let b: Vec<i8> = (0..k * n).map(|i| entry_i8(i, 17)).collect();
     a[m * k / 2] = i8::MIN;
-
-    let mut native = vec![0i32; m * n];
-    let ran = MatmulBackend::Avx2.gemm_i8_native_into(
-        &mut native,
-        m,
-        k,
-        n,
-        IntOperand::row_major(&a, k),
-        IntOperand::row_major(&b, n),
-    );
-    assert!(!ran, "native path must refuse operands containing -128");
-
+    let (a_op, b_op) = (IntOperand::row_major(&a, k), IntOperand::row_major(&b, n));
     let mut reference = vec![0i32; m * n];
-    MatmulBackend::Blocked.gemm_i8_into(
-        &mut reference,
-        m,
-        k,
-        n,
-        IntOperand::row_major(&a, k),
-        IntOperand::row_major(&b, n),
+    MatmulBackend::Blocked.gemm_i8_into(&mut reference, m, k, n, a_op, b_op);
+
+    let (fast, native) = fast_i8(MatmulBackend::Avx2, m, k, n, a_op, b_op);
+    assert!(
+        !native,
+        "the native route must refuse operands containing -128"
     );
-    let mut a_f = vec![0f32; m * k];
-    let mut b_f = vec![0f32; k * n];
-    let mut c_f = vec![0f32; m * n];
-    let mut lattice = vec![0i32; m * n];
-    MatmulBackend::Avx2.gemm_i8_exact_into(
-        &mut lattice,
-        m,
-        k,
-        n,
-        IntOperand::row_major(&a, k),
-        IntOperand::row_major(&b, n),
-        &mut a_f,
-        &mut b_f,
-        &mut c_f,
+    assert_eq!(fast, reference, "-128 fallback lost exactness");
+    // The scan covers the right operand too: (A·B)ᵀ = Bᵀ·Aᵀ puts the -128 there.
+    let (bt_op, at_op) = (IntOperand::transposed(&b, n), IntOperand::transposed(&a, k));
+    let mut reference_t = vec![0i32; n * m];
+    MatmulBackend::Blocked.gemm_i8_into(&mut reference_t, n, k, m, bt_op, at_op);
+    let (fast_t, native) = fast_i8(MatmulBackend::Avx2, n, k, m, bt_op, at_op);
+    assert!(
+        !native,
+        "the native route must refuse a right operand containing -128"
     );
-    assert_eq!(lattice, reference, "-128 fallback lost exactness");
+    assert_eq!(
+        fast_t, reference_t,
+        "-128 in the right operand lost exactness"
+    );
 }
 
 #[test]
@@ -347,38 +308,6 @@ fn quantization_sweeps_match_their_scalar_references_bit_for_bit() {
             simd_sums, scalar_sums,
             "i8_column_sums diverged at ({rows},{cols})"
         );
-    }
-}
-
-#[test]
-fn clamped_native_entry_matches_the_scanning_entry() {
-    // The clamped entry skips the -128 operand scans on the strength of the
-    // quantizer's ±127 saturation; on in-domain operands it must behave exactly
-    // like the general entry (same dispatch verdict, same bits).
-    let (m, k, n) = (64usize, 196usize, 64usize);
-    let at: Vec<i8> = (0..k * m).map(|i| entry_i8(i, 41)).collect();
-    let b: Vec<i8> = (0..k * n).map(|i| entry_i8(i, 43)).collect();
-    let mut scanned = vec![0i32; m * n];
-    let mut clamped = vec![1i32; m * n];
-    let ran_scanned = MatmulBackend::Avx2.gemm_i8_native_into(
-        &mut scanned,
-        m,
-        k,
-        n,
-        IntOperand::transposed(&at, m),
-        IntOperand::row_major(&b, n),
-    );
-    let ran_clamped = MatmulBackend::Avx2.gemm_i8_native_clamped_into(
-        &mut clamped,
-        m,
-        k,
-        n,
-        IntOperand::transposed(&at, m),
-        IntOperand::row_major(&b, n),
-    );
-    assert_eq!(ran_scanned, ran_clamped, "entries disagreed on dispatch");
-    if ran_scanned {
-        assert_eq!(scanned, clamped, "clamped entry not bit-identical");
     }
 }
 

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use vitality_attention::{
     AttentionKernel, Int8Calibration, QuantizedTaylorKernel, QuantizedUnifiedKernel,
-    SangerSparseAttention, SoftmaxAttention, TaylorAttention, UnifiedAttentionKernel,
+    SangerSparseAttention, SoftmaxAttention, TaylorAttention, UnifiedLowRankSparseAttention,
 };
 use vitality_autograd::{Graph, Var};
 use vitality_nn::registry::{NamedParameters, ParamRegistry};
@@ -92,7 +92,7 @@ impl AttentionVariant {
                 Arc::new(SangerSparseAttention::new(threshold))
             }
             AttentionVariant::Unified { threshold } => {
-                Arc::new(UnifiedAttentionKernel::new(threshold))
+                Arc::new(UnifiedLowRankSparseAttention::new(threshold))
             }
             AttentionVariant::Int8Taylor { calibration } => {
                 Arc::new(QuantizedTaylorKernel::new(calibration))

@@ -215,7 +215,7 @@ impl VisionTransformer {
     ///
     /// Each image is propagated through the model with the *current* variant while the
     /// per-head absmax of every block's `Q` / centred `K̂` / `V` activations is
-    /// aggregated ([`MultiHeadAttention::qkv_absmax`]); the maxima over all blocks,
+    /// aggregated ([`crate::MultiHeadAttention::qkv_absmax`]); the maxima over all blocks,
     /// heads and images become the frozen [`Int8Calibration::Fixed`] ranges, so every
     /// calibration-set activation is representable and anything beyond saturates at
     /// ±127 (the accelerator's behaviour). Returns the calibration for registering

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use vitality::attention::{
-    AttentionMechanism, EfficientAttention, LinearKernelAttention, LinformerAttention,
+    AttentionKernel, EfficientAttention, LinearKernelAttention, LinformerAttention, OpCounts,
     PerformerAttention, SangerSparseAttention, SoftmaxAttention, TaylorAttention,
     UnifiedLowRankSparseAttention,
 };
@@ -30,30 +30,51 @@ fn main() {
         let exact = SoftmaxAttention::new().compute(&q, &k, &v);
         let mut rng = StdRng::seed_from_u64(7);
 
-        let mechanisms: Vec<Box<dyn AttentionMechanism>> = vec![
-            Box::new(SoftmaxAttention::new()),
-            Box::new(TaylorAttention::new()),
-            Box::new(TaylorAttention::without_mean_centering()),
-            Box::new(UnifiedLowRankSparseAttention::new(0.5)),
-            Box::new(SangerSparseAttention::new(0.02)),
-            Box::new(LinformerAttention::new(&mut rng, n, n / 4)),
-            Box::new(PerformerAttention::new(&mut rng, d, 2 * d)),
-            Box::new(LinearKernelAttention::new()),
-            Box::new(EfficientAttention::new()),
+        // The trained/served mechanisms through the one attention trait …
+        let kernels: [&dyn AttentionKernel; 5] = [
+            &SoftmaxAttention::new(),
+            &TaylorAttention::new(),
+            &TaylorAttention::without_mean_centering(),
+            &UnifiedLowRankSparseAttention::new(0.5),
+            &SangerSparseAttention::new(0.02),
         ];
+        let mut table: Vec<(&str, Matrix, OpCounts)> = kernels
+            .iter()
+            .map(|m| (m.label(), m.compute(&q, &k, &v), m.op_counts(n, d)))
+            .collect();
+        // … and the four linear baselines, which are only ever evaluated, never served.
+        let linformer = LinformerAttention::new(&mut rng, n, n / 4);
+        let performer = PerformerAttention::new(&mut rng, d, 2 * d);
+        let (elu, efficient) = (LinearKernelAttention::new(), EfficientAttention::new());
+        table.extend([
+            (
+                "linformer",
+                linformer.compute(&q, &k, &v),
+                linformer.op_counts(n, d),
+            ),
+            (
+                "performer",
+                performer.compute(&q, &k, &v),
+                performer.op_counts(n, d),
+            ),
+            ("linear-elu", elu.compute(&q, &k, &v), elu.op_counts(n, d)),
+            (
+                "efficient",
+                efficient.compute(&q, &k, &v),
+                efficient.op_counts(n, d),
+            ),
+        ]);
 
         println!("== n = {n} tokens, d = {d} ==");
         println!(
-            "{:<34} {:>12} {:>14} {:>12} {:>8}",
+            "{:<22} {:>12} {:>14} {:>12} {:>8}",
             "mechanism", "max error", "mul (M)", "add (M)", "exp (M)"
         );
-        for mechanism in &mechanisms {
-            let z = mechanism.compute(&q, &k, &v);
-            let ops = mechanism.op_counts(n, d);
+        for (label, z, ops) in &table {
             println!(
-                "{:<34} {:>12.4} {:>14.3} {:>12.3} {:>8.3}",
-                mechanism.name(),
-                exact.max_abs_diff(&z),
+                "{:<22} {:>12.4} {:>14.3} {:>12.3} {:>8.3}",
+                label,
+                exact.max_abs_diff(z),
                 ops.mul as f64 / 1e6,
                 ops.add as f64 / 1e6,
                 ops.exp as f64 / 1e6,

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use vitality::accel::{AcceleratorConfig, VitalityAccelerator};
-use vitality::attention::{AttentionMechanism, SoftmaxAttention, TaylorAttention};
+use vitality::attention::{AttentionKernel, SoftmaxAttention, TaylorAttention};
 use vitality::tensor::init;
 use vitality::vit::{ModelConfig, ModelWorkload};
 

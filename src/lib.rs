@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use rand::SeedableRng;
-//! use vitality::attention::{AttentionMechanism, SoftmaxAttention, TaylorAttention};
+//! use vitality::attention::{AttentionKernel, SoftmaxAttention, TaylorAttention};
 //! use vitality::accel::{AcceleratorConfig, VitalityAccelerator};
 //! use vitality::vit::{ModelConfig, ModelWorkload};
 //! use vitality::tensor::init;

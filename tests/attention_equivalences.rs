@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use vitality::attention::{
-    mean_center_keys, AttentionMechanism, SoftmaxAttention, TaylorAttention,
+    mean_center_keys, AttentionKernel, SoftmaxAttention, TaylorAttention,
     UnifiedLowRankSparseAttention,
 };
 use vitality::tensor::{init, Matrix};

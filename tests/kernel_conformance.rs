@@ -25,8 +25,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use vitality::attention::{
-    fused_softmax_attention, AttentionKernel, AttentionMechanism, SangerSparseAttention,
-    TaylorAttention, UnifiedAttentionKernel, INT8_TAYLOR_TOLERANCE, INT8_UNIFIED_TOLERANCE,
+    AttentionKernel, SangerSparseAttention, SoftmaxAttention, TaylorAttention,
+    UnifiedLowRankSparseAttention, INT8_TAYLOR_TOLERANCE, INT8_UNIFIED_TOLERANCE,
 };
 use vitality::autograd::Graph;
 use vitality::nn::ParamRegistry;
@@ -42,13 +42,14 @@ fn qkv(n: usize, d: usize, scale: f32, seed: u64) -> (Matrix, Matrix, Matrix) {
     )
 }
 
-/// The traced / unfused reference each variant's fused kernel is measured against,
-/// plus the variant's documented divergence tolerance.
+/// The traced / unfused reference each variant's fused kernel is measured against —
+/// the mechanism's one inherent reference method — plus the variant's documented
+/// divergence tolerance.
 ///
 /// References are deliberately *different code paths* from the kernels: the explicit
 /// `n x n` map pipelines and the step-by-step Algorithm-1 trace, so a bug in a fused
-/// kernel cannot hide in a shared implementation. Exact-delegation kernels (sparse)
-/// carry tolerance 0.
+/// kernel cannot hide in a shared implementation. The sparse kernel runs its own map
+/// through the zero-skipping product; the reference multiplies it densely.
 fn reference_and_tolerance(
     variant: AttentionVariant,
     q: &Matrix,
@@ -56,7 +57,7 @@ fn reference_and_tolerance(
     v: &Matrix,
 ) -> (Matrix, f32) {
     match variant {
-        AttentionVariant::Softmax => (fused_softmax_attention(q, k, v), 1e-4),
+        AttentionVariant::Softmax => (SoftmaxAttention::new().attention_map(q, k).matmul(v), 1e-4),
         AttentionVariant::Taylor => (
             TaylorAttention::new().compute_with_trace(q, k, v).score,
             1e-4,
@@ -68,16 +69,13 @@ fn reference_and_tolerance(
             1e-4,
         ),
         AttentionVariant::Sparse { threshold } => (
-            AttentionMechanism::compute(&SangerSparseAttention::new(threshold), q, k, v),
-            0.0,
+            SangerSparseAttention::new(threshold)
+                .sparse_attention_map(q, k)
+                .matmul(v),
+            1e-5,
         ),
         AttentionVariant::Unified { threshold } => (
-            AttentionMechanism::compute(
-                &UnifiedAttentionKernel::new(threshold).reference(),
-                q,
-                k,
-                v,
-            ),
+            UnifiedLowRankSparseAttention::new(threshold).compute_traced(q, k, v),
             1e-4,
         ),
         // The quantized kernels approximate their f32 siblings; the tolerance is the
@@ -87,12 +85,7 @@ fn reference_and_tolerance(
             INT8_TAYLOR_TOLERANCE,
         ),
         AttentionVariant::Int8Unified { threshold, .. } => (
-            AttentionMechanism::compute(
-                &UnifiedAttentionKernel::new(threshold).reference(),
-                q,
-                k,
-                v,
-            ),
+            UnifiedLowRankSparseAttention::new(threshold).compute_traced(q, k, v),
             INT8_UNIFIED_TOLERANCE,
         ),
     }
@@ -254,9 +247,9 @@ fn fused_unified_kernel_tracks_its_reference_across_the_threshold_grid() {
     for &threshold in &[0.0f32, 0.1, 0.5] {
         for &n in &[1usize, 7, 64, 196] {
             let (q, k, v) = qkv(n, 16, 0.6, 8000 + n as u64);
-            let kernel = UnifiedAttentionKernel::new(threshold);
-            let fused = AttentionKernel::compute(&kernel, &q, &k, &v);
-            let traced = AttentionMechanism::compute(&kernel.reference(), &q, &k, &v);
+            let unified = UnifiedLowRankSparseAttention::new(threshold);
+            let fused = unified.compute(&q, &k, &v);
+            let traced = unified.compute_traced(&q, &k, &v);
             let diff = fused.max_abs_diff(&traced);
             assert!(
                 diff <= 1e-4,

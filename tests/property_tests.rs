@@ -8,9 +8,8 @@ use rand::SeedableRng;
 
 use vitality::attention::opcount::{taylor_attention_ops, vanilla_softmax_ops};
 use vitality::attention::{
-    fused_softmax_attention, mean_center_keys, quantize_symmetric, AttentionKernel,
-    AttentionMechanism, SangerSparseAttention, SoftmaxAttention, TaylorAttention,
-    UnifiedAttentionKernel,
+    mean_center_keys, quantize_symmetric, AttentionKernel, SangerSparseAttention, SoftmaxAttention,
+    TaylorAttention, UnifiedLowRankSparseAttention,
 };
 use vitality::tensor::{init, MatmulBackend, Matrix};
 
@@ -54,8 +53,8 @@ proptest! {
         v in matrix(6, 4),
     ) {
         let softmax = SoftmaxAttention::new();
-        let vanilla = AttentionMechanism::compute(&softmax, &q, &k, &v);
-        let centred = AttentionMechanism::compute(&softmax, &q, &mean_center_keys(&k), &v);
+        let vanilla = softmax.compute(&q, &k, &v);
+        let centred = softmax.compute(&q, &mean_center_keys(&k), &v);
         prop_assert!(vanilla.approx_eq(&centred, 2e-3));
     }
 
@@ -74,7 +73,7 @@ proptest! {
         k in matrix(9, 8),
         v in matrix(9, 8),
     ) {
-        let z = AttentionMechanism::compute(&TaylorAttention::new(), &q, &k, &v);
+        let z = TaylorAttention::new().compute(&q, &k, &v);
         prop_assert_eq!(z.shape(), (9, 8));
         prop_assert!(z.iter().all(|x| x.is_finite()));
     }
@@ -210,7 +209,7 @@ proptest! {
         let v = init::normal(&mut rng, n, d, 0.0, 1.0);
         let attention = TaylorAttention::new();
         let trace = attention.compute_with_trace(&q, &k, &v);
-        let fused = attention.compute_fused(&q, &k, &v);
+        let fused = attention.compute(&q, &k, &v);
         prop_assert!(
             fused.approx_eq(&trace.score, 1e-4),
             "fused diverged from trace by {}", fused.max_abs_diff(&trace.score)
@@ -230,8 +229,9 @@ proptest! {
         let q = init::normal(&mut rng, n, d, 0.0, 0.8);
         let k = init::normal(&mut rng, n, d, 0.0, 0.8);
         let v = init::normal(&mut rng, n, d, 0.0, 1.0);
-        let fused = fused_softmax_attention(&q, &k, &v);
-        let unfused = SoftmaxAttention::new().attention_map(&q, &k).matmul(&v);
+        let softmax = SoftmaxAttention::new();
+        let fused = softmax.compute(&q, &k, &v);
+        let unfused = softmax.attention_map(&q, &k).matmul(&v);
         prop_assert!(
             fused.approx_eq(&unfused, 1e-4),
             "fused diverged from map pipeline by {}", fused.max_abs_diff(&unfused)
@@ -246,7 +246,7 @@ proptest! {
     ) {
         // If every value row is identical, any row-normalised attention returns that row.
         let v = Matrix::from_fn(6, 5, |_, j| row[j]);
-        let z = AttentionMechanism::compute(&TaylorAttention::new(), &q, &k, &v);
+        let z = TaylorAttention::new().compute(&q, &k, &v);
         for i in 0..z.rows() {
             for (zv, rv) in z.row(i).iter().zip(row.iter()) {
                 prop_assert!((zv - rv).abs() < 1e-3);
@@ -265,9 +265,9 @@ proptest! {
         v in matrix(9, 6),
         threshold in 0.0f32..0.8,
     ) {
-        let kernel = UnifiedAttentionKernel::new(threshold);
-        let fused = AttentionKernel::compute(&kernel, &q, &k, &v);
-        let traced = AttentionMechanism::compute(&kernel.reference(), &q, &k, &v);
+        let unified = UnifiedLowRankSparseAttention::new(threshold);
+        let fused = unified.compute(&q, &k, &v);
+        let traced = unified.compute_traced(&q, &k, &v);
         prop_assert!(
             fused.max_abs_diff(&traced) <= 1e-4,
             "fused unified kernel diverged by {} at threshold {}",
@@ -287,7 +287,7 @@ proptest! {
     ) {
         use vitality::attention::{Int8Calibration, QuantizedTaylorKernel, INT8_TAYLOR_TOLERANCE};
         let kernel = QuantizedTaylorKernel::new(Int8Calibration::Dynamic);
-        let int8 = AttentionKernel::compute(&kernel, &q, &k, &v);
+        let int8 = kernel.compute(&q, &k, &v);
         let f32_ref = kernel.reference().compute_with_trace(&q, &k, &v).score;
         prop_assert!(
             int8.max_abs_diff(&f32_ref) <= INT8_TAYLOR_TOLERANCE,
