@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates-registry access, so the workspace vendors the
 //! small slice of rayon's data-parallel API its hot paths use: `par_chunks_mut`,
-//! `par_iter` / `into_par_iter` with `map` / `for_each` / `collect`, plus [`join`].
+//! `par_chunks` and `par_iter` / `into_par_iter` with `map` / `for_each` / `collect`.
 //!
 //! Work is executed on `std::thread::scope` threads, one per available core, pulling
 //! items from a shared queue. When only one core is available (or the job has a single
@@ -92,26 +92,6 @@ where
     let mut pairs = out.into_inner().expect("results poisoned");
     pairs.sort_by_key(|(i, _)| *i);
     pairs.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Runs `a` and `b`, potentially in parallel, and returns both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if workers_for(2) <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(|| {
-            IN_PARALLEL_REGION.with(|flag| flag.set(true));
-            b()
-        });
-        (a(), hb.join().expect("joined task panicked"))
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -335,7 +315,6 @@ where
 
 #[cfg(test)]
 mod tests {
-    use super::join;
     use super::prelude::*;
 
     #[test]
@@ -365,13 +344,6 @@ mod tests {
         let input: Vec<i64> = (0..37).collect();
         let doubled: Vec<i64> = input.par_iter().map(|&v| v * 2).collect();
         assert_eq!(doubled, (0..37).map(|v| v * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! deadline flush), preserving arrival order, and leaves requests for other models
 //! queued (their own head keeps its original deadline, so mixed traffic cannot starve
 //! a model). This is what turns the paper's linear-attention win into
-//! server throughput — `infer_batch` over a coalesced batch amortises per-request
+//! server throughput — `infer_batch_into` over a coalesced batch amortises per-request
 //! overhead while the O(n) Taylor kernels keep per-image cost flat.
 //!
 //! # Backpressure

@@ -14,7 +14,7 @@
 //!    max-queue-delay policy ([`BatchPolicy`]), shedding with a typed
 //!    [`ServeError::Overloaded`] when full.
 //! 3. **[`WorkerPool`]** — threads pulling formed batches into
-//!    `VisionTransformer::infer_batch`, answering each request over its private
+//!    `VisionTransformer::infer_batch_into`, answering each request over its private
 //!    channel, with drain-then-exit shutdown semantics.
 //! 4. **Wire protocol** — a minimal HTTP/1.1 + JSON surface: `POST /v1/infer`,
 //!    `GET /healthz`, `GET /metrics` (see [`protocol`] for the exact shapes), plus

@@ -88,7 +88,7 @@ impl Shared {
 /// event-loop front ──► dispatch ──► Batcher (bounded queue, coalescing)
 ///   (epoll, one thread,    │              │ formed batches
 ///    all connections)      │ GETs answer  ▼
-///         ▲                │ inline    WorkerPool ──► VisionTransformer::infer_batch
+///         ▲                │ inline    WorkerPool ──► VisionTransformer::infer_batch_into
 ///         └── completions ◄┴─────────────┘ (per-request Responder hooks)
 /// ```
 ///

@@ -16,9 +16,10 @@ use vitality_vit::VitOutput;
 /// Each worker loops on [`Batcher::next_batch`] and runs the batch through the entry's
 /// [`infer_batch_into`](vitality_vit::VisionTransformer::infer_batch_into) on its own
 /// long-lived [`Workspace`] and output vector — the allocation-free steady-state loop
-/// (parallelism comes from the pool itself, one warm workspace per worker, rather than
-/// per-image fan-out inside a batch). Workers exit when the batcher reports drained
-/// shutdown, so [`WorkerPool::join`] after
+/// (parallelism comes from the pool itself, one warm workspace per worker; a batch
+/// fans out into image lanes of its own only above `infer_batch_into`'s work grain,
+/// which no batch of the models served today reaches). Workers exit when the batcher
+/// reports drained shutdown, so [`WorkerPool::join`] after
 /// [`Batcher::shutdown`](crate::Batcher::shutdown) guarantees every admitted request
 /// has been answered.
 #[derive(Debug)]

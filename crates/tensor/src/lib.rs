@@ -15,7 +15,8 @@
 //!   explicit `*_with` methods).
 //! * [`Workspace`] — a checkout/recycle scratch-buffer arena behind the allocation-free
 //!   `*_into` forms of the `Matrix` products, giving serving hot paths a zero-allocation
-//!   steady state (one workspace per thread; see [`with_thread_workspace`]).
+//!   steady state (one workspace per thread: [`with_thread_workspace`], or the child
+//!   lanes of [`Workspace::lanes_mut`]).
 //! * [`Tensor3`] — a batched stack of equally-shaped matrices (batch or head dimension).
 //! * [`stats`] — histogram and interval-occupancy helpers used for the attention
 //!   distribution study (Fig. 3 of the paper).

@@ -20,10 +20,20 @@
 //!
 //! A `Workspace` is a plain owned value — thread it down the call chain as `&mut
 //! Workspace`. It is deliberately **not** `Sync`: every thread of a parallel region
-//! owns its own workspace (see [`with_thread_workspace`] for the thread-local form the
-//! batched inference path uses). Checkout and recycle must be balanced by the caller;
+//! works on a workspace of its own. Two forms exist. [`with_thread_workspace`] is the
+//! thread-local form behind the convenience entry points (`infer`, `infer_batch`).
+//! **Child lanes** ([`Workspace::lanes_mut`]) are the form the allocation-free batch
+//! path uses: a workspace owns a list of child workspaces, hands them out as one
+//! `&mut [Workspace]` that a caller splits across the threads of a parallel region
+//! (a `Workspace` is `Send`), and keeps them afterwards — so lanes stay warm from call
+//! to call, die with their parent, and need no thread-local or global pool. The
+//! statistics ([`Workspace::pooled_bytes`], [`Workspace::checkouts`], …) cover a
+//! workspace and its lanes. Checkout and recycle must be balanced by the caller;
 //! an unrecycled buffer is not leaked (it is just an ordinary `Matrix`/buffer), but it
-//! costs one pool miss — and therefore one allocation — on the next checkout.
+//! costs one pool miss — and therefore one allocation — on the next checkout. A buffer
+//! may be recycled into a different workspace than it was checked out of (batch outputs
+//! move between a parent and its lanes that way); what keeps a pool allocation-free is
+//! that it gets back as many buffers of each size as it hands out.
 //!
 //! # Example
 //!
@@ -71,6 +81,8 @@ pub struct Workspace {
     idx_pool: Vec<Vec<usize>>,
     checkouts: u64,
     hits: u64,
+    /// Child workspaces, one per thread of a caller's parallel region.
+    lanes: Vec<Workspace>,
 }
 
 impl Workspace {
@@ -152,16 +164,32 @@ impl Workspace {
         self.idx_pool.push(v);
     }
 
-    /// Number of buffers currently parked in the pool.
+    /// The first `count` child workspaces, created empty on first request and kept
+    /// (warm) for the next call. A caller hands one to each thread of a parallel
+    /// region; the parent stays borrowed — and so untouched — for as long as they are
+    /// in use.
+    pub fn lanes_mut(&mut self, count: usize) -> &mut [Workspace] {
+        if self.lanes.len() < count {
+            self.lanes.resize_with(count, Workspace::new);
+        }
+        &mut self.lanes[..count]
+    }
+
+    /// Number of buffers currently parked in the pool (child lanes included).
     pub fn pooled_buffers(&self) -> usize {
         self.f32_pool.len()
             + self.i8_pool.len()
             + self.i32_pool.len()
             + self.mat_pool.len()
             + self.idx_pool.len()
+            + self
+                .lanes
+                .iter()
+                .map(Workspace::pooled_buffers)
+                .sum::<usize>()
     }
 
-    /// Total bytes currently parked in the pool.
+    /// Total bytes currently parked in the pool (child lanes included).
     pub fn pooled_bytes(&self) -> usize {
         fn aligned_bytes<T>(pool: &[AlignedVec<T>]) -> usize {
             pool.iter()
@@ -178,17 +206,23 @@ impl Workspace {
             + aligned_bytes(&self.i32_pool)
             + vec_bytes(&self.mat_pool)
             + vec_bytes(&self.idx_pool)
+            + self
+                .lanes
+                .iter()
+                .map(Workspace::pooled_bytes)
+                .sum::<usize>()
     }
 
-    /// Total checkouts since creation.
+    /// Total checkouts since creation (child lanes included).
     pub fn checkouts(&self) -> u64 {
-        self.checkouts
+        self.checkouts + self.lanes.iter().map(Workspace::checkouts).sum::<u64>()
     }
 
-    /// Checkouts served from the pool (no allocation). `checkouts - pool_hits` bounds
-    /// the number of allocations the workspace performed.
+    /// Checkouts served from the pool (no allocation; child lanes included).
+    /// `checkouts - pool_hits` bounds the number of allocations the workspace
+    /// performed.
     pub fn pool_hits(&self) -> u64 {
-        self.hits
+        self.hits + self.lanes.iter().map(Workspace::pool_hits).sum::<u64>()
     }
 }
 
@@ -477,6 +511,40 @@ mod tests {
             ws.recycle(b);
         }
         assert!(ws.pooled_buffers() <= MAX_POOLED + 1);
+    }
+
+    #[test]
+    fn child_lanes_stay_warm_and_count_towards_the_parents_statistics() {
+        fn assert_send<T: Send>() {}
+        assert_send::<Workspace>();
+        let mut ws = Workspace::new();
+        let m = ws.take(2, 2);
+        ws.recycle(m);
+        std::thread::scope(|scope| {
+            for lane in ws.lanes_mut(2) {
+                scope.spawn(move || {
+                    let m = lane.take(4, 4);
+                    lane.recycle(m);
+                });
+            }
+        });
+        assert_eq!(ws.checkouts(), 3);
+        assert_eq!(ws.pooled_buffers(), 3);
+        assert!(ws.pooled_bytes() >= (4 + 16 + 16) * 4);
+        // Asking again — for fewer, as many or more — never replaces a warm lane.
+        for count in [1, 2, 3] {
+            for lane in ws.lanes_mut(count).iter_mut().take(2) {
+                let m = lane.take(4, 4);
+                lane.recycle(m);
+            }
+        }
+        assert_eq!(ws.lanes_mut(3).len(), 3);
+        assert_eq!(
+            ws.pool_hits(),
+            5,
+            "every second checkout of a lane must hit"
+        );
+        assert_eq!(ws.pooled_buffers(), 3);
     }
 
     #[test]

@@ -233,8 +233,10 @@ impl MultiHeadAttention {
     ///
     /// Projections, per-head slices, head outputs and the merge buffer all come from
     /// `ws`; heads run sequentially through the shared kernel (parallelism belongs to
-    /// the per-image axis in `VisionTransformer::infer_batch`, which gives every worker
-    /// thread its own workspace).
+    /// the per-image axis — the lanes of `VisionTransformer::infer_batch_into`, each
+    /// with a workspace of its own). With one head there is nothing to gather or
+    /// scatter: the kernel reads the projections and writes the merge buffer directly,
+    /// which saves four `n x e` checkouts and four full copies per block.
     ///
     /// # Panics
     ///
@@ -242,7 +244,6 @@ impl MultiHeadAttention {
     pub fn infer_into(&self, x: &Matrix, ws: &mut Workspace, out: &mut Matrix) {
         let n = x.rows();
         let e = self.wq.out_features();
-        let hd = self.head_dim();
         let mut q = ws.take(n, e);
         let mut k = ws.take(n, e);
         let mut v = ws.take(n, e);
@@ -250,27 +251,32 @@ impl MultiHeadAttention {
         self.wk.infer_into(x, &mut k);
         self.wv.infer_into(x, &mut v);
         let mut merged = ws.take(n, e);
-        let mut qh = ws.take(n, hd);
-        let mut kh = ws.take(n, hd);
-        let mut vh = ws.take(n, hd);
-        let mut zh = ws.take(n, hd);
-        for h in 0..self.heads {
-            let (lo, hi) = (h * hd, (h + 1) * hd);
-            q.slice_cols_into(lo, hi, &mut qh);
-            k.slice_cols_into(lo, hi, &mut kh);
-            v.slice_cols_into(lo, hi, &mut vh);
-            self.kernel.compute_into(&qh, &kh, &vh, ws, &mut zh);
-            zh.place_cols_into(lo, &mut merged);
+        if self.heads == 1 {
+            self.kernel.compute_into(&q, &k, &v, ws, &mut merged);
+        } else {
+            let hd = self.head_dim();
+            let mut qh = ws.take(n, hd);
+            let mut kh = ws.take(n, hd);
+            let mut vh = ws.take(n, hd);
+            let mut zh = ws.take(n, hd);
+            for h in 0..self.heads {
+                let (lo, hi) = (h * hd, (h + 1) * hd);
+                q.slice_cols_into(lo, hi, &mut qh);
+                k.slice_cols_into(lo, hi, &mut kh);
+                v.slice_cols_into(lo, hi, &mut vh);
+                self.kernel.compute_into(&qh, &kh, &vh, ws, &mut zh);
+                zh.place_cols_into(lo, &mut merged);
+            }
+            ws.recycle(qh);
+            ws.recycle(kh);
+            ws.recycle(vh);
+            ws.recycle(zh);
         }
         self.wo.infer_into(&merged, out);
         ws.recycle(q);
         ws.recycle(k);
         ws.recycle(v);
         ws.recycle(merged);
-        ws.recycle(qh);
-        ws.recycle(kh);
-        ws.recycle(vh);
-        ws.recycle(zh);
     }
 
     /// Per-head scaled attention logits (raw and mean-centred), used by the Fig. 3
@@ -509,28 +515,63 @@ mod tests {
 
     #[test]
     fn forward_train_matches_infer_for_every_variant() {
-        let mut rng = StdRng::seed_from_u64(102);
-        let mut mha = MultiHeadAttention::new(&mut rng, 8, 2, AttentionVariant::Softmax);
-        let x = tokens(6, 8, 2);
-        for variant in [
-            AttentionVariant::Softmax,
-            AttentionVariant::Taylor,
-            AttentionVariant::TaylorNoCentering,
-            AttentionVariant::Sparse { threshold: 0.05 },
-            AttentionVariant::Unified { threshold: 0.1 },
-        ] {
-            mha.set_variant(variant);
-            assert_eq!(mha.kernel().label(), variant.label());
-            let graph = Graph::new();
-            let mut reg = ParamRegistry::new();
-            let xv = graph.constant(x.clone());
-            let trained = mha.forward_train(&graph, &mut reg, "attn", &xv);
-            let inferred = mha.infer(&x);
-            assert!(
-                trained.value().approx_eq(&inferred, 2e-2),
-                "variant {} diverges: {}",
-                variant.label(),
-                trained.value().max_abs_diff(&inferred)
+        for heads in [2, 1] {
+            let mut rng = StdRng::seed_from_u64(102);
+            let mut mha = MultiHeadAttention::new(&mut rng, 8, heads, AttentionVariant::Softmax);
+            let x = tokens(6, 8, 2);
+            for variant in [
+                AttentionVariant::Softmax,
+                AttentionVariant::Taylor,
+                AttentionVariant::TaylorNoCentering,
+                AttentionVariant::Sparse { threshold: 0.05 },
+                AttentionVariant::Unified { threshold: 0.1 },
+            ] {
+                mha.set_variant(variant);
+                assert_eq!(mha.kernel().label(), variant.label());
+                let graph = Graph::new();
+                let mut reg = ParamRegistry::new();
+                let xv = graph.constant(x.clone());
+                let trained = mha.forward_train(&graph, &mut reg, "attn", &xv);
+                let inferred = mha.infer(&x);
+                assert!(
+                    trained.value().approx_eq(&inferred, 2e-2),
+                    "variant {} with {heads} head(s) diverges: {}",
+                    variant.label(),
+                    trained.value().max_abs_diff(&inferred)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_head_skips_the_gather_and_equals_the_kernel_on_the_projections() {
+        // With a single head the hot path hands the projections straight to the kernel:
+        // the result is `wo(kernel(wq x, wk x, wv x))` bit for bit, and a warm workspace
+        // serves it without a miss.
+        let x = tokens(9, 8, 8);
+        for variant in AttentionVariant::all() {
+            let mut rng = StdRng::seed_from_u64(108);
+            let mha = MultiHeadAttention::new(&mut rng, 8, 1, variant);
+            let z = mha
+                .kernel()
+                .compute(&mha.wq.infer(&x), &mha.wk.infer(&x), &mha.wv.infer(&x));
+            let expected = mha.wo.infer(&z);
+
+            let mut fresh = Workspace::new();
+            let mut out = Matrix::zeros(9, 8);
+            mha.infer_into(&x, &mut fresh, &mut out);
+            assert_eq!(out, expected, "{} on a fresh workspace", variant.label());
+
+            let mut warm = fresh;
+            let misses = warm.checkouts() - warm.pool_hits();
+            let mut out = Matrix::zeros(9, 8);
+            mha.infer_into(&x, &mut warm, &mut out);
+            assert_eq!(out, expected, "{} on a warm workspace", variant.label());
+            assert_eq!(
+                warm.checkouts() - warm.pool_hits(),
+                misses,
+                "{} missed the warm pool",
+                variant.label()
             );
         }
     }
@@ -641,22 +682,24 @@ mod tests {
 
     #[test]
     fn int8_variants_serve_through_the_mha_hot_path() {
-        let mut rng = StdRng::seed_from_u64(107);
-        let mut mha = MultiHeadAttention::new(&mut rng, 8, 2, AttentionVariant::Taylor);
-        let x = tokens(6, 8, 7);
-        let f32_out = mha.infer(&x);
-        mha.set_variant(AttentionVariant::Int8Taylor {
-            calibration: Int8Calibration::Dynamic,
-        });
-        assert_eq!(mha.kernel().label(), "int8");
-        let int8_out = mha.infer(&x);
-        assert_eq!(int8_out.shape(), f32_out.shape());
-        assert!(int8_out.iter().all(|v| v.is_finite()));
-        // Quantized but close: the projections dominate, attention differs at the
-        // quantization step.
-        assert!(f32_out.max_abs_diff(&int8_out) < 0.2);
-        assert!(!f32_out.approx_eq(&int8_out, 1e-7), "int8 must quantize");
-        let (q_max, k_max, v_max) = mha.qkv_absmax(&x);
-        assert!(q_max > 0.0 && k_max > 0.0 && v_max > 0.0);
+        for heads in [2, 1] {
+            let mut rng = StdRng::seed_from_u64(107);
+            let mut mha = MultiHeadAttention::new(&mut rng, 8, heads, AttentionVariant::Taylor);
+            let x = tokens(6, 8, 7);
+            let f32_out = mha.infer(&x);
+            mha.set_variant(AttentionVariant::Int8Taylor {
+                calibration: Int8Calibration::Dynamic,
+            });
+            assert_eq!(mha.kernel().label(), "int8");
+            let int8_out = mha.infer(&x);
+            assert_eq!(int8_out.shape(), f32_out.shape());
+            assert!(int8_out.iter().all(|v| v.is_finite()));
+            // Quantized but close: the projections dominate, attention differs at the
+            // quantization step.
+            assert!(f32_out.max_abs_diff(&int8_out) < 0.2);
+            assert!(!f32_out.approx_eq(&int8_out, 1e-7), "int8 must quantize");
+            let (q_max, k_max, v_max) = mha.qkv_absmax(&x);
+            assert!(q_max > 0.0 && k_max > 0.0 && v_max > 0.0);
+        }
     }
 }

@@ -11,6 +11,37 @@ use vitality_nn::registry::{NamedParameters, ParamRegistry};
 use vitality_nn::{ClassificationHead, PatchEmbed};
 use vitality_tensor::{with_thread_workspace, Matrix, Workspace};
 
+/// Work one lane of [`VisionTransformer::infer_batch_into`] must have before a batch is
+/// split: 128 M multiply–accumulates, about 5 ms on one thread at the 25–28 GMAC/s the
+/// GEMMs reach inline on the reference host. A lane costs one `thread::scope`
+/// generation, measured at 75–90 µs, so at this grain the fan-out is at most 2% of the
+/// work it spreads.
+///
+/// The constant is also the switch ROADMAP item 2(a) waits on. Every batch the engine
+/// serves (`vit196`, at most 32 images of 3.5 MMAC) lies below it and runs the
+/// sequential loop on purpose: lowering the grain is the whole change that hands
+/// served batches to the lanes, and it cannot be accepted before the benchmark's
+/// `peak_rss_mib` stops counting the load generator's per-op log (item 1(a)).
+const LANE_GRAIN_MACS: u64 = 128_000_000;
+
+/// Multiply–accumulates of one image's forward pass, from the configuration alone and
+/// counted the way [`crate::opcount`] counts them: the linear layers (Q/K/V and output
+/// projections, MLP) plus the Taylor attention's two `n x d x d` products per head —
+/// the floor over the attention variants, so a softmax model is never split sooner
+/// than its work warrants — plus the patch embedding.
+fn image_macs(config: &TrainConfig) -> u64 {
+    let (n, e, d) = (
+        config.tokens() as u64,
+        config.embed_dim as u64,
+        config.head_dim() as u64,
+    );
+    let hidden = (config.embed_dim as f32 * config.mlp_ratio) as u64;
+    let linear = 4 * n * e * e + 2 * n * e * hidden;
+    let attention = 2 * n * e * d;
+    let embed = n * (config.patch_size * config.patch_size) as u64 * e;
+    config.layers as u64 * (linear + attention) + embed
+}
+
 /// Result of an inference pass: the logits plus the final token representations.
 #[derive(Debug, Clone)]
 pub struct VitOutput {
@@ -149,28 +180,111 @@ impl VisionTransformer {
     }
 
     /// Steady-state batched inference: refills `outputs` with one [`VitOutput`] per
-    /// image, recycling the previous round's outputs into `ws` first.
+    /// image, in input order, recycling the previous round's outputs first.
     ///
     /// This is the allocation-free serving loop: after a warmup round every buffer —
     /// projections, attention scratch, token matrices, logits — is a workspace pool
     /// hit, which the counting-allocator regression test (`tests/alloc_regression.rs`)
-    /// asserts is exactly zero heap traffic. Images are processed sequentially on the
-    /// calling thread; use [`VisionTransformer::infer_batch`] when parallel fan-out
-    /// matters more than allocation discipline.
+    /// asserts is exactly zero heap traffic.
+    ///
+    /// A batch that carries at least two lanes' worth of work (see the grain constant
+    /// `LANE_GRAIN_MACS`; `min(cores, images, batch MACs / grain)` lanes) is split
+    /// into contiguous runs of images, one thread and one child workspace of `ws`
+    /// ([`Workspace::lanes_mut`]) per run. Images are the only parallel axis then: a
+    /// lane is the outermost parallel region of its thread, so every GEMM inside it
+    /// runs inline. The outputs are bit-identical to the sequential path at any lane
+    /// count, and the lane workspaces stay warm inside `ws` between calls; what the
+    /// fan-out allocates per call is its threads and one job list. Below the grain —
+    /// every batch the engine serves today — nothing is spawned and the loop is the
+    /// sequential one on the calling thread, so its zero-allocation guarantee holds
+    /// there unchanged.
+    ///
+    /// A *served* model above the grain fans out inside each engine worker, i.e. up to
+    /// workers × lanes threads; making the workers themselves the outer axis is
+    /// ROADMAP item 2(a).
     pub fn infer_batch_into(
         &self,
         images: &[Matrix],
         outputs: &mut Vec<VitOutput>,
         ws: &mut Workspace,
     ) {
-        for output in outputs.drain(..) {
+        let lanes = self.lane_count(images.len());
+        self.infer_batch_lanes(images, outputs, ws, lanes);
+    }
+
+    /// How many lanes a batch of `images` images is worth: as many as there are cores
+    /// and images, but no more than the batch has [`LANE_GRAIN_MACS`]-sized shares of
+    /// work. Below two it does not ask for the core count, which costs a system call.
+    fn lane_count(&self, images: usize) -> usize {
+        let by_work = images as u64 * image_macs(&self.config) / LANE_GRAIN_MACS;
+        if by_work.min(images as u64) <= 1 {
+            return 1;
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        cores
+            .min(images)
+            .min(usize::try_from(by_work).unwrap_or(usize::MAX))
+    }
+
+    /// [`VisionTransformer::infer_batch_into`] with the lane count given (at most
+    /// `lanes`; tests pin it).
+    ///
+    /// `ws` itself is where outputs rest between differently-shaped calls: slots the
+    /// new batch does not fill are recycled into it, slots the old batch did not have
+    /// are checked out of it, and the sequential path runs on it. Every slot is then
+    /// recycled into the lane that refills it, so a lane gets back exactly as many
+    /// output buffers as it hands out and no pool drifts or grows, whatever the
+    /// sequence of batch sizes and lane counts.
+    fn infer_batch_lanes(
+        &self,
+        images: &[Matrix],
+        outputs: &mut Vec<VitOutput>,
+        ws: &mut Workspace,
+        lanes: usize,
+    ) {
+        fn recycle(ws: &mut Workspace, output: VitOutput) {
             ws.recycle(output.logits);
             ws.recycle(output.tokens);
         }
-        outputs.reserve(images.len());
-        for image in images {
-            outputs.push(self.infer_with(image, ws));
+        if lanes.min(images.len()) <= 1 {
+            for output in outputs.drain(..) {
+                recycle(ws, output);
+            }
+            outputs.reserve(images.len());
+            for image in images {
+                outputs.push(self.infer_with(image, ws));
+            }
+            return;
         }
+        for surplus in outputs.drain(images.len().min(outputs.len())..) {
+            recycle(ws, surplus);
+        }
+        while outputs.len() < images.len() {
+            outputs.push(VitOutput {
+                logits: ws.take(1, self.config.classes),
+                tokens: ws.take(self.config.tokens(), self.config.embed_dim),
+            });
+        }
+        let per_lane = images.len().div_ceil(lanes);
+        let lane_ws = ws.lanes_mut(images.len().div_ceil(per_lane));
+        for (slot, output) in outputs.drain(..).enumerate() {
+            recycle(&mut lane_ws[slot / per_lane], output);
+        }
+        outputs.resize_with(images.len(), || VitOutput {
+            logits: Matrix::zeros(0, 0),
+            tokens: Matrix::zeros(0, 0),
+        });
+        let mut jobs: Vec<_> = lane_ws
+            .iter_mut()
+            .zip(images.chunks(per_lane))
+            .zip(outputs.chunks_mut(per_lane))
+            .collect();
+        jobs.par_chunks_mut(1).for_each(|job| {
+            let ((ws, images), slots) = &mut job[0];
+            for (image, slot) in images.iter().zip(slots.iter_mut()) {
+                *slot = self.infer_with(image, ws);
+            }
+        });
     }
 
     /// Predicted class index for one image.
@@ -373,6 +487,160 @@ mod tests {
         let preds = model.predict_batch(&images);
         let sequential: Vec<usize> = images.iter().map(|img| model.predict(img)).collect();
         assert_eq!(preds, sequential);
+    }
+
+    /// The benchmark's served model: 196 tokens, 3.5 MMAC per image.
+    fn vit196() -> TrainConfig {
+        TrainConfig {
+            image_size: 56,
+            patch_size: 4,
+            embed_dim: 32,
+            heads: 4,
+            layers: 2,
+            mlp_ratio: 2.0,
+            classes: 8,
+        }
+    }
+
+    /// The benchmark's high-resolution model: 1024 tokens, 236 MMAC per image.
+    fn vit1024() -> TrainConfig {
+        TrainConfig {
+            image_size: 128,
+            patch_size: 4,
+            embed_dim: 64,
+            heads: 1,
+            layers: 4,
+            mlp_ratio: 4.0,
+            classes: 8,
+        }
+    }
+
+    #[test]
+    fn image_macs_agree_with_the_opcount_workload() {
+        use crate::config::{ModelConfig, ModelFamily, StageConfig};
+        use crate::opcount::ModelWorkload;
+        for (cfg, millions) in [(vit196(), 3.5), (vit1024(), 236.0)] {
+            let workload = ModelWorkload::for_model(&ModelConfig {
+                name: "train",
+                family: ModelFamily::Deit,
+                resolution: cfg.image_size,
+                stages: vec![StageConfig {
+                    tokens: cfg.tokens(),
+                    embed_dim: cfg.embed_dim,
+                    heads: cfg.heads,
+                    head_dim: cfg.head_dim(),
+                    layers: cfg.layers,
+                    mlp_ratio: cfg.mlp_ratio,
+                }],
+                backbone_macs: 0,
+            });
+            let embed = (cfg.tokens() * cfg.patch_size * cfg.patch_size * cfg.embed_dim) as u64;
+            let counted = workload.linear_macs() + workload.taylor_attention_ops().mul + embed;
+            let macs = image_macs(&cfg);
+            // `opcount` adds small bookkeeping terms (t_D, one row of T_N) to the two
+            // Taylor products; they stay under 1%.
+            assert!(
+                counted >= macs && (counted - macs) as f64 <= 0.01 * macs as f64,
+                "{macs} vs opcount {counted}"
+            );
+            assert!((macs as f64 / 1e6 - millions).abs() < 0.02 * millions);
+        }
+    }
+
+    #[test]
+    fn only_batches_above_the_grain_are_split_into_lanes() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut rng = StdRng::seed_from_u64(240);
+        let served = VisionTransformer::new(&mut rng, vit196(), AttentionVariant::Taylor);
+        let hires = VisionTransformer::new(&mut rng, vit1024(), AttentionVariant::Taylor);
+        // Every batch the engine is run with (`max_batch` is 16 by default, 32 in the
+        // bench bins) stays sequential...
+        for images in [0, 1, 16, 32] {
+            assert_eq!(served.lane_count(images), 1, "vit196 x {images}");
+        }
+        // ...and so does a single image however large...
+        assert_eq!(hires.lane_count(1), 1);
+        // ...while the benchmark's offline batch (4 x 236 MMAC = 7 grains) gets one lane
+        // per image, as far as there are cores: two on the reference host.
+        assert_eq!(hires.lane_count(4), cores.min(4));
+        assert_eq!(hires.lane_count(2), cores.min(2));
+        // The count is bounded by work, not only by images and cores: 40 vit196 images
+        // are 1.1 grains.
+        assert_eq!(served.lane_count(40), 1);
+        assert_eq!(served.lane_count(80), cores.min(2));
+    }
+
+    #[test]
+    fn lanes_are_bit_identical_to_sequential_inference_in_input_order() {
+        let cfg = TrainConfig::tiny();
+        let mut rng = StdRng::seed_from_u64(241);
+        let mut model = VisionTransformer::new(&mut rng, cfg, AttentionVariant::Taylor);
+        let images: Vec<Matrix> = (0..8).map(|i| image(&cfg, 70 + i)).collect();
+        for variant in [
+            AttentionVariant::Taylor,
+            AttentionVariant::Softmax,
+            AttentionVariant::Int8Taylor {
+                calibration: Int8Calibration::Dynamic,
+            },
+        ] {
+            model.set_variant(variant);
+            let expected: Vec<VitOutput> = images
+                .iter()
+                .map(|img| model.infer_with(img, &mut Workspace::new()))
+                .collect();
+            for lanes in [1, 2, 3] {
+                // One workspace and one output vector across the batch sizes, so every
+                // call also recycles a differently-sized previous round.
+                let mut ws = Workspace::new();
+                let mut outputs = Vec::new();
+                for batch in [1, 2, 3, 5, 8, 3] {
+                    model.infer_batch_lanes(&images[..batch], &mut outputs, &mut ws, lanes);
+                    assert_eq!(outputs.len(), batch);
+                    for (i, (out, want)) in outputs.iter().zip(&expected).enumerate() {
+                        let case = format!("{} b{batch} l{lanes} #{i}", variant.label());
+                        assert_eq!(out.logits, want.logits, "logits {case}");
+                        assert_eq!(out.tokens, want.tokens, "tokens {case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_pools_neither_drift_nor_grow_across_changing_batch_sizes() {
+        let cfg = TrainConfig::tiny();
+        let mut rng = StdRng::seed_from_u64(242);
+        let model = VisionTransformer::new(&mut rng, cfg, AttentionVariant::Taylor);
+        let images: Vec<Matrix> = (0..4).map(|i| image(&cfg, 80 + i)).collect();
+        let cycle = [4, 1, 3, 2];
+        let mut ws = Workspace::new();
+        let mut outputs = Vec::new();
+        let mut round = |ws: &mut Workspace, batch: usize| {
+            model.infer_batch_lanes(&images[..batch], &mut outputs, ws, 2);
+            ws.pooled_bytes()
+        };
+        for batch in cycle {
+            round(&mut ws, batch);
+        }
+        // After the first cycle no checkout misses, and the pools (parent and lanes
+        // together) hold the same bytes at the same point of every cycle.
+        let misses = ws.checkouts() - ws.pool_hits();
+        let pooled: Vec<usize> = cycle.iter().map(|&batch| round(&mut ws, batch)).collect();
+        for _ in 2..50 {
+            for (&batch, &bytes) in cycle.iter().zip(&pooled) {
+                assert_eq!(
+                    round(&mut ws, batch),
+                    bytes,
+                    "pooled bytes at batch {batch}"
+                );
+            }
+        }
+        assert_eq!(
+            ws.checkouts() - ws.pool_hits(),
+            misses,
+            "a warm pool missed"
+        );
+        assert_eq!(ws.lanes_mut(2).len(), 2);
     }
 
     #[test]

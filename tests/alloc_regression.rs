@@ -8,9 +8,11 @@
 //! thread lazily allocates its thread-local waker context at a timing-dependent
 //! moment; a process-global count would (and, before the gate was scoped, flakily
 //! did) attribute those harness allocations to the inference loop. The batched
-//! inference path under test is strictly sequential (parallel fan-out lives in
-//! `infer_batch`, which spawns threads and therefore allocates by design), so the
-//! scoped count is deterministic regardless of the host's core count.
+//! inference path under test is strictly sequential: `infer_batch_into` splits a batch
+//! into parallel image lanes (which spawn threads and therefore allocate by design)
+//! only above a work grain of 128 MMAC per lane, and this test's batches — like every
+//! batch the engine serves — are orders of magnitude below it. So the scoped count is
+//! deterministic regardless of the host's core count.
 //!
 //! The same gate covers the tracing primitives riding the serve path: with sampling
 //! off, opening/closing a trace and recording a stage histogram sample must also be
