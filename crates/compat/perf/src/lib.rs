@@ -33,7 +33,7 @@
 //! Callers must treat every counter as optional: absent is reported as `None`,
 //! never as zero.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// Number of events a group tries to open, in fixed slot order.
 pub const N_EVENTS: usize = 6;
@@ -188,21 +188,6 @@ impl PerfStats {
     }
 }
 
-/// Global runtime gate. When disabled, [`PerfRegion::enter`] and [`measure`]
-/// are no-ops that perform zero syscalls — the knob the serve bench uses to
-/// compare perf-on vs perf-off overhead on identical binaries.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable all regions process-wide. Default: enabled.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether regions are currently enabled (see [`set_enabled`]).
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// Whether the *calling thread* can count: forces the lazy group open and
 /// reports the result. `false` on non-Linux hosts, unsupported architectures,
 /// restrictive `perf_event_paranoid`, or a missing PMU.
@@ -223,7 +208,7 @@ struct Snapshot {
 /// RAII counter scope: snapshots the thread's counter group at construction
 /// and at drop, and accumulates the (scaled) delta into `stats`. A no-op —
 /// zero syscalls, zero allocations — when counters are unavailable on this
-/// thread or regions are globally disabled.
+/// thread.
 pub struct PerfRegion<'a> {
     stats: &'a PerfStats,
     start: Option<Snapshot>,
@@ -231,11 +216,7 @@ pub struct PerfRegion<'a> {
 
 impl<'a> PerfRegion<'a> {
     pub fn enter(stats: &'a PerfStats) -> Self {
-        let start = if enabled() {
-            imp::with_group(|g| g.read()).flatten()
-        } else {
-            None
-        };
+        let start = imp::with_group(|g| g.read()).flatten();
         Self { stats, start }
     }
 }
@@ -251,7 +232,7 @@ impl Drop for PerfRegion<'_> {
 }
 
 /// Run `f` under a fresh region and return its counter delta alongside the
-/// result. `None` when counters are unavailable or disabled.
+/// result. `None` when counters are unavailable.
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Option<Delta>) {
     let stats = PerfStats::new();
     let region = PerfRegion::enter(&stats);
@@ -628,22 +609,6 @@ mod tests {
         );
         // And the small loop alone retires at least one instruction per iteration.
         assert!(counted[0] >= 100_000, "implausibly low count: {counted:?}");
-    }
-
-    /// Disabling regions makes them zero-syscall no-ops that report absence.
-    #[test]
-    fn disabled_regions_are_inert() {
-        set_enabled(false);
-        let stats = PerfStats::new();
-        {
-            let _r = PerfRegion::enter(&stats);
-            std::hint::black_box(spin(10_000));
-        }
-        assert_eq!(stats.regions(), 0);
-        assert!(stats.ipc().is_none());
-        let (_, delta) = measure(|| spin(1_000));
-        assert!(delta.is_none());
-        set_enabled(true);
     }
 
     /// Nested regions both observe their own deltas (counters never stop).

@@ -44,10 +44,10 @@
 //! That is the whole integration: when tracing is off `trace` is `None` and the
 //! stage costs one never-taken branch; when it is on, the span appears in
 //! `/debug/traces`, in the reply's embedded span list (so an upstream gateway
-//! grafts it into its own tree), and in the chrome://tracing export the bench bins
-//! write. Give the span a `detail` string (the attention-variant label, a backend
-//! address) when one label per name is not enough — detail is what the stage
-//! histograms and trace viewers group by.
+//! grafts it into its own tree), and in the chrome://tracing file a traced
+//! `benchmark/` run writes. Give the span a `detail` string (the attention-variant
+//! label, a backend address) when one label per name is not enough — detail is what
+//! the stage histograms and trace viewers group by.
 //!
 //! # Logging
 //!
@@ -529,8 +529,8 @@ pub fn trace_tree_json(trace: &CompletedTrace) -> JsonValue {
 }
 
 /// Converts retained traces to the `chrome://tracing` / Perfetto JSON object
-/// format (one complete-event per span; one `tid` row per trace), written by the
-/// bench bins next to their `BENCH_*.json` results.
+/// format (one complete-event per span; one `tid` row per trace) — what a
+/// `--trace 1` run of `benchmark/` writes as `benchmark/results/trace-<workload>.json`.
 pub fn chrome_trace_json(traces: &[CompletedTrace]) -> JsonValue {
     let mut events = Vec::new();
     for (tid, trace) in traces.iter().enumerate() {

@@ -10,9 +10,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::json::JsonValue;
-use vitality_serve::http::{RouteResponse, WriteReport};
+use vitality_serve::http::{
+    query_limit, wants_prometheus, RouteResponse, WriteReport, PROMETHEUS_CONTENT_TYPE,
+};
+use vitality_serve::protocol::{self, InferEnvelope};
 use vitality_serve::{
-    protocol, ClientError, Completion, EventFront, FrontConfig, FrontRequest, InferReply, LoopStats,
+    ClientError, Completion, EventFront, FrontConfig, FrontRequest, InferReply, LoopStats,
 };
 use vitality_tensor::Matrix;
 
@@ -312,23 +315,6 @@ impl std::fmt::Debug for Gateway {
     }
 }
 
-/// Whether a raw query string selects the Prometheus text exposition
-/// (`?format=prometheus` as an exact key/value pair, position-independent).
-fn wants_prometheus(query: &str) -> bool {
-    query.split('&').any(|pair| pair == "format=prometheus")
-}
-
-/// Parses `limit=N` out of a raw query string (`None` when absent or malformed).
-fn query_limit(query: &str) -> Option<usize> {
-    query
-        .split('&')
-        .find_map(|pair| pair.strip_prefix("limit="))
-        .and_then(|raw| raw.parse().ok())
-}
-
-/// `Content-Type` of the Prometheus text exposition format.
-const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
-
 fn route(
     request: &FrontRequest<'_>,
     completion: Completion,
@@ -521,75 +507,38 @@ impl Deadline {
     }
 }
 
-/// Decodes the request body by its negotiated encoding: the JSON shape, or the
-/// binary image encoding (selected by `Content-Type`, see
-/// [`protocol::BINARY_CONTENT_TYPE`]). Returns the metadata object the field
-/// parsers read, plus the already-decoded image on the binary path.
-fn decode_infer_body(
-    body: &[u8],
-    content_type: Option<&str>,
-) -> Result<(JsonValue, Option<Matrix>), GatewayError> {
-    if content_type
-        .and_then(|t| t.split(';').next())
-        .is_some_and(|t| t.trim().eq_ignore_ascii_case(protocol::BINARY_CONTENT_TYPE))
-    {
-        let (meta, image) = protocol::decode_binary_infer(body)
-            .map_err(|e| GatewayError::BadRequest(e.to_string()))?;
-        return Ok((meta, Some(image)));
-    }
-    let parsed = std::str::from_utf8(body)
-        .map_err(|_| GatewayError::BadRequest("body is not UTF-8".into()))
-        .and_then(|text| {
-            serde::json::parse(text)
-                .map_err(|e| GatewayError::BadRequest(format!("invalid JSON: {e}")))
-        })?;
-    Ok((parsed, None))
-}
-
-/// The request pipeline entry point (run on a dispatch-pool thread): parse enough
-/// of the body to learn (or mint) the request id, open the trace, then run the
+/// The request pipeline entry point (run on a dispatch-pool thread): decode the
+/// envelope to learn (or mint) the request id, open the trace, then run the
 /// admit → route → retry core.
 ///
-/// The body is parsed *before* admission control on purpose: an admission-shed 503
-/// must still echo the client's `request_id`, and the parse cost is bounded by
+/// The body is decoded *before* admission control on purpose: an admission-shed 503
+/// must still echo the client's `request_id`, and the decode cost is bounded by
 /// `max_body_bytes` either way.
 fn handle_infer(body: &[u8], content_type: Option<&str>, shared: &Arc<Shared>) -> RouteResponse {
-    // The origin for every span offset: work before the body parses (UTF-8 check,
-    // JSON or binary decode) is attributed to the `parse` span retroactively.
+    // The origin for every span offset: decoding the body (UTF-8 check, JSON or
+    // binary decode, field validation) is attributed to the `parse` span
+    // retroactively.
     let started = Instant::now();
-    let (parsed, binary_image) = match decode_infer_body(body, content_type) {
-        Ok(decoded) => decoded,
-        // No usable body, so no client id: generate one so even this failure is
-        // quotable from the error body.
-        Err(err) => return infer_error(shared, &err, &trace::new_request_id(), None),
-    };
-    let request_id = match protocol::parse_infer_request_id(&parsed) {
-        Ok(id) => id.unwrap_or_else(trace::new_request_id),
-        Err(err) => {
-            return infer_error(
-                shared,
-                &GatewayError::BadRequest(err.to_string()),
-                &trace::new_request_id(),
-                None,
-            )
+    let mut envelope = match InferEnvelope::decode(body, content_type) {
+        Ok(envelope) => envelope,
+        // Echo the client's id whenever it parsed; otherwise generate one so even
+        // this failure is quotable from the error body.
+        Err(failed) => {
+            let request_id = failed.request_id.unwrap_or_else(trace::new_request_id);
+            let error = GatewayError::BadRequest(failed.error.to_string());
+            return infer_error(shared, &error, &request_id, None);
         }
     };
+    let request_id = envelope
+        .request_id
+        .take()
+        .unwrap_or_else(trace::new_request_id);
     let _log_scope = trace::request_scope(&request_id);
-    let want_trace = match protocol::parse_infer_trace_flag(&parsed) {
-        Ok(flag) => flag,
-        Err(err) => {
-            return infer_error(
-                shared,
-                &GatewayError::BadRequest(err.to_string()),
-                &request_id,
-                None,
-            )
-        }
-    };
+    let want_trace = envelope.trace;
     // `"trace": true` forces span recording even when sampling is off, and the
     // recorded gateway+engine span tree is embedded in the reply.
     let handle = shared.tracer.begin(&request_id, started, want_trace);
-    match infer_core(&parsed, binary_image, shared, started, &request_id, &handle) {
+    match infer_core(envelope, shared, started, &request_id, &handle) {
         Ok(mut body) => {
             body.set("request_id", request_id.as_str());
             if want_trace {
@@ -611,36 +560,24 @@ fn handle_infer(body: &[u8], content_type: Option<&str>, shared: &Arc<Shared>) -
 /// deadline-budgeted retry loop core. Returns the response body to send with
 /// status 200 (before the `request_id` / `trace` fields are stamped on).
 fn infer_core(
-    parsed: &JsonValue,
-    binary_image: Option<Matrix>,
+    envelope: InferEnvelope,
     shared: &Arc<Shared>,
     started: Instant,
     request_id: &str,
     handle: &trace::TraceHandle,
 ) -> Result<JsonValue, GatewayError> {
-    let (model_key, image) = match binary_image {
-        // Binary path: the image arrived outside the metadata object.
-        Some(image) => {
-            let model = parsed
-                .get("model")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| GatewayError::BadRequest("missing string field \"model\"".into()))?
-                .to_string();
-            (model, image)
-        }
-        None => protocol::parse_infer_request(parsed)
-            .map_err(|e| GatewayError::BadRequest(e.to_string()))?,
-    };
-    let tier = protocol::parse_infer_tier(parsed)
-        .map_err(|e| GatewayError::BadRequest(e.to_string()))?
-        .map(|t| Tier::parse(&t))
-        .transpose()?;
-    let deadline = protocol::parse_infer_deadline_ms(parsed)
-        .map_err(|e| GatewayError::BadRequest(e.to_string()))?
-        .map(|budget_ms| Deadline {
-            budget_ms,
-            expires: started + Duration::from_millis(budget_ms),
-        });
+    let InferEnvelope {
+        model: model_key,
+        image,
+        tier,
+        deadline_ms,
+        ..
+    } = envelope;
+    let tier = tier.as_deref().map(Tier::parse).transpose()?;
+    let deadline = deadline_ms.map(|budget_ms| Deadline {
+        budget_ms,
+        expires: started + Duration::from_millis(budget_ms),
+    });
     let parse_done = Instant::now();
     if let Some(t) = handle {
         t.record("parse", String::new(), started, parse_done);

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::json::JsonValue;
 use vitality_gateway::{AdmissionConfig, CacheConfig, Gateway, GatewayConfig};
-use vitality_serve::{ClientError, ModelRegistry, ServeClient, Server, ServerConfig};
+use vitality_serve::{ClientError, InferOptions, ModelRegistry, ServeClient, Server, ServerConfig};
 use vitality_tensor::{init, Matrix};
 use vitality_vit::{AttentionVariant, TrainConfig, VisionTransformer};
 
@@ -55,6 +55,14 @@ fn image(cfg: &TrainConfig, seed: u64) -> Matrix {
         0.0,
         1.0,
     )
+}
+
+/// Request options carrying only a remaining-budget deadline.
+fn with_deadline(deadline_ms: u64) -> InferOptions<'static> {
+    InferOptions {
+        deadline_ms: Some(deadline_ms),
+        ..InferOptions::default()
+    }
 }
 
 /// A gateway whose prober is effectively frozen after the boot round, so a fault
@@ -373,7 +381,7 @@ fn an_expired_deadline_is_a_typed_504_and_costs_no_inference() {
     let img = image(&cfg, 6_000);
 
     let completed_before = engine_metric(eng.local_addr(), "completed");
-    match client.infer_with_options("vit:taylor", &img, None, Some(0)) {
+    match client.infer_detailed("vit:taylor", &img, &with_deadline(0)) {
         Err(ClientError::Server { status, code, .. }) => {
             assert_eq!(status, 504);
             assert_eq!(code, "deadline_exceeded");
@@ -389,8 +397,9 @@ fn an_expired_deadline_is_a_typed_504_and_costs_no_inference() {
 
     // A live budget rides through normally.
     let reply = client
-        .infer_with_options("vit:taylor", &img, None, Some(5_000))
-        .expect("live deadline");
+        .infer_detailed("vit:taylor", &img, &with_deadline(5_000))
+        .expect("live deadline")
+        .reply;
     assert_eq!(reply.prediction, model.predict(&img));
 
     drop(client);
@@ -434,7 +443,7 @@ fn a_deadline_beats_a_stalled_backend_with_a_prompt_504() {
         .expect("client timeout");
     let img = image(&cfg, 7_000);
     let started = Instant::now();
-    match client.infer_with_options("vit:taylor", &img, None, Some(300)) {
+    match client.infer_detailed("vit:taylor", &img, &with_deadline(300)) {
         Err(ClientError::Server { status, code, .. }) => {
             assert_eq!(status, 504);
             assert_eq!(code, "deadline_exceeded");
@@ -640,9 +649,9 @@ fn a_failed_over_request_is_tail_sampled_with_both_attempts_and_its_id() {
             .infer_detailed(
                 "vit:taylor",
                 &image(&cfg, 9_000 + i),
-                &vitality_serve::InferOptions {
+                &InferOptions {
                     request_id: Some(&id),
-                    ..vitality_serve::InferOptions::default()
+                    ..InferOptions::default()
                 },
             )
             .expect("a damaged response must fail over, not surface");
@@ -731,9 +740,9 @@ fn a_worker_panic_lands_in_the_engines_tail_ring_under_the_clients_id() {
             .infer_detailed(
                 "vit:taylor",
                 &image(&cfg, 10_000 + i),
-                &vitality_serve::InferOptions {
+                &InferOptions {
                     request_id: Some(&id),
-                    ..vitality_serve::InferOptions::default()
+                    ..InferOptions::default()
                 },
             )
             .expect("requests riding a panicked batch are answered elsewhere");

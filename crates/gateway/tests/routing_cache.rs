@@ -1,7 +1,8 @@
 //! Tier routing and response-cache semantics of the gateway over real sockets: the
 //! `tier` protocol field observably lands on different attention variants, repeat
-//! images are served from the cache with bit-identical replies, and routing-policy
-//! misconfigurations surface as typed errors.
+//! images are served from the cache with bit-identical replies, routing-policy
+//! misconfigurations surface as typed errors, and a malformed request still gets its
+//! `request_id` echoed.
 
 use std::time::Duration;
 
@@ -9,7 +10,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::json::JsonValue;
 use vitality_gateway::{CacheConfig, Gateway, GatewayConfig, RoutingPolicy, TierRules};
-use vitality_serve::{ClientError, ModelRegistry, ServeClient, Server, ServerConfig};
+use vitality_serve::http::{write_request_typed, MessageReader};
+use vitality_serve::protocol::BINARY_CONTENT_TYPE;
+use vitality_serve::{ClientError, InferOptions, ModelRegistry, ServeClient, Server, ServerConfig};
 use vitality_tensor::{init, Matrix};
 use vitality_vit::{AttentionVariant, Int8Calibration, TrainConfig, VisionTransformer};
 
@@ -35,6 +38,22 @@ fn tiered_engine(base: &VisionTransformer) -> Server {
         registry,
     )
     .expect("boot engine")
+}
+
+/// Request options carrying only a routing-tier hint.
+fn with_tier(tier: &str) -> InferOptions<'_> {
+    InferOptions {
+        tier: Some(tier),
+        ..InferOptions::default()
+    }
+}
+
+/// Request options carrying only a remaining-budget deadline.
+fn with_deadline(deadline_ms: u64) -> InferOptions<'static> {
+    InferOptions {
+        deadline_ms: Some(deadline_ms),
+        ..InferOptions::default()
+    }
 }
 
 fn image(cfg: &TrainConfig, seed: u64) -> Matrix {
@@ -71,14 +90,16 @@ fn tiers_land_on_different_variants_and_are_observable() {
         let img = image(&cfg, 500 + seed);
         // tier: latency rewrites the variant half to int8.
         let latency = client
-            .infer_with_tier("vit:taylor", &img, Some("latency"))
-            .expect("latency tier");
+            .infer_detailed("vit:taylor", &img, &with_tier("latency"))
+            .expect("latency tier")
+            .reply;
         assert_eq!(latency.model, "vit:int8", "latency tier lands on int8");
         assert_eq!(latency.prediction, int8_direct.predict(&img));
         // tier: accuracy rewrites it to unified.
         let accuracy = client
-            .infer_with_tier("vit:taylor", &img, Some("accuracy"))
-            .expect("accuracy tier");
+            .infer_detailed("vit:taylor", &img, &with_tier("accuracy"))
+            .expect("accuracy tier")
+            .reply;
         assert_eq!(
             accuracy.model, "vit:unified",
             "accuracy tier lands on unified"
@@ -101,7 +122,7 @@ fn tiers_land_on_different_variants_and_are_observable() {
     // An unknown tier is a typed 400; a tier resolving to an unserved variant is a
     // typed 404 — neither reaches an engine.
     let img = image(&cfg, 900);
-    match client.infer_with_tier("vit:taylor", &img, Some("bulk")) {
+    match client.infer_detailed("vit:taylor", &img, &with_tier("bulk")) {
         Err(ClientError::Server { status, code, .. }) => {
             assert_eq!(status, 400);
             assert_eq!(code, "bad_request");
@@ -186,8 +207,9 @@ fn repeat_images_hit_the_cache_with_identical_replies() {
 
     // The same image under a different tier is a distinct cache entry.
     let tiered = client
-        .infer_with_tier("vit:taylor", &img, Some("latency"))
-        .expect("tiered miss");
+        .infer_detailed("vit:taylor", &img, &with_tier("latency"))
+        .expect("tiered miss")
+        .reply;
     assert_eq!(tiered.model, "vit:int8");
 
     let metrics = gateway.metrics_json();
@@ -235,12 +257,13 @@ fn deadlines_ride_the_protocol_end_to_end() {
 
     // A generous budget is forwarded and the request completes normally.
     let reply = client
-        .infer_with_options("vit:taylor", &img, None, Some(10_000))
-        .expect("live budget");
+        .infer_detailed("vit:taylor", &img, &with_deadline(10_000))
+        .expect("live budget")
+        .reply;
     assert_eq!(reply.prediction, base.predict(&img));
 
     // A zero budget is shed at the gateway as a typed 504 with no Retry-After.
-    match client.infer_with_options("vit:taylor", &img, None, Some(0)) {
+    match client.infer_detailed("vit:taylor", &img, &with_deadline(0)) {
         Err(err) => {
             assert_eq!(err.retry_after_secs(), None, "504s carry no Retry-After");
             match err {
@@ -255,8 +278,9 @@ fn deadlines_ride_the_protocol_end_to_end() {
     }
     // The connection survives the 504 (keep-alive framing intact).
     let reply = client
-        .infer_with_options("vit:taylor", &img, None, Some(10_000))
-        .expect("same connection serves");
+        .infer_detailed("vit:taylor", &img, &with_deadline(10_000))
+        .expect("same connection serves")
+        .reply;
     assert_eq!(reply.prediction, base.predict(&img));
 
     let metrics = gateway.metrics_json();
@@ -297,7 +321,7 @@ fn misrouted_models_surface_typed_errors_not_retry_storms() {
     .expect("boot gateway");
     let mut client = ServeClient::connect(gateway.local_addr()).expect("connect");
     let img = image(&cfg, 55);
-    match client.infer_with_tier("vit:taylor", &img, Some("latency")) {
+    match client.infer_detailed("vit:taylor", &img, &with_tier("latency")) {
         Err(ClientError::Server {
             status,
             code,
@@ -325,6 +349,70 @@ fn misrouted_models_surface_typed_errors_not_retry_storms() {
         Some(0)
     );
     drop(client);
+    gateway.shutdown();
+    engine.shutdown();
+}
+
+#[test]
+fn a_400_for_a_later_field_still_echoes_the_clients_request_id() {
+    let cfg = TrainConfig::tiny();
+    let base = VisionTransformer::new(
+        &mut StdRng::seed_from_u64(51),
+        cfg,
+        AttentionVariant::Taylor,
+    );
+    let engine = tiered_engine(&base);
+    let gateway =
+        Gateway::start(GatewayConfig::default(), &[engine.local_addr()]).expect("boot gateway");
+    let mut stream = std::net::TcpStream::connect(gateway.local_addr()).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    let mut reader = MessageReader::new();
+    // JSON: a good id, then a ragged image.
+    let json = br#"{"request_id": "cafe0001", "model": "vit:taylor", "image": [[1, 2], [3]]}"#;
+    // Binary: a well-formed 1x1 frame whose metadata has a good id and a bad tier.
+    let meta = br#"{"request_id": "cafe0002", "model": "vit:taylor", "tier": 3}"#;
+    let mut frame = b"VTLY\x01".to_vec();
+    frame.extend_from_slice(&(meta.len() as u32).to_le_bytes());
+    frame.extend_from_slice(meta);
+    frame.extend_from_slice(&1u32.to_le_bytes());
+    frame.extend_from_slice(&1u32.to_le_bytes());
+    frame.extend_from_slice(&0.5f32.to_le_bytes());
+    for (wire, content_type, id) in [
+        (&json[..], "application/json", "cafe0001"),
+        (&frame[..], BINARY_CONTENT_TYPE, "cafe0002"),
+    ] {
+        write_request_typed(&mut stream, "POST", "/v1/infer", wire, content_type)
+            .expect("write request");
+        let response = reader
+            .read_message(&mut stream, 1 << 20, &|| false)
+            .expect("read response")
+            .expect("response present");
+        assert_eq!(response.status_code().expect("status line"), 400, "{id}");
+        let body = serde::json::parse(std::str::from_utf8(&response.body).expect("utf-8 body"))
+            .expect("error responses are still JSON");
+        assert_eq!(
+            body.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(JsonValue::as_str),
+            Some("bad_request"),
+            "{id}"
+        );
+        assert_eq!(
+            body.get("request_id").and_then(JsonValue::as_str),
+            Some(id),
+            "the 400 must quote the id the client sent"
+        );
+    }
+    // Neither request was admitted, let alone routed.
+    let metrics = gateway.metrics_json();
+    assert_eq!(
+        metrics.get("requests").and_then(JsonValue::as_usize),
+        Some(0)
+    );
+    assert_eq!(metrics.get("failed").and_then(JsonValue::as_usize), Some(2));
+    drop(stream);
     gateway.shutdown();
     engine.shutdown();
 }

@@ -1,6 +1,5 @@
 //! A small blocking keep-alive client for the serving wire protocol, used by the
-//! examples, the integration tests, the cluster gateway's backend calls and the
-//! `bench_serve` load generator.
+//! examples, the integration tests and the cluster gateway's backend calls.
 
 use std::cell::Cell;
 use std::fmt;
@@ -107,8 +106,7 @@ impl From<io::Error> for ClientError {
 /// One keep-alive connection to a serving engine.
 ///
 /// Requests are strictly sequential per connection (send one, read its response);
-/// drive concurrency by opening one client per thread, which is exactly what the load
-/// generator does.
+/// drive concurrency by opening one client per thread.
 ///
 /// # Stale keep-alive connections
 ///
@@ -217,42 +215,12 @@ impl ServeClient {
         self.binary
     }
 
-    /// Runs one inference round trip against `POST /v1/infer`.
+    /// Runs one inference round trip against `POST /v1/infer` with no optional
+    /// request field set (see [`ServeClient::infer_detailed`] for tier, deadline,
+    /// request id and trace).
     pub fn infer(&mut self, model: &str, image: &Matrix) -> Result<InferReply, ClientError> {
-        self.infer_with_tier(model, image, None)
-    }
-
-    /// Runs one inference round trip carrying a routing-tier hint (`"latency"` /
-    /// `"accuracy"`) for a cluster gateway to resolve; an engine ignores the hint.
-    pub fn infer_with_tier(
-        &mut self,
-        model: &str,
-        image: &Matrix,
-        tier: Option<&str>,
-    ) -> Result<InferReply, ClientError> {
-        self.infer_with_options(model, image, tier, None)
-    }
-
-    /// Runs one inference round trip with every optional request field: the routing
-    /// tier and the remaining `deadline_ms` budget the callee may spend before the
-    /// caller stops waiting (an expired budget is answered with a typed 504).
-    pub fn infer_with_options(
-        &mut self,
-        model: &str,
-        image: &Matrix,
-        tier: Option<&str>,
-        deadline_ms: Option<u64>,
-    ) -> Result<InferReply, ClientError> {
-        self.infer_detailed(
-            model,
-            image,
-            &protocol::InferOptions {
-                tier,
-                deadline_ms,
-                ..protocol::InferOptions::default()
-            },
-        )
-        .map(|response| response.reply)
+        self.infer_detailed(model, image, &protocol::InferOptions::default())
+            .map(|response| response.reply)
     }
 
     /// Runs one inference round trip with the full [`InferOptions`] bundle and

@@ -104,7 +104,7 @@ impl FrontRequest<'_> {
     }
 }
 
-const LOOP_MODE_UNSTARTED: u8 = 0;
+// 0, the `Default`, is "unstarted".
 const LOOP_MODE_EVENT: u8 = 1;
 const LOOP_MODE_THREADED: u8 = 2;
 
@@ -140,7 +140,6 @@ impl LoopStats {
         match self.mode.load(Ordering::Relaxed) {
             LOOP_MODE_EVENT => "event",
             LOOP_MODE_THREADED => "threaded",
-            LOOP_MODE_UNSTARTED => "unstarted",
             _ => "unstarted",
         }
     }

@@ -733,6 +733,23 @@ pub fn write_request_typed(
     stream.flush()
 }
 
+/// `Content-Type` of the Prometheus text exposition format.
+pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
+
+/// Whether a raw query string selects the Prometheus text exposition
+/// (`?format=prometheus` as an exact key/value pair, position-independent).
+pub fn wants_prometheus(query: &str) -> bool {
+    query.split('&').any(|pair| pair == "format=prometheus")
+}
+
+/// Parses `limit=N` out of a raw query string (`None` when absent or malformed).
+pub fn query_limit(query: &str) -> Option<usize> {
+    query
+        .split('&')
+        .find_map(|pair| pair.strip_prefix("limit="))
+        .and_then(|raw| raw.parse().ok())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,6 +21,10 @@
 //! quote it when reporting a failure — and `"trace": true`, which asks the server
 //! to record per-stage spans for this request and embed them in the reply's
 //! `"trace"` field (how a gateway collects engine-side spans into its own tree).
+//!
+//! Both hops decode a request through [`InferEnvelope::decode`] — one pass over
+//! either encoding (JSON body or binary frame) yielding every field, or the typed
+//! error plus whatever `request_id` the client sent.
 
 use serde::json::JsonValue;
 
@@ -64,70 +68,133 @@ pub fn infer_request_json_opts(model: &str, image: &Matrix, opts: &InferOptions<
     body
 }
 
-/// Extracts the optional `"deadline_ms"` remaining-budget field from a request body.
-///
-/// Absent means `None` (no deadline: today's behaviour). Present but not a
-/// non-negative integer is a [`ServeError::BadRequest`]. A budget of `0` is valid —
-/// it means "already expired", and admission sheds it immediately with a 504.
-pub fn parse_infer_deadline_ms(body: &JsonValue) -> Result<Option<u64>, ServeError> {
-    match body.get("deadline_ms") {
-        None => Ok(None),
-        Some(value) => value.as_usize().map(|ms| Some(ms as u64)).ok_or_else(|| {
-            ServeError::BadRequest("\"deadline_ms\" must be a non-negative integer".into())
-        }),
-    }
-}
-
-/// Extracts the optional `"tier"` routing hint from a request body.
-///
-/// Absent means `None`; present but non-string is a [`ServeError::BadRequest`]. The
-/// *value* is not constrained here — which tier names exist and what variant each maps
-/// to is the gateway's routing policy, not a wire-protocol concern.
-pub fn parse_infer_tier(body: &JsonValue) -> Result<Option<String>, ServeError> {
-    match body.get("tier") {
-        None => Ok(None),
-        Some(value) => value
-            .as_str()
-            .map(|s| Some(s.to_string()))
-            .ok_or_else(|| ServeError::BadRequest("\"tier\" must be a string".into())),
-    }
-}
-
 /// Largest accepted `"request_id"` — long enough for any reasonable correlation
 /// scheme, short enough that ids cannot smuggle payloads into logs and traces.
 pub const MAX_REQUEST_ID_LEN: usize = 64;
 
-/// Extracts the optional `"request_id"` correlation id from a request body.
-///
-/// Absent means `None` (the handler generates one); present but non-string, empty,
-/// or longer than [`MAX_REQUEST_ID_LEN`] is a [`ServeError::BadRequest`].
-pub fn parse_infer_request_id(body: &JsonValue) -> Result<Option<String>, ServeError> {
-    match body.get("request_id") {
-        None => Ok(None),
-        Some(value) => {
-            let id = value
-                .as_str()
-                .ok_or_else(|| ServeError::BadRequest("\"request_id\" must be a string".into()))?;
-            if id.is_empty() || id.len() > MAX_REQUEST_ID_LEN {
-                return Err(ServeError::BadRequest(format!(
-                    "\"request_id\" must be 1..={MAX_REQUEST_ID_LEN} bytes"
-                )));
-            }
-            Ok(Some(id.to_string()))
+/// One decoded `POST /v1/infer` request — every field of the wire envelope, from
+/// either encoding. The engine and the gateway both decode through
+/// [`InferEnvelope::decode`], so the two hops validate a request identically.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InferEnvelope {
+    /// The client's correlation id; `None` lets this hop mint one.
+    pub request_id: Option<String>,
+    /// Whether the client asked for the span list back in the reply.
+    pub trace: bool,
+    /// The `name:variant` model key.
+    pub model: String,
+    /// The input image (every pixel finite).
+    pub image: Matrix,
+    /// The routing-tier hint, unvalidated: which tier names exist and what variant
+    /// each maps to is the gateway's routing policy, not a wire-protocol concern.
+    pub tier: Option<String>,
+    /// Remaining deadline budget in milliseconds. `0` is valid — "already expired",
+    /// shed at admission with a 504.
+    pub deadline_ms: Option<u64>,
+}
+
+/// Why a request body did not decode, and whose request it was.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EnvelopeError {
+    /// The typed failure (always a [`ServeError::BadRequest`]).
+    pub error: ServeError,
+    /// The client's `request_id`, whenever that field itself parsed — so a 400 for
+    /// any *other* field still echoes the id the client will quote.
+    pub request_id: Option<String>,
+}
+
+impl InferEnvelope {
+    /// Decodes a request body by its negotiated encoding — the binary image
+    /// encoding when `content_type` names [`BINARY_CONTENT_TYPE`], the JSON shape
+    /// otherwise. The body is parsed once and the image is built once.
+    pub fn decode(body: &[u8], content_type: Option<&str>) -> Result<Self, EnvelopeError> {
+        let anonymous = |error| EnvelopeError {
+            error,
+            request_id: None,
+        };
+        let binary = content_type
+            .and_then(|t| t.split(';').next())
+            .is_some_and(|t| t.trim().eq_ignore_ascii_case(BINARY_CONTENT_TYPE));
+        let (meta, binary_image) = if binary {
+            let (meta, image) = decode_binary_infer(body).map_err(anonymous)?;
+            (meta, Some(image))
+        } else {
+            let meta = std::str::from_utf8(body)
+                .map_err(|_| ServeError::BadRequest("body is not UTF-8".into()))
+                .and_then(|text| {
+                    serde::json::parse(text)
+                        .map_err(|e| ServeError::BadRequest(format!("invalid JSON: {e}")))
+                })
+                .map_err(anonymous)?;
+            (meta, None)
+        };
+        // The id is read first so that every later failure can carry it out.
+        let request_id = request_id_field(&meta).map_err(anonymous)?;
+        let rest = || -> Result<Self, ServeError> {
+            let trace = optional_field(&meta, "trace", "a boolean", JsonValue::as_bool)?;
+            let (model, image) = match binary_image {
+                // Binary path: the image arrived outside the metadata object.
+                Some(image) => (model_field(&meta)?, image),
+                None => parse_infer_request(&meta)?,
+            };
+            let tier = optional_field(&meta, "tier", "a string", JsonValue::as_str)?;
+            let deadline_ms = optional_field(
+                &meta,
+                "deadline_ms",
+                "a non-negative integer",
+                JsonValue::as_usize,
+            )?;
+            Ok(Self {
+                request_id: None,
+                trace: trace.unwrap_or(false),
+                model,
+                image,
+                tier: tier.map(str::to_string),
+                deadline_ms: deadline_ms.map(|ms| ms as u64),
+            })
+        };
+        match rest() {
+            Ok(envelope) => Ok(Self {
+                request_id,
+                ..envelope
+            }),
+            Err(error) => Err(EnvelopeError { error, request_id }),
         }
     }
 }
 
-/// Extracts the optional `"trace"` span-request flag from a request body.
-///
-/// Absent means `false`; present but non-boolean is a [`ServeError::BadRequest`].
-pub fn parse_infer_trace_flag(body: &JsonValue) -> Result<bool, ServeError> {
-    match body.get("trace") {
-        None => Ok(false),
-        Some(value) => value
-            .as_bool()
-            .ok_or_else(|| ServeError::BadRequest("\"trace\" must be a boolean".into())),
+/// An optional envelope field: absent is `None`, present but of the wrong type is
+/// a [`ServeError::BadRequest`] naming the field and the type it `must be`.
+fn optional_field<'a, T>(
+    meta: &'a JsonValue,
+    name: &str,
+    must_be: &str,
+    read: impl FnOnce(&'a JsonValue) -> Option<T>,
+) -> Result<Option<T>, ServeError> {
+    match meta.get(name) {
+        None => Ok(None),
+        Some(value) => read(value)
+            .map(Some)
+            .ok_or_else(|| ServeError::BadRequest(format!("\"{name}\" must be {must_be}"))),
     }
+}
+
+/// The optional `"request_id"`: a string of 1..=[`MAX_REQUEST_ID_LEN`] bytes.
+fn request_id_field(meta: &JsonValue) -> Result<Option<String>, ServeError> {
+    match optional_field(meta, "request_id", "a string", JsonValue::as_str)? {
+        Some(id) if id.is_empty() || id.len() > MAX_REQUEST_ID_LEN => Err(ServeError::BadRequest(
+            format!("\"request_id\" must be 1..={MAX_REQUEST_ID_LEN} bytes"),
+        )),
+        id => Ok(id.map(str::to_string)),
+    }
+}
+
+/// The required `"model"` key.
+fn model_field(meta: &JsonValue) -> Result<String, ServeError> {
+    meta.get("model")
+        .and_then(JsonValue::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| ServeError::BadRequest("missing string field \"model\"".into()))
 }
 
 /// Reads the `"request_id"` echo off any reply body (success or error).
@@ -145,11 +212,7 @@ pub fn parse_reply_trace(body: &JsonValue) -> Option<Vec<trace::Span>> {
 
 /// Parses a `POST /v1/infer` body into its model key and image.
 pub fn parse_infer_request(body: &JsonValue) -> Result<(String, Matrix), ServeError> {
-    let model = body
-        .get("model")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| ServeError::BadRequest("missing string field \"model\"".into()))?
-        .to_string();
+    let model = model_field(body)?;
     let rows = body
         .get("image")
         .and_then(JsonValue::as_array)
@@ -280,7 +343,7 @@ pub fn parse_error(body: &JsonValue) -> Option<(String, String)> {
 ///
 /// ```
 /// use vitality_serve::protocol::{
-///     decode_binary_infer, encode_binary_infer, parse_infer_request_id, BINARY_CONTENT_TYPE,
+///     decode_binary_infer, encode_binary_infer, InferEnvelope, BINARY_CONTENT_TYPE,
 /// };
 /// use vitality_serve::InferOptions;
 /// use vitality_tensor::Matrix;
@@ -293,12 +356,15 @@ pub fn parse_error(body: &JsonValue) -> Option<(String, String)> {
 /// assert!(wire.len() < 100, "4 pixels cost 16 bytes, not 4 decimal strings");
 /// assert_eq!(BINARY_CONTENT_TYPE, "application/x-vitality-infer");
 ///
-/// // Server side: metadata comes back as the same JSON object the JSON path
-/// // parses (request_id, tier, deadline_ms, trace), the image bit-exactly.
+/// // Server side: the frame splits into the metadata object (the JSON request
+/// // minus "image") and the image, bit-exactly ...
 /// let (meta, decoded) = decode_binary_infer(&wire).unwrap();
 /// assert_eq!(meta.get("model").and_then(|m| m.as_str()), Some("demo:taylor"));
-/// assert_eq!(parse_infer_request_id(&meta).unwrap().as_deref(), Some("cafe0001"));
 /// assert_eq!(decoded, image);
+/// // ... which is the first step of the one decode both servers run.
+/// let envelope = InferEnvelope::decode(&wire, Some(BINARY_CONTENT_TYPE)).unwrap();
+/// assert_eq!(envelope.request_id.as_deref(), Some("cafe0001"));
+/// assert_eq!((envelope.model.as_str(), &envelope.image), ("demo:taylor", &image));
 /// ```
 pub const BINARY_CONTENT_TYPE: &str = "application/x-vitality-infer";
 
@@ -339,8 +405,8 @@ pub fn encode_binary_infer(model: &str, image: &Matrix, opts: &InferOptions<'_>)
 }
 
 /// Decodes a binary-encoded `POST /v1/infer` body into its metadata object (the
-/// request minus `"image"`, same shape the JSON field parsers accept) and the
-/// image matrix. Every structural violation is a typed
+/// request minus `"image"`) and the image matrix — the framing half of
+/// [`InferEnvelope::decode`]. Every structural violation is a typed
 /// [`ServeError::BadRequest`] — truncated frames, bad magic, unknown versions,
 /// zero or overflowing dimensions, and non-finite pixels (which would poison a
 /// whole batch with NaN logits, exactly like the JSON path's finiteness check).
@@ -452,121 +518,189 @@ mod tests {
     }
 
     #[test]
-    fn tier_hints_parse_and_round_trip() {
+    fn envelopes_round_trip_through_both_encodings() {
         let image = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let body = infer_request_json_opts(
-            "m:taylor",
-            &image,
-            &InferOptions {
-                tier: Some("latency"),
-                ..InferOptions::default()
-            },
-        );
-        let parsed = serde::json::parse(&body.to_json()).unwrap();
-        assert_eq!(parse_infer_tier(&parsed).unwrap(), Some("latency".into()));
-        // The engine-side request parse is oblivious to the hint.
-        let (model, back) = parse_infer_request(&parsed).unwrap();
-        assert_eq!(model, "m:taylor");
-        assert_eq!(back, image);
-        // Absent tier is None; a non-string tier is a typed 400.
-        let plain = serde::json::parse(
-            &infer_request_json_opts("m:taylor", &image, &InferOptions::default()).to_json(),
-        )
-        .unwrap();
-        assert_eq!(parse_infer_tier(&plain).unwrap(), None);
-        let bad = serde::json::parse(r#"{"model": "m", "tier": 3}"#).unwrap();
-        assert!(matches!(
-            parse_infer_tier(&bad),
-            Err(ServeError::BadRequest(_))
-        ));
-    }
-
-    #[test]
-    fn deadline_budgets_parse_and_round_trip() {
-        let image = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let body = infer_request_json_opts(
-            "m:taylor",
-            &image,
-            &InferOptions {
-                tier: Some("accuracy"),
-                deadline_ms: Some(250),
-                ..InferOptions::default()
-            },
-        );
-        let parsed = serde::json::parse(&body.to_json()).unwrap();
-        assert_eq!(parse_infer_deadline_ms(&parsed).unwrap(), Some(250));
-        assert_eq!(parse_infer_tier(&parsed).unwrap(), Some("accuracy".into()));
-        // Absent deadline is None, zero is valid ("already expired"), junk is a 400.
-        let plain = serde::json::parse(
-            &infer_request_json_opts("m:taylor", &image, &InferOptions::default()).to_json(),
-        )
-        .unwrap();
-        assert_eq!(parse_infer_deadline_ms(&plain).unwrap(), None);
-        let zero = serde::json::parse(r#"{"model": "m", "deadline_ms": 0}"#).unwrap();
-        assert_eq!(parse_infer_deadline_ms(&zero).unwrap(), Some(0));
-        for junk in [
-            r#"{"deadline_ms": "soon"}"#,
-            r#"{"deadline_ms": -5}"#,
-            r#"{"deadline_ms": 1.5}"#,
-        ] {
-            let bad = serde::json::parse(junk).unwrap();
-            assert!(
-                matches!(
-                    parse_infer_deadline_ms(&bad),
-                    Err(ServeError::BadRequest(_))
-                ),
-                "{junk}"
-            );
+        let full = InferOptions {
+            tier: Some("latency"),
+            deadline_ms: Some(250),
+            request_id: Some("deadbeefcafef00d"),
+            trace: true,
+        };
+        for opts in [full, InferOptions::default()] {
+            let want = InferEnvelope {
+                request_id: opts.request_id.map(str::to_string),
+                trace: opts.trace,
+                model: "m:taylor".into(),
+                image: image.clone(),
+                tier: opts.tier.map(str::to_string),
+                deadline_ms: opts.deadline_ms,
+            };
+            let json = infer_request_json_opts("m:taylor", &image, &opts).to_json();
+            // A missing or foreign content type selects the JSON shape; parameters
+            // and case on the binary one are ignored.
+            for content_type in [None, Some("application/json")] {
+                assert_eq!(
+                    InferEnvelope::decode(json.as_bytes(), content_type).as_ref(),
+                    Ok(&want)
+                );
+            }
+            let wire = encode_binary_infer("m:taylor", &image, &opts);
+            for content_type in [BINARY_CONTENT_TYPE, "Application/X-Vitality-Infer; v=1"] {
+                assert_eq!(
+                    InferEnvelope::decode(&wire, Some(content_type)).as_ref(),
+                    Ok(&want)
+                );
+            }
         }
-    }
-
-    #[test]
-    fn request_ids_and_trace_flags_parse_and_round_trip() {
-        let image = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let body = infer_request_json_opts(
-            "m:taylor",
-            &image,
-            &InferOptions {
-                tier: Some("latency"),
-                deadline_ms: Some(100),
-                request_id: Some("deadbeefcafef00d"),
-                trace: true,
-            },
-        );
-        let parsed = serde::json::parse(&body.to_json()).unwrap();
+        // A zero budget is valid ("already expired"), not malformed.
+        let zero = br#"{"model": "m", "image": [[1]], "deadline_ms": 0}"#;
         assert_eq!(
-            parse_infer_request_id(&parsed).unwrap().as_deref(),
-            Some("deadbeefcafef00d")
+            InferEnvelope::decode(zero, None).unwrap().deadline_ms,
+            Some(0)
         );
-        assert!(parse_infer_trace_flag(&parsed).unwrap());
-        // The engine-side request parse stays oblivious to both fields.
-        let (model, back) = parse_infer_request(&parsed).unwrap();
-        assert_eq!(model, "m:taylor");
-        assert_eq!(back, image);
-        // Absent fields have inert defaults.
-        let plain = serde::json::parse(
-            &infer_request_json_opts("m", &image, &InferOptions::default()).to_json(),
-        )
-        .unwrap();
-        assert_eq!(parse_infer_request_id(&plain).unwrap(), None);
-        assert!(!parse_infer_trace_flag(&plain).unwrap());
-        // Typed 400s: non-string, empty, oversized ids; non-boolean trace.
-        for junk in [
-            r#"{"request_id": 7}"#,
-            r#"{"request_id": ""}"#,
-            &format!(r#"{{"request_id": "{}"}}"#, "x".repeat(65)),
+    }
+
+    /// A binary frame assembled by hand: `meta` is the inside of the metadata
+    /// object, the pixel section is whatever the case wants it to be.
+    fn binary_frame(meta: &str, rows: u32, cols: u32, pixels: &[f32]) -> Vec<u8> {
+        let meta = format!("{{{meta}}}");
+        let mut wire = b"VTLY\x01".to_vec();
+        wire.extend_from_slice(&(meta.len() as u32).to_le_bytes());
+        wire.extend_from_slice(meta.as_bytes());
+        wire.extend_from_slice(&rows.to_le_bytes());
+        wire.extend_from_slice(&cols.to_le_bytes());
+        for pixel in pixels {
+            wire.extend_from_slice(&pixel.to_le_bytes());
+        }
+        wire
+    }
+
+    #[test]
+    fn malformed_envelopes_keep_their_error_text_and_carry_the_request_id_out() {
+        const ID: &str = "cafe0001";
+        const GOOD: [f32; 4] = [1.0, 2.0, 3.0, 4.0];
+        /// A request on the wire, the exact error text it must fail with, and the
+        /// id that failure must carry out.
+        struct Case {
+            what: String,
+            wire: Vec<u8>,
+            binary: bool,
+            message: String,
+            id: Option<&'static str>,
+        }
+        let json = |meta: &str, image: &str| format!("{{{meta}, \"image\": {image}}}").into_bytes();
+        let mut cases: Vec<Case> = Vec::new();
+
+        // Malformed optional fields live in the metadata, so both encodings see the
+        // same text. A bad `request_id` cannot be echoed; everything read after a
+        // good one is.
+        let with_id = |rest: &str| format!(r#""request_id": "{ID}", "model": "m", {rest}"#);
+        let id_len = format!("\"request_id\" must be 1..={MAX_REQUEST_ID_LEN} bytes");
+        let deadline = "\"deadline_ms\" must be a non-negative integer";
+        for (meta, message, id) in [
+            (
+                r#""request_id": 7, "model": "m""#.to_string(),
+                "\"request_id\" must be a string",
+                None,
+            ),
+            (
+                r#""request_id": "", "model": "m""#.to_string(),
+                id_len.as_str(),
+                None,
+            ),
+            (
+                format!(r#""request_id": "{}", "model": "m""#, "x".repeat(65)),
+                id_len.as_str(),
+                None,
+            ),
+            (
+                with_id(r#""trace": "yes""#),
+                "\"trace\" must be a boolean",
+                Some(ID),
+            ),
+            (
+                with_id(r#""tier": 3"#),
+                "\"tier\" must be a string",
+                Some(ID),
+            ),
+            (with_id(r#""deadline_ms": -5"#), deadline, Some(ID)),
+            (with_id(r#""deadline_ms": 1.5"#), deadline, Some(ID)),
+            (with_id(r#""deadline_ms": "soon""#), deadline, Some(ID)),
+            // Malformed required field, shared: no model key.
+            (
+                format!(r#""request_id": "{ID}""#),
+                "missing string field \"model\"",
+                Some(ID),
+            ),
         ] {
-            let bad = serde::json::parse(junk).unwrap();
-            assert!(
-                matches!(parse_infer_request_id(&bad), Err(ServeError::BadRequest(_))),
-                "{junk}"
+            for binary in [false, true] {
+                cases.push(Case {
+                    what: meta.clone(),
+                    wire: if binary {
+                        binary_frame(&meta, 2, 2, &GOOD)
+                    } else {
+                        json(&meta, "[[1, 2], [3, 4]]")
+                    },
+                    binary,
+                    message: message.to_string(),
+                    id,
+                });
+            }
+        }
+
+        // Malformed images. In JSON the image is one more field, read after the id;
+        // in a binary frame it is framing, which fails before any metadata is read.
+        let meta = format!(r#""request_id": "{ID}", "model": "m""#);
+        let ragged = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0]]).unwrap_err();
+        for (image, message) in [
+            ("[[1, 2], [3]]", format!("ragged image: {ragged}")),
+            ("[]", "\"image\" must be non-empty".to_string()),
+            ("[[1e39]]", "image[0][0] is not finite in f32".to_string()),
+        ] {
+            cases.push(Case {
+                what: format!("image {image}"),
+                wire: json(&meta, image),
+                binary: false,
+                message,
+                id: Some(ID),
+            });
+        }
+        let good = binary_frame(&meta, 2, 2, &GOOD);
+        for (what, wire, message) in [
+            ("truncated", good[..good.len() - 1].to_vec(), "truncated"),
+            (
+                "empty",
+                binary_frame(&meta, 0, 0, &[]),
+                "image dimensions must be positive",
+            ),
+            (
+                "non-finite",
+                binary_frame(&meta, 2, 2, &[1.0, f32::NAN, 3.0, 4.0]),
+                "non-finite pixel",
+            ),
+        ] {
+            cases.push(Case {
+                what: format!("image {what}"),
+                wire,
+                binary: true,
+                message: format!("binary infer body: {message}"),
+                id: None,
+            });
+        }
+
+        for case in cases {
+            let content_type = case.binary.then_some(BINARY_CONTENT_TYPE);
+            assert_eq!(
+                InferEnvelope::decode(&case.wire, content_type),
+                Err(EnvelopeError {
+                    error: ServeError::BadRequest(case.message),
+                    request_id: case.id.map(str::to_string),
+                }),
+                "{} ({})",
+                case.what,
+                if case.binary { "binary" } else { "json" }
             );
         }
-        let bad = serde::json::parse(r#"{"trace": "yes"}"#).unwrap();
-        assert!(matches!(
-            parse_infer_trace_flag(&bad),
-            Err(ServeError::BadRequest(_))
-        ));
     }
 
     #[test]
@@ -620,17 +754,13 @@ mod tests {
         );
         let (meta, back) = decode_binary_infer(&wire).unwrap();
         assert_eq!(back, image, "pixels survive bit-exactly");
-        assert_eq!(
-            meta.get("model").and_then(JsonValue::as_str),
-            Some("m:taylor")
-        );
-        assert_eq!(parse_infer_tier(&meta).unwrap().as_deref(), Some("latency"));
-        assert_eq!(parse_infer_deadline_ms(&meta).unwrap(), Some(250));
-        assert_eq!(
-            parse_infer_request_id(&meta).unwrap().as_deref(),
-            Some("feedface")
-        );
-        assert!(parse_infer_trace_flag(&meta).unwrap());
+        let mut want = JsonValue::object();
+        want.set("model", "m:taylor")
+            .set("tier", "latency")
+            .set("deadline_ms", 250usize)
+            .set("request_id", "feedface")
+            .set("trace", true);
+        assert_eq!(meta, want, "the metadata is the request minus the image");
         // And it genuinely beats JSON on the wire for the payload that matters:
         // at realistic image sizes the decimal-text pixels dominate.
         let big = Matrix::from_vec(32, 32, (0..1024).map(|i| i as f32 * 0.37).collect()).unwrap();

@@ -12,9 +12,11 @@ use serde::json::JsonValue;
 use crate::batcher::{BatchPolicy, Batcher, PendingRequest, RequestDeadline, Responder};
 use crate::error::ServeError;
 use crate::event_loop::{Completion, EventFront, FrontConfig, FrontRequest, LoopStats};
-use crate::http::{RouteResponse, WriteReport};
+use crate::http::{
+    query_limit, wants_prometheus, RouteResponse, WriteReport, PROMETHEUS_CONTENT_TYPE,
+};
 use crate::metrics::{Metrics, VariantStats};
-use crate::protocol;
+use crate::protocol::{self, InferEnvelope};
 use crate::registry::ModelRegistry;
 use crate::worker::WorkerPool;
 use vitality_tensor::Matrix;
@@ -34,11 +36,6 @@ pub struct ServerConfig {
     /// The event loop's poll timeout (doubles as the shutdown poll interval; on the
     /// threaded fallback it is the socket read timeout serving the same role).
     pub poll_interval: Duration,
-    /// Retained for configuration compatibility. The blocking front used this as
-    /// the per-request wait on the worker's reply channel; the event front needs
-    /// no timed wait — a worker that dies answers every riding request with a
-    /// typed 500 through its responder's drop guard instead.
-    pub reply_timeout: Duration,
     /// Per-connection cap on dispatched-but-unanswered pipelined requests; reading
     /// pauses at the cap so a fast pipeliner is backpressured through the kernel
     /// socket buffer instead of growing server-side queues without bound.
@@ -56,7 +53,6 @@ impl Default for ServerConfig {
             policy: BatchPolicy::default(),
             max_body_bytes: 16 * 1024 * 1024,
             poll_interval: Duration::from_millis(50),
-            reply_timeout: Duration::from_secs(60),
             max_pipeline: 64,
             trace: trace::TraceConfig::default(),
         }
@@ -210,23 +206,6 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// Whether a raw query string selects the Prometheus text exposition
-/// (`?format=prometheus` as an exact key/value pair, position-independent).
-fn wants_prometheus(query: &str) -> bool {
-    query.split('&').any(|pair| pair == "format=prometheus")
-}
-
-/// Parses `limit=N` out of a raw query string (`None` when absent or malformed).
-fn query_limit(query: &str) -> Option<usize> {
-    query
-        .split('&')
-        .find_map(|pair| pair.strip_prefix("limit="))
-        .and_then(|raw| raw.parse().ok())
-}
-
-/// `Content-Type` of the Prometheus text exposition format.
-const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
-
 fn route(request: &FrontRequest<'_>, completion: Completion, shared: &Arc<Shared>) {
     let Ok((method, target)) = request.request_parts() else {
         return completion.complete(error_response(&ServeError::BadRequest(
@@ -358,59 +337,36 @@ fn infer_error(
     response
 }
 
-/// Decodes the request body by its negotiated encoding: the JSON shape, or the
-/// binary image encoding (selected by `Content-Type`, see
-/// [`protocol::BINARY_CONTENT_TYPE`]). Returns the metadata object the field
-/// parsers read, plus the already-decoded image on the binary path.
-fn decode_infer_body(
-    request: &FrontRequest<'_>,
-) -> Result<(JsonValue, Option<Matrix>), ServeError> {
-    let content_type = request.header("content-type").unwrap_or("");
-    if content_type
-        .split(';')
-        .next()
-        .is_some_and(|t| t.trim().eq_ignore_ascii_case(protocol::BINARY_CONTENT_TYPE))
-    {
-        let (meta, image) = protocol::decode_binary_infer(request.body)?;
-        return Ok((meta, Some(image)));
-    }
-    let parsed = std::str::from_utf8(request.body)
-        .map_err(|_| ServeError::BadRequest("body is not UTF-8".into()))
-        .and_then(|text| {
-            serde::json::parse(text)
-                .map_err(|e| ServeError::BadRequest(format!("invalid JSON: {e}")))
-        })?;
-    Ok((parsed, None))
-}
-
 fn handle_infer(request: &FrontRequest<'_>, completion: Completion, shared: &Arc<Shared>) {
-    // The origin for every span offset: work before the body parses (UTF-8 check,
-    // JSON or binary decode) is attributed to the `parse` span retroactively.
+    // The origin for every span offset: decoding the body (UTF-8 check, JSON or
+    // binary decode, field validation) is attributed to the `parse` span
+    // retroactively.
     let received = Instant::now();
-    let (parsed, binary_image) = match decode_infer_body(request) {
-        Ok(decoded) => decoded,
-        // No usable body, so no client id: generate one so even this failure is
-        // quotable from the error body.
-        Err(err) => {
-            return completion.complete(infer_error(shared, &err, &trace::new_request_id(), None))
+    let envelope = match InferEnvelope::decode(request.body, request.header("content-type")) {
+        Ok(envelope) => envelope,
+        // Echo the client's id whenever it parsed; otherwise generate one so even
+        // this failure is quotable from the error body.
+        Err(failed) => {
+            let request_id = failed.request_id.unwrap_or_else(trace::new_request_id);
+            return completion.complete(infer_error(shared, &failed.error, &request_id, None));
         }
     };
-    let request_id = match protocol::parse_infer_request_id(&parsed) {
-        Ok(id) => id.unwrap_or_else(trace::new_request_id),
-        Err(err) => {
-            return completion.complete(infer_error(shared, &err, &trace::new_request_id(), None))
-        }
-    };
+    let InferEnvelope {
+        request_id,
+        trace: want_trace,
+        model,
+        image,
+        deadline_ms,
+        // A routing hint for the gateway; an engine serves exact keys.
+        tier: _,
+    } = envelope;
+    let request_id = request_id.unwrap_or_else(trace::new_request_id);
     let _log_scope = trace::request_scope(&request_id);
-    let want_trace = match protocol::parse_infer_trace_flag(&parsed) {
-        Ok(flag) => flag,
-        Err(err) => return completion.complete(infer_error(shared, &err, &request_id, None)),
-    };
     // `"trace": true` forces span recording even when sampling is off — that is how
     // a gateway collects engine spans; retention in this engine's own ring is still
     // the tracer's sampling decision.
     let handle = shared.tracer.begin(&request_id, received, want_trace);
-    match admit_infer(&parsed, binary_image, shared, received, &handle) {
+    match admit_infer(&model, image, deadline_ms, shared, received, &handle) {
         Ok(admitted) => submit_infer(admitted, shared, completion, request_id, want_trace, handle),
         Err(err) => completion.complete(infer_error(shared, &err, &request_id, handle)),
     }
@@ -428,26 +384,15 @@ struct AdmittedInfer {
 /// the image shape, shed already-expired deadlines. Everything after admission is
 /// answered through the request's responder.
 fn admit_infer(
-    parsed: &JsonValue,
-    binary_image: Option<Matrix>,
+    model_key: &str,
+    image: Matrix,
+    deadline_ms: Option<u64>,
     shared: &Arc<Shared>,
     received: Instant,
     handle: &trace::TraceHandle,
 ) -> Result<AdmittedInfer, ServeError> {
-    let (model_key, image) = match binary_image {
-        // Binary path: the image arrived outside the metadata object.
-        Some(image) => {
-            let model = parsed
-                .get("model")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| ServeError::BadRequest("missing string field \"model\"".into()))?
-                .to_string();
-            (model, image)
-        }
-        None => protocol::parse_infer_request(parsed)?,
-    };
-    let deadline = protocol::parse_infer_deadline_ms(parsed)?.map(RequestDeadline::from_budget_ms);
-    let entry = shared.registry.get(&model_key)?;
+    let deadline = deadline_ms.map(RequestDeadline::from_budget_ms);
+    let entry = shared.registry.get(model_key)?;
     let expected = entry.config().image_size;
     if image.shape() != (expected, expected) {
         return Err(ServeError::BadRequest(format!(

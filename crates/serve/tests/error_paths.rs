@@ -1,5 +1,6 @@
 //! Error-path and int8-observability tests of the serving engine: typed 404s for
-//! unregistered variants, 400s for malformed bodies, and the `/metrics` per-variant
+//! unregistered variants, 400s for malformed bodies (echoing the client's
+//! `request_id` whenever it parsed), and the `/metrics` per-variant
 //! block appearing for the int8 kernel with zero serving-layer changes — the
 //! registry/metrics half of the `AttentionKernel` plug-point contract.
 
@@ -8,7 +9,8 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::json::JsonValue;
-use vitality_serve::http::{write_request, MessageReader};
+use vitality_serve::http::{write_request_typed, MessageReader};
+use vitality_serve::protocol::BINARY_CONTENT_TYPE;
 use vitality_serve::{BatchPolicy, ClientError, ModelRegistry, ServeClient, Server, ServerConfig};
 use vitality_tensor::{init, Matrix};
 use vitality_vit::{AttentionVariant, Int8Calibration, TrainConfig, VisionTransformer};
@@ -91,6 +93,30 @@ fn unregistered_variant_keys_return_a_typed_404_not_a_hang_or_500() {
     server.shutdown();
 }
 
+/// One raw `POST /v1/infer` on a keep-alive connection: `(status, body)`.
+fn post(
+    stream: &mut std::net::TcpStream,
+    reader: &mut MessageReader,
+    body: &[u8],
+    content_type: &str,
+) -> (u16, JsonValue) {
+    write_request_typed(stream, "POST", "/v1/infer", body, content_type).expect("write request");
+    let response = reader
+        .read_message(stream, 1 << 20, &|| false)
+        .expect("read response")
+        .expect("response present");
+    let status = response.status_code().expect("status line");
+    let body = serde::json::parse(std::str::from_utf8(&response.body).expect("utf-8 body"))
+        .expect("error responses are still JSON");
+    (status, body)
+}
+
+fn error_code(body: &JsonValue) -> Option<&str> {
+    body.get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(JsonValue::as_str)
+}
+
 #[test]
 fn malformed_json_bodies_return_400_and_keep_the_connection_alive() {
     let (server, _direct, _cfg) = boot();
@@ -99,23 +125,6 @@ fn malformed_json_bodies_return_400_and_keep_the_connection_alive() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("set timeout");
     let mut reader = MessageReader::new();
-    let mut roundtrip = |body: &[u8]| -> (u16, JsonValue) {
-        write_request(&mut stream, "POST", "/v1/infer", body).expect("write request");
-        let response = reader
-            .read_message(&mut stream, 1 << 20, &|| false)
-            .expect("read response")
-            .expect("response present");
-        let status = response.status_code().expect("status line");
-        let body = serde::json::parse(std::str::from_utf8(&response.body).expect("utf-8 body"))
-            .expect("error responses are still JSON");
-        (status, body)
-    };
-    let error_code = |body: &JsonValue| {
-        body.get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-    };
     // Truncated JSON, non-JSON noise, valid JSON of the wrong shape, non-UTF-8 bytes:
     // every one is a client error, never a 500 and never a dropped connection.
     for bad in [
@@ -124,12 +133,46 @@ fn malformed_json_bodies_return_400_and_keep_the_connection_alive() {
         b"[1, 2, 3]",
         b"\xff\xfe{}",
     ] {
-        let (status, body) = roundtrip(bad);
+        let (status, body) = post(&mut stream, &mut reader, bad, "application/json");
         assert_eq!(status, 400, "body {bad:?} must answer 400");
         assert_eq!(
-            error_code(&body).as_deref(),
+            error_code(&body),
             Some("bad_request"),
             "body {bad:?} must carry the typed code"
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_400_for_a_later_field_still_echoes_the_clients_request_id() {
+    let (server, _direct, _cfg) = boot();
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    let mut reader = MessageReader::new();
+    // JSON: a good id, then a ragged image.
+    let json = br#"{"request_id": "cafe0001", "model": "vit:taylor", "image": [[1, 2], [3]]}"#;
+    // Binary: a well-formed 1x1 frame whose metadata has a good id and a bad tier.
+    let meta = br#"{"request_id": "cafe0002", "model": "vit:taylor", "tier": 3}"#;
+    let mut frame = b"VTLY\x01".to_vec();
+    frame.extend_from_slice(&(meta.len() as u32).to_le_bytes());
+    frame.extend_from_slice(meta);
+    frame.extend_from_slice(&1u32.to_le_bytes());
+    frame.extend_from_slice(&1u32.to_le_bytes());
+    frame.extend_from_slice(&0.5f32.to_le_bytes());
+    for (wire, content_type, id) in [
+        (&json[..], "application/json", "cafe0001"),
+        (&frame[..], BINARY_CONTENT_TYPE, "cafe0002"),
+    ] {
+        let (status, body) = post(&mut stream, &mut reader, wire, content_type);
+        assert_eq!(status, 400, "{id}");
+        assert_eq!(error_code(&body), Some("bad_request"), "{id}");
+        assert_eq!(
+            body.get("request_id").and_then(JsonValue::as_str),
+            Some(id),
+            "the 400 must quote the id the client sent"
         );
     }
     server.shutdown();

@@ -2,6 +2,7 @@
 //! inference, the health/metrics endpoints, typed error responses and graceful
 //! shutdown under concurrent clients.
 
+use std::sync::Barrier;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -9,7 +10,11 @@ use rand::SeedableRng;
 use serde::json::JsonValue;
 use vitality_serve::{BatchPolicy, ClientError, ModelRegistry, ServeClient, Server, ServerConfig};
 use vitality_tensor::{init, Matrix};
-use vitality_vit::{AttentionVariant, TrainConfig, VisionTransformer};
+use vitality_vit::{AttentionVariant, Int8Calibration, TrainConfig, VisionTransformer};
+
+const INT8: AttentionVariant = AttentionVariant::Int8Taylor {
+    calibration: Int8Calibration::Dynamic,
+};
 
 fn boot(policy: BatchPolicy) -> (Server, VisionTransformer, TrainConfig) {
     let cfg = TrainConfig::tiny();
@@ -19,10 +24,13 @@ fn boot(policy: BatchPolicy) -> (Server, VisionTransformer, TrainConfig) {
     softmax.set_variant(AttentionVariant::Softmax);
     let mut unified = model.clone();
     unified.set_variant(AttentionVariant::Unified { threshold: 0.5 });
+    let mut int8 = model.clone();
+    int8.set_variant(INT8);
     let mut registry = ModelRegistry::new();
     registry.register("vit", model.clone()).unwrap();
     registry.register("vit", softmax).unwrap();
     registry.register("vit", unified).unwrap();
+    registry.register("vit", int8).unwrap();
     let server = Server::start(
         ServerConfig {
             policy,
@@ -84,33 +92,40 @@ fn concurrent_clients_get_exact_direct_inference_results() {
 }
 
 #[test]
-fn all_three_variants_serve_and_disagree() {
+fn all_four_variants_serve_and_disagree() {
     let (server, model, cfg) = boot(BatchPolicy::default());
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
     let img = image(&cfg, 7);
-    let taylor = client.infer("vit:taylor", &img).expect("taylor");
-    let softmax = client.infer("vit:softmax", &img).expect("softmax");
-    let unified = client.infer("vit:unified", &img).expect("unified");
-    assert_eq!(taylor.logits, model.infer(&img).logits.row(0).to_vec());
-    assert_ne!(
-        taylor.logits, softmax.logits,
-        "the variants share weights but not outputs"
-    );
-    assert_ne!(unified.logits, taylor.logits);
-    // The unified serving path must equal direct inference with the unified variant.
-    let mut direct = model.clone();
-    direct.set_variant(AttentionVariant::Unified { threshold: 0.5 });
-    assert_eq!(
-        unified.logits,
-        direct.infer(&img).logits.row(0).to_vec(),
-        "served unified logits must equal direct inference bit-for-bit"
-    );
+    // Every served variant answers with its own direct inference, bit for bit, and
+    // no two variants answer alike (they share weights but not outputs).
+    let mut served: Vec<Vec<f32>> = Vec::new();
+    for (label, variant) in [
+        ("taylor", AttentionVariant::Taylor),
+        ("softmax", AttentionVariant::Softmax),
+        ("unified", AttentionVariant::Unified { threshold: 0.5 }),
+        ("int8", INT8),
+    ] {
+        let reply = client.infer(&format!("vit:{label}"), &img).expect(label);
+        let mut direct = model.clone();
+        direct.set_variant(variant);
+        assert_eq!(
+            reply.logits,
+            direct.infer(&img).logits.row(0).to_vec(),
+            "served {label} logits must equal direct inference bit-for-bit"
+        );
+        assert!(
+            !served.contains(&reply.logits),
+            "{label} must not answer like another variant"
+        );
+        served.push(reply.logits);
+    }
 
-    // Per-variant counters are observable on /metrics.
+    // Per-variant counters and stage histograms are observable on /metrics: one
+    // request each, seen once by every stage it passed through.
     let (status, metrics) = client.get("/metrics").expect("metrics");
     assert_eq!(status, 200);
     let variants = metrics.get("variants").expect("variants block");
-    for label in ["taylor", "softmax", "unified"] {
+    for label in ["taylor", "softmax", "unified", "int8"] {
         let block = variants
             .get(label)
             .unwrap_or_else(|| panic!("missing /metrics variants.{label}"));
@@ -119,9 +134,69 @@ fn all_three_variants_serve_and_disagree() {
             Some(1),
             "variant {label} request count"
         );
+        for stage in ["queue_wait", "compute", "write"] {
+            assert_eq!(
+                block
+                    .get("stages")
+                    .and_then(|s| s.get(stage))
+                    .and_then(|s| s.get("count"))
+                    .and_then(JsonValue::as_usize),
+                Some(1),
+                "variants.{label}.stages.{stage}.count"
+            );
+        }
     }
     drop(client);
     server.shutdown();
+}
+
+#[test]
+fn concurrent_requests_coalesce_into_batches() {
+    // Every client connects first, then a barrier releases all the requests into
+    // one 20 ms head-deadline window: the batcher must form a batch larger than
+    // one, and the riders must see it in their replies.
+    let clients = 8;
+    let (server, model, cfg) = boot(BatchPolicy {
+        max_batch: clients,
+        max_delay: Duration::from_millis(20),
+        queue_capacity: 64,
+    });
+    let addr = server.local_addr();
+    let release = Barrier::new(clients);
+    let batch_sizes: Vec<usize> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                let (model, cfg, release) = (&model, &cfg, &release);
+                scope.spawn(move || {
+                    let mut client = ServeClient::connect(addr).expect("connect");
+                    let img = image(cfg, 2000 + c as u64);
+                    release.wait();
+                    let reply = client.infer("vit:taylor", &img).expect("inference");
+                    assert_eq!(
+                        reply.logits,
+                        model.infer(&img).logits.row(0).to_vec(),
+                        "riding in a batch must not change the answer"
+                    );
+                    reply.batch_size
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    let metrics = server.metrics();
+    server.shutdown();
+    assert!(
+        metrics.max_batch() > 1,
+        "no batch larger than 1 formed: replies saw {batch_sizes:?}"
+    );
+    assert_eq!(
+        batch_sizes.iter().max(),
+        Some(&metrics.max_batch()),
+        "the largest batch is reported to the requests that rode in it"
+    );
 }
 
 #[test]
@@ -139,7 +214,10 @@ fn health_and_metrics_endpoints_report_state() {
         .iter()
         .filter_map(JsonValue::as_str)
         .collect();
-    assert_eq!(models, vec!["vit:softmax", "vit:taylor", "vit:unified"]);
+    assert_eq!(
+        models,
+        vec!["vit:int8", "vit:softmax", "vit:taylor", "vit:unified"]
+    );
     // The load signal a cluster gateway ranks engines by: both numbers are present
     // and zero on an idle server.
     assert_eq!(

@@ -20,6 +20,11 @@
 //!   The default wherever [`crate::simd::simd_available`] holds; elsewhere every call
 //!   transparently degrades to the scalar blocked path.
 //!
+//! Three tiers, each with a job no other does: `Naive` is the differential reference
+//! every other product is tested against; `Blocked` is the production path on every
+//! host without AVX2+FMA and under `--cfg force_scalar` (and what an `Avx2` request
+//! degrades to there); `Avx2` is the production path everywhere else.
+//!
 //! All backends serve all three access patterns the attention kernels need — `A·B`,
 //! `A·Bᵀ` ([`Matrix::matmul_transpose_b`](crate::Matrix::matmul_transpose_b)) and `Aᵀ·B`
 //! ([`Matrix::transpose_matmul`](crate::Matrix::transpose_matmul)) — by packing through a

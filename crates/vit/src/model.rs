@@ -553,8 +553,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(240);
         let served = VisionTransformer::new(&mut rng, vit196(), AttentionVariant::Taylor);
         let hires = VisionTransformer::new(&mut rng, vit1024(), AttentionVariant::Taylor);
-        // Every batch the engine is run with (`max_batch` is 16 by default, 32 in the
-        // bench bins) stays sequential...
+        // Every batch the engine is run with (`max_batch` is 16 by default; 32 is
+        // headroom) stays sequential...
         for images in [0, 1, 16, 32] {
             assert_eq!(served.lane_count(images), 1, "vit196 x {images}");
         }

@@ -18,7 +18,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vitality::gateway::{Gateway, GatewayConfig};
-use vitality::serve::{ModelRegistry, ServeClient, Server, ServerConfig};
+use vitality::serve::{InferOptions, ModelRegistry, ServeClient, Server, ServerConfig};
 use vitality::tensor::init;
 use vitality::vit::{AttentionVariant, Int8Calibration, TrainConfig, VisionTransformer};
 
@@ -73,12 +73,18 @@ fn main() {
     let mut client = ServeClient::connect(gateway.local_addr()).expect("connect gateway");
     let image = init::uniform(&mut rng, cfg.image_size, cfg.image_size, 0.0, 1.0);
     let plain = client.infer("demo:taylor", &image).expect("pass-through");
+    let tiered = |tier| InferOptions {
+        tier: Some(tier),
+        ..InferOptions::default()
+    };
     let fast = client
-        .infer_with_tier("demo:taylor", &image, Some("latency"))
-        .expect("latency tier");
+        .infer_detailed("demo:taylor", &image, &tiered("latency"))
+        .expect("latency tier")
+        .reply;
     let exact = client
-        .infer_with_tier("demo:taylor", &image, Some("accuracy"))
-        .expect("accuracy tier");
+        .infer_detailed("demo:taylor", &image, &tiered("accuracy"))
+        .expect("accuracy tier")
+        .reply;
     println!(
         "no tier        → {} answered class {}",
         plain.model, plain.prediction

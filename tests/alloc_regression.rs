@@ -181,7 +181,6 @@ fn steady_state_infer_batch_into_performs_zero_allocations() {
     // (`perf_event_open` refused, as in sandboxed CI) every region is a no-op. Both
     // paths must be allocation-free.
     let stats = perf::PerfStats::new();
-    perf::set_enabled(true);
     drop(perf::PerfRegion::enter(&stats)); // warmup: thread-local group opens here
     let before = allocations();
     for _ in 0..100 {
