@@ -71,8 +71,8 @@ fn queue_pressure_degrades_accuracy_to_int8_then_recovers() {
     };
     let (unified_logits, int8_logits) = (logits(&unified), logits(&int8));
 
-    // One worker behind a sluggish 30 ms batch window, so concurrent accuracy-tier
-    // load builds real queue depth.
+    // One worker under sixteen `unified` clients: requests arrive faster than it
+    // answers them, so concurrent accuracy-tier load builds real queue depth.
     let mut registry = ModelRegistry::new();
     for model in [taylor, unified, int8] {
         registry.register("vit196", model).expect("valid name");
@@ -82,7 +82,6 @@ fn queue_pressure_degrades_accuracy_to_int8_then_recovers() {
             workers: 1,
             policy: BatchPolicy {
                 max_batch: 4,
-                max_delay: Duration::from_millis(30),
                 queue_capacity: 2048,
             },
             ..ServerConfig::default()

@@ -750,14 +750,37 @@ fn a_worker_panic_lands_in_the_engines_tail_ring_under_the_clients_id() {
     }
 
     // The gateway forwarded the *same* id to the engine on every attempt, so the
-    // engine's own tail ring names the request the client knows.
-    let tripped = format!("panic-{}", i - 1);
-    let entry = find_trace(b_addr, &tripped)
-        .expect("the 500 the panic caused is tail-sampled on the engine");
+    // engine's own tail ring names the request the client knows. Which one: the 500
+    // leaves the dying batch's drop guards while the worker is still unwinding —
+    // before `worker_panics` moves — and the retry elsewhere answers in well under
+    // that time, so by the time the counter read 1 the client may have been a
+    // request or two further on. The ring keeps only failures, the fault fires once
+    // and the client sends one request at a time: exactly one of the ids sent.
+    let on_b: Vec<(u64, JsonValue)> = (0..i)
+        .filter_map(|sent| Some((sent, find_trace(b_addr, &format!("panic-{sent}"))?)))
+        .collect();
+    let [(tripped, entry)] = on_b.as_slice() else {
+        panic!("exactly one request must have died on engine B, its ring holds {on_b:?}");
+    };
     assert_eq!(entry.get("status").and_then(JsonValue::as_usize), Some(500));
     assert!(
-        span_rows(&entry).iter().any(|(n, _)| n == "parse"),
+        span_rows(entry).iter().any(|(n, _)| n == "parse"),
         "the engine attributed at least its parse stage before the batch died"
+    );
+    // And it is the request the gateway answered from elsewhere: its own (flagged)
+    // trace of the same id shows the failed attempt against B.
+    let retried = find_trace(gateway.local_addr(), &format!("panic-{tripped}"))
+        .expect("the retried request is tail-sampled on the gateway");
+    assert_eq!(
+        retried.get("status").and_then(JsonValue::as_usize),
+        Some(200)
+    );
+    let rows = span_rows(&retried);
+    assert!(
+        rows.iter().any(|(n, d)| n == "backend_attempt"
+            && d.starts_with(&b_addr.to_string())
+            && d.contains("error")),
+        "the gateway recorded the failed attempt against engine B: {rows:?}"
     );
 
     failpoint::clear();

@@ -3,25 +3,32 @@
 //!
 //! # Coalescing policy
 //!
-//! A worker calling [`Batcher::next_batch`] blocks until the queue is non-empty, then
-//! flushes a batch when the first of three things happens:
+//! The batcher is **work-conserving**: it never holds a request back while a worker
+//! could be running it. A worker calling [`Batcher::next_batch`] sleeps only while the
+//! queue is empty, and a batch is flushed under one of two rules:
 //!
-//! 1. **max-size flush** — the queue holds [`BatchPolicy::max_batch`] requests for any
-//!    single model (not only the head's: a complete batch never waits behind another
-//!    model's deadline);
-//! 2. **deadline flush** — the head (oldest) request has waited
-//!    [`BatchPolicy::max_delay`] since submission;
-//! 3. **shutdown drain** — [`Batcher::shutdown`] was called; everything already queued
-//!    is still flushed (in batches) so no admitted request goes unanswered, and
-//!    `next_batch` returns `None` only once the queue is empty.
+//! 1. **a worker is free** — a worker asks for work while requests are queued (or is
+//!    woken by the first [`Batcher::submit`] into an empty queue) and takes them at
+//!    once: the oldest request's model, up to [`BatchPolicy::max_batch`] of them;
+//! 2. **shutdown drain** — [`Batcher::shutdown`] was called; everything already queued
+//!    is still flushed (in batches, by the same rule) so no admitted request goes
+//!    unanswered, and `next_batch` returns `None` only once the queue is empty.
 //!
-//! Batches are homogeneous in model: a flush takes up to `max_batch` requests with one
-//! registry key (the full model's on a max-size flush, the head request's on a
-//! deadline flush), preserving arrival order, and leaves requests for other models
-//! queued (their own head keeps its original deadline, so mixed traffic cannot starve
-//! a model). This is what turns the paper's linear-attention win into
-//! server throughput — `infer_batch_into` over a coalesced batch amortises per-request
-//! overhead while the O(n) Taylor kernels keep per-image cost flat.
+//! There is deliberately no coalescing delay. A request is queued only while every
+//! worker is busy, so batches larger than one form exactly when they cost nobody
+//! anything — under load — and an idle engine answers a lone request after one
+//! forward pass instead of after a timer. A batch of the models served today is a
+//! loop over its images (it amortises per-request overhead, it does not make an
+//! image cheaper), so waiting for riders would buy latency and nothing else.
+//! [`InferReply::queue_us`] therefore reads as *time until a worker was free*.
+//!
+//! Batches are homogeneous in model: a flush takes the requests sharing the head
+//! (oldest) request's registry key, preserving arrival order, and leaves requests for
+//! other models queued for the next free worker. The oldest request is always in the
+//! next batch, so mixed traffic cannot starve a model. This is what turns the paper's
+//! linear-attention win into server throughput — `infer_batch_into` over a coalesced
+//! batch amortises per-request overhead while the O(n) Taylor kernels keep per-image
+//! cost flat.
 //!
 //! # Backpressure
 //!
@@ -43,10 +50,9 @@ use vitality_tensor::Matrix;
 /// Tunables of the coalescing policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Largest batch handed to a worker.
+    /// Largest batch handed to a worker. A free worker takes what is queued for the
+    /// oldest request's model up to this bound; there is no minimum and no wait.
     pub max_batch: usize,
-    /// Longest a request may wait in the queue before its batch is flushed anyway.
-    pub max_delay: Duration,
     /// Admission-queue bound; requests beyond it are shed with
     /// [`ServeError::Overloaded`].
     pub queue_capacity: usize,
@@ -56,7 +62,6 @@ impl Default for BatchPolicy {
     fn default() -> Self {
         Self {
             max_batch: 16,
-            max_delay: Duration::from_millis(2),
             queue_capacity: 256,
         }
     }
@@ -91,7 +96,8 @@ pub struct InferReply {
     pub logits: Vec<f32>,
     /// Number of requests in the batch this one was served in.
     pub batch_size: usize,
-    /// Microseconds the request spent queued before its batch formed.
+    /// Microseconds the request spent queued before its batch formed — the time
+    /// until a worker was free to take it (there is no coalescing delay).
     pub queue_us: u64,
 }
 
@@ -208,7 +214,8 @@ pub struct PendingRequest {
     pub entry: Arc<ModelEntry>,
     /// The `n x n` input image.
     pub image: Matrix,
-    /// When the request entered the queue (starts the coalescing deadline).
+    /// When the request entered the queue (the origin of its queue-wait and latency
+    /// measurements).
     pub submitted: Instant,
     /// The caller's remaining-time budget, if it sent one. Expired requests are shed
     /// with a typed 504 before any inference is spent on them.
@@ -297,44 +304,32 @@ impl Batcher {
         self.metrics
             .submitted
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        // One new request can complete at most one waiting worker's batch.
+        // One new request is work for at most one waiting worker.
         self.nonempty.notify_one();
         Ok(())
     }
 
-    /// Blocks until a batch is due under the coalescing policy and returns it, or
-    /// returns `None` once the batcher is shut down *and* drained.
+    /// Returns the next batch — at once when requests are queued, otherwise as soon
+    /// as one is submitted — or `None` once the batcher is shut down *and* drained.
     ///
-    /// Before each flush decision the queue is purged of requests whose
+    /// The batch is the head (oldest) request's model, up to
+    /// [`BatchPolicy::max_batch`] requests in arrival order; requests for other models
+    /// stay queued for the next free worker.
+    ///
+    /// Before the batch is taken the queue is purged of requests whose
     /// [`RequestDeadline`] has already expired: each is answered with a typed 504
     /// ([`ServeError::DeadlineExceeded`]) without spending any inference on it, and
-    /// live requests keep their arrival order. Requests without a deadline are never
-    /// purged, and their flush timing is unchanged.
+    /// live requests keep their arrival order. A request is queued only while every
+    /// worker is busy, so no worker is ever parked to shed it earlier than this.
     pub fn next_batch(&self) -> Option<Vec<PendingRequest>> {
         let mut state = self.state.lock().expect("batcher lock poisoned");
         loop {
             self.shed_expired(&mut state.queue, Instant::now());
-            let Some(head) = state.queue.front() else {
-                if state.shutdown {
-                    return None;
-                }
-                state = self.nonempty.wait(state).expect("batcher lock poisoned");
-                continue;
-            };
-            let head_key = head.entry.key().to_string();
-            let deadline = head.submitted + self.policy.max_delay;
-            // Max-size flushes consider every model, not just the head's: a full
-            // batch for model B must not wait out the lone head request of model A
-            // (its deadline keeps running — A flushes on its own schedule).
-            let full_key = Self::first_full_key(&state.queue, self.policy.max_batch);
-            let now = Instant::now();
-            if state.shutdown || full_key.is_some() || now >= deadline {
-                let flush_key = full_key.unwrap_or(head_key);
-                let batch =
-                    Self::take_matching(&mut state.queue, &flush_key, self.policy.max_batch);
-                // Requests for other models may now be at the front with an already
-                // expired deadline; wake another worker to check rather than leaving
-                // them to wait for the next submit.
+            if !state.queue.is_empty() {
+                let batch = Self::take_head_model(&mut state.queue, self.policy.max_batch);
+                // Requests for other models (or beyond `max_batch`) are still due:
+                // wake another worker for them rather than leaving them to wait for
+                // the next submit.
                 if !state.queue.is_empty() {
                     self.nonempty.notify_one();
                 }
@@ -342,20 +337,10 @@ impl Batcher {
                 self.metrics.record_batch(batch.len());
                 return Some(batch);
             }
-            // Wake at the earlier of the head's flush deadline and the earliest
-            // request expiry, so 504s go out promptly rather than riding the next
-            // flush or submit.
-            let wake = state
-                .queue
-                .iter()
-                .filter_map(|r| r.deadline.map(|d| d.expires))
-                .min()
-                .map_or(deadline, |expiry| deadline.min(expiry));
-            let (next, _timeout) = self
-                .nonempty
-                .wait_timeout(state, wake.saturating_duration_since(now))
-                .expect("batcher lock poisoned");
-            state = next;
+            if state.shutdown {
+                return None;
+            }
+            state = self.nonempty.wait(state).expect("batcher lock poisoned");
         }
     }
 
@@ -383,43 +368,18 @@ impl Batcher {
         }
     }
 
-    /// The first model key (in arrival order) that already has a full batch queued,
-    /// if any.
-    fn first_full_key(queue: &VecDeque<PendingRequest>, max_batch: usize) -> Option<String> {
-        // Counting via a tiny Vec keeps the hot path allocation-light: the number of
-        // distinct models queued at once is small (bounded by the registry).
-        let mut counts: Vec<(&str, usize)> = Vec::new();
-        for request in queue {
-            let key = request.entry.key();
-            match counts.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, n)) => {
-                    *n += 1;
-                    if *n >= max_batch {
-                        return Some(key.to_string());
-                    }
-                }
-                None => {
-                    if max_batch == 1 {
-                        return Some(key.to_string());
-                    }
-                    counts.push((key, 1));
-                }
-            }
-        }
-        None
-    }
-
-    /// Removes up to `max` requests with the given key, preserving arrival order and
-    /// leaving everything else queued.
-    fn take_matching(
-        queue: &mut VecDeque<PendingRequest>,
-        key: &str,
-        max: usize,
-    ) -> Vec<PendingRequest> {
-        let mut batch = Vec::new();
+    /// Removes up to `max` requests sharing the head request's registry key, in
+    /// arrival order, leaving everything else queued. One forward pass that stops once
+    /// the batch is full: a same-model run at the head costs O(batch) whatever the
+    /// queue depth (`VecDeque::remove` shifts the shorter side).
+    fn take_head_model(queue: &mut VecDeque<PendingRequest>, max: usize) -> Vec<PendingRequest> {
+        let Some(head) = queue.front().map(|request| Arc::clone(&request.entry)) else {
+            return Vec::new();
+        };
+        let mut batch = Vec::with_capacity(max.min(queue.len()));
         let mut index = 0;
         while index < queue.len() && batch.len() < max {
-            if queue[index].entry.key() == key {
+            if queue[index].entry.key() == head.key() {
                 batch.push(queue.remove(index).expect("index bounded by len"));
             } else {
                 index += 1;
@@ -496,68 +456,89 @@ mod tests {
         )
     }
 
-    fn batcher(max_batch: usize, max_delay: Duration, capacity: usize) -> Batcher {
+    fn batcher(max_batch: usize, capacity: usize) -> Batcher {
         Batcher::new(
             BatchPolicy {
                 max_batch,
-                max_delay,
                 queue_capacity: capacity,
             },
             Arc::new(Metrics::new()),
         )
     }
 
-    #[test]
-    fn max_size_flush_is_immediate() {
-        let b = batcher(4, Duration::from_secs(3600), 64);
-        let e = entry(AttentionVariant::Taylor);
-        let _rxs: Vec<_> = (0..6)
-            .map(|_| {
-                let (req, rx) = request(&e);
+    /// Submits one request per tag, stamping the tag into the image's first pixel so
+    /// arrival order can be read back off a flushed batch.
+    fn submit_tagged(
+        b: &Batcher,
+        entry: &Arc<ModelEntry>,
+        tags: impl IntoIterator<Item = u32>,
+    ) -> Vec<mpsc::Receiver<Result<InferReply, ServeError>>> {
+        tags.into_iter()
+            .map(|tag| {
+                let (mut req, rx) = request(entry);
+                req.image.set(0, 0, tag as f32);
                 b.submit(req).unwrap();
                 rx
             })
-            .collect();
-        // A full batch must flush long before the (hour-long) deadline.
-        let start = Instant::now();
-        let batch = b.next_batch().expect("batch due");
-        assert_eq!(batch.len(), 4);
-        assert!(start.elapsed() < Duration::from_secs(10));
-        assert_eq!(b.depth(), 2, "remainder stays queued");
+            .collect()
+    }
+
+    fn tags(batch: &[PendingRequest]) -> Vec<u32> {
+        batch.iter().map(|r| r.image.get(0, 0) as u32).collect()
     }
 
     #[test]
-    fn deadline_flush_releases_a_partial_batch() {
-        let b = batcher(8, Duration::from_millis(30), 64);
+    fn a_flush_is_capped_at_max_batch() {
+        let b = batcher(4, 64);
         let e = entry(AttentionVariant::Taylor);
-        let mut rxs = Vec::new();
-        for _ in 0..3 {
-            let (req, rx) = request(&e);
-            b.submit(req).unwrap();
-            rxs.push(rx);
-        }
-        let start = Instant::now();
+        let _rxs = submit_tagged(&b, &e, 0..6);
         let batch = b.next_batch().expect("batch due");
-        let waited = start.elapsed();
-        assert_eq!(batch.len(), 3, "partial batch flushed at the deadline");
-        assert!(
-            waited >= Duration::from_millis(20),
-            "flushed after only {waited:?} despite a 30ms deadline"
+        assert_eq!(tags(&batch), vec![0, 1, 2, 3]);
+        assert_eq!(b.depth(), 2, "remainder stays queued");
+        assert_eq!(tags(&b.next_batch().expect("remainder due")), vec![4, 5]);
+    }
+
+    #[test]
+    fn a_partial_batch_is_handed_over_at_once() {
+        // No clock in this test: a worker that asks while three requests are queued
+        // gets the three, however far below `max_batch` that is.
+        let b = batcher(8, 64);
+        let e = entry(AttentionVariant::Taylor);
+        let _rxs = submit_tagged(&b, &e, 0..3);
+        let batch = b.next_batch().expect("batch due");
+        assert_eq!(tags(&batch), vec![0, 1, 2]);
+        assert_eq!(b.depth(), 0);
+    }
+
+    #[test]
+    fn a_waiting_worker_is_woken_by_the_first_submit() {
+        let b = batcher(8, 64);
+        let e = entry(AttentionVariant::Taylor);
+        let (asking_tx, asking_rx) = mpsc::channel();
+        let batch = std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                asking_tx.send(()).unwrap();
+                b.next_batch()
+            });
+            // The queue is empty until the worker is about to ask, so it can only
+            // return by being handed this submit — and it must not wait for riders.
+            asking_rx.recv().unwrap();
+            let _rxs = submit_tagged(&b, &e, 0..1);
+            worker.join().unwrap().expect("batch due")
+        });
+        assert_eq!(
+            batch.len(),
+            1,
+            "the first arrival is not held back for riders"
         );
         assert_eq!(b.depth(), 0);
     }
 
     #[test]
     fn shutdown_drains_queued_requests_then_ends() {
-        let b = batcher(4, Duration::from_secs(3600), 64);
+        let b = batcher(4, 64);
         let e = entry(AttentionVariant::Taylor);
-        let _rxs: Vec<_> = (0..5)
-            .map(|_| {
-                let (req, rx) = request(&e);
-                b.submit(req).unwrap();
-                rx
-            })
-            .collect();
+        let _rxs = submit_tagged(&b, &e, 0..5);
         b.shutdown();
         // Everything admitted before shutdown is still flushed, in batches.
         assert_eq!(b.next_batch().expect("drain batch 1").len(), 4);
@@ -570,7 +551,7 @@ mod tests {
 
     #[test]
     fn overload_sheds_with_a_typed_error() {
-        let b = batcher(2, Duration::from_secs(3600), 2);
+        let b = batcher(2, 2);
         let e = entry(AttentionVariant::Taylor);
         let (r1, _rx1) = request(&e);
         let (r2, _rx2) = request(&e);
@@ -591,7 +572,7 @@ mod tests {
 
     #[test]
     fn batches_are_homogeneous_per_model() {
-        let b = batcher(8, Duration::from_millis(10), 64);
+        let b = batcher(8, 64);
         let taylor = entry(AttentionVariant::Taylor);
         let softmax = entry(AttentionVariant::Softmax);
         let mut rxs = Vec::new();
@@ -611,33 +592,37 @@ mod tests {
     }
 
     #[test]
-    fn a_full_batch_for_another_model_does_not_wait_behind_the_head() {
-        let b = batcher(3, Duration::from_secs(3600), 64);
+    fn the_heads_model_flushes_first_and_the_other_model_next() {
+        let b = batcher(3, 64);
         let taylor = entry(AttentionVariant::Taylor);
         let softmax = entry(AttentionVariant::Softmax);
-        // Lone head request for one model with an hour of deadline left...
-        let (head, _head_rx) = request(&taylor);
-        b.submit(head).unwrap();
-        // ...then a complete batch for the other model arrives behind it.
-        let _rxs: Vec<_> = (0..3)
-            .map(|_| {
-                let (req, rx) = request(&softmax);
-                b.submit(req).unwrap();
-                rx
-            })
-            .collect();
-        let start = Instant::now();
-        let batch = b.next_batch().expect("full batch due");
-        assert!(start.elapsed() < Duration::from_secs(10));
-        assert_eq!(batch.len(), 3);
-        assert!(batch.iter().all(|r| r.entry.key() == "m:softmax"));
-        assert_eq!(b.depth(), 1, "the head request keeps its own deadline");
+        // A lone head request for one model, a complete batch for the other behind
+        // it, then a straggler for the head's model.
+        let _head_rx = submit_tagged(&b, &taylor, 0..1);
+        let _rxs = submit_tagged(&b, &softmax, 1..4);
+        let _tail_rx = submit_tagged(&b, &taylor, 4..5);
+        let first = b.next_batch().expect("head's batch due");
+        assert!(first.iter().all(|r| r.entry.key() == "m:taylor"));
+        assert_eq!(
+            tags(&first),
+            vec![0, 4],
+            "the oldest request is never passed over"
+        );
+        assert_eq!(
+            b.depth(),
+            3,
+            "the other model waits for the next free worker"
+        );
+        let second = b.next_batch().expect("other model's batch due");
+        assert!(second.iter().all(|r| r.entry.key() == "m:softmax"));
+        assert_eq!(tags(&second), vec![1, 2, 3]);
+        assert_eq!(b.depth(), 0);
     }
 
     #[test]
     #[should_panic(expected = "queue_capacity")]
     fn policies_that_cannot_hold_a_batch_are_rejected() {
-        batcher(16, Duration::from_millis(1), 4);
+        batcher(16, 4);
     }
 
     /// An already-expired deadline anchored safely in the past.
@@ -650,7 +635,7 @@ mod tests {
 
     #[test]
     fn expired_requests_are_shed_with_a_504_and_never_reach_a_worker() {
-        let b = batcher(8, Duration::from_millis(10), 64);
+        let b = batcher(8, 64);
         let e = entry(AttentionVariant::Taylor);
         // Interleave live and already-expired requests.
         let mut live_rxs = Vec::new();
@@ -683,7 +668,7 @@ mod tests {
 
     #[test]
     fn live_requests_keep_arrival_order_across_expired_shedding() {
-        let b = batcher(8, Duration::from_millis(10), 64);
+        let b = batcher(8, 64);
         let e = entry(AttentionVariant::Taylor);
         // Tag arrival order through the image's first pixel: expired requests sit at
         // positions 1 and 3 of a 5-deep queue.
@@ -696,17 +681,16 @@ mod tests {
             rxs.push(rx);
         }
         let flushed = b.next_batch().expect("live batch due");
-        let order: Vec<f32> = flushed.iter().map(|r| r.image.get(0, 0)).collect();
         assert_eq!(
-            order,
-            vec![0.0, 2.0, 4.0],
+            tags(&flushed),
+            vec![0, 2, 4],
             "live entries preserve arrival order after the purge"
         );
     }
 
     #[test]
     fn still_live_deadlines_ride_along_uncut() {
-        let b = batcher(8, Duration::from_millis(10), 64);
+        let b = batcher(8, 64);
         let e = entry(AttentionVariant::Taylor);
         let (req, _rx) = request_with_deadline(&e, Some(RequestDeadline::from_budget_ms(60_000)));
         b.submit(req).unwrap();
@@ -723,59 +707,24 @@ mod tests {
     }
 
     #[test]
-    fn head_flush_timing_is_unchanged_when_no_deadline_is_set() {
-        // Same shape as `deadline_flush_releases_a_partial_batch`, re-asserted here
-        // as the explicit "deadline_ms absent" contract: the purge and the
-        // deadline-aware wake must not change when the field is unused.
-        let b = batcher(8, Duration::from_millis(30), 64);
+    fn a_worker_woken_by_an_expired_request_sheds_it_and_keeps_waiting() {
+        let b = batcher(8, 64);
         let e = entry(AttentionVariant::Taylor);
-        let mut rxs = Vec::new();
-        for _ in 0..3 {
-            let (req, rx) = request(&e);
+        let ended = std::thread::scope(|scope| {
+            let worker = scope.spawn(|| b.next_batch());
+            let (req, rx) = request_with_deadline(&e, Some(expired_deadline()));
             b.submit(req).unwrap();
-            rxs.push(rx);
-        }
-        let start = Instant::now();
-        let batch = b.next_batch().expect("batch due");
-        let waited = start.elapsed();
-        assert_eq!(batch.len(), 3);
-        assert!(
-            waited >= Duration::from_millis(20),
-            "flushed after only {waited:?}: deadline machinery must not hasten the flush"
-        );
-        assert!(
-            waited < Duration::from_secs(10),
-            "flushed only after {waited:?}: deadline machinery must not delay the flush"
-        );
-    }
-
-    #[test]
-    fn a_pending_expiry_wakes_the_worker_before_the_flush_deadline() {
-        // Head has an hour of coalescing budget but a ~40ms caller deadline; the 504
-        // must go out near the expiry, not at the hour mark (or the next submit).
-        let b = batcher(8, Duration::from_secs(3600), 64);
-        let e = entry(AttentionVariant::Taylor);
-        let (req, rx) = request_with_deadline(&e, Some(RequestDeadline::from_budget_ms(40)));
-        b.submit(req).unwrap();
-        let worker = {
-            let start = Instant::now();
-            std::thread::scope(|scope| {
-                let handle = scope.spawn(|| b.next_batch());
-                let err = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-                assert!(matches!(
-                    err,
-                    Err(ServeError::DeadlineExceeded { budget_ms: 40 })
-                ));
-                let waited = start.elapsed();
-                assert!(
-                    waited < Duration::from_secs(10),
-                    "shed after {waited:?}; the wake must track the expiry"
-                );
-                b.shutdown();
-                handle.join().unwrap()
-            })
-        };
-        assert!(worker.is_none(), "queue drained after the shed");
+            // The 504 comes from the worker's purge; with nothing live left it must
+            // go back to waiting rather than return an empty batch.
+            let shed = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert!(matches!(
+                shed,
+                Err(ServeError::DeadlineExceeded { budget_ms: 5 })
+            ));
+            b.shutdown();
+            worker.join().unwrap()
+        });
+        assert!(ended.is_none(), "only the shutdown ends the wait");
     }
 
     use proptest::prelude::*;
@@ -783,23 +732,61 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        // Random live/expired interleavings: shedding partitions the queue exactly.
-        // Every expired request gets a typed 504 echoing *its own* budget and never
-        // reaches a worker; every live request flushes; arrival order survives the
-        // purge.
+        // Random live/expired submits across two models, interleaved with worker
+        // calls: shedding and flushing partition the stream exactly. Every expired
+        // request gets a typed 504 echoing *its own* budget and never reaches a
+        // worker; every live request comes out exactly once, in a batch of its own
+        // model no larger than `max_batch`, in per-model arrival order; and the
+        // oldest queued request is always in the next batch (no starvation).
         #[test]
         fn shedding_partitions_random_interleavings_exactly(
             len in 1usize..24,
+            max_batch in 1usize..5,
             kinds in proptest::collection::vec(0u32..3, 24),
+            models in proptest::collection::vec(0usize..2, 24),
+            // A worker asks after step i when `asks[i] == 0`.
+            asks in proptest::collection::vec(0u32..3, 24),
         ) {
-            let b = batcher(64, Duration::from_millis(5), 256);
-            let e = entry(AttentionVariant::Taylor);
-            // kind 0: no deadline; kind 1: generous live deadline; kind 2: expired.
+            let b = batcher(max_batch, 256);
+            let entries = [entry(AttentionVariant::Taylor), entry(AttentionVariant::Softmax)];
             let mut expired = Vec::new();
-            let mut live_tags = Vec::new();
             let mut live_rxs = Vec::new();
-            for (i, kind) in kinds[..len].iter().enumerate() {
-                let deadline = match kind {
+            // Arrival-ordered tags: still queued (any model), and per model every
+            // live tag submitted / flushed so far.
+            let mut queued: VecDeque<u32> = VecDeque::new();
+            let mut submitted_live = [Vec::new(), Vec::new()];
+            let mut flushed_live = [Vec::new(), Vec::new()];
+            let mut check_batch = |batch: &[PendingRequest],
+                                   queued: &mut VecDeque<u32>|
+             -> Result<(), String> {
+                prop_assert!(!batch.is_empty() && batch.len() <= max_batch);
+                let model = entries
+                    .iter()
+                    .position(|e| e.key() == batch[0].entry.key())
+                    .expect("a registered model");
+                prop_assert_eq!(
+                    Some(&tags(batch)[0]),
+                    queued.front(),
+                    "the oldest queued request leads the next batch"
+                );
+                let now = Instant::now();
+                for r in batch {
+                    prop_assert_eq!(r.entry.key(), entries[model].key(), "homogeneous batch");
+                    prop_assert!(
+                        !r.deadline.is_some_and(|d| d.expired_at(now)),
+                        "an expired request reached a worker"
+                    );
+                    let tag = r.image.get(0, 0) as u32;
+                    let at = queued.iter().position(|&t| t == tag);
+                    prop_assert!(at.is_some(), "request {} flushed twice or never queued", tag);
+                    queued.remove(at.expect("checked above"));
+                    flushed_live[model].push(tag);
+                }
+                Ok(())
+            };
+            for i in 0..len {
+                // kind 0: no deadline; kind 1: generous live deadline; kind 2: expired.
+                let deadline = match kinds[i] {
                     0 => None,
                     1 => Some(RequestDeadline::from_budget_ms(60_000)),
                     _ => Some(RequestDeadline {
@@ -807,39 +794,31 @@ mod tests {
                         budget_ms: 1 + i as u64,
                     }),
                 };
-                let (mut req, rx) = request_with_deadline(&e, deadline);
+                let (mut req, rx) = request_with_deadline(&entries[models[i]], deadline);
                 req.image.set(0, 0, i as f32);
                 b.submit(req).unwrap();
-                if *kind == 2 {
+                if kinds[i] == 2 {
                     expired.push((1 + i as u64, rx));
                 } else {
-                    live_tags.push(i as f32);
+                    queued.push_back(i as u32);
+                    submitted_live[models[i]].push(i as u32);
                     live_rxs.push(rx);
                 }
-            }
-            if live_tags.is_empty() {
-                // next_batch blocks on an empty queue; keep one live request around
-                // so the flush loop below terminates while still exercising the
-                // all-expired shed.
-                let (mut req, rx) = request(&e);
-                req.image.set(0, 0, len as f32);
-                b.submit(req).unwrap();
-                live_tags.push(len as f32);
-                live_rxs.push(rx);
-            }
-            let mut flushed_tags = Vec::new();
-            while flushed_tags.len() < live_tags.len() {
-                let batch = b.next_batch().expect("live requests are due");
-                for r in &batch {
-                    let now = Instant::now();
-                    prop_assert!(
-                        !r.deadline.is_some_and(|d| d.expired_at(now)),
-                        "an expired request reached a worker"
-                    );
-                    flushed_tags.push(r.image.get(0, 0));
+                // next_batch blocks while nothing live is queued: only ask when the
+                // call is due to return.
+                if asks[i] == 0 && !queued.is_empty() {
+                    let batch = b.next_batch().expect("live requests are due");
+                    check_batch(&batch, &mut queued)?;
                 }
             }
-            prop_assert_eq!(flushed_tags, live_tags);
+            // The drain flushes what is left (and purges trailing expired requests)
+            // by the same rule, then ends the stream.
+            b.shutdown();
+            while let Some(batch) = b.next_batch() {
+                check_batch(&batch, &mut queued)?;
+            }
+            prop_assert!(queued.is_empty(), "live requests left behind: {:?}", queued);
+            prop_assert_eq!(flushed_live, submitted_live);
             prop_assert_eq!(b.depth(), 0);
             for (budget, rx) in expired {
                 match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
@@ -860,7 +839,7 @@ mod tests {
             len in 1usize..12,
             budgets in proptest::collection::vec(30_000u64..120_000, 12),
         ) {
-            let b = batcher(64, Duration::from_millis(5), 256);
+            let b = batcher(64, 256);
             let e = entry(AttentionVariant::Taylor);
             let mut rxs = Vec::new();
             for &ms in &budgets[..len] {

@@ -9,10 +9,11 @@
 //!    [`VisionTransformer`](vitality_vit::VisionTransformer) instances keyed by `name:variant`
 //!    (`"deit:taylor"`, `"deit:softmax"`), handed out as `Arc`s so every thread serves
 //!    the same weights.
-//! 2. **[`Batcher`]** — a bounded admission queue that coalesces concurrent
-//!    single-image requests into per-model batches under a max-batch-size /
-//!    max-queue-delay policy ([`BatchPolicy`]), shedding with a typed
-//!    [`ServeError::Overloaded`] when full.
+//! 2. **[`Batcher`]** — a bounded, work-conserving admission queue: a free worker
+//!    takes what is queued for the oldest request's model, up to
+//!    [`BatchPolicy::max_batch`], so concurrent single-image requests coalesce into
+//!    per-model batches exactly while every worker is busy and nothing ever waits on
+//!    a timer; sheds with a typed [`ServeError::Overloaded`] when full.
 //! 3. **[`WorkerPool`]** — threads pulling formed batches into
 //!    `VisionTransformer::infer_batch_into`, answering each request over its private
 //!    channel, with drain-then-exit shutdown semantics.

@@ -29,7 +29,9 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads running inference (0 = one per available core).
     pub workers: usize,
-    /// The batching/backpressure policy.
+    /// The batching/backpressure policy: the largest batch a free worker takes and
+    /// the admission-queue bound. There is no delay to tune — see
+    /// [`crate::batcher`] for why.
     pub policy: BatchPolicy,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
@@ -81,12 +83,17 @@ impl Shared {
 /// A running serving engine.
 ///
 /// ```text
-/// event-loop front ──► dispatch ──► Batcher (bounded queue, coalescing)
-///   (epoll, one thread,    │              │ formed batches
+/// event-loop front ──► dispatch ──► Batcher (bounded queue, no timer)
+///   (epoll, one thread,    │              │ a free worker takes what is queued
 ///    all connections)      │ GETs answer  ▼
 ///         ▲                │ inline    WorkerPool ──► VisionTransformer::infer_batch_into
 ///         └── completions ◄┴─────────────┘ (per-request Responder hooks)
 /// ```
+///
+/// A request waits in the batcher only while every worker is busy: the first worker
+/// to free up takes the oldest request's model, up to `max_batch` — which is where
+/// batches larger than one come from — and an idle engine starts a lone request the
+/// moment it is admitted.
 ///
 /// Start with [`Server::start`]; stop with [`Server::shutdown`], which drains in
 /// order: the front stops parsing new requests, the batcher drains (already-admitted

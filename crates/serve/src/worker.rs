@@ -13,7 +13,9 @@ use vitality_vit::VitOutput;
 
 /// A fixed pool of inference worker threads.
 ///
-/// Each worker loops on [`Batcher::next_batch`] and runs the batch through the entry's
+/// Each worker loops on [`Batcher::next_batch`] — which hands a free worker whatever
+/// is queued at once, so a batch larger than one is exactly what arrived while the
+/// whole pool was busy — and runs the batch through the entry's
 /// [`infer_batch_into`](vitality_vit::VisionTransformer::infer_batch_into) on its own
 /// long-lived [`Workspace`] and output vector — the allocation-free steady-state loop
 /// (parallelism comes from the pool itself, one warm workspace per worker; a batch
@@ -130,9 +132,9 @@ fn run_batch(
     for request in batch {
         debug_assert_eq!(request.entry.key(), entry.key(), "homogeneous batch");
         // Last line of defence for deadlines: a request can expire between the
-        // batcher's purge and batch assembly (e.g. while this worker finished its
-        // previous batch). Skipping it here keeps the contract that no inference is
-        // ever spent on an expired request.
+        // batcher's purge and batch assembly (this thread can lose the CPU in
+        // between). Skipping it here keeps the contract that no inference is ever
+        // spent on an expired request.
         if let Some(deadline) = request.deadline {
             if deadline.expired_at(formed) {
                 metrics.expired.fetch_add(1, Ordering::Relaxed);
@@ -213,81 +215,178 @@ fn argmax(logits: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batcher::BatchPolicy;
-    use crate::registry::ModelRegistry;
+    use crate::batcher::{BatchPolicy, Responder};
+    use crate::error::ServeError;
+    use crate::registry::{ModelEntry, ModelRegistry};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::mpsc;
     use std::time::Duration;
-    use vitality_tensor::init;
+    use vitality_tensor::{init, Matrix};
     use vitality_vit::{AttentionVariant, TrainConfig, VisionTransformer};
 
-    #[test]
-    fn workers_answer_every_request_with_the_direct_result() {
-        let cfg = TrainConfig::tiny();
-        let mut rng = StdRng::seed_from_u64(7);
-        let model = VisionTransformer::new(&mut rng, cfg, AttentionVariant::Taylor);
+    type ReplyRx = mpsc::Receiver<Result<InferReply, ServeError>>;
+
+    struct Fixture {
+        model: VisionTransformer,
+        entry: Arc<ModelEntry>,
+        metrics: Arc<Metrics>,
+        batcher: Arc<Batcher>,
+        pool: WorkerPool,
+    }
+
+    fn fixture(workers: usize, max_batch: usize) -> Fixture {
+        let model = VisionTransformer::new(
+            &mut StdRng::seed_from_u64(7),
+            TrainConfig::tiny(),
+            AttentionVariant::Taylor,
+        );
         let mut reg = ModelRegistry::new();
         let key = reg.register("m", model.clone()).expect("valid model name");
-        let entry = reg.get(&key).unwrap();
-
         let metrics = Arc::new(Metrics::new());
         let batcher = Arc::new(Batcher::new(
             BatchPolicy {
-                max_batch: 4,
-                max_delay: Duration::from_millis(5),
+                max_batch,
                 queue_capacity: 64,
             },
             Arc::clone(&metrics),
         ));
-        let pool = WorkerPool::start(2, Arc::clone(&batcher), Arc::clone(&metrics));
-        assert_eq!(pool.len(), 2);
-        assert!(!pool.is_empty());
+        let pool = WorkerPool::start(workers, Arc::clone(&batcher), Arc::clone(&metrics));
+        Fixture {
+            model,
+            entry: reg.get(&key).unwrap(),
+            metrics,
+            batcher,
+            pool,
+        }
+    }
 
-        let images: Vec<_> = (0..9)
-            .map(|i| {
-                init::uniform(
-                    &mut StdRng::seed_from_u64(100 + i),
-                    cfg.image_size,
-                    cfg.image_size,
-                    0.0,
-                    1.0,
-                )
+    fn image(seed: u64) -> Matrix {
+        let cfg = TrainConfig::tiny();
+        init::uniform(
+            &mut StdRng::seed_from_u64(seed),
+            cfg.image_size,
+            cfg.image_size,
+            0.0,
+            1.0,
+        )
+    }
+
+    fn submit(f: &Fixture, image: Matrix, responder: Responder) {
+        f.batcher
+            .submit(PendingRequest {
+                entry: Arc::clone(&f.entry),
+                image,
+                submitted: Instant::now(),
+                deadline: None,
+                responder,
+                trace: None,
             })
-            .collect();
-        let receivers: Vec<mpsc::Receiver<_>> = images
-            .iter()
-            .map(|image| {
+            .unwrap();
+    }
+
+    fn submit_all(f: &Fixture, seeds: std::ops::Range<u64>) -> Vec<ReplyRx> {
+        seeds
+            .map(|seed| {
                 let (tx, rx) = mpsc::channel();
-                batcher
-                    .submit(crate::batcher::PendingRequest {
-                        entry: Arc::clone(&entry),
-                        image: image.clone(),
-                        submitted: Instant::now(),
-                        deadline: None,
-                        responder: crate::batcher::Responder::channel(tx),
-                        trace: None,
-                    })
-                    .unwrap();
+                submit(f, image(seed), Responder::channel(tx));
                 rx
             })
-            .collect();
+            .collect()
+    }
 
-        for (image, rx) in images.iter().zip(receivers) {
-            let reply = rx
-                .recv_timeout(Duration::from_secs(30))
-                .expect("worker answered")
-                .expect("inference succeeded");
-            let direct = model.infer(image);
+    fn answer(rx: &ReplyRx) -> InferReply {
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("worker answered")
+            .expect("inference succeeded")
+    }
+
+    /// Makes a one-worker pool deterministically busy, no clock involved: submits a
+    /// request whose responder hook blocks the worker (mid-`run_batch`, its inference
+    /// done) until the returned sender fires or drops. Returns once the worker is
+    /// inside the hook, so everything submitted afterwards finds no free worker.
+    fn park_the_worker(f: &Fixture) -> mpsc::Sender<()> {
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        submit(
+            f,
+            image(99),
+            Responder::hook(move |_served| {
+                let _ = parked_tx.send(());
+                // Released by a send or by the test dropping the sender on unwind.
+                let _ = release_rx.recv();
+            }),
+        );
+        parked_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the worker took the parking request");
+        release_tx
+    }
+
+    #[test]
+    fn workers_answer_every_request_with_the_direct_result() {
+        let f = fixture(2, 4);
+        assert_eq!(f.pool.len(), 2);
+        assert!(!f.pool.is_empty());
+
+        let receivers = submit_all(&f, 100..109);
+        for (seed, rx) in (100..109).zip(&receivers) {
+            let reply = answer(rx);
+            let image = image(seed);
             assert_eq!(reply.model, "m:taylor");
-            assert_eq!(reply.prediction, model.predict(image));
-            assert_eq!(reply.logits, direct.logits.row(0).to_vec());
-            assert!(reply.batch_size >= 1);
+            assert_eq!(reply.prediction, f.model.predict(&image));
+            assert_eq!(reply.logits, f.model.infer(&image).logits.row(0).to_vec());
+            assert!((1..=4).contains(&reply.batch_size));
         }
 
-        batcher.shutdown();
-        pool.join();
-        assert_eq!(metrics.completed.load(Ordering::Relaxed), 9);
-        assert!(metrics.latency.count() == 9 && metrics.queue_wait.count() == 9);
+        f.batcher.shutdown();
+        f.pool.join();
+        assert_eq!(f.metrics.completed.load(Ordering::Relaxed), 9);
+        assert!(f.metrics.latency.count() == 9 && f.metrics.queue_wait.count() == 9);
+    }
+
+    #[test]
+    fn arrivals_behind_a_busy_worker_come_back_as_one_batch() {
+        // Below, at and above `max_batch`: what queued while the worker was busy is
+        // taken in one go, capped at `max_batch`, and the remainder right after.
+        for k in [3usize, 4, 6] {
+            let f = fixture(1, 4);
+            let release = park_the_worker(&f);
+            let receivers = submit_all(&f, 0..k as u64);
+            assert_eq!(f.batcher.depth(), k, "no free worker: arrivals wait");
+            release.send(()).unwrap();
+
+            let first = k.min(4);
+            for (i, rx) in receivers.iter().enumerate() {
+                let reply = answer(rx);
+                let expected = if i < first { first } else { k - first };
+                assert_eq!(reply.batch_size, expected, "request {i} of {k}");
+                assert_eq!(
+                    reply.logits,
+                    f.model.infer(&image(i as u64)).logits.row(0).to_vec(),
+                    "riding in a batch must not change the answer"
+                );
+            }
+            f.batcher.shutdown();
+            f.pool.join();
+            assert_eq!(f.metrics.max_batch(), first);
+            assert_eq!(f.batcher.depth(), 0);
+        }
+    }
+
+    #[test]
+    fn shutdown_behind_a_busy_worker_still_answers_the_queue() {
+        let f = fixture(1, 4);
+        let release = park_the_worker(&f);
+        let receivers = submit_all(&f, 0..3);
+        f.batcher.shutdown();
+        assert_eq!(f.batcher.depth(), 3, "the drain waits for the worker");
+        release.send(()).unwrap();
+        for rx in &receivers {
+            assert_eq!(answer(rx).batch_size, 3);
+        }
+        f.pool.join();
+        // The parking request and the three drained ones.
+        assert_eq!(f.metrics.completed.load(Ordering::Relaxed), 4);
     }
 }

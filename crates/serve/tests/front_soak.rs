@@ -9,7 +9,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
-use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -108,7 +107,6 @@ fn the_front_holds_1024_keep_alive_connections_with_flat_rss() {
         ServerConfig {
             policy: BatchPolicy {
                 max_batch: 32,
-                max_delay: Duration::from_millis(1),
                 // Above the largest arm: 1024 clients with one request in flight
                 // each can fill a 1024-deep queue exactly, and a refusal there
                 // would read as a dropped reply.

@@ -2,21 +2,35 @@
 //! inference, the health/metrics endpoints, typed error responses and graceful
 //! shutdown under concurrent clients.
 
-use std::sync::Barrier;
-use std::time::Duration;
+use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::json::JsonValue;
+use vitality_serve::http::MessageReader;
 use vitality_serve::{BatchPolicy, ClientError, ModelRegistry, ServeClient, Server, ServerConfig};
 use vitality_tensor::{init, Matrix};
 use vitality_vit::{AttentionVariant, Int8Calibration, TrainConfig, VisionTransformer};
+
+mod gate;
+use gate::read_infer_reply;
 
 const INT8: AttentionVariant = AttentionVariant::Int8Taylor {
     calibration: Int8Calibration::Dynamic,
 };
 
-fn boot(policy: BatchPolicy) -> (Server, VisionTransformer, TrainConfig) {
+fn boot() -> (Server, VisionTransformer, TrainConfig) {
+    boot_with(BatchPolicy::default(), 2, ModelRegistry::new())
+}
+
+/// Boots an engine serving the four `vit:*` variants (shared weights) next to
+/// whatever `registry` already holds.
+fn boot_with(
+    policy: BatchPolicy,
+    workers: usize,
+    mut registry: ModelRegistry,
+) -> (Server, VisionTransformer, TrainConfig) {
     let cfg = TrainConfig::tiny();
     let mut rng = StdRng::seed_from_u64(42);
     let model = VisionTransformer::new(&mut rng, cfg, AttentionVariant::Taylor);
@@ -26,7 +40,6 @@ fn boot(policy: BatchPolicy) -> (Server, VisionTransformer, TrainConfig) {
     unified.set_variant(AttentionVariant::Unified { threshold: 0.5 });
     let mut int8 = model.clone();
     int8.set_variant(INT8);
-    let mut registry = ModelRegistry::new();
     registry.register("vit", model.clone()).unwrap();
     registry.register("vit", softmax).unwrap();
     registry.register("vit", unified).unwrap();
@@ -34,7 +47,7 @@ fn boot(policy: BatchPolicy) -> (Server, VisionTransformer, TrainConfig) {
     let server = Server::start(
         ServerConfig {
             policy,
-            workers: 2,
+            workers,
             poll_interval: Duration::from_millis(10),
             ..ServerConfig::default()
         },
@@ -42,6 +55,21 @@ fn boot(policy: BatchPolicy) -> (Server, VisionTransformer, TrainConfig) {
     )
     .expect("bind ephemeral port");
     (server, model, cfg)
+}
+
+/// An engine whose only worker can be made busy on demand (see [`gate`]): while the
+/// worker runs the gate request everything sent after it for `vit:*` queues.
+fn boot_gated() -> (Server, VisionTransformer, TrainConfig) {
+    let mut registry = ModelRegistry::new();
+    gate::register(&mut registry);
+    boot_with(
+        BatchPolicy {
+            max_batch: 8,
+            queue_capacity: 64,
+        },
+        1,
+        registry,
+    )
 }
 
 fn image(cfg: &TrainConfig, seed: u64) -> Matrix {
@@ -56,7 +84,7 @@ fn image(cfg: &TrainConfig, seed: u64) -> Matrix {
 
 #[test]
 fn concurrent_clients_get_exact_direct_inference_results() {
-    let (server, model, cfg) = boot(BatchPolicy::default());
+    let (server, model, cfg) = boot();
     let addr = server.local_addr();
     let clients = 6;
     let per_client = 5;
@@ -93,7 +121,7 @@ fn concurrent_clients_get_exact_direct_inference_results() {
 
 #[test]
 fn all_four_variants_serve_and_disagree() {
-    let (server, model, cfg) = boot(BatchPolicy::default());
+    let (server, model, cfg) = boot();
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
     let img = image(&cfg, 7);
     // Every served variant answers with its own direct inference, bit for bit, and
@@ -152,56 +180,37 @@ fn all_four_variants_serve_and_disagree() {
 
 #[test]
 fn concurrent_requests_coalesce_into_batches() {
-    // Every client connects first, then a barrier releases all the requests into
-    // one 20 ms head-deadline window: the batcher must form a batch larger than
-    // one, and the riders must see it in their replies.
-    let clients = 8;
-    let (server, model, cfg) = boot(BatchPolicy {
-        max_batch: clients,
-        max_delay: Duration::from_millis(20),
-        queue_capacity: 64,
-    });
-    let addr = server.local_addr();
-    let release = Barrier::new(clients);
-    let batch_sizes: Vec<usize> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let (model, cfg, release) = (&model, &cfg, &release);
-                scope.spawn(move || {
-                    let mut client = ServeClient::connect(addr).expect("connect");
-                    let img = image(cfg, 2000 + c as u64);
-                    release.wait();
-                    let reply = client.infer("vit:taylor", &img).expect("inference");
-                    assert_eq!(
-                        reply.logits,
-                        model.infer(&img).logits.row(0).to_vec(),
-                        "riding in a batch must not change the answer"
-                    );
-                    reply.batch_size
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
-    });
+    // Eight requests arrive while the engine's only worker is busy with the gate:
+    // the batcher must hand them over as one batch the moment the worker frees up,
+    // and the riders must see it in their replies.
+    let riders = 8;
+    let (server, model, cfg) = boot_gated();
+    let images: Vec<Matrix> = (0..riders).map(|i| image(&cfg, 2000 + i as u64)).collect();
+    let mut stream = gate::send_gate_then(server.local_addr(), "vit:taylor", &images);
+    let mut reader = MessageReader::new();
+    assert_eq!(read_infer_reply(&mut reader, &mut stream).batch_size, 1);
+    for img in &images {
+        let reply = read_infer_reply(&mut reader, &mut stream);
+        assert_eq!(
+            reply.batch_size, riders,
+            "all that queued behind the busy worker rides in one batch"
+        );
+        assert_eq!(
+            reply.logits,
+            model.infer(img).logits.row(0).to_vec(),
+            "riding in a batch must not change the answer"
+        );
+    }
+    drop(stream);
     let metrics = server.metrics();
     server.shutdown();
-    assert!(
-        metrics.max_batch() > 1,
-        "no batch larger than 1 formed: replies saw {batch_sizes:?}"
-    );
-    assert_eq!(
-        batch_sizes.iter().max(),
-        Some(&metrics.max_batch()),
-        "the largest batch is reported to the requests that rode in it"
-    );
+    assert_eq!(metrics.max_batch(), riders);
+    assert_eq!(metrics.completed.load(Ordering::Relaxed), 1 + riders as u64);
 }
 
 #[test]
 fn health_and_metrics_endpoints_report_state() {
-    let (server, model, cfg) = boot(BatchPolicy::default());
+    let (server, model, cfg) = boot();
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
 
     let (status, health) = client.get("/healthz").expect("healthz");
@@ -263,7 +272,7 @@ fn health_and_metrics_endpoints_report_state() {
 
 #[test]
 fn bad_requests_get_typed_error_responses() {
-    let (server, _model, cfg) = boot(BatchPolicy::default());
+    let (server, _model, cfg) = boot();
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
     let img = image(&cfg, 11);
 
@@ -312,16 +321,25 @@ fn bad_requests_get_typed_error_responses() {
 
 #[test]
 fn shutdown_answers_in_flight_requests_then_refuses_new_connections() {
-    let (server, model, cfg) = boot(BatchPolicy {
-        // A long delay with a big batch bound: requests sit in the queue until the
-        // shutdown drain flushes them, proving drained requests are still answered.
-        max_batch: 64,
-        max_delay: Duration::from_secs(5),
-        queue_capacity: 64,
-    });
+    // Four clients' requests sit in the queue behind the gate when the shutdown is
+    // issued: the drain must flush and answer them all, proving drained requests are
+    // served. (One connection per request: a draining front answers a connection's
+    // next response with `Connection: close`.)
+    let (server, model, cfg) = boot_gated();
     let addr = server.local_addr();
+    let metrics = server.metrics();
+    let admitted = |count: u64| {
+        let patience = Instant::now() + Duration::from_secs(30);
+        while metrics.submitted.load(Ordering::Relaxed) < count {
+            assert!(Instant::now() < patience, "request {count} never queued");
+            std::thread::yield_now();
+        }
+    };
     let imgs: Vec<Matrix> = (0..4).map(|i| image(&cfg, 300 + i)).collect();
-    let expectations: Vec<usize> = imgs.iter().map(|img| model.predict(img)).collect();
+    let mut gate_conn = gate::send_gate_then(addr, "vit:taylor", &[]);
+    // The gate is at the head of the queue (or already running) before any of the
+    // four is sent, so the worker cannot take one of them first.
+    admitted(1);
     std::thread::scope(|scope| {
         let handles: Vec<_> = imgs
             .iter()
@@ -332,19 +350,30 @@ fn shutdown_answers_in_flight_requests_then_refuses_new_connections() {
                 })
             })
             .collect();
-        // Give the clients time to enqueue, then shut down while they wait on the
-        // 5-second coalescing deadline: the drain must flush and answer them all.
-        std::thread::sleep(Duration::from_millis(300));
+        admitted(5);
+        assert_eq!(
+            metrics.completed.load(Ordering::Relaxed),
+            0,
+            "the shutdown must find the gate running and the four queued behind it"
+        );
         server.shutdown();
-        for (handle, expected) in handles.into_iter().zip(expectations) {
+        for (handle, img) in handles.into_iter().zip(&imgs) {
             let reply = handle
                 .join()
                 .expect("client thread")
                 .expect("drained request answered");
-            assert_eq!(reply.prediction, expected);
-            assert!(reply.batch_size >= 1);
+            assert_eq!(reply.prediction, model.predict(img));
+            assert_eq!(
+                reply.batch_size, 4,
+                "the drain flushes the queue as one batch"
+            );
         }
     });
+    assert_eq!(
+        read_infer_reply(&mut MessageReader::new(), &mut gate_conn).batch_size,
+        1
+    );
+    drop(gate_conn);
     // The listener is gone: connecting now fails or is immediately closed.
     match ServeClient::connect(addr) {
         Err(_) => {}

@@ -8,11 +8,11 @@
 //! The example registers the same weights twice — once with the linear Taylor
 //! attention, once with the softmax baseline — so the two registry keys
 //! (`demo:taylor`, `demo:softmax`) serve the paper's comparison side by side. Eight
-//! client threads then hammer the Taylor model concurrently; the server coalesces
-//! their single-image requests into batches (visible in the per-reply `batch_size`
-//! and the final `/metrics` snapshot).
-
-use std::time::Duration;
+//! client threads then hammer the Taylor model concurrently through a single worker.
+//! The batcher never waits on a timer: a request that finds the worker free runs
+//! alone and at once, and the ones that arrive while it is busy are taken together
+//! when it frees up — those are the batches visible in the per-reply `batch_size`
+//! and the final `/metrics` snapshot.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,12 +34,13 @@ fn main() {
         .expect("valid name");
     let softmax_key = registry.register("demo", softmax).expect("valid name");
 
-    // 2. Boot the engine on an ephemeral port.
+    // 2. Boot the engine on an ephemeral port. One worker under eight clients is
+    //    busy most of the time, so arrivals queue behind it and coalesce.
     let server = Server::start(
         ServerConfig {
+            workers: 1,
             policy: BatchPolicy {
                 max_batch: 8,
-                max_delay: Duration::from_millis(2),
                 queue_capacity: 128,
             },
             ..ServerConfig::default()

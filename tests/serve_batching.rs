@@ -4,19 +4,25 @@
 //! `/healthz` must report the batcher's load (queue depth + in-flight batches), the
 //! signal the cluster gateway's least-loaded routing reads.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::json::JsonValue;
 
-use vitality::serve::{BatchPolicy, ModelRegistry, ServeClient, Server, ServerConfig};
+use vitality::serve::http::{self, MessageReader};
+use vitality::serve::{BatchPolicy, ModelRegistry, Server, ServerConfig};
 use vitality::tensor::{init, Matrix};
 use vitality::vit::{AttentionVariant, TrainConfig, VisionTransformer};
 
-/// The ragged sizes the batcher actually produces: singleton flushes, tiny deadline
-/// flushes, a prime mid-size and one crossing the default max-batch boundary.
+/// The busy-worker gate, defined once next to the engine's own socket tests.
+#[path = "../crates/serve/tests/gate/mod.rs"]
+mod gate;
+
+/// The ragged sizes the batcher actually produces: singletons on an idle engine,
+/// small batches behind a briefly busy worker, a prime mid-size and one crossing the
+/// default max-batch boundary.
 const RAGGED_SIZES: [usize; 4] = [1, 2, 7, 33];
 
 fn images(cfg: &TrainConfig, seed: u64, count: usize) -> Vec<Matrix> {
@@ -26,23 +32,28 @@ fn images(cfg: &TrainConfig, seed: u64, count: usize) -> Vec<Matrix> {
         .collect()
 }
 
-/// `/healthz` reports the coalescing queue's depth and the in-flight batch count
-/// while requests wait out the batching deadline — the numbers a gateway ranks
-/// engines by.
+/// `/healthz` reports the queue's depth and the in-flight batch count while requests
+/// wait for the engine's only worker — the numbers a gateway ranks engines by.
+///
+/// The batcher holds nothing back for a timer, so the requests are parked behind
+/// work (see [`gate`]): the gate request goes first, the light requests and the probe
+/// follow back to back on the same connection. The loop thread parses them
+/// microseconds after the gate and answers the GET inline, at parse time.
 #[test]
 fn healthz_reports_queue_depth_and_in_flight_batches() {
     let cfg = TrainConfig::tiny();
-    let model =
-        VisionTransformer::new(&mut StdRng::seed_from_u64(5), cfg, AttentionVariant::Taylor);
     let mut registry = ModelRegistry::new();
-    registry.register("m", model).expect("valid name");
+    registry
+        .register(
+            "m",
+            VisionTransformer::new(&mut StdRng::seed_from_u64(5), cfg, AttentionVariant::Taylor),
+        )
+        .expect("valid name");
+    gate::register(&mut registry);
     let server = Server::start(
         ServerConfig {
             policy: BatchPolicy {
-                // A long deadline with a large batch bound parks the requests in the
-                // queue, where healthz must count them.
                 max_batch: 64,
-                max_delay: Duration::from_millis(1500),
                 queue_capacity: 64,
             },
             workers: 1,
@@ -52,58 +63,40 @@ fn healthz_reports_queue_depth_and_in_flight_batches() {
         registry,
     )
     .expect("boot server");
-    let addr = server.local_addr();
 
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..3u64)
-            .map(|i| {
-                scope.spawn(move || {
-                    let mut client = ServeClient::connect(addr).expect("connect");
-                    let img = init::uniform(
-                        &mut StdRng::seed_from_u64(40 + i),
-                        cfg.image_size,
-                        cfg.image_size,
-                        0.0,
-                        1.0,
-                    );
-                    client
-                        .infer("m:taylor", &img)
-                        .expect("answered at the deadline flush")
-                })
-            })
-            .collect();
+    let mut stream = gate::send_gate_then(server.local_addr(), "m:taylor", &images(&cfg, 40, 3));
+    http::write_request(&mut stream, "GET", "/healthz", b"").expect("write probe");
 
-        let mut probe = ServeClient::connect(addr).expect("connect probe");
-        let deadline = Instant::now() + Duration::from_millis(1200);
-        let mut deepest = 0usize;
-        loop {
-            let (status, health) = probe.get("/healthz").expect("healthz");
-            assert_eq!(status, 200);
-            let depth = health
-                .get("queue_depth")
-                .and_then(JsonValue::as_usize)
-                .expect("healthz must report queue_depth");
-            let in_flight = health
-                .get("in_flight_batches")
-                .and_then(JsonValue::as_usize)
-                .expect("healthz must report in_flight_batches");
-            assert!(in_flight <= 1, "one worker runs at most one batch");
-            deepest = deepest.max(depth);
-            if deepest == 3 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "queued requests never appeared in healthz (deepest observation: {deepest})"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-
-        for handle in handles {
-            let reply = handle.join().expect("client thread");
-            assert!(reply.batch_size >= 1);
-        }
-    });
+    let mut reader = MessageReader::new();
+    assert_eq!(
+        gate::read_infer_reply(&mut reader, &mut stream).batch_size,
+        1
+    );
+    for _ in 0..3 {
+        assert_eq!(
+            gate::read_infer_reply(&mut reader, &mut stream).batch_size,
+            3,
+            "what queued behind the busy worker is taken together"
+        );
+    }
+    let (status, health) = gate::read_reply(&mut reader, &mut stream);
+    assert_eq!(status, 200);
+    let depth = health
+        .get("queue_depth")
+        .and_then(JsonValue::as_usize)
+        .expect("healthz must report queue_depth");
+    let in_flight = health
+        .get("in_flight_batches")
+        .and_then(JsonValue::as_usize)
+        .expect("healthz must report in_flight_batches");
+    // Three light requests, plus the gate itself if the worker had not picked it up
+    // yet when the probe was parsed.
+    assert!(
+        (3..=4).contains(&depth),
+        "queued requests must show in healthz, read queue_depth {depth}"
+    );
+    assert!(in_flight <= 1, "one worker runs at most one batch");
+    drop(stream);
     server.shutdown();
 }
 
