@@ -79,94 +79,6 @@ fn measure_served_ns(kernel: &dyn AttentionKernel, q: &Matrix, k: &Matrix, v: &M
     measure_ns(|| kernel.compute_into(q, k, v, &mut ws, &mut out))
 }
 
-/// Repetitions inside one hardware-counter window. Counters are cumulative over
-/// the window, so unlike the timing loop a handful of reps is enough — the
-/// per-token division below normalises the total out.
-const COUNTER_REPS: usize = 8;
-
-/// Hardware-counter block for one kernel at one token count: `reps` back-to-back
-/// runs inside a single [`perf::measure`] window, reported as cycles/token, IPC
-/// and LLC miss rate. Where `perf_event_open(2)` is unavailable (non-Linux,
-/// restrictive `perf_event_paranoid`, seccomp) the block is `{"supported":
-/// false}` — counters are explicitly absent, never zero.
-fn measure_counters(n: usize, reps: usize, mut f: impl FnMut()) -> JsonValue {
-    let (_, delta) = perf::measure(|| {
-        for _ in 0..reps {
-            f();
-        }
-    });
-    let mut block = JsonValue::object();
-    let Some(delta) = delta else {
-        block.set("supported", false);
-        return block;
-    };
-    block.set("supported", true);
-    match delta.get(perf::Event::Cycles) {
-        Some(cycles) => block.set("cycles_per_token", cycles as f64 / (reps * n) as f64),
-        None => block.set("cycles_per_token", JsonValue::Null),
-    };
-    match delta.get(perf::Event::Instructions) {
-        Some(instructions) => block.set(
-            "instructions_per_token",
-            instructions as f64 / (reps * n) as f64,
-        ),
-        None => block.set("instructions_per_token", JsonValue::Null),
-    };
-    match delta.ipc() {
-        Some(ipc) => block.set("ipc", ipc),
-        None => block.set("ipc", JsonValue::Null),
-    };
-    match delta.llc_miss_rate() {
-        Some(rate) => block.set("llc_miss_rate", rate),
-        None => block.set("llc_miss_rate", JsonValue::Null),
-    };
-    block
-}
-
-/// The per-kernel counter series: taylor vs softmax vs int8 vs unified at each
-/// token count, each `{kernel, n, d, counters}`.
-fn measure_kernel_counters(token_counts: &[usize], d: usize) -> Vec<JsonValue> {
-    let mut series = Vec::new();
-    for &n in token_counts {
-        let mut rng = StdRng::seed_from_u64(40_000 + n as u64);
-        let q = init::normal(&mut rng, n, d, 0.0, 0.3);
-        let k = init::normal(&mut rng, n, d, 0.0, 0.3);
-        let v = init::normal(&mut rng, n, d, 0.0, 1.0);
-        let kernels: [(&str, &dyn AttentionKernel); 4] = [
-            ("taylor", &TaylorAttention::new()),
-            ("softmax", &SoftmaxAttention::new()),
-            (
-                "int8",
-                &QuantizedTaylorKernel::new(Int8Calibration::Dynamic),
-            ),
-            (
-                "unified",
-                &UnifiedLowRankSparseAttention::new(UNIFIED_THRESHOLD),
-            ),
-        ];
-        let mut ws = Workspace::new();
-        let mut out = Matrix::zeros(n, d);
-        let rows = kernels.map(|(name, kernel)| {
-            // Warm the path once outside the window: first-touch allocation and
-            // lazy workspace growth must not be attributed to the kernel.
-            kernel.compute_into(&q, &k, &v, &mut ws, &mut out);
-            let counters = measure_counters(n, COUNTER_REPS, || {
-                kernel.compute_into(&q, &k, &v, &mut ws, &mut out);
-            });
-            (name, counters)
-        });
-        for (kernel, counters) in rows {
-            let mut o = JsonValue::object();
-            o.set("kernel", kernel)
-                .set("n", n)
-                .set("d", d)
-                .set("counters", counters);
-            series.push(o);
-        }
-    }
-    series
-}
-
 struct AttentionPoint {
     n: usize,
     d: usize,
@@ -482,38 +394,6 @@ fn main() {
         );
         int8_points.push(p);
     }
-    // Per-kernel hardware-counter series (cycles/token, IPC, LLC miss rate).
-    // Supported on bare-metal Linux with a readable PMU; containers and CI
-    // runners commonly block `perf_event_open(2)`, in which case every block
-    // reports `supported: false` and no counter values at all.
-    let perf_supported = perf::supported();
-    let kernel_counters = measure_kernel_counters(&[196, 1024], d);
-    if perf_supported {
-        for row in &kernel_counters {
-            let counters = row.get("counters").expect("counters block");
-            println!(
-                "counters n={:>4} {:>8}: {:>7.1} cycles/token | ipc {} | llc miss rate {}",
-                row.get("n").and_then(JsonValue::as_usize).unwrap_or(0),
-                row.get("kernel").and_then(JsonValue::as_str).unwrap_or("?"),
-                counters
-                    .get("cycles_per_token")
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(f64::NAN),
-                counters
-                    .get("ipc")
-                    .and_then(JsonValue::as_f64)
-                    .map_or("absent".to_string(), |v| format!("{v:.2}")),
-                counters
-                    .get("llc_miss_rate")
-                    .and_then(JsonValue::as_f64)
-                    .map_or("absent".to_string(), |v| format!("{v:.4}")),
-            );
-        }
-    } else {
-        println!(
-            "hardware counters: perf_event_open unavailable on this host (series marked absent)"
-        );
-    }
 
     // Elementwise kernels at the two MLP hidden shapes the benchmark workloads run
     // (vit196: 196 × 64, vit1024: 1024 × 256) and both LayerNorm widths.
@@ -602,25 +482,6 @@ fn main() {
         !simd_host || gelu_speedup_1024 >= 3.0,
         format!("GELU kernel {gelu_speedup_1024:.2}x the libm tanh formula at 1024x256, below 3x"),
     );
-    // Counters are host-dependent: wherever the host grants them every row must carry
-    // numbers; wherever it does not, `measure_counters` has already written absence.
-    if perf_supported {
-        for row in &kernel_counters {
-            let positive = |key: &str| {
-                row.get("counters")
-                    .and_then(|c| c.get(key))
-                    .and_then(JsonValue::as_f64)
-                    .is_some_and(|v| v > 0.0)
-            };
-            require(
-                positive("cycles_per_token") && positive("ipc"),
-                format!(
-                    "perf-capable host produced empty counters: {}",
-                    row.to_json()
-                ),
-            );
-        }
-    }
 
     let mut matmul = JsonValue::object();
     matmul
@@ -717,8 +578,6 @@ fn main() {
         .set("unified", unified)
         .set("int8", int8)
         .set("elementwise", elementwise)
-        .set("perf_supported", perf_supported)
-        .set("kernel_counters", kernel_counters)
         .set("int8_eval_images", int8_eval_images)
         .set("int8_top1_delta_pct", int8_delta_pct)
         .set("int8_documented_tolerance", INT8_TAYLOR_TOLERANCE)

@@ -1,282 +1,20 @@
-//! Offline shim over raw `perf_event_open(2)`: hardware counter groups behind an
-//! RAII region scope, with graceful degradation to "unsupported" wherever the
-//! kernel, the PMU, or `perf_event_paranoid` says no.
+//! Probe for `perf_event_open(2)`: [`supported`] says whether this host lets a
+//! thread open a hardware cycles counter, and that is all the crate does.
 //!
-//! Mirrors the `crates/compat/mio` discipline: the syscall surface is declared
-//! directly against the C library the Rust std already links (no `libc` crate),
-//! every `unsafe` call carries a SAFETY comment, and non-Linux hosts get a stub
-//! `sys` module so the public API compiles — and behaves as "counters absent" —
-//! everywhere.
-//!
-//! # Model
-//!
-//! Each thread lazily opens one counter **group** on first use: a leader
-//! (CPU cycles) plus optional siblings (instructions, cache-references,
-//! cache-misses, branch-misses, and the software task-clock). The group is
-//! enabled once and left running for the life of the thread; a [`PerfRegion`]
-//! never toggles it — it snapshots the counters at construction and again at
-//! drop (one `read(2)` each, into a stack buffer), and accumulates the delta
-//! into the [`PerfStats`] it was given. That makes regions cheap (~two
-//! syscalls), nestable (an outer batch region can wrap inner kernel regions;
-//! both see correct deltas because the counters never stop), and allocation-free
-//! at steady state.
-//!
-//! Counters are opened per-thread (`pid = 0`, `cpu = -1`) and count user-space
-//! only (`exclude_kernel`, `exclude_hv`). `inherit` is incompatible with group
-//! reads, so **counts cover the calling thread only** — callers that fan work
-//! out to other threads must place regions on the threads doing the work.
-//!
-//! Siblings that fail to open (missing PMU event, counter pressure) are
-//! individually skipped and reported as absent via the [`Delta`] mask; if the
-//! *leader* cannot open (no PMU, restrictive `perf_event_paranoid`, non-Linux
-//! host) the whole thread is unsupported and every region becomes a no-op.
-//! Callers must treat every counter as optional: absent is reported as `None`,
-//! never as zero.
+//! It survives only because the whole-stack benchmark records the answer
+//! (`perf_supported` in `benchmark/src/sysinfo.rs`) and depends on this crate by
+//! path; ROADMAP open item 1(g) drops that field, then this crate. Like
+//! `compat/mio`, the two calls are declared against the C library std already
+//! links (no `libc` crate).
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::OnceLock;
 
-/// Number of events a group tries to open, in fixed slot order.
-pub const N_EVENTS: usize = 6;
-
-/// Fixed slot order of the events in a group. Slot 0 (cycles) is the leader.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(usize)]
-pub enum Event {
-    /// Hardware CPU cycles (group leader).
-    Cycles = 0,
-    /// Hardware retired instructions.
-    Instructions = 1,
-    /// Hardware cache references (LLC accesses on most PMUs).
-    CacheReferences = 2,
-    /// Hardware cache misses (LLC misses on most PMUs).
-    CacheMisses = 3,
-    /// Hardware mispredicted branches.
-    BranchMisses = 4,
-    /// Software task clock, in nanoseconds (always available when the leader is).
-    TaskClockNs = 5,
-}
-
-/// Stable metric-name spelling for each slot, in [`Event`] order.
-pub const EVENT_NAMES: [&str; N_EVENTS] = [
-    "cycles",
-    "instructions",
-    "cache_references",
-    "cache_misses",
-    "branch_misses",
-    "task_clock_ns",
-];
-
-/// Counter deltas for one region (or one [`measure`] call). `mask` bit `i` set
-/// means slot `i` was actually counted; a clear bit means that counter was
-/// absent (not zero) and `values[i]` is meaningless.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct Delta {
-    pub values: [u64; N_EVENTS],
-    pub mask: u8,
-}
-
-impl Delta {
-    /// The counted value for `event`, or `None` if that counter was absent.
-    pub fn get(&self, event: Event) -> Option<u64> {
-        let i = event as usize;
-        if self.mask & (1 << i) != 0 {
-            Some(self.values[i])
-        } else {
-            None
-        }
-    }
-
-    /// Instructions per cycle, if both counters were present and cycles is nonzero.
-    pub fn ipc(&self) -> Option<f64> {
-        let cycles = self.get(Event::Cycles)?;
-        let instructions = self.get(Event::Instructions)?;
-        if cycles == 0 {
-            return None;
-        }
-        Some(instructions as f64 / cycles as f64)
-    }
-
-    /// Last-level-cache miss rate (`cache_misses / cache_references`), if both
-    /// counters were present and references is nonzero.
-    pub fn llc_miss_rate(&self) -> Option<f64> {
-        let refs = self.get(Event::CacheReferences)?;
-        let misses = self.get(Event::CacheMisses)?;
-        if refs == 0 {
-            return None;
-        }
-        Some(misses as f64 / refs as f64)
-    }
-}
-
-/// Shared accumulator for region deltas: plain atomic adds, safe to share
-/// across threads, allocation-free. `mask` is the union of the per-region
-/// masks, so a counter that never opened anywhere stays reported as absent.
-#[derive(Debug)]
-pub struct PerfStats {
-    regions: AtomicU64,
-    mask: AtomicU8,
-    values: [AtomicU64; N_EVENTS],
-}
-
-impl Default for PerfStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PerfStats {
-    pub const fn new() -> Self {
-        Self {
-            regions: AtomicU64::new(0),
-            mask: AtomicU8::new(0),
-            values: [const { AtomicU64::new(0) }; N_EVENTS],
-        }
-    }
-
-    /// Fold one region's delta in. Called from [`PerfRegion`]'s drop.
-    pub fn add(&self, delta: &Delta) {
-        if delta.mask == 0 {
-            return;
-        }
-        self.regions.fetch_add(1, Ordering::Relaxed);
-        self.mask.fetch_or(delta.mask, Ordering::Relaxed);
-        for i in 0..N_EVENTS {
-            if delta.mask & (1 << i) != 0 {
-                self.values[i].fetch_add(delta.values[i], Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Number of regions that contributed at least one counted event.
-    pub fn regions(&self) -> u64 {
-        self.regions.load(Ordering::Relaxed)
-    }
-
-    /// Accumulated total for `event`, or `None` if it was never counted.
-    pub fn get(&self, event: Event) -> Option<u64> {
-        let i = event as usize;
-        if self.mask.load(Ordering::Relaxed) & (1 << i) != 0 {
-            Some(self.values[i].load(Ordering::Relaxed))
-        } else {
-            None
-        }
-    }
-
-    /// Whether any region ever contributed counted events.
-    pub fn supported(&self) -> bool {
-        self.mask.load(Ordering::Relaxed) != 0
-    }
-
-    /// A point-in-time copy of the totals as a [`Delta`].
-    pub fn totals(&self) -> Delta {
-        let mask = self.mask.load(Ordering::Relaxed);
-        let mut values = [0u64; N_EVENTS];
-        for (i, v) in values.iter_mut().enumerate() {
-            *v = self.values[i].load(Ordering::Relaxed);
-        }
-        Delta { values, mask }
-    }
-
-    /// Instructions per cycle over everything accumulated so far.
-    pub fn ipc(&self) -> Option<f64> {
-        self.totals().ipc()
-    }
-
-    /// LLC miss rate over everything accumulated so far.
-    pub fn llc_miss_rate(&self) -> Option<f64> {
-        self.totals().llc_miss_rate()
-    }
-}
-
-/// Whether the *calling thread* can count: forces the lazy group open and
-/// reports the result. `false` on non-Linux hosts, unsupported architectures,
-/// restrictive `perf_event_paranoid`, or a missing PMU.
+/// Whether a user-space CPU-cycles counter can be opened on the calling thread:
+/// `false` off Linux, under a restrictive `perf_event_paranoid` or seccomp, or
+/// without a PMU. The first call opens one counter, closes it and caches the answer.
 pub fn supported() -> bool {
-    imp::with_group(|_| ()).is_some()
-}
-
-/// Raw counter snapshot plus the group's scheduling clock, used to scale
-/// deltas when the kernel multiplexed the group off the PMU part-time.
-#[derive(Clone, Copy)]
-struct Snapshot {
-    values: [u64; N_EVENTS],
-    mask: u8,
-    time_enabled: u64,
-    time_running: u64,
-}
-
-/// RAII counter scope: snapshots the thread's counter group at construction
-/// and at drop, and accumulates the (scaled) delta into `stats`. A no-op —
-/// zero syscalls, zero allocations — when counters are unavailable on this
-/// thread.
-pub struct PerfRegion<'a> {
-    stats: &'a PerfStats,
-    start: Option<Snapshot>,
-}
-
-impl<'a> PerfRegion<'a> {
-    pub fn enter(stats: &'a PerfStats) -> Self {
-        let start = imp::with_group(|g| g.read()).flatten();
-        Self { stats, start }
-    }
-}
-
-impl Drop for PerfRegion<'_> {
-    fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        let Some(Some(end)) = imp::with_group(|g| g.read()) else {
-            return;
-        };
-        self.stats.add(&scaled_delta(&start, &end));
-    }
-}
-
-/// Run `f` under a fresh region and return its counter delta alongside the
-/// result. `None` when counters are unavailable.
-pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Option<Delta>) {
-    let stats = PerfStats::new();
-    let region = PerfRegion::enter(&stats);
-    let armed = region.start.is_some();
-    let result = f();
-    drop(region);
-    let totals = stats.totals();
-    if armed && totals.mask != 0 {
-        (result, Some(totals))
-    } else {
-        (result, None)
-    }
-}
-
-/// Subtract two snapshots, scaling hardware counts by `time_enabled /
-/// time_running` when the kernel multiplexed the group (more events than PMU
-/// counters). The software task-clock is never multiplexed and stays raw. A
-/// region during which the group never ran yields an empty delta (mask 0),
-/// reported as absent rather than zero.
-fn scaled_delta(start: &Snapshot, end: &Snapshot) -> Delta {
-    let mask = start.mask & end.mask;
-    let te = end.time_enabled.saturating_sub(start.time_enabled);
-    let tr = end.time_running.saturating_sub(start.time_running);
-    if mask == 0 || (te > 0 && tr == 0) {
-        return Delta::default();
-    }
-    let scale = if tr > 0 && tr < te {
-        te as f64 / tr as f64
-    } else {
-        1.0
-    };
-    let mut values = [0u64; N_EVENTS];
-    for (i, value) in values.iter_mut().enumerate() {
-        if mask & (1 << i) == 0 {
-            continue;
-        }
-        let raw = end.values[i].saturating_sub(start.values[i]);
-        *value = if i == Event::TaskClockNs as usize {
-            raw
-        } else {
-            (raw as f64 * scale) as u64
-        };
-    }
-    Delta { values, mask }
+    static SUPPORTED: OnceLock<bool> = OnceLock::new();
+    *SUPPORTED.get_or_init(imp::probe)
 }
 
 #[cfg(all(
@@ -284,14 +22,10 @@ fn scaled_delta(start: &Snapshot, end: &Snapshot) -> Delta {
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod imp {
-    use super::{Snapshot, N_EVENTS};
-    use std::os::raw::{c_int, c_long, c_uint, c_ulong, c_void};
+    use std::os::raw::{c_int, c_long, c_ulong};
 
-    // Declared against the C library std already links; no libc crate.
     extern "C" {
         fn syscall(num: c_long, ...) -> c_long;
-        fn ioctl(fd: c_int, request: c_ulong, ...) -> c_int;
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
         fn close(fd: c_int) -> c_int;
     }
 
@@ -299,243 +33,46 @@ mod imp {
     const SYS_PERF_EVENT_OPEN: c_long = 298;
     #[cfg(target_arch = "aarch64")]
     const SYS_PERF_EVENT_OPEN: c_long = 241;
-
-    const PERF_TYPE_HARDWARE: u32 = 0;
-    const PERF_TYPE_SOFTWARE: u32 = 1;
-
-    const PERF_COUNT_HW_CPU_CYCLES: u64 = 0;
-    const PERF_COUNT_HW_INSTRUCTIONS: u64 = 1;
-    const PERF_COUNT_HW_CACHE_REFERENCES: u64 = 2;
-    const PERF_COUNT_HW_CACHE_MISSES: u64 = 3;
-    const PERF_COUNT_HW_BRANCH_MISSES: u64 = 5;
-    const PERF_COUNT_SW_TASK_CLOCK: u64 = 1;
-
-    /// `(type, config)` per slot, in [`super::Event`] order; slot 0 is the leader.
-    const EVENT_IDS: [(u32, u64); N_EVENTS] = [
-        (PERF_TYPE_HARDWARE, PERF_COUNT_HW_CPU_CYCLES),
-        (PERF_TYPE_HARDWARE, PERF_COUNT_HW_INSTRUCTIONS),
-        (PERF_TYPE_HARDWARE, PERF_COUNT_HW_CACHE_REFERENCES),
-        (PERF_TYPE_HARDWARE, PERF_COUNT_HW_CACHE_MISSES),
-        (PERF_TYPE_HARDWARE, PERF_COUNT_HW_BRANCH_MISSES),
-        (PERF_TYPE_SOFTWARE, PERF_COUNT_SW_TASK_CLOCK),
-    ];
-
-    /// `PERF_ATTR_SIZE_VER5`: the 112-byte attr layout, the newest version this
-    /// shim needs (it predates every kernel this repo targets).
-    const PERF_ATTR_SIZE_VER5: u32 = 112;
-
-    // Flag bits in `perf_event_attr.flags` (a u64 bitfield in the C header).
-    const ATTR_DISABLED: u64 = 1 << 0;
-    const ATTR_EXCLUDE_KERNEL: u64 = 1 << 5;
-    const ATTR_EXCLUDE_HV: u64 = 1 << 6;
-
-    const PERF_FORMAT_TOTAL_TIME_ENABLED: u64 = 1 << 0;
-    const PERF_FORMAT_TOTAL_TIME_RUNNING: u64 = 1 << 1;
-    const PERF_FORMAT_GROUP: u64 = 1 << 3;
-
     const PERF_FLAG_FD_CLOEXEC: c_ulong = 1 << 3;
 
-    const PERF_EVENT_IOC_ENABLE: c_ulong = 0x2400;
-    const PERF_IOC_FLAG_GROUP: c_ulong = 1;
-
-    /// `struct perf_event_attr` at `PERF_ATTR_SIZE_VER5` (112 bytes). Every
-    /// field this shim doesn't set stays zeroed, which is the documented
-    /// "default behaviour" encoding for the whole attr surface.
+    /// `struct perf_event_attr` at `PERF_ATTR_SIZE_VER0`. `type_` and `config` stay
+    /// 0: `PERF_TYPE_HARDWARE`, `PERF_COUNT_HW_CPU_CYCLES`.
     #[repr(C)]
+    #[derive(Default)]
     struct PerfEventAttr {
         type_: u32,
         size: u32,
         config: u64,
-        sample_period: u64,
-        sample_type: u64,
-        read_format: u64,
+        _sample_period_type_read_format: [u64; 3],
         flags: u64,
-        wakeup_events: u32,
-        bp_type: u32,
-        config1: u64,
-        config2: u64,
-        branch_sample_type: u64,
-        sample_regs_user: u64,
-        sample_stack_user: u32,
-        clockid: i32,
-        sample_regs_intr: u64,
-        aux_watermark: u32,
-        sample_max_stack: u16,
-        reserved_2: u16,
+        _wakeup_bp_type_config1: [u64; 2],
     }
+    const _: () = assert!(std::mem::size_of::<PerfEventAttr>() == 64);
 
-    const _: () = assert!(std::mem::size_of::<PerfEventAttr>() == PERF_ATTR_SIZE_VER5 as usize);
-
-    fn attr_for(slot: usize, leader: bool) -> PerfEventAttr {
-        let (type_, config) = EVENT_IDS[slot];
-        PerfEventAttr {
-            type_,
-            size: PERF_ATTR_SIZE_VER5,
-            config,
-            sample_period: 0,
-            sample_type: 0,
-            // Only the leader's read_format matters for group reads, but keeping
-            // them identical is harmless and matches perf(1)'s own behaviour.
-            read_format: PERF_FORMAT_GROUP
-                | PERF_FORMAT_TOTAL_TIME_ENABLED
-                | PERF_FORMAT_TOTAL_TIME_RUNNING,
-            // The leader opens disabled so siblings can join before anything
-            // counts; siblings inherit the leader's enable state.
-            flags: if leader { ATTR_DISABLED } else { 0 } | ATTR_EXCLUDE_KERNEL | ATTR_EXCLUDE_HV,
-            wakeup_events: 0,
-            bp_type: 0,
-            config1: 0,
-            config2: 0,
-            branch_sample_type: 0,
-            sample_regs_user: 0,
-            sample_stack_user: 0,
-            clockid: 0,
-            sample_regs_intr: 0,
-            aux_watermark: 0,
-            sample_max_stack: 0,
-            reserved_2: 0,
-        }
-    }
-
-    fn perf_event_open(attr: &PerfEventAttr, group_fd: c_int) -> c_int {
-        // SAFETY: `attr` points at a fully-initialised 112-byte struct whose
-        // `size` field matches its layout; pid=0/cpu=-1 asks for a counter on
-        // the calling thread, which needs no privileges beyond what
-        // perf_event_paranoid grants (failure is reported via the return
-        // value, which the caller checks).
-        unsafe {
+    pub(super) fn probe() -> bool {
+        let attr = PerfEventAttr {
+            size: 64,
+            flags: (1 << 0) | (1 << 5) | (1 << 6), // disabled, exclude_kernel, exclude_hv
+            ..PerfEventAttr::default()
+        };
+        // SAFETY: `attr` is fully initialised and `size` matches its layout; pid 0 /
+        // cpu -1 / no group is the calling thread, and a refusal returns -1.
+        let fd = unsafe {
             syscall(
                 SYS_PERF_EVENT_OPEN,
-                attr as *const PerfEventAttr,
+                &attr as *const PerfEventAttr,
                 0 as c_int,
                 -1 as c_int,
-                group_fd,
+                -1 as c_int,
                 PERF_FLAG_FD_CLOEXEC,
-            ) as c_int
+            )
+        };
+        if fd < 0 {
+            return false;
         }
-    }
-
-    /// One thread's counter group: the leader fd plus any sibling fds that
-    /// opened, with `order` mapping read-buffer slots back to event indices.
-    /// Fixed-size arrays throughout — opening and reading never allocate.
-    pub(super) struct ThreadGroup {
-        leader: c_int,
-        fds: [c_int; N_EVENTS],
-        order: [usize; N_EVENTS],
-        n: usize,
-        mask: u8,
-    }
-
-    impl ThreadGroup {
-        fn open() -> Option<Self> {
-            let leader = perf_event_open(&attr_for(0, true), -1);
-            if leader < 0 {
-                // No PMU, restrictive perf_event_paranoid, or a kernel without
-                // perf support: the whole thread degrades to "unsupported".
-                return None;
-            }
-            let mut fds = [-1 as c_int; N_EVENTS];
-            let mut order = [0usize; N_EVENTS];
-            fds[0] = leader;
-            order[0] = 0;
-            let mut n = 1;
-            let mut mask: u8 = 1;
-            for (slot, fd_slot) in fds.iter_mut().enumerate().skip(1) {
-                let fd = perf_event_open(&attr_for(slot, false), leader);
-                if fd < 0 {
-                    // Individually-failing siblings are skipped, not fatal:
-                    // the event may not exist on this PMU or the group may be
-                    // out of counters. The mask records the absence.
-                    continue;
-                }
-                *fd_slot = fd;
-                order[n] = slot;
-                n += 1;
-                mask |= 1 << slot;
-            }
-            // SAFETY: `leader` is a live perf fd owned by this group;
-            // ENABLE with the GROUP flag atomically starts the leader and
-            // every sibling. Failure (unexpected) leaves the group counting
-            // nothing, which `read` surfaces as zero deltas.
-            let rc = unsafe { ioctl(leader, PERF_EVENT_IOC_ENABLE, PERF_IOC_FLAG_GROUP) };
-            if rc < 0 {
-                // Close everything and report unsupported rather than serving
-                // a group that will never count.
-                for &fd in fds.iter() {
-                    if fd >= 0 {
-                        // SAFETY: fd was returned by perf_event_open above and
-                        // has not been closed yet.
-                        unsafe { close(fd) };
-                    }
-                }
-                return None;
-            }
-            Some(Self {
-                leader,
-                fds,
-                order,
-                n,
-                mask,
-            })
-        }
-
-        /// One `read(2)` of the whole group into a stack buffer. Layout with
-        /// `PERF_FORMAT_GROUP | TOTAL_TIME_ENABLED | TOTAL_TIME_RUNNING`:
-        /// `{ nr, time_enabled, time_running, value[nr] }`, values in the
-        /// order the events were opened.
-        pub(super) fn read(&self) -> Option<Snapshot> {
-            let mut buf = [0u64; 3 + N_EVENTS];
-            let want = (3 + self.n) * 8;
-            // SAFETY: `buf` is a writable stack buffer of at least `want`
-            // bytes, and `leader` is a live perf fd; a group read either
-            // fills exactly the advertised layout or fails with -1.
-            let got = unsafe { read(self.leader, buf.as_mut_ptr() as *mut c_void, want) };
-            if got != want as isize || buf[0] != self.n as u64 {
-                return None;
-            }
-            let mut values = [0u64; N_EVENTS];
-            for (i, &slot) in self.order[..self.n].iter().enumerate() {
-                values[slot] = buf[3 + i];
-            }
-            Some(Snapshot {
-                values,
-                mask: self.mask,
-                time_enabled: buf[1],
-                time_running: buf[2],
-            })
-        }
-    }
-
-    impl Drop for ThreadGroup {
-        fn drop(&mut self) {
-            for &fd in self.fds.iter() {
-                if fd >= 0 {
-                    // SAFETY: each non-negative fd is a live perf fd owned
-                    // exclusively by this group.
-                    unsafe { close(fd) };
-                }
-            }
-        }
-    }
-
-    std::thread_local! {
-        // One lazily-opened group per thread; `OnceCell` so a failed open is
-        // remembered (no reprobe storm) and fds close on thread exit.
-        static GROUP: std::cell::OnceCell<Option<ThreadGroup>> =
-            const { std::cell::OnceCell::new() };
-    }
-
-    pub(super) fn with_group<R>(f: impl FnOnce(&ThreadGroup) -> R) -> Option<R> {
-        GROUP
-            .try_with(|cell| cell.get_or_init(ThreadGroup::open).as_ref().map(f))
-            .ok()
-            .flatten()
-    }
-
-    // Referenced so the stub and real modules expose the same surface.
-    #[allow(dead_code)]
-    fn unsupported_marker() -> c_uint {
-        0
+        // SAFETY: `fd` was just returned by perf_event_open and is closed once.
+        unsafe { close(fd as c_int) };
+        true
     }
 }
 
@@ -544,108 +81,7 @@ mod imp {
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
 mod imp {
-    use super::Snapshot;
-
-    /// Stub group for hosts without `perf_event_open(2)`: never constructed.
-    pub(super) struct ThreadGroup(());
-
-    impl ThreadGroup {
-        pub(super) fn read(&self) -> Option<Snapshot> {
-            None
-        }
-    }
-
-    /// Counters are structurally unavailable here; every region is a no-op.
-    pub(super) fn with_group<R>(_f: impl FnOnce(&ThreadGroup) -> R) -> Option<R> {
-        None
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Busy work with an instruction count proportional to `iters`.
-    fn spin(iters: u64) -> u64 {
-        let mut acc = 0u64;
-        for i in 0..iters {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-            std::hint::black_box(acc);
-        }
-        acc
-    }
-
-    /// Satellite gate: the instructions counter is monotone across a known
-    /// loop — 16× the work must retire more instructions. Skipped (but the
-    /// region path still exercised) where counters are unsupported.
-    #[test]
-    fn instructions_monotone_across_known_loop() {
-        if !supported() {
-            // The unsupported path must stay fully functional: regions are
-            // inert and report absence, not zero.
-            let stats = PerfStats::new();
-            {
-                let _r = PerfRegion::enter(&stats);
-                std::hint::black_box(spin(1000));
-            }
-            assert_eq!(stats.regions(), 0);
-            assert!(!stats.supported());
-            assert!(stats.get(Event::Instructions).is_none());
-            return;
-        }
-        let mut counted = Vec::new();
-        for &iters in &[100_000u64, 1_600_000] {
-            let (_, delta) = measure(|| spin(iters));
-            let delta = delta.expect("supported() implies measure() yields a delta");
-            counted.push(
-                delta
-                    .get(Event::Instructions)
-                    .expect("instructions sibling"),
-            );
-        }
-        assert!(
-            counted[1] > counted[0],
-            "16x the loop work must retire more instructions: {counted:?}"
-        );
-        // And the small loop alone retires at least one instruction per iteration.
-        assert!(counted[0] >= 100_000, "implausibly low count: {counted:?}");
-    }
-
-    /// Nested regions both observe their own deltas (counters never stop).
-    #[test]
-    fn nested_regions_accumulate_independently() {
-        if !supported() {
-            return;
-        }
-        let outer = PerfStats::new();
-        let inner = PerfStats::new();
-        {
-            let _o = PerfRegion::enter(&outer);
-            std::hint::black_box(spin(50_000));
-            {
-                let _i = PerfRegion::enter(&inner);
-                std::hint::black_box(spin(50_000));
-            }
-            std::hint::black_box(spin(50_000));
-        }
-        let oi = outer.get(Event::Instructions).unwrap();
-        let ii = inner.get(Event::Instructions).unwrap();
-        assert!(oi > ii, "outer region ({oi}) must contain the inner ({ii})");
-        assert!(ii > 0);
-    }
-
-    #[test]
-    fn delta_ratios_report_absence() {
-        let empty = Delta::default();
-        assert!(empty.ipc().is_none());
-        assert!(empty.llc_miss_rate().is_none());
-        let mut d = Delta {
-            mask: (1 << Event::Cycles as usize) | (1 << Event::Instructions as usize),
-            ..Delta::default()
-        };
-        d.values[Event::Cycles as usize] = 1000;
-        d.values[Event::Instructions as usize] = 2500;
-        assert_eq!(d.ipc(), Some(2.5));
-        assert!(d.llc_miss_rate().is_none(), "cache counters absent");
+    pub(super) fn probe() -> bool {
+        false
     }
 }

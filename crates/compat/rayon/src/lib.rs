@@ -1,8 +1,8 @@
 //! Offline drop-in subset of the [`rayon`](https://crates.io/crates/rayon) crate.
 //!
 //! The build environment has no crates-registry access, so the workspace vendors the
-//! small slice of rayon's data-parallel API its hot paths use: `par_chunks_mut`,
-//! `par_chunks` and `par_iter` / `into_par_iter` with `map` / `for_each` / `collect`.
+//! small slice of rayon's data-parallel API its hot paths use: `par_chunks_mut` with
+//! `for_each` (optionally after `enumerate`), and `par_iter` with `map` + `collect`.
 //!
 //! Work is executed on `std::thread::scope` threads, one per available core, pulling
 //! items from a shared queue. When only one core is available (or the job has a single
@@ -16,7 +16,7 @@ use std::sync::Mutex;
 
 /// Everything a caller needs to use the parallel iterator subset.
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, ParallelSlice, ParallelSliceMut};
+    pub use crate::{ParallelSlice, ParallelSliceMut};
 }
 
 std::thread_local! {
@@ -143,26 +143,18 @@ impl<T: Send> EnumParChunksMut<'_, T> {
 }
 
 // ---------------------------------------------------------------------------
-// &[T] → par_iter / par_chunks
+// &[T] → par_iter
 // ---------------------------------------------------------------------------
 
 /// Parallel shared-reference extension for slices.
 pub trait ParallelSlice<T: Sync> {
     /// Iterates the elements in parallel by shared reference.
     fn par_iter(&self) -> ParSliceIter<'_, T>;
-
-    /// Splits the slice into read-only chunks of at most `size` elements.
-    fn par_chunks(&self, size: usize) -> ParChunks<'_, T>;
 }
 
 impl<T: Sync> ParallelSlice<T> for [T] {
     fn par_iter(&self) -> ParSliceIter<'_, T> {
         ParSliceIter { slice: self }
-    }
-
-    fn par_chunks(&self, size: usize) -> ParChunks<'_, T> {
-        assert!(size > 0, "chunk size must be non-zero");
-        ParChunks { slice: self, size }
     }
 }
 
@@ -182,11 +174,6 @@ impl<'a, T: Sync> ParSliceIter<'a, T> {
             slice: self.slice,
             f,
         }
-    }
-
-    /// Runs `f` on every element in parallel.
-    pub fn for_each<F: Fn(&'a T) + Sync>(self, f: F) {
-        drive(self.slice.iter(), f);
     }
 }
 
@@ -208,111 +195,6 @@ where
     }
 }
 
-/// Parallel iterator over read-only chunks of a slice.
-pub struct ParChunks<'a, T> {
-    slice: &'a [T],
-    size: usize,
-}
-
-impl<'a, T: Sync> ParChunks<'a, T> {
-    /// Maps every chunk in parallel; results keep chunk order.
-    pub fn map<R, F>(self, f: F) -> ParChunksMap<'a, T, F>
-    where
-        R: Send,
-        F: Fn(&'a [T]) -> R + Sync,
-    {
-        ParChunksMap {
-            slice: self.slice,
-            size: self.size,
-            f,
-        }
-    }
-}
-
-/// Mapped parallel chunk iterator (see [`ParChunks::map`]).
-pub struct ParChunksMap<'a, T, F> {
-    slice: &'a [T],
-    size: usize,
-    f: F,
-}
-
-impl<'a, T, R, F> ParChunksMap<'a, T, F>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&'a [T]) -> R + Sync,
-{
-    /// Collects the mapped results in chunk order.
-    pub fn collect<C: From<Vec<R>>>(self) -> C {
-        let chunks: Vec<&[T]> = self.slice.chunks(self.size).collect();
-        C::from(drive_map(chunks.len(), |i| (self.f)(chunks[i])))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Range<usize> → into_par_iter
-// ---------------------------------------------------------------------------
-
-/// Conversion into a parallel iterator.
-pub trait IntoParallelIterator {
-    /// The parallel iterator type.
-    type Iter;
-
-    /// Converts `self` into a parallel iterator.
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-impl IntoParallelIterator for std::ops::Range<usize> {
-    type Iter = ParRange;
-
-    fn into_par_iter(self) -> ParRange {
-        ParRange { range: self }
-    }
-}
-
-/// Parallel iterator over a `Range<usize>`.
-pub struct ParRange {
-    range: std::ops::Range<usize>,
-}
-
-impl ParRange {
-    /// Maps every index in parallel; results keep index order.
-    pub fn map<R, F>(self, f: F) -> ParRangeMap<F>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        ParRangeMap {
-            range: self.range,
-            f,
-        }
-    }
-
-    /// Runs `f` on every index in parallel.
-    pub fn for_each<F: Fn(usize) + Sync>(self, f: F) {
-        drive(self.range, f);
-    }
-}
-
-/// Mapped parallel range iterator (see [`ParRange::map`]).
-pub struct ParRangeMap<F> {
-    range: std::ops::Range<usize>,
-    f: F,
-}
-
-impl<R, F> ParRangeMap<F>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    /// Collects the mapped results in index order.
-    pub fn collect<C: From<Vec<R>>>(self) -> C {
-        let start = self.range.start;
-        let len = self.range.len();
-        C::from(drive_map(len, |i| (self.f)(start + i)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -331,15 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn range_map_collect_preserves_order() {
-        let squares: Vec<usize> = (0..64).into_par_iter().map(|i| i * i).collect();
-        assert_eq!(squares.len(), 64);
-        for (i, &s) in squares.iter().enumerate() {
-            assert_eq!(s, i * i);
-        }
-    }
-
-    #[test]
     fn slice_par_iter_maps_in_order() {
         let input: Vec<i64> = (0..37).collect();
         let doubled: Vec<i64> = input.par_iter().map(|&v| v * 2).collect();
@@ -349,13 +222,20 @@ mod tests {
     #[test]
     fn nested_parallel_regions_stay_correct_and_run_inline() {
         // Outer parallelism over 8 items, each item running an inner parallel map: the
-        // nesting guard must keep results correct (inner regions run inline on the
-        // worker thread instead of spawning another thread generation).
-        let totals: Vec<usize> = (0..8)
-            .into_par_iter()
-            .map(|outer| {
-                let inner: Vec<usize> = (0..100).into_par_iter().map(|i| i * outer).collect();
-                inner.iter().sum()
+        // nesting guard must keep results correct and run every inner region inline on
+        // the thread that entered it instead of spawning another thread generation.
+        let outers: Vec<usize> = (0..8).collect();
+        let inputs: Vec<usize> = (0..100).collect();
+        let totals: Vec<usize> = outers
+            .par_iter()
+            .map(|&outer| {
+                let caller = std::thread::current().id();
+                let inner: Vec<(usize, std::thread::ThreadId)> = inputs
+                    .par_iter()
+                    .map(|&i| (i * outer, std::thread::current().id()))
+                    .collect();
+                assert!(inner.iter().all(|&(_, id)| id == caller));
+                inner.iter().map(|&(v, _)| v).sum()
             })
             .collect();
         for (outer, &total) in totals.iter().enumerate() {

@@ -907,7 +907,12 @@ impl<F: Dispatch> EventLoop<F> {
                 .pop_front()
                 .expect("every dispatched seq has a close flag");
             debug_assert_eq!(seq, next, "close flags stay in sequence order");
-            let keep_alive = !wants_close && !stopping && !conn.broken && !conn.peer_eof;
+            // A request's own `Connection: close` ends the connection after its
+            // response; a connection-level reason (draining, peer half-close,
+            // framing error) only after the last response it owes, so pipelined
+            // replies already admitted behind this one are still written.
+            let ending = stopping || conn.broken || conn.peer_eof;
+            let close = wants_close || (ending && seq + 1 == conn.next_seq);
             let mut extra: Vec<(&str, String)> = Vec::new();
             if let Some(secs) = response.retry_after {
                 extra.push(("Retry-After", secs.to_string()));
@@ -924,11 +929,11 @@ impl<F: Dispatch> EventLoop<F> {
             } = crate::http::encode_response_typed(
                 response.status,
                 body.as_bytes(),
-                keep_alive,
+                !close,
                 &extra,
                 content_type,
             );
-            let mut close_after = !keep_alive;
+            let mut close_after = close;
             if let Some(limit) = fail_after {
                 // Chaos truncation: emit only the prefix, then hard-close.
                 bytes.truncate(limit);

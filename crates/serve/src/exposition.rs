@@ -13,38 +13,31 @@
 //! [`validate_exposition`] is the matching conformance checker, shared by the
 //! format unit tests, the live engine/gateway scrape tests and the CI step.
 //!
-//! # Worked example: adding a metric and a `PerfRegion`
+//! # Worked example: adding a metric
 //!
-//! Suppose a new subsystem wants to export a work counter plus hardware-counter
-//! attribution for its hot loop. Three steps:
+//! Suppose a new subsystem wants to export a work counter for its hot loop. Three
+//! steps:
 //!
-//! 1. **Count the work** with an atomic (and a [`perf::PerfStats`] sink if the
-//!    hot loop should report IPC / cache behaviour), wrapping the loop in a
-//!    [`perf::PerfRegion`] so counter deltas accumulate into the sink:
+//! 1. **Count the work** with an atomic — one relaxed add, no lock, no
+//!    allocation on the hot path:
 //!
 //! ```
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //!
 //! static ITEMS: AtomicU64 = AtomicU64::new(0);
-//! static HOT_PERF: perf::PerfStats = perf::PerfStats::new();
 //!
 //! fn hot_loop(work: &[u64]) -> u64 {
-//!     // Two read(2) syscalls per region; a no-op where counters are absent.
-//!     let _region = perf::PerfRegion::enter(&HOT_PERF);
 //!     ITEMS.fetch_add(work.len() as u64, Ordering::Relaxed);
 //!     work.iter().sum()
 //! }
 //! # assert_eq!(hot_loop(&[1, 2, 3]), 6);
 //! ```
 //!
-//! 2. **Register it** in the scrape handler. Counters that may be absent
-//!    (hardware counters on a host without PMU access) are simply *not
-//!    registered* — never exported as zero:
+//! 2. **Register it** in the scrape handler, reading the atomic at scrape time:
 //!
 //! ```
 //! use vitality_serve::exposition::MetricsRegistry;
 //! # static ITEMS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-//! # static HOT_PERF: perf::PerfStats = perf::PerfStats::new();
 //!
 //! let mut reg = MetricsRegistry::new();
 //! reg.counter(
@@ -53,14 +46,6 @@
 //!     &[("subsystem", "example")],
 //!     ITEMS.load(std::sync::atomic::Ordering::Relaxed) as f64,
 //! );
-//! if let Some(cycles) = HOT_PERF.get(perf::Event::Cycles) {
-//!     reg.counter(
-//!         "vitality_hot_cpu_cycles_total",
-//!         "CPU cycles spent inside the hot loop (user space, calling thread)",
-//!         &[("subsystem", "example")],
-//!         cycles as f64,
-//!     );
-//! }
 //! let text = reg.encode();
 //! vitality_serve::exposition::validate_exposition(&text).expect("conformant");
 //! ```
@@ -286,93 +271,6 @@ impl MetricsRegistry {
         }
         out
     }
-}
-
-/// Register the derived + raw series of a [`perf::PerfStats`] sink under
-/// `prefix_*` metric names. Absent counters are *not registered* — a scrape of a
-/// host without PMU access simply lacks the series, it never reads zero.
-pub fn register_perf(
-    reg: &mut MetricsRegistry,
-    prefix: &str,
-    labels: &[(&str, &str)],
-    stats: &perf::PerfStats,
-) {
-    if !stats.supported() {
-        return;
-    }
-    reg.counter(
-        &format!("{prefix}_perf_regions_total"),
-        "Hardware-counter regions accumulated into this sink",
-        labels,
-        stats.regions() as f64,
-    );
-    for (i, name) in perf::EVENT_NAMES.iter().enumerate() {
-        let event = match i {
-            0 => perf::Event::Cycles,
-            1 => perf::Event::Instructions,
-            2 => perf::Event::CacheReferences,
-            3 => perf::Event::CacheMisses,
-            4 => perf::Event::BranchMisses,
-            _ => perf::Event::TaskClockNs,
-        };
-        if let Some(v) = stats.get(event) {
-            reg.counter(
-                &format!("{prefix}_perf_{name}_total"),
-                "Accumulated hardware-counter total (user space, counting threads only)",
-                labels,
-                v as f64,
-            );
-        }
-    }
-    if let Some(ipc) = stats.ipc() {
-        reg.gauge(
-            &format!("{prefix}_perf_ipc"),
-            "Instructions per cycle over everything accumulated so far",
-            labels,
-            ipc,
-        );
-    }
-    if let Some(rate) = stats.llc_miss_rate() {
-        reg.gauge(
-            &format!("{prefix}_perf_llc_miss_rate"),
-            "Cache-miss / cache-reference ratio over everything accumulated so far",
-            labels,
-            rate,
-        );
-    }
-}
-
-/// The JSON twin of [`register_perf`]: the per-sink hardware-counter block for the
-/// existing `/metrics` JSON shape. Hosts without counters report
-/// `{"supported": false}` — explicit absence, never zeros.
-pub fn perf_json(stats: &perf::PerfStats) -> serde::json::JsonValue {
-    let mut block = serde::json::JsonValue::object();
-    if !stats.supported() {
-        block.set("supported", false);
-        return block;
-    }
-    block.set("supported", true).set("regions", stats.regions());
-    let totals = stats.totals();
-    for (i, name) in perf::EVENT_NAMES.iter().enumerate() {
-        let event = match i {
-            0 => perf::Event::Cycles,
-            1 => perf::Event::Instructions,
-            2 => perf::Event::CacheReferences,
-            3 => perf::Event::CacheMisses,
-            4 => perf::Event::BranchMisses,
-            _ => perf::Event::TaskClockNs,
-        };
-        if let Some(v) = totals.get(event) {
-            block.set(name, v);
-        }
-    }
-    if let Some(ipc) = totals.ipc() {
-        block.set("ipc", ipc);
-    }
-    if let Some(rate) = totals.llc_miss_rate() {
-        block.set("llc_miss_rate", rate);
-    }
-    block
 }
 
 /// A parsed sample line: name, sorted label pairs, value.
@@ -653,22 +551,5 @@ mod tests {
             .contains("monotone"));
         // Missing trailing newline.
         assert!(validate_exposition("# TYPE a counter\na 1").is_err());
-    }
-
-    #[test]
-    fn perf_json_reports_explicit_absence() {
-        let stats = perf::PerfStats::new();
-        let block = perf_json(&stats);
-        assert_eq!(
-            block
-                .get("supported")
-                .and_then(serde::json::JsonValue::as_bool),
-            Some(false)
-        );
-        assert!(block.get("cycles").is_none(), "absent, not zero");
-        // And an unsupported sink registers no Prometheus series at all.
-        let mut reg = MetricsRegistry::new();
-        register_perf(&mut reg, "demo", &[], &stats);
-        assert_eq!(reg.encode(), "");
     }
 }

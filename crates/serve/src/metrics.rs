@@ -123,10 +123,6 @@ pub struct VariantStats {
     pub compute: LatencyHistogram,
     /// Stage breakdown: response serialize + socket write.
     pub write: LatencyHistogram,
-    /// Hardware-counter accumulation over this variant's `infer_batch_into` windows
-    /// (worker threads only; absent — never zero — where `perf_event_open(2)` is
-    /// unavailable). Exposes per-variant IPC and LLC miss rate on `/metrics`.
-    pub perf: perf::PerfStats,
 }
 
 impl VariantStats {
@@ -268,8 +264,7 @@ impl Metrics {
     /// `vitality_serve_` prefix — the body of `GET /metrics?format=prometheus`.
     /// The same counters as [`Metrics::snapshot_json`], in text exposition form:
     /// request counters, the end-to-end and queue-wait histograms, per-variant
-    /// request/latency/stage series, and the hardware-counter blocks (present
-    /// only where `perf_event_open(2)` works — absence is absence, not zero).
+    /// request/latency/stage series.
     pub fn register_prometheus(&self, reg: &mut crate::exposition::MetricsRegistry) {
         let none: &[(&str, &str)] = &[];
         reg.gauge(
@@ -366,14 +361,7 @@ impl Metrics {
                     hist,
                 );
             }
-            crate::exposition::register_perf(reg, "vitality_serve_variant", variant, &stats.perf);
         }
-        crate::exposition::register_perf(
-            reg,
-            "vitality_serve_gemm",
-            none,
-            vitality_tensor::gemm_perf(),
-        );
     }
 
     /// A point-in-time JSON snapshot, the body of `GET /metrics`.
@@ -425,8 +413,7 @@ impl Metrics {
                 .set("p50_us", stats.latency.quantile_us(0.50))
                 .set("p95_us", stats.latency.quantile_us(0.95))
                 .set("p99_us", stats.latency.quantile_us(0.99))
-                .set("stages", stats.stages_json())
-                .set("perf", crate::exposition::perf_json(&stats.perf));
+                .set("stages", stats.stages_json());
             variants.set(label, v);
         }
         // The *resolved* matmul backend (env request reconciled against the host's
@@ -437,13 +424,7 @@ impl Metrics {
         compute
             .set("matmul_backend", vitality_tensor::matmul_backend().label())
             .set("cpu_avx2", cpu.avx2)
-            .set("cpu_fma", cpu.fma)
-            // GEMM-attributed hardware counters (all backends' non-small products),
-            // distinct from the per-variant whole-batch windows above.
-            .set(
-                "gemm_perf",
-                crate::exposition::perf_json(vitality_tensor::gemm_perf()),
-            );
+            .set("cpu_fma", cpu.fma);
         let mut root = JsonValue::object();
         root.set("uptime_s", self.started.elapsed().as_secs_f64())
             .set("compute", compute)

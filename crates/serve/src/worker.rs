@@ -161,9 +161,6 @@ fn run_batch(
     {
         metrics.in_flight_batches.fetch_add(1, Ordering::Relaxed);
         let _in_flight = InFlight(metrics);
-        // Hardware-counter window over the whole-batch kernel: per-variant IPC
-        // and LLC miss rate on `/metrics` (inert where perf is unavailable).
-        let _perf = perf::PerfRegion::enter(&variant_stats.perf);
         entry.model().infer_batch_into(&images, outputs, ws);
     }
     let infer_end = Instant::now();

@@ -37,14 +37,22 @@ const CONFIG: TrainConfig = TrainConfig {
     classes: 4,
 };
 
-/// Registers the gate model (`gate:softmax`) next to the models under test.
-pub fn register(registry: &mut ModelRegistry) {
+/// Registers the gate model (`gate:softmax`) next to the models under test, and
+/// returns it so a test can check the gate's own reply against [`image`].
+pub fn register(registry: &mut ModelRegistry) -> VisionTransformer {
     let gate = VisionTransformer::new(
         &mut StdRng::seed_from_u64(43),
         CONFIG,
         AttentionVariant::Softmax,
     );
-    registry.register("gate", gate).expect("valid name");
+    registry.register("gate", gate.clone()).expect("valid name");
+    gate
+}
+
+/// The image every gate request carries.
+pub fn image() -> Matrix {
+    let side = CONFIG.image_size;
+    init::uniform(&mut StdRng::seed_from_u64(1), side, side, 0.0, 1.0)
 }
 
 /// Opens a raw connection and pipelines one gate request followed by one request to
@@ -60,9 +68,7 @@ pub fn send_gate_then(addr: SocketAddr, model: &str, riders: &[Matrix]) -> TcpSt
         http::write_request(&mut stream, "POST", "/v1/infer", body.as_bytes())
             .expect("write request");
     };
-    let side = CONFIG.image_size;
-    let gate_image = init::uniform(&mut StdRng::seed_from_u64(1), side, side, 0.0, 1.0);
-    send("gate:softmax", &gate_image);
+    send("gate:softmax", &image());
     for rider in riders {
         send(model, rider);
     }

@@ -2,6 +2,7 @@
 //! inference, the health/metrics endpoints, typed error responses and graceful
 //! shutdown under concurrent clients.
 
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -9,7 +10,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::json::JsonValue;
 use vitality_serve::http::MessageReader;
-use vitality_serve::{BatchPolicy, ClientError, ModelRegistry, ServeClient, Server, ServerConfig};
+use vitality_serve::{
+    protocol, BatchPolicy, ClientError, InferReply, ModelRegistry, ServeClient, Server,
+    ServerConfig,
+};
 use vitality_tensor::{init, Matrix};
 use vitality_vit::{AttentionVariant, Int8Calibration, TrainConfig, VisionTransformer};
 
@@ -58,18 +62,20 @@ fn boot_with(
 }
 
 /// An engine whose only worker can be made busy on demand (see [`gate`]): while the
-/// worker runs the gate request everything sent after it for `vit:*` queues.
-fn boot_gated() -> (Server, VisionTransformer, TrainConfig) {
+/// worker runs the gate request everything sent after it for `vit:*` queues. The
+/// last element is the gate model itself.
+fn boot_gated() -> (Server, VisionTransformer, TrainConfig, VisionTransformer) {
     let mut registry = ModelRegistry::new();
-    gate::register(&mut registry);
-    boot_with(
+    let gate = gate::register(&mut registry);
+    let (server, model, cfg) = boot_with(
         BatchPolicy {
             max_batch: 8,
             queue_capacity: 64,
         },
         1,
         registry,
-    )
+    );
+    (server, model, cfg, gate)
 }
 
 fn image(cfg: &TrainConfig, seed: u64) -> Matrix {
@@ -184,7 +190,7 @@ fn concurrent_requests_coalesce_into_batches() {
     // the batcher must hand them over as one batch the moment the worker frees up,
     // and the riders must see it in their replies.
     let riders = 8;
-    let (server, model, cfg) = boot_gated();
+    let (server, model, cfg, _gate) = boot_gated();
     let images: Vec<Matrix> = (0..riders).map(|i| image(&cfg, 2000 + i as u64)).collect();
     let mut stream = gate::send_gate_then(server.local_addr(), "vit:taylor", &images);
     let mut reader = MessageReader::new();
@@ -323,23 +329,15 @@ fn bad_requests_get_typed_error_responses() {
 fn shutdown_answers_in_flight_requests_then_refuses_new_connections() {
     // Four clients' requests sit in the queue behind the gate when the shutdown is
     // issued: the drain must flush and answer them all, proving drained requests are
-    // served. (One connection per request: a draining front answers a connection's
-    // next response with `Connection: close`.)
-    let (server, model, cfg) = boot_gated();
+    // served. (One connection per request; the pipelined drain is the next test.)
+    let (server, model, cfg, _gate) = boot_gated();
     let addr = server.local_addr();
     let metrics = server.metrics();
-    let admitted = |count: u64| {
-        let patience = Instant::now() + Duration::from_secs(30);
-        while metrics.submitted.load(Ordering::Relaxed) < count {
-            assert!(Instant::now() < patience, "request {count} never queued");
-            std::thread::yield_now();
-        }
-    };
     let imgs: Vec<Matrix> = (0..4).map(|i| image(&cfg, 300 + i)).collect();
     let mut gate_conn = gate::send_gate_then(addr, "vit:taylor", &[]);
     // The gate is at the head of the queue (or already running) before any of the
     // four is sent, so the worker cannot take one of them first.
-    admitted(1);
+    wait_admitted(&server, 1);
     std::thread::scope(|scope| {
         let handles: Vec<_> = imgs
             .iter()
@@ -350,7 +348,7 @@ fn shutdown_answers_in_flight_requests_then_refuses_new_connections() {
                 })
             })
             .collect();
-        admitted(5);
+        wait_admitted(&server, 5);
         assert_eq!(
             metrics.completed.load(Ordering::Relaxed),
             0,
@@ -387,4 +385,87 @@ fn shutdown_answers_in_flight_requests_then_refuses_new_connections() {
             );
         }
     }
+}
+
+/// Blocks until the engine has admitted `count` requests.
+fn wait_admitted(server: &Server, count: u64) {
+    let metrics = server.metrics();
+    let patience = Instant::now() + Duration::from_secs(30);
+    while metrics.submitted.load(Ordering::Relaxed) < count {
+        assert!(Instant::now() < patience, "request {count} never queued");
+        std::thread::yield_now();
+    }
+}
+
+/// Reads every reply owed on a gate connection (gate first, then one per rider),
+/// checks each against direct inference bit for bit, and returns which of them
+/// announced `Connection: close`. The connection must then be closed.
+fn read_gated_replies(
+    stream: &mut TcpStream,
+    gate: &VisionTransformer,
+    model: &VisionTransformer,
+    riders: &[Matrix],
+) -> Vec<bool> {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = MessageReader::new();
+    let expected = std::iter::once(gate.infer(&gate::image()))
+        .chain(riders.iter().map(|img| model.infer(img)))
+        .map(|out| out.logits.row(0).to_vec());
+    let mut closes = Vec::new();
+    for (i, logits) in expected.enumerate() {
+        let message = reader
+            .read_message(stream, 1 << 20, &|| false)
+            .expect("read reply")
+            .unwrap_or_else(|| panic!("reply {i} lost: the connection closed first"));
+        assert_eq!(message.status_code().expect("status line"), 200);
+        let body = std::str::from_utf8(&message.body).expect("UTF-8 body");
+        let reply: InferReply =
+            protocol::parse_infer_reply(&serde::json::parse(body).expect("JSON body"))
+                .expect("infer reply");
+        assert_eq!(
+            reply.logits, logits,
+            "reply {i} must equal direct inference"
+        );
+        closes.push(message.wants_close());
+    }
+    assert!(
+        matches!(reader.read_message(stream, 1 << 20, &|| false), Ok(None)),
+        "the connection closes after its last owed reply"
+    );
+    closes
+}
+
+#[test]
+fn shutdown_drain_writes_every_pipelined_reply_before_closing() {
+    // The gate and five riders are pipelined on one connection and all admitted;
+    // the shutdown lands while the gate runs. Every reply is owed and computed, so
+    // the drain must write all six and close only after the last.
+    let (server, model, cfg, gate) = boot_gated();
+    let riders: Vec<Matrix> = (0..5).map(|i| image(&cfg, 400 + i)).collect();
+    let mut stream = gate::send_gate_then(server.local_addr(), "vit:taylor", &riders);
+    wait_admitted(&server, 6);
+    assert_eq!(
+        server.metrics().completed.load(Ordering::Relaxed),
+        0,
+        "the shutdown must find the gate running"
+    );
+    server.shutdown();
+    let closes = read_gated_replies(&mut stream, &gate, &model, &riders);
+    assert_eq!(closes, [false, false, false, false, false, true]);
+}
+
+#[test]
+fn half_closed_pipelining_client_gets_every_reply() {
+    // A client pipelines the gate and three riders, then half-closes its write side
+    // while the gate runs: it still awaits four replies and must get them all.
+    let (server, model, cfg, gate) = boot_gated();
+    let riders: Vec<Matrix> = (0..3).map(|i| image(&cfg, 500 + i)).collect();
+    let mut stream = gate::send_gate_then(server.local_addr(), "vit:taylor", &riders);
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let closes = read_gated_replies(&mut stream, &gate, &model, &riders);
+    assert_eq!(closes, [false, false, false, true]);
+    drop(stream);
+    server.shutdown();
 }

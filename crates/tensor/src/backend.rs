@@ -130,32 +130,6 @@ pub const SMALL_GEMM_LIMIT: usize = 32 * 1024;
 /// (`1024 · 128² = 16 777 216`), i.e. stays exactly representable in `f32`.
 pub const I8_EXACT_CHUNK: usize = 1024;
 
-/// Process-wide hardware-counter accumulator for the dense-GEMM hot paths: every
-/// non-small [`MatmulBackend`] product (f32 dispatch, chunked widened int8, native
-/// int8 `maddubs`) runs under a [`perf::PerfRegion`] charging this sink, so
-/// `/metrics` can report GEMM-attributed IPC and LLC miss rate separately from the
-/// whole-batch compute counters. Products at or below [`SMALL_GEMM_LIMIT`]
-/// multiply-adds are skipped — two `read(2)` syscalls would dominate them. Counts
-/// are absent (never zero) on hosts where `perf_event_open(2)` is unavailable.
-static GEMM_PERF: perf::PerfStats = perf::PerfStats::new();
-
-/// The shared GEMM hardware-counter sink: every non-small [`MatmulBackend`] product
-/// charges it, so `/metrics` can report GEMM-attributed IPC and LLC miss rate.
-pub fn gemm_perf() -> &'static perf::PerfStats {
-    &GEMM_PERF
-}
-
-/// Counter region covering one GEMM, or `None` for products small enough that the
-/// region's two read syscalls would outweigh the kernel itself.
-#[inline]
-fn gemm_perf_region(m: usize, k: usize, n: usize) -> Option<perf::PerfRegion<'static>> {
-    if m * k * n > SMALL_GEMM_LIMIT {
-        Some(perf::PerfRegion::enter(&GEMM_PERF))
-    } else {
-        None
-    }
-}
-
 const BACKEND_UNSET: u8 = 0;
 const BACKEND_NAIVE: u8 = 1;
 const BACKEND_BLOCKED: u8 = 2;
@@ -507,7 +481,6 @@ impl MatmulBackend {
             && a.in_native_domain()
             && b.in_native_domain()
         {
-            let _perf = gemm_perf_region(m, k, n);
             crate::simd::gemm_i8_avx2(out, m, k, n, a, b);
             return;
         }
@@ -568,7 +541,6 @@ impl MatmulBackend {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        let _perf = gemm_perf_region(m, k, n);
         match self {
             MatmulBackend::Naive => gemm_naive(out, m, k, n, a, b),
             MatmulBackend::Blocked | MatmulBackend::Avx2 => {

@@ -48,7 +48,7 @@ pub mod tensor3;
 pub mod workspace;
 
 pub use aligned::{AlignedVec, SIMD_ALIGN};
-pub use backend::{gemm_perf, matmul_backend, set_matmul_backend, MatmulBackend};
+pub use backend::{matmul_backend, set_matmul_backend, MatmulBackend};
 pub use error::{ShapeError, TensorResult};
 pub use matrix::Matrix;
 pub use simd::{cpu_features, CpuFeatures};

@@ -130,34 +130,6 @@ impl Matrix {
         })
     }
 
-    /// Creates a `1 x n` row vector from a slice.
-    pub fn row_vector(values: &[f32]) -> Self {
-        Self {
-            rows: 1,
-            cols: values.len(),
-            data: values.to_vec(),
-        }
-    }
-
-    /// Creates an `n x 1` column vector from a slice.
-    pub fn col_vector(values: &[f32]) -> Self {
-        Self {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        }
-    }
-
-    /// Creates a square diagonal matrix with `diag` on its main diagonal.
-    pub fn diag(diag: &[f32]) -> Self {
-        let n = diag.len();
-        let mut m = Self::zeros(n, n);
-        for (i, &v) in diag.iter().enumerate() {
-            m.set(i, i, v);
-        }
-        m
-    }
-
     // ------------------------------------------------------------------
     // Shape and element access
     // ------------------------------------------------------------------
@@ -318,15 +290,6 @@ impl Matrix {
         self.zip_with(other, "hadamard", |a, b| a * b)
     }
 
-    /// Elementwise division.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] when shapes differ.
-    pub fn try_div(&self, other: &Self) -> TensorResult<Self> {
-        self.zip_with(other, "div", |a, b| a / b)
-    }
-
     /// Elementwise (Hadamard) product, panicking on shape mismatch.
     ///
     /// # Panics
@@ -469,62 +432,6 @@ impl Matrix {
             self.cols,
             other.cols,
             Operand::row_major(&self.data, self.cols),
-            Operand::row_major(&other.data, other.cols),
-        );
-    }
-
-    /// Matrix product `self * other.T` written into `out` (see [`Matrix::matmul_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self.cols() != other.cols()` or `out` is not `rows x other.rows`.
-    pub fn matmul_transpose_b_into(&self, other: &Self, out: &mut Self) {
-        assert_eq!(
-            self.cols,
-            other.cols,
-            "matmul_transpose_b_into inner dimension mismatch: {:?} vs {:?}",
-            self.shape(),
-            other.shape()
-        );
-        assert_eq!(
-            out.shape(),
-            (self.rows, other.rows),
-            "matmul_transpose_b_into output shape mismatch"
-        );
-        matmul_backend().gemm_into(
-            &mut out.data,
-            self.rows,
-            self.cols,
-            other.rows,
-            Operand::row_major(&self.data, self.cols),
-            Operand::transposed(&other.data, other.cols),
-        );
-    }
-
-    /// Matrix product `self.T * other` written into `out` (see [`Matrix::matmul_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self.rows() != other.rows()` or `out` is not `cols x other.cols`.
-    pub fn transpose_matmul_into(&self, other: &Self, out: &mut Self) {
-        assert_eq!(
-            self.rows,
-            other.rows,
-            "transpose_matmul_into inner dimension mismatch: {:?} vs {:?}",
-            self.shape(),
-            other.shape()
-        );
-        assert_eq!(
-            out.shape(),
-            (self.cols, other.cols),
-            "transpose_matmul_into output shape mismatch"
-        );
-        matmul_backend().gemm_into(
-            &mut out.data,
-            self.cols,
-            self.rows,
-            other.cols,
-            Operand::transposed(&self.data, self.cols),
             Operand::row_major(&other.data, other.cols),
         );
     }
@@ -682,11 +589,6 @@ impl Matrix {
         }
     }
 
-    /// Row means as an `n x 1` column vector.
-    pub fn row_mean(&self) -> Self {
-        self.row_sum().scale(1.0 / self.cols.max(1) as f32)
-    }
-
     /// Column sums as a `1 x d` row vector.
     ///
     /// This is the paper's `1_n^T K` reduction used by the accumulator array of the
@@ -842,41 +744,6 @@ impl Matrix {
         out
     }
 
-    /// Multiplies every row by the corresponding entry of an `n x 1` column vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `col.shape() != (self.rows(), 1)`.
-    pub fn broadcast_mul_col(&self, col: &Self) -> Self {
-        assert_eq!(
-            col.cols, 1,
-            "broadcast_mul_col expects an n x 1 column vector"
-        );
-        assert_eq!(col.rows, self.rows, "broadcast_mul_col height mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            let d = col.get(r, 0);
-            for v in out.row_mut(r) {
-                *v *= d;
-            }
-        }
-        out
-    }
-
-    /// Subtracts the per-row mean from each row (row-wise mean centring of an attention
-    /// map, used only to validate the efficient key-centring identity in tests).
-    pub fn center_rows(&self) -> Self {
-        let means = self.row_mean();
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            let m = means.get(r, 0);
-            for v in out.row_mut(r) {
-                *v -= m;
-            }
-        }
-        out
-    }
-
     // ------------------------------------------------------------------
     // Softmax and masking
     // ------------------------------------------------------------------
@@ -890,29 +757,6 @@ impl Matrix {
             let mut sum = 0.0;
             for v in row.iter_mut() {
                 *v = (*v - max).exp();
-                sum += *v;
-            }
-            if sum > 0.0 {
-                for v in row.iter_mut() {
-                    *v /= sum;
-                }
-            }
-        }
-        out
-    }
-
-    /// Softmax applied to each row **without** subtracting the row maximum.
-    ///
-    /// The ViTALiTy Taylor expansion is defined around the raw (mean-centred) logits, so
-    /// equivalence tests compare against this un-shifted form; `softmax_rows` and
-    /// `softmax_rows_unshifted` agree mathematically but can differ in the last ulps.
-    pub fn softmax_rows_unshifted(&self) -> Self {
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            let row = out.row_mut(r);
-            let mut sum = 0.0;
-            for v in row.iter_mut() {
-                *v = v.exp();
                 sum += *v;
             }
             if sum > 0.0 {
@@ -947,20 +791,6 @@ impl Matrix {
     // ------------------------------------------------------------------
     // Slicing and stacking
     // ------------------------------------------------------------------
-
-    /// Copies rows `start..end` into a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `start > end` or `end > rows()`.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Self {
-        assert!(start <= end && end <= self.rows, "slice_rows out of bounds");
-        Self {
-            rows: end - start,
-            cols: self.cols,
-            data: self.data[start * self.cols..end * self.cols].to_vec(),
-        }
-    }
 
     /// Copies columns `start..end` into a new matrix.
     ///
@@ -1027,22 +857,6 @@ impl Matrix {
             out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
         }
         out
-    }
-
-    /// Vertically concatenates `self` with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the column counts differ.
-    pub fn vstack(&self, other: &Self) -> Self {
-        assert_eq!(self.cols, other.cols, "vstack column count mismatch");
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Self {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1114,11 +928,6 @@ mod tests {
         assert_eq!(Matrix::ones(2, 2).sum(), 4.0);
         assert_eq!(Matrix::identity(3).sum(), 3.0);
         assert_eq!(Matrix::filled(2, 2, 0.5).mean(), 0.5);
-        assert_eq!(Matrix::row_vector(&[1.0, 2.0]).shape(), (1, 2));
-        assert_eq!(Matrix::col_vector(&[1.0, 2.0]).shape(), (2, 1));
-        let d = Matrix::diag(&[1.0, 2.0, 3.0]);
-        assert_eq!(d.get(1, 1), 2.0);
-        assert_eq!(d.get(0, 1), 0.0);
     }
 
     #[test]
@@ -1177,18 +986,13 @@ mod tests {
         let a = sample();
         assert_eq!(a.sum(), 21.0);
         assert_eq!(a.mean(), 3.5);
-        assert!(a
-            .row_sum()
-            .approx_eq(&Matrix::col_vector(&[6.0, 15.0]), 1e-6));
-        assert!(a
-            .col_sum()
-            .approx_eq(&Matrix::row_vector(&[5.0, 7.0, 9.0]), 1e-6));
-        assert!(a
-            .row_mean()
-            .approx_eq(&Matrix::col_vector(&[2.0, 5.0]), 1e-6));
-        assert!(a
-            .col_mean()
-            .approx_eq(&Matrix::row_vector(&[2.5, 3.5, 4.5]), 1e-6));
+        let row_sum = a.row_sum();
+        assert_eq!(row_sum.shape(), (2, 1));
+        assert_eq!(row_sum.as_slice(), &[6.0, 15.0]);
+        let col_sum = a.col_sum();
+        assert_eq!(col_sum.shape(), (1, 3));
+        assert_eq!(col_sum.as_slice(), &[5.0, 7.0, 9.0]);
+        assert_eq!(a.col_mean().as_slice(), &[2.5, 3.5, 4.5]);
         assert_eq!(a.max(), 6.0);
         assert_eq!(a.min(), 1.0);
     }
@@ -1203,23 +1007,21 @@ mod tests {
     #[test]
     fn broadcast_div_col_matches_diagonal_inverse() {
         let a = sample();
-        let d = Matrix::col_vector(&[2.0, 4.0]);
+        let d = Matrix::from_vec(2, 1, vec![2.0, 4.0]).unwrap();
         let by_broadcast = a.broadcast_div_col(&d);
-        let diag_inv = Matrix::diag(&[0.5, 0.25]);
+        let diag_inv = Matrix::from_rows(&[vec![0.5, 0.0], vec![0.0, 0.25]]).unwrap();
         let by_matmul = diag_inv.matmul(&a);
         assert!(by_broadcast.approx_eq(&by_matmul, 1e-6));
     }
 
     #[test]
-    fn softmax_rows_sum_to_one_and_match_unshifted() {
+    fn softmax_rows_sum_to_one() {
         let a = Matrix::from_rows(&[vec![0.1, -0.4, 0.3], vec![2.0, 2.0, 2.0]]).unwrap();
         let s = a.softmax_rows();
         for r in 0..s.rows() {
             let sum: f32 = s.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
         }
-        let u = a.softmax_rows_unshifted();
-        assert!(s.approx_eq(&u, 1e-5));
     }
 
     #[test]
@@ -1228,13 +1030,6 @@ mod tests {
         let a = Matrix::from_rows(&[vec![0.4, -0.2, 1.3, 0.0]]).unwrap();
         let shifted = a.add_scalar(-3.7);
         assert!(a.softmax_rows().approx_eq(&shifted.softmax_rows(), 1e-5));
-    }
-
-    #[test]
-    fn center_rows_produces_zero_row_means() {
-        let a = sample();
-        let centred = a.center_rows();
-        assert!(centred.row_mean().iter().all(|v| v.abs() < 1e-6));
     }
 
     #[test]
@@ -1251,12 +1046,9 @@ mod tests {
     #[test]
     fn slicing_and_stacking() {
         let a = sample();
-        assert_eq!(a.slice_rows(1, 2).shape(), (1, 3));
         assert_eq!(a.slice_cols(0, 2).shape(), (2, 2));
         assert_eq!(a.hstack(&a).shape(), (2, 6));
-        assert_eq!(a.vstack(&a).shape(), (4, 3));
         assert_eq!(a.hstack(&a).get(0, 4), 2.0);
-        assert_eq!(a.vstack(&a).get(3, 0), 4.0);
     }
 
     #[test]
@@ -1271,22 +1063,12 @@ mod tests {
     }
 
     #[test]
-    fn into_products_match_their_allocating_forms() {
+    fn matmul_into_matches_matmul() {
         let a = sample();
         let b = Matrix::from_rows(&[vec![7.0, 8.0], vec![9.0, 10.0], vec![11.0, 12.0]]).unwrap();
         let mut out = Matrix::filled(2, 2, f32::NAN); // stale contents must be overwritten
         a.matmul_into(&b, &mut out);
         assert!(out.approx_eq(&a.matmul(&b), 0.0));
-
-        let bt = Matrix::from_rows(&[vec![1.0, 0.5, -1.0], vec![2.0, -2.0, 0.0]]).unwrap();
-        let mut out = Matrix::zeros(2, 2);
-        a.matmul_transpose_b_into(&bt, &mut out);
-        assert!(out.approx_eq(&a.matmul_transpose_b(&bt), 0.0));
-
-        let c = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let mut out = Matrix::zeros(3, 2);
-        a.transpose_matmul_into(&c, &mut out);
-        assert!(out.approx_eq(&a.transpose_matmul(&c), 0.0));
     }
 
     #[test]

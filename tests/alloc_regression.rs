@@ -171,58 +171,4 @@ fn steady_state_infer_batch_into_performs_zero_allocations() {
         delta, 0,
         "sampling-off trace begin/record/finish + histogram recording allocated {delta} times"
     );
-
-    // Hardware-counter regions ride the same batch path (the worker wraps each
-    // `infer_batch_into` in a `PerfRegion`), so they are held to the same zero. The
-    // first region on a thread opens the thread-local counter group — fds and the
-    // group vector — which is a one-time cost, so one warmup region runs before the
-    // counted window. The gate holds on both kinds of host: with counters available
-    // the steady-state region is two `ioctl`s and a stack `read(2)`; without them
-    // (`perf_event_open` refused, as in sandboxed CI) every region is a no-op. Both
-    // paths must be allocation-free.
-    let stats = perf::PerfStats::new();
-    drop(perf::PerfRegion::enter(&stats)); // warmup: thread-local group opens here
-    let before = allocations();
-    for _ in 0..100 {
-        let region = perf::PerfRegion::enter(&stats);
-        std::hint::black_box(&images);
-        drop(region);
-    }
-    let delta = allocations() - before;
-    assert_eq!(
-        delta,
-        0,
-        "steady-state PerfRegion enter/exit allocated {delta} times (counters {})",
-        if perf::supported() {
-            "available"
-        } else {
-            "unavailable"
-        }
-    );
-
-    // And the combined hot path — a counter region around the workspace-recycled
-    // batch — stays at zero too, exactly as the serve worker runs it.
-    model.set_variant(AttentionVariant::Taylor);
-    let mut ws = Workspace::new();
-    let mut outputs: Vec<VitOutput> = Vec::new();
-    for _ in 0..3 {
-        let _region = perf::PerfRegion::enter(&stats);
-        model.infer_batch_into(&images, &mut outputs, &mut ws);
-    }
-    let before = allocations();
-    for _ in 0..5 {
-        let _region = perf::PerfRegion::enter(&stats);
-        model.infer_batch_into(&images, &mut outputs, &mut ws);
-    }
-    let delta = allocations() - before;
-    assert_eq!(
-        delta, 0,
-        "PerfRegion-wrapped steady-state infer_batch_into allocated {delta} times"
-    );
-    if perf::supported() {
-        assert!(
-            stats.regions() >= 8,
-            "supported host must have accumulated every region"
-        );
-    }
 }
