@@ -526,7 +526,7 @@ mod tests {
             .and_then(JsonValue::as_str)
             .expect("matmul_backend label");
         assert!(
-            ["naive", "blocked", "avx2"].contains(&backend),
+            ["naive", "blocked"].contains(&backend),
             "unknown backend label {backend:?}"
         );
         assert!(compute.get("cpu_avx2").is_some());

@@ -1,31 +1,25 @@
-//! Pluggable dense-GEMM backends: a scalar reference and a cache-blocked, register-tiled,
-//! parallel kernel.
+//! Pluggable dense-GEMM backends: a scalar reference and one cache-blocked,
+//! register-tiled, parallel packed driver.
 //!
 //! ViTALiTy's linear Taylor attention turns ViT inference into a stream of small dense
 //! GEMMs (`G = K̂ᵀV` is only `d × d`, projections are `n × d × d`), so the quality of the
 //! software model's matmul decides whether the repo's experiments run in milliseconds or
 //! minutes. This module supplies the hot-path implementation behind every
-//! [`Matrix`](crate::Matrix) product:
+//! [`Matrix`](crate::Matrix) product, in two tiers, each with a job the other cannot do:
 //!
-//! * [`MatmulBackend::Naive`] — the textbook `i j k` scalar triple loop. Kept as the
-//!   differential-testing reference and as the baseline the perf benches compare against.
-//! * [`MatmulBackend::Blocked`] — a BLIS-style kernel: the operands are packed into
-//!   panel buffers (`MC × KC` row panels of A, `KC × NC` column panels of B, zero-padded
-//!   to the register tile), and an `MR × NR = 8 × 8` microkernel accumulates each output
-//!   tile in registers over contiguous packed slices, which the compiler auto-vectorises.
-//!   Row panels of the output are distributed over threads with rayon.
-//! * [`MatmulBackend::Avx2`] — the same blocking structure with the hand-written
-//!   AVX2/FMA microkernels from [`crate::simd`]: 256-bit FMA register tiles for f32 and
-//!   a native `maddubs` i8×i8→i32 kernel for the integer product.
-//!   The default wherever [`crate::simd::simd_available`] holds; elsewhere every call
-//!   transparently degrades to the scalar blocked path.
+//! * [`MatmulBackend::Naive`] — the textbook `i j k` scalar triple loop: the
+//!   differential reference every other product is tested against, and the baseline
+//!   `bench_attention` compares the production tier with.
+//! * [`MatmulBackend::Blocked`] — the production tier, a BLIS-style packed driver: the
+//!   operands are packed into thread-local aligned panel buffers (`MC × KC` row panels
+//!   of A, `KC × NC` column panels of B, zero-padded to the register tile), and an
+//!   `MR × NR = 8 × 8` register-tile microkernel accumulates each output tile over
+//!   contiguous packed slices. The tile is the AVX2/FMA one from [`crate::simd`]
+//!   wherever [`crate::simd::simd_available`] holds, else a scalar tile the compiler
+//!   auto-vectorises; the driver picks it once per product. Row panels of the output
+//!   are distributed over threads with [`crate::parallel::for_each_chunk_mut`].
 //!
-//! Three tiers, each with a job no other does: `Naive` is the differential reference
-//! every other product is tested against; `Blocked` is the production path on every
-//! host without AVX2+FMA and under `--cfg force_scalar` (and what an `Avx2` request
-//! degrades to there); `Avx2` is the production path everywhere else.
-//!
-//! All backends serve all three access patterns the attention kernels need — `A·B`,
+//! Both tiers serve all three access patterns the attention kernels need — `A·B`,
 //! `A·Bᵀ` ([`Matrix::matmul_transpose_b`](crate::Matrix::matmul_transpose_b)) and `Aᵀ·B`
 //! ([`Matrix::transpose_matmul`](crate::Matrix::transpose_matmul)) — by packing through a
 //! layout accessor instead of materialising the transpose.
@@ -35,7 +29,7 @@
 //! [`MatmulBackend::gemm_i8_into`] is the scalar widening loop every integer result is
 //! differentially tested against. [`MatmulBackend::gemm_i8_fast_into`] is what the
 //! int8 attention kernels call: it runs the native `maddubs` kernel when this backend
-//! is [`MatmulBackend::Avx2`], the host has the features and neither operand holds
+//! is [`MatmulBackend::Blocked`], the host has the features and neither operand holds
 //! `-128` (an [`IntOperand`] marked [`IntOperand::clamped`] skips that scan), and
 //! otherwise widens the operands into [`crate::Workspace`] scratch and runs the f32
 //! kernel over reduction chunks of [`I8_EXACT_CHUNK`], where every partial sum is an
@@ -43,40 +37,33 @@
 //!
 //! # Backend selection
 //!
-//! The process-wide default is [`MatmulBackend::Avx2`] when the host supports it (see
-//! [`crate::cpu_features`]), else [`MatmulBackend::Blocked`]. It can be overridden with
-//! the `VITALITY_MATMUL_BACKEND` environment variable (`naive`, `blocked` or `avx2`) or
-//! at runtime with [`set_matmul_backend`]. Code that needs a *specific* backend
-//! regardless of the global default (differential tests, benches) should use the
-//! explicit `*_with` methods on [`Matrix`](crate::Matrix).
+//! The process-wide default is [`MatmulBackend::Blocked`] on every host. It can be
+//! overridden with the `VITALITY_MATMUL_BACKEND` environment variable (`naive` or
+//! `blocked`) or at runtime with [`set_matmul_backend`]. Code that needs a *specific*
+//! backend regardless of the global default (differential tests, benches) calls
+//! [`MatmulBackend::gemm`] on it directly.
 //!
 //! # Adding a microkernel (worked example)
 //!
-//! The dispatch layer is deliberately thin, so a new instruction-set tier (say AVX-512,
-//! or NEON on aarch64) is a four-step change — mirroring how [`MatmulBackend::Avx2`]
-//! itself was added:
+//! A new instruction-set tier (say AVX-512, or NEON on aarch64) is a new tile for the
+//! one driver, not a new backend — four steps, mirroring how the AVX2/FMA tile was
+//! added:
 //!
-//! 1. **Write the kernel pair** in `crates/tensor/src/simd.rs` behind a
-//!    `#[cfg(all(target_arch = "...", not(force_scalar)))]` module: an `unsafe`
-//!    `#[target_feature(...)]` register-tile microkernel consuming the packed k-major
-//!    `MR`-wide / `NR`-wide panel layout (every packer writes *all* tile slots, so
-//!    dirty reused scratch is safe), plus a blocked driver that packs into the
-//!    thread-local [`crate::AlignedVec`] scratch. Every intrinsic block carries a
+//! 1. **Write a tile with the driver's signature** in `crates/tensor/src/simd.rs`
+//!    behind a `#[cfg(all(target_arch = "...", not(force_scalar)))]` module: an
+//!    `unsafe` `#[target_feature(...)]` function `(ap, bp, kc, &mut [[f32; NR]; MR])`
+//!    accumulating `kc` depth steps of the packed k-major `MR`-wide / `NR`-wide
+//!    panels (every packer writes *all* tile slots, so dirty reused scratch is safe;
+//!    B panel rows are 32-byte aligned). Every intrinsic block carries a
 //!    `// SAFETY:` comment — the crate denies `unsafe_op_in_unsafe_fn`.
 //! 2. **Gate it at runtime**: extend [`crate::CpuFeatures`] with the new flag(s),
 //!    detect them in `cpu_features()`, and add a `<tier>_available()` predicate. The
 //!    runtime check is what keeps the `unsafe` call sound on every host.
-//! 3. **Teach the enum**: add the variant here, a `BACKEND_*` code for the atomic, a
-//!    [`MatmulBackend::label`] string, an env-variable spelling in [`matmul_backend`]
-//!    (unsupported hosts must `trace::warn!` and fall back, never panic), and a
-//!    `MatmulBackend::dispatch` arm that degrades to the scalar blocked path when
-//!    the runtime check fails — explicit `*_with(new_tier)` callers on old hardware
-//!    still get correct answers.
-//! 4. **Pin it differentially**: extend `crates/tensor/tests/simd_differential.rs`
-//!    so the new kernel is compared against [`MatmulBackend::Naive`] (f32, within
-//!    `1e-5`) and [`MatmulBackend::gemm_i8_into`] (integers, bit-identical) across
-//!    shapes that straddle every remainder lane, and add the backend to the bench
-//!    matrix in `bench_attention` so the win is tracked in `BENCH_attention.json`.
+//! 3. **Add it to the driver's one selection point**, `gemm_packed` below: one more
+//!    `if <tier>_available()` arm handing the tile to the driver.
+//! 4. **Pin it differentially** in `crates/tensor/tests/simd_differential.rs`: the
+//!    direct driver entry [`gemm_packed_direct`] runs the host's tile on every `SPAN`
+//!    shape against [`MatmulBackend::Naive`] (within `1e-5`).
 //!
 //! # Blocking parameters
 //!
@@ -91,23 +78,21 @@
 //! and run a cache-friendly `i k j` loop — per-head attention matrices in the unit tests
 //! are a few hundred elements, where panel packing would cost more than it saves.
 
-use rayon::prelude::*;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
+
+use crate::aligned::AlignedVec;
+use crate::parallel::for_each_chunk_mut;
 
 /// Which dense-GEMM implementation [`Matrix`](crate::Matrix) products run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatmulBackend {
     /// Textbook scalar `i j k` triple loop — slow, obviously correct, single-threaded.
     Naive,
-    /// Cache-blocked, packed, 8×8-register-tiled **scalar** kernel with rayon
-    /// parallelism over row panels. The auto-vectorised baseline the SIMD tier is
-    /// benchmarked against, and the default on hosts without AVX2/FMA.
+    /// The packed, cache-blocked, 8×8-register-tiled driver with parallelism over row
+    /// panels, on the AVX2/FMA tile where [`crate::simd::simd_available`] holds and
+    /// the scalar tile elsewhere; also the native `maddubs` int8 route. The default.
     Blocked,
-    /// The blocked structure with explicit AVX2/FMA microkernels ([`crate::simd`]):
-    /// 256-bit FMA f32 register tiles and a native `maddubs` i8 path. The default
-    /// when [`crate::simd::simd_available`] holds; on other hosts every call
-    /// degrades to the scalar blocked kernel at runtime.
-    Avx2,
 }
 
 /// Register tile height (rows of C accumulated per microkernel call).
@@ -133,69 +118,41 @@ pub const I8_EXACT_CHUNK: usize = 1024;
 const BACKEND_UNSET: u8 = 0;
 const BACKEND_NAIVE: u8 = 1;
 const BACKEND_BLOCKED: u8 = 2;
-const BACKEND_AVX2: u8 = 3;
 
 static GLOBAL_BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNSET);
-
-/// The backend the process defaults to on this host: [`MatmulBackend::Avx2`] when the
-/// SIMD microkernels can run, else [`MatmulBackend::Blocked`].
-fn default_backend() -> MatmulBackend {
-    if crate::simd::simd_available() {
-        MatmulBackend::Avx2
-    } else {
-        MatmulBackend::Blocked
-    }
-}
 
 /// Returns the process-wide backend used by the implicit `Matrix` products.
 ///
 /// Resolution order: the last [`set_matmul_backend`] call, else the
-/// `VITALITY_MATMUL_BACKEND` environment variable (`naive` / `blocked` / `avx2`), else
-/// [`MatmulBackend::Avx2`] where [`crate::simd::simd_available`] holds and
-/// [`MatmulBackend::Blocked`] everywhere else.
+/// `VITALITY_MATMUL_BACKEND` environment variable (`naive` / `blocked`), else
+/// [`MatmulBackend::Blocked`].
 ///
-/// An unrecognised `VITALITY_MATMUL_BACKEND` value — or `avx2` requested on a host
-/// whose CPU lacks the features — does **not** abort the process: it logs a
-/// `trace::warn!` and falls back. Long-lived serving processes resolve the backend
-/// lazily on the first product of a request, and a typo in a deployment environment
-/// must degrade to the default kernel, not kill the server. Harnesses that care about
-/// the distinction should assert on [`matmul_backend`]'s return value (the *resolved*
-/// backend, also surfaced in `/metrics` and the bench JSON) instead of trusting the
-/// variable.
+/// An unrecognised `VITALITY_MATMUL_BACKEND` value does **not** abort the process: it
+/// logs a `trace::warn!` and falls back to the default. Long-lived serving processes
+/// resolve the backend lazily on the first product of a request, and a typo in a
+/// deployment environment must degrade to the default kernel, not kill the server.
+/// Harnesses that care about the distinction should assert on [`matmul_backend`]'s
+/// return value (the *resolved* backend, also surfaced in `/metrics` and the bench
+/// JSON) instead of trusting the variable.
 pub fn matmul_backend() -> MatmulBackend {
     match GLOBAL_BACKEND.load(Ordering::Relaxed) {
         BACKEND_NAIVE => MatmulBackend::Naive,
         BACKEND_BLOCKED => MatmulBackend::Blocked,
-        BACKEND_AVX2 => MatmulBackend::Avx2,
         _ => {
             let resolved = match std::env::var("VITALITY_MATMUL_BACKEND") {
                 Ok(value) => match value.as_str() {
                     "naive" => MatmulBackend::Naive,
                     "blocked" => MatmulBackend::Blocked,
-                    "avx2" => {
-                        if crate::simd::simd_available() {
-                            MatmulBackend::Avx2
-                        } else {
-                            trace::warn!(
-                                "VITALITY_MATMUL_BACKEND=avx2 requested but this host \
-                                 has no AVX2/FMA support ({:?}); falling back to the \
-                                 scalar blocked backend",
-                                crate::simd::cpu_features()
-                            );
-                            MatmulBackend::Blocked
-                        }
-                    }
                     other => {
                         trace::warn!(
                             "unrecognised VITALITY_MATMUL_BACKEND value {other:?} \
-                             (expected \"naive\", \"blocked\" or \"avx2\"); falling \
-                             back to the default {} backend",
-                            default_backend().label()
+                             (expected \"naive\" or \"blocked\"); falling back to the \
+                             default blocked backend"
                         );
-                        default_backend()
+                        MatmulBackend::Blocked
                     }
                 },
-                Err(_) => default_backend(),
+                Err(_) => MatmulBackend::Blocked,
             };
             set_matmul_backend(resolved);
             resolved
@@ -205,13 +162,13 @@ pub fn matmul_backend() -> MatmulBackend {
 
 /// Sets the process-wide backend used by the implicit `Matrix` products.
 ///
-/// Prefer the explicit `*_with` methods for differential testing — they do not touch
-/// global state and are therefore safe under the parallel test harness.
+/// Prefer calling [`MatmulBackend::gemm`] on an explicit backend for differential
+/// testing — it does not touch global state and is therefore safe under the parallel
+/// test harness.
 pub fn set_matmul_backend(backend: MatmulBackend) {
     let code = match backend {
         MatmulBackend::Naive => BACKEND_NAIVE,
         MatmulBackend::Blocked => BACKEND_BLOCKED,
-        MatmulBackend::Avx2 => BACKEND_AVX2,
     };
     GLOBAL_BACKEND.store(code, Ordering::Relaxed);
 }
@@ -435,7 +392,7 @@ impl MatmulBackend {
     /// [`MatmulBackend::gemm_i8_into`] (`out` overwritten), on the fastest route this
     /// backend and host offer.
     ///
-    /// * **Native** — when this is [`MatmulBackend::Avx2`], the host has AVX2/FMA and
+    /// * **Native** — when this is [`MatmulBackend::Blocked`], the host has AVX2/FMA and
     ///   neither operand holds `-128` ([`IntOperand::clamped`] operands are taken at
     ///   their word, others are scanned), the `maddubs` kernel multiplies the `i8`
     ///   operands directly with i32 accumulation: no widening, no chunking, no scratch.
@@ -476,7 +433,7 @@ impl MatmulBackend {
             );
         }
         #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
-        if self == MatmulBackend::Avx2
+        if self == MatmulBackend::Blocked
             && crate::simd::simd_available()
             && a.in_native_domain()
             && b.in_native_domain()
@@ -525,7 +482,6 @@ impl MatmulBackend {
         match self {
             MatmulBackend::Naive => "naive",
             MatmulBackend::Blocked => "blocked",
-            MatmulBackend::Avx2 => "avx2",
         }
     }
 
@@ -543,22 +499,14 @@ impl MatmulBackend {
         }
         match self {
             MatmulBackend::Naive => gemm_naive(out, m, k, n, a, b),
-            MatmulBackend::Blocked | MatmulBackend::Avx2 => {
+            MatmulBackend::Blocked => {
                 if m * k * n <= SMALL_GEMM_LIMIT {
                     // Per-head attention matrices in the unit tests and the tiny
-                    // serving config land here: packing (for either blocked tier)
-                    // would cost more than it saves.
+                    // serving config land here: packing would cost more than it saves.
                     gemm_small(out, m, k, n, a, b);
                     return;
                 }
-                #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
-                if self == MatmulBackend::Avx2 && crate::simd::simd_available() {
-                    crate::simd::gemm_f32_avx2(out, m, k, n, a, b);
-                    return;
-                }
-                // Explicit Avx2 requests on unsupported hosts degrade to the scalar
-                // blocked kernel — same results, no panic.
-                gemm_blocked(out, m, k, n, a, b);
+                gemm_packed(out, m, k, n, a, b);
             }
         }
     }
@@ -590,13 +538,56 @@ fn gemm_small(out: &mut [f32], m: usize, k: usize, n: usize, a: Operand<'_>, b: 
     }
 }
 
-/// The register-tiled inner kernel: accumulates an `MR × NR` tile of C over `kc` packed
-/// depth steps. `ap` is k-major (`ap[kk * MR + i]`), `bp` is k-major (`bp[kk * NR + j]`);
+/// Direct entry into the packed driver on this host's tile, bypassing the
+/// small-product cutoff of [`MatmulBackend::gemm`] so differential tests can pin the
+/// tile's remainder lanes on tiny shapes. Overwrites `out`.
+///
+/// # Panics
+///
+/// Panics when `out.len() != m * n`.
+#[doc(hidden)]
+pub fn gemm_packed_direct(
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    a: Operand<'_>,
+    b: Operand<'_>,
+) {
+    assert_eq!(out.len(), m * n, "gemm_packed_direct output buffer length");
+    out.fill(0.0);
+    if m > 0 && n > 0 && k > 0 {
+        gemm_packed(out, m, k, n, a, b);
+    }
+}
+
+/// The driver's one tile selection point: the AVX2/FMA tile where the host has it,
+/// else the scalar tile. Chosen once per product, so each driver instantiation's
+/// inner loop calls its tile directly.
+fn gemm_packed(out: &mut [f32], m: usize, k: usize, n: usize, a: Operand<'_>, b: Operand<'_>) {
+    #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+    if crate::simd::simd_available() {
+        packed_driver(out, m, k, n, a, b, |ap, bp, kc, acc| {
+            // SAFETY: simd_available() held above (avx2 + fma present); the driver
+            // hands every call tiles exactly kc*MR / kc*NR long, the B tile's rows
+            // 32-byte aligned (AlignedVec base, 32-byte tile stride).
+            unsafe { crate::simd::microkernel_f32(ap, bp, kc, acc) }
+        });
+        return;
+    }
+    packed_driver(out, m, k, n, a, b, microkernel_scalar);
+}
+
+/// The scalar register tile: accumulates an `MR × NR` tile of C over `kc` packed depth
+/// steps. `ap` is k-major (`ap[kk * MR + i]`), `bp` is k-major (`bp[kk * NR + j]`);
 /// both are zero-padded to the full tile, so the loop body is branch-free and the `j`
 /// loop vectorises.
 #[inline(always)]
-fn microkernel(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+fn microkernel_scalar(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
+    for (a, b) in ap[..kc * MR]
+        .chunks_exact(MR)
+        .zip(bp[..kc * NR].chunks_exact(NR))
+    {
         let a: &[f32; MR] = a.try_into().expect("packed A tile width");
         let b: &[f32; NR] = b.try_into().expect("packed B tile width");
         for i in 0..MR {
@@ -608,33 +599,60 @@ fn microkernel(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
     }
 }
 
-/// Packs `kc` depth steps of `count` consecutive A rows (starting at `r0`) into a
-/// k-major `MR`-wide tile, zero-padding the row edge.
-#[inline]
-fn pack_a_tile(dst: &mut [f32], a: Operand<'_>, kc: usize, k0: usize, r0: usize, count: usize) {
+std::thread_local! {
+    // Packed-panel scratch, one cell per operand side so a caller holding the B-panel
+    // borrow across the parallel region never collides with a worker (possibly this
+    // same thread, when the region runs inline) packing A.
+    static PANEL_A: RefCell<AlignedVec<f32>> = RefCell::new(AlignedVec::new());
+    static PANEL_B: RefCell<AlignedVec<f32>> = RefCell::new(AlignedVec::new());
+}
+
+/// Packs `kc` depth steps of `count` consecutive A rows (starting at `r0`) into the
+/// k-major `MR`-wide tile, writing **every** slot (edge rows zeroed) so dirty reused
+/// scratch never leaks stale values into the tile.
+fn pack_a(dst: &mut [f32], a: Operand<'_>, kc: usize, k0: usize, r0: usize, count: usize) {
     for kk in 0..kc {
         let row = &mut dst[kk * MR..kk * MR + MR];
-        for (i, slot) in row.iter_mut().enumerate().take(count) {
-            *slot = a.at(r0 + i, k0 + kk);
+        for (i, slot) in row.iter_mut().enumerate() {
+            *slot = if i < count {
+                a.at(r0 + i, k0 + kk)
+            } else {
+                0.0
+            };
         }
     }
 }
 
-/// Packs `kc` depth steps of `count` consecutive B columns (starting at `j0`) into a
-/// k-major `NR`-wide tile, zero-padding the column edge.
-#[inline]
-fn pack_b_tile(dst: &mut [f32], b: Operand<'_>, kc: usize, k0: usize, j0: usize, count: usize) {
+/// Packs `kc` depth steps of `count` consecutive B columns (starting at `j0`) into the
+/// k-major `NR`-wide tile, writing every slot (edge columns zeroed).
+fn pack_b(dst: &mut [f32], b: Operand<'_>, kc: usize, k0: usize, j0: usize, count: usize) {
     for kk in 0..kc {
         let row = &mut dst[kk * NR..kk * NR + NR];
-        for (j, slot) in row.iter_mut().enumerate().take(count) {
-            *slot = b.at(k0 + kk, j0 + j);
+        for (j, slot) in row.iter_mut().enumerate() {
+            *slot = if j < count {
+                b.at(k0 + kk, j0 + j)
+            } else {
+                0.0
+            };
         }
     }
 }
 
-/// The blocked kernel: BLIS-style `jc → pc → (parallel) ic` loop nest with packed
-/// panels and the 8×8 microkernel.
-fn gemm_blocked(out: &mut [f32], m: usize, k: usize, n: usize, a: Operand<'_>, b: Operand<'_>) {
+/// The packed driver: BLIS-style `jc → pc → (parallel) ic` loop nest over
+/// thread-local aligned panel scratch (zero steady-state allocations when a region
+/// runs inline), calling `tile` on every register tile. Accumulates into `out`
+/// (callers zero it first), so the `pc` panel loop composes.
+fn packed_driver<T>(
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    a: Operand<'_>,
+    b: Operand<'_>,
+    tile: T,
+) where
+    T: Fn(&[f32], &[f32], usize, &mut [[f32; NR]; MR]) + Sync,
+{
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         let n_tiles = nc.div_ceil(NR);
@@ -642,45 +660,50 @@ fn gemm_blocked(out: &mut [f32], m: usize, k: usize, n: usize, a: Operand<'_>, b
             let kc = KC.min(k - pc);
 
             // Pack the B panel once per (jc, pc); every row-panel task reads it.
-            let mut bp = vec![0.0f32; n_tiles * kc * NR];
-            for (t, tile) in bp.chunks_exact_mut(kc * NR).enumerate() {
-                let j0 = jc + t * NR;
-                pack_b_tile(tile, b, kc, pc, j0, NR.min(n - j0));
-            }
+            PANEL_B.with(|cell| {
+                let mut bp = cell.borrow_mut();
+                bp.reset_zeroed(n_tiles * kc * NR);
+                for (t, dst) in bp.chunks_exact_mut(kc * NR).enumerate() {
+                    let j0 = jc + t * NR;
+                    pack_b(dst, b, kc, pc, j0, NR.min(n - j0));
+                }
+                let bp: &[f32] = &bp;
 
-            // Row panels of C are independent: distribute them over threads.
-            out.par_chunks_mut(MC * n)
-                .enumerate()
-                .for_each(|(panel, c_rows)| {
+                // Row panels of C are independent: distribute them over threads.
+                for_each_chunk_mut(out, MC * n, |panel, c_rows| {
                     let i0 = panel * MC;
                     let mc = MC.min(m - i0);
                     let m_tiles = mc.div_ceil(MR);
 
-                    let mut ap = vec![0.0f32; m_tiles * kc * MR];
-                    for (t, tile) in ap.chunks_exact_mut(kc * MR).enumerate() {
-                        let r0 = i0 + t * MR;
-                        pack_a_tile(tile, a, kc, pc, r0, MR.min(m - r0));
-                    }
+                    PANEL_A.with(|cell| {
+                        let mut ap = cell.borrow_mut();
+                        ap.reset_zeroed(m_tiles * kc * MR);
+                        for (t, dst) in ap.chunks_exact_mut(kc * MR).enumerate() {
+                            let r0 = i0 + t * MR;
+                            pack_a(dst, a, kc, pc, r0, MR.min(m - r0));
+                        }
 
-                    for ti in 0..m_tiles {
-                        let a_tile = &ap[ti * kc * MR..(ti + 1) * kc * MR];
-                        let rows_here = MR.min(mc - ti * MR);
-                        for tj in 0..n_tiles {
-                            let b_tile = &bp[tj * kc * NR..(tj + 1) * kc * NR];
-                            let mut acc = [[0.0f32; NR]; MR];
-                            microkernel(a_tile, b_tile, &mut acc);
+                        for ti in 0..m_tiles {
+                            let a_tile = &ap[ti * kc * MR..(ti + 1) * kc * MR];
+                            let rows_here = MR.min(mc - ti * MR);
+                            for tj in 0..n_tiles {
+                                let b_tile = &bp[tj * kc * NR..(tj + 1) * kc * NR];
+                                let mut acc = [[0.0f32; NR]; MR];
+                                tile(a_tile, b_tile, kc, &mut acc);
 
-                            let j0 = jc + tj * NR;
-                            let cols_here = NR.min(n - j0);
-                            for (i, acc_row) in acc.iter().enumerate().take(rows_here) {
-                                let c_row = &mut c_rows[(ti * MR + i) * n + j0..][..cols_here];
-                                for (o, &v) in c_row.iter_mut().zip(acc_row.iter()) {
-                                    *o += v;
+                                let j0 = jc + tj * NR;
+                                let cols_here = NR.min(n - j0);
+                                for (i, acc_row) in acc.iter().enumerate().take(rows_here) {
+                                    let c_row = &mut c_rows[(ti * MR + i) * n + j0..][..cols_here];
+                                    for (o, &v) in c_row.iter_mut().zip(acc_row.iter()) {
+                                        *o += v;
+                                    }
                                 }
                             }
                         }
-                    }
+                    });
                 });
+            });
         }
     }
 }
@@ -827,10 +850,10 @@ mod tests {
 
     #[test]
     fn fast_integer_gemm_is_bit_identical_to_the_scalar_reference() {
-        // The widened-f32 route (scalar backends never take the native one). Shapes
-        // straddling the small-product cutoff and the exactness chunk, including a
-        // reduction longer than I8_EXACT_CHUNK at worst-case magnitudes (the
-        // chunk-boundary stress for f32 integer exactness).
+        // Both routes (Naive always widens; Blocked widens where the host has no
+        // native kernel). Shapes straddling the small-product cutoff and the exactness
+        // chunk, including a reduction longer than I8_EXACT_CHUNK at worst-case
+        // magnitudes (the chunk-boundary stress for f32 integer exactness).
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (9, 7, 10),

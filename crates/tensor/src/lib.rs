@@ -7,12 +7,16 @@
 //!
 //! * [`Matrix`] — a row-major dense `f32` matrix with the multiplication, transposition,
 //!   reduction and broadcasting primitives needed by the attention algorithms.
-//! * [`backend`] — the pluggable dense-GEMM backends behind every `Matrix` product: a
-//!   scalar [`MatmulBackend::Naive`] reference and the default cache-blocked,
-//!   register-tiled, rayon-parallel [`MatmulBackend::Blocked`] kernel. See the module
-//!   docs for the blocking parameters and how to select a backend (the
-//!   `VITALITY_MATMUL_BACKEND` environment variable, [`set_matmul_backend`], or the
-//!   explicit `*_with` methods).
+//! * [`backend`] — the two dense-GEMM backends behind every `Matrix` product: a
+//!   scalar [`MatmulBackend::Naive`] reference and the default [`MatmulBackend::Blocked`]
+//!   packed driver, cache-blocked and register-tiled (AVX2/FMA tile where the host has
+//!   it, scalar tile elsewhere) and parallel over row panels. See the module docs for
+//!   the blocking parameters and how to select a backend (the
+//!   `VITALITY_MATMUL_BACKEND` environment variable, [`set_matmul_backend`], or
+//!   [`MatmulBackend::gemm`] on an explicit backend).
+//! * [`parallel`] — the workspace's one data-parallel helper,
+//!   [`parallel::for_each_chunk_mut`], behind the GEMM row panels and the image lanes
+//!   of batched inference.
 //! * [`Workspace`] — a checkout/recycle scratch-buffer arena behind the allocation-free
 //!   `*_into` forms of the `Matrix` products, giving serving hot paths a zero-allocation
 //!   steady state (one workspace per thread: [`with_thread_workspace`], or the child
@@ -42,6 +46,7 @@ pub mod backend;
 pub mod error;
 pub mod init;
 pub mod matrix;
+pub mod parallel;
 pub mod simd;
 pub mod stats;
 pub mod tensor3;

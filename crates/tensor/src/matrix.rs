@@ -1,6 +1,6 @@
 //! Row-major dense `f32` matrix with the primitives required by attention kernels.
 
-use crate::backend::{matmul_backend, MatmulBackend, Operand};
+use crate::backend::{matmul_backend, Operand};
 use crate::error::{ShapeError, TensorResult};
 use crate::stats::Summary;
 use std::fmt;
@@ -357,7 +357,8 @@ impl Matrix {
     // Matrix multiplication and transposition
     // ------------------------------------------------------------------
 
-    /// Matrix product `self * other` on the process-wide [`MatmulBackend`].
+    /// Matrix product `self * other` on the process-wide
+    /// [`MatmulBackend`](crate::MatmulBackend).
     ///
     /// # Errors
     ///
@@ -366,7 +367,18 @@ impl Matrix {
         if self.cols != other.rows {
             return Err(ShapeError::new("matmul", self.shape(), other.shape()));
         }
-        Ok(self.matmul_with(matmul_backend(), other))
+        let data = matmul_backend().gemm(
+            self.rows,
+            self.cols,
+            other.cols,
+            Operand::row_major(&self.data, self.cols),
+            Operand::row_major(&other.data, other.cols),
+        );
+        Ok(Self {
+            rows: self.rows,
+            cols: other.cols,
+            data,
+        })
     }
 
     /// Matrix product `self * other`.
@@ -376,34 +388,6 @@ impl Matrix {
     /// Panics when the inner dimensions disagree.
     pub fn matmul(&self, other: &Self) -> Self {
         self.try_matmul(other).expect("matmul shape mismatch")
-    }
-
-    /// Matrix product `self * other` on an explicit backend (used by differential tests
-    /// and benches; everyday code should call [`Matrix::matmul`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the inner dimensions disagree.
-    pub fn matmul_with(&self, backend: MatmulBackend, other: &Self) -> Self {
-        assert_eq!(
-            self.cols,
-            other.rows,
-            "matmul inner dimension mismatch: {:?} vs {:?}",
-            self.shape(),
-            other.shape()
-        );
-        let data = backend.gemm(
-            self.rows,
-            self.cols,
-            other.cols,
-            Operand::row_major(&self.data, self.cols),
-            Operand::row_major(&other.data, other.cols),
-        );
-        Self {
-            rows: self.rows,
-            cols: other.cols,
-            data,
-        }
     }
 
     /// Matrix product `self * other` written into `out` (the allocation-free form of
@@ -480,15 +464,6 @@ impl Matrix {
     ///
     /// Panics when `self.cols() != other.cols()`.
     pub fn matmul_transpose_b(&self, other: &Self) -> Self {
-        self.matmul_transpose_b_with(matmul_backend(), other)
-    }
-
-    /// Matrix product `self * other.T` on an explicit backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self.cols() != other.cols()`.
-    pub fn matmul_transpose_b_with(&self, backend: MatmulBackend, other: &Self) -> Self {
         assert_eq!(
             self.cols,
             other.cols,
@@ -496,7 +471,7 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        let data = backend.gemm(
+        let data = matmul_backend().gemm(
             self.rows,
             self.cols,
             other.rows,
@@ -518,15 +493,6 @@ impl Matrix {
     ///
     /// Panics when `self.rows() != other.rows()`.
     pub fn transpose_matmul(&self, other: &Self) -> Self {
-        self.transpose_matmul_with(matmul_backend(), other)
-    }
-
-    /// Matrix product `self.T * other` on an explicit backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self.rows() != other.rows()`.
-    pub fn transpose_matmul_with(&self, backend: MatmulBackend, other: &Self) -> Self {
         assert_eq!(
             self.rows,
             other.rows,
@@ -534,7 +500,7 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        let data = backend.gemm(
+        let data = matmul_backend().gemm(
             self.cols,
             self.rows,
             other.cols,

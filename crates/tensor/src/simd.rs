@@ -1,12 +1,13 @@
 //! Runtime CPU-feature detection and the explicit AVX2/FMA microkernels behind
-//! [`MatmulBackend::Avx2`](crate::MatmulBackend::Avx2).
+//! [`MatmulBackend::Blocked`](crate::MatmulBackend::Blocked).
 //!
-//! The scalar 8×8 microkernel in [`crate::backend`] leans on the auto-vectoriser,
-//! which on the baseline `x86-64` target means 128-bit SSE2 with separate multiply and
-//! add. This module supplies hand-written `std::arch` kernels for the two hot element
-//! types:
+//! The scalar 8×8 tile of the packed driver in [`crate::backend`] leans on the
+//! auto-vectoriser, which on the baseline `x86-64` target means 128-bit SSE2 with
+//! separate multiply and add. This module supplies hand-written `std::arch` kernels for
+//! the two hot element types:
 //!
-//! * **f32** — eight 256-bit FMA accumulators (one per register-tile row); each packed
+//! * **f32** — the AVX2/FMA register tile the packed driver runs where the host has
+//!   the features: eight 256-bit FMA accumulators (one per tile row); each packed
 //!   depth step is one aligned B-row load plus eight broadcast-FMA pairs.
 //! * **i8** — the AVX2 integer dot-product idiom hardware PE arrays mirror: depth is
 //!   processed four steps at a time with `_mm256_maddubs_epi16` (unsigned×signed byte
@@ -26,7 +27,7 @@
 //! `--cfg force_scalar` escape hatch (useful under Miri, which does not model the
 //! intrinsics), and at runtime on [`cpu_features`] (cached
 //! `is_x86_feature_detected!`). Non-x86 and feature-less hosts transparently keep the
-//! scalar blocked kernel.
+//! scalar tile and the widened int8 route.
 
 use std::sync::OnceLock;
 
@@ -95,7 +96,7 @@ fn detect() -> CpuFeatures {
 }
 
 #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
-pub(crate) use x86::{gemm_f32_avx2, gemm_i8_avx2};
+pub(crate) use x86::{gemm_i8_avx2, microkernel_f32};
 
 /// Round-to-nearest-even magic constant (`1.5 · 2²³`): adding it pushes any value in
 /// `[-2²², 2²²]` into the binade where one ulp is exactly 1, so the correctly rounded
@@ -507,42 +508,10 @@ unsafe fn layer_norm_rows_avx2(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32,
     layer_norm_rows_body(x, gamma, beta, eps, out);
 }
 
-/// Test-only direct entry to the AVX2 f32 driver, bypassing the small-product
-/// cutoff in the public dispatch so differential tests can pin the microkernel's
-/// remainder lanes on tiny shapes. Overwrites `out`; returns `false` (leaving `out`
-/// zeroed) when the SIMD kernels cannot run on this host/build.
-#[doc(hidden)]
-pub fn gemm_f32_avx2_direct(
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    a: crate::backend::Operand<'_>,
-    b: crate::backend::Operand<'_>,
-) -> bool {
-    assert_eq!(
-        out.len(),
-        m * n,
-        "gemm_f32_avx2_direct output buffer length"
-    );
-    out.fill(0.0);
-    #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
-    if simd_available() {
-        if m > 0 && n > 0 && k > 0 {
-            x86::gemm_f32_avx2(out, m, k, n, a, b);
-        }
-        return true;
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(force_scalar))))]
-    let _ = (a, b, k);
-    false
-}
-
 #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
 mod x86 {
     use crate::aligned::{AlignedVec, SIMD_ALIGN};
-    use crate::backend::{IntOperand, Layout, Operand, KC, MC, MR, NC, NR};
-    use rayon::prelude::*;
+    use crate::backend::{IntOperand, Layout, MR, NR};
     use std::arch::x86_64::*;
     use std::cell::RefCell;
 
@@ -550,27 +519,30 @@ mod x86 {
     const KG: usize = 4;
 
     std::thread_local! {
-        // Packed-panel scratch, one cell per operand side so a caller holding the
-        // B-panel borrow across the parallel region never collides with a worker
-        // (possibly this same thread, under the inline rayon shim) packing A.
-        static PANEL_A_F32: RefCell<AlignedVec<f32>> = RefCell::new(AlignedVec::new());
-        static PANEL_B_F32: RefCell<AlignedVec<f32>> = RefCell::new(AlignedVec::new());
+        // Packed-panel scratch, one cell per operand side: the driver packs A tiles
+        // while it holds the B-panel borrow.
         static PANEL_A_I8: RefCell<AlignedVec<i8>> = RefCell::new(AlignedVec::new());
         static PANEL_B_I8: RefCell<AlignedVec<i8>> = RefCell::new(AlignedVec::new());
     }
 
-    /// AVX2+FMA `MR × NR` register-tile microkernel: accumulates `kc` packed depth
-    /// steps into `acc`. `ap` is k-major `MR`-wide, `bp` k-major `NR`-wide (the same
-    /// packed layout the scalar microkernel consumes), and `bp` must be 32-byte
-    /// aligned — each packed B row is exactly one `__m256`, loaded aligned.
+    /// AVX2+FMA `MR × NR` register tile for the packed driver in [`crate::backend`]:
+    /// accumulates `kc` packed depth steps into `acc`. `ap` is k-major `MR`-wide, `bp`
+    /// k-major `NR`-wide (the same packed layout the scalar tile consumes), and `bp`
+    /// must be 32-byte aligned — each packed B row is exactly one `__m256`, loaded
+    /// aligned.
     ///
     /// # Safety
     ///
-    /// The caller must ensure the CPU supports `avx2` and `fma` (checked once via
-    /// [`super::cpu_features`] before any dispatch reaches this module) and that
+    /// The caller must ensure the CPU supports `avx2` and `fma` (checked via
+    /// [`super::simd_available`] at the driver's tile selection) and that
     /// `ap.len() >= kc * MR`, `bp.len() >= kc * NR`, with `bp` 32-byte aligned.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn microkernel_f32(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
+    pub(crate) unsafe fn microkernel_f32(
+        ap: &[f32],
+        bp: &[f32],
+        kc: usize,
+        acc: &mut [[f32; NR]; MR],
+    ) {
         debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
         debug_assert_eq!(bp.as_ptr() as usize % SIMD_ALIGN, 0);
         let mut rows = [_mm256_setzero_ps(); MR];
@@ -637,37 +609,6 @@ mod x86 {
         for (dst, row) in acc.iter_mut().zip(rows) {
             // SAFETY: `dst` is a [i32; NR] — exactly the 8 lanes stored.
             unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast::<__m256i>(), row) };
-        }
-    }
-
-    /// Packs `kc` depth steps of `count` consecutive A rows into the k-major
-    /// `MR`-wide f32 tile, writing **every** slot (edge rows zeroed) so dirty
-    /// reused scratch never leaks stale values into the kernel.
-    fn pack_a_f32(dst: &mut [f32], a: Operand<'_>, kc: usize, k0: usize, r0: usize, count: usize) {
-        for kk in 0..kc {
-            let row = &mut dst[kk * MR..kk * MR + MR];
-            for (i, slot) in row.iter_mut().enumerate() {
-                *slot = if i < count {
-                    a.at(r0 + i, k0 + kk)
-                } else {
-                    0.0
-                };
-            }
-        }
-    }
-
-    /// Packs `kc` depth steps of `count` consecutive B columns into the k-major
-    /// `NR`-wide f32 tile, writing every slot (edge columns zeroed).
-    fn pack_b_f32(dst: &mut [f32], b: Operand<'_>, kc: usize, k0: usize, j0: usize, count: usize) {
-        for kk in 0..kc {
-            let row = &mut dst[kk * NR..kk * NR + NR];
-            for (j, slot) in row.iter_mut().enumerate() {
-                *slot = if j < count {
-                    b.at(k0 + kk, j0 + j)
-                } else {
-                    0.0
-                };
-            }
         }
     }
 
@@ -950,82 +891,6 @@ mod x86 {
                 for (acc, &v) in out[simd_cols..].iter_mut().zip(&row[simd_cols..]) {
                     *acc += i32::from(v);
                 }
-            }
-        }
-    }
-
-    /// The AVX2 blocked f32 driver: the same BLIS-style `jc → pc → (parallel) ic`
-    /// loop nest as the scalar `gemm_blocked`, with thread-local aligned panel
-    /// scratch (zero steady-state allocations) and the FMA microkernel. Accumulates
-    /// into `out` (callers zero it first), so the `pc` panel loop composes.
-    ///
-    /// Caller contract: [`super::simd_available`] returned `true` (this is what
-    /// makes the `unsafe` microkernel calls sound).
-    pub(crate) fn gemm_f32_avx2(
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        a: Operand<'_>,
-        b: Operand<'_>,
-    ) {
-        for jc in (0..n).step_by(NC) {
-            let nc = NC.min(n - jc);
-            let n_tiles = nc.div_ceil(NR);
-            for pc in (0..k).step_by(KC) {
-                let kc = KC.min(k - pc);
-
-                PANEL_B_F32.with(|cell| {
-                    let mut bp = cell.borrow_mut();
-                    bp.reset_zeroed(n_tiles * kc * NR);
-                    for (t, tile) in bp.chunks_exact_mut(kc * NR).enumerate() {
-                        let j0 = jc + t * NR;
-                        pack_b_f32(tile, b, kc, pc, j0, NR.min(n - j0));
-                    }
-                    let bp: &[f32] = &bp;
-
-                    out.par_chunks_mut(MC * n)
-                        .enumerate()
-                        .for_each(|(panel, c_rows)| {
-                            let i0 = panel * MC;
-                            let mc = MC.min(m - i0);
-                            let m_tiles = mc.div_ceil(MR);
-
-                            PANEL_A_F32.with(|cell| {
-                                let mut ap = cell.borrow_mut();
-                                ap.reset_zeroed(m_tiles * kc * MR);
-                                for (t, tile) in ap.chunks_exact_mut(kc * MR).enumerate() {
-                                    let r0 = i0 + t * MR;
-                                    pack_a_f32(tile, a, kc, pc, r0, MR.min(m - r0));
-                                }
-
-                                for ti in 0..m_tiles {
-                                    let a_tile = &ap[ti * kc * MR..(ti + 1) * kc * MR];
-                                    let rows_here = MR.min(mc - ti * MR);
-                                    for tj in 0..n_tiles {
-                                        let b_tile = &bp[tj * kc * NR..(tj + 1) * kc * NR];
-                                        let mut acc = [[0.0f32; NR]; MR];
-                                        // SAFETY: simd_available() gated the dispatch
-                                        // (avx2 + fma present); tile slices are exactly
-                                        // kc*MR / kc*NR long and the B panel rows are
-                                        // 32-byte aligned (AlignedVec base, 32-byte
-                                        // tile stride).
-                                        unsafe { microkernel_f32(a_tile, b_tile, kc, &mut acc) };
-
-                                        let j0 = jc + tj * NR;
-                                        let cols_here = NR.min(n - j0);
-                                        for (i, acc_row) in acc.iter().enumerate().take(rows_here) {
-                                            let c_row =
-                                                &mut c_rows[(ti * MR + i) * n + j0..][..cols_here];
-                                            for (o, &v) in c_row.iter_mut().zip(acc_row.iter()) {
-                                                *o += v;
-                                            }
-                                        }
-                                    }
-                                }
-                            });
-                        });
-                });
             }
         }
     }

@@ -1,12 +1,14 @@
-//! Differential pinning of the AVX2/FMA microkernels against the scalar references.
+//! Differential pinning of the packed GEMM driver's tiles and the AVX2 microkernels
+//! against the scalar references.
 //!
 //! Three contracts, straight from the dispatch layer's documentation:
 //!
-//! * **f32** — the AVX2 kernel may reassociate nothing (it accumulates each output
-//!   lane sequentially over `k`, like the scalar kernels) but FMA keeps the
-//!   unrounded product, so results may differ from the scalar reference by rounding
-//!   only: within `1e-5` across shapes covering every remainder lane of the 8×8
-//!   register tile.
+//! * **f32** — the packed driver runs the host's register tile (AVX2/FMA where the
+//!   host has it, scalar elsewhere and under `--cfg force_scalar`). Neither tile
+//!   reassociates (each accumulates an output lane sequentially over `k`), but FMA
+//!   keeps the unrounded product, so results may differ from the naive reference by
+//!   rounding only: within `1e-5` across shapes covering every remainder lane of the
+//!   8×8 register tile.
 //! * **i8** — the production entry `gemm_i8_fast_into` is exact integer arithmetic on
 //!   both of its routes and must be **bit-identical** to the scalar `gemm_i8_into`
 //!   reference, including reductions longer than `I8_EXACT_CHUNK` (the native
@@ -18,11 +20,10 @@
 //!   the polynomial `tanh` is held to an f64 libm reference (which lives only here).
 //!
 //! On hosts or builds without AVX2/FMA (non-x86, `--cfg force_scalar`, old CPUs) the
-//! SIMD entry points report unavailable / fall back; the suite then degenerates to
-//! re-checking the scalar paths against themselves, which keeps it green everywhere.
+//! f32 sweep pins the scalar tile, and the int8 and elementwise entry points fall back
+//! to their scalar forms, so the suite runs on every host.
 
-use vitality_tensor::backend::{IntOperand, Operand, I8_EXACT_CHUNK};
-use vitality_tensor::simd::gemm_f32_avx2_direct;
+use vitality_tensor::backend::{gemm_packed_direct, IntOperand, Operand, I8_EXACT_CHUNK};
 use vitality_tensor::{cpu_features, MatmulBackend, Workspace};
 
 /// Shapes from the issue spec: every combination straddles a different mix of full
@@ -63,10 +64,6 @@ fn entry_i8(i: usize, salt: usize) -> i8 {
 
 #[test]
 fn f32_simd_kernel_matches_naive_within_1e5_on_all_remainder_lanes() {
-    if !cpu_features().simd_ready() {
-        eprintln!("skipping SIMD differential sweep: no AVX2/FMA on this host/build");
-        return;
-    }
     for &m in &SPAN {
         for &k in &SPAN {
             for &n in &SPAN {
@@ -80,24 +77,21 @@ fn f32_simd_kernel_matches_naive_within_1e5_on_all_remainder_lanes() {
                     Operand::row_major(&b, n),
                 );
                 // The raw driver, bypassing the small-product cutoff: this is what
-                // pins the microkernel itself on the tiny shapes.
-                let mut simd = vec![f32::NAN; m * n];
-                assert!(
-                    gemm_f32_avx2_direct(
-                        &mut simd,
-                        m,
-                        k,
-                        n,
-                        Operand::row_major(&a, k),
-                        Operand::row_major(&b, n),
-                    ),
-                    "simd_ready CPU must run the direct driver"
+                // pins the host's tile itself on the tiny shapes.
+                let mut packed = vec![f32::NAN; m * n];
+                gemm_packed_direct(
+                    &mut packed,
+                    m,
+                    k,
+                    n,
+                    Operand::row_major(&a, k),
+                    Operand::row_major(&b, n),
                 );
-                let diff = max_abs_diff(&simd, &reference);
-                assert!(diff <= 1e-5, "avx2 f32 ({m},{k},{n}) diverged by {diff}");
+                let diff = max_abs_diff(&packed, &reference);
+                assert!(diff <= 1e-5, "packed f32 ({m},{k},{n}) diverged by {diff}");
                 // And the public dispatch (small shapes route through gemm_small,
-                // large ones through the SIMD panels — both must agree).
-                let dispatched = MatmulBackend::Avx2.gemm(
+                // large ones through the packed panels — both must agree).
+                let dispatched = MatmulBackend::Blocked.gemm(
                     m,
                     k,
                     n,
@@ -107,7 +101,7 @@ fn f32_simd_kernel_matches_naive_within_1e5_on_all_remainder_lanes() {
                 let diff = max_abs_diff(&dispatched, &reference);
                 assert!(
                     diff <= 1e-5,
-                    "Avx2 dispatch ({m},{k},{n}) diverged by {diff}"
+                    "Blocked dispatch ({m},{k},{n}) diverged by {diff}"
                 );
             }
         }
@@ -116,9 +110,6 @@ fn f32_simd_kernel_matches_naive_within_1e5_on_all_remainder_lanes() {
 
 #[test]
 fn f32_simd_kernel_handles_transposed_operands() {
-    if !cpu_features().simd_ready() {
-        return;
-    }
     let (m, k, n) = (65, 196, 63);
     let at = dense(k, m, entry); // A^T stored row-major, participating as A
     let b = dense(k, n, |r, c| entry(r + 11, c));
@@ -129,17 +120,17 @@ fn f32_simd_kernel_handles_transposed_operands() {
         Operand::transposed(&at, m),
         Operand::row_major(&b, n),
     );
-    let mut simd = vec![0.0; m * n];
-    gemm_f32_avx2_direct(
-        &mut simd,
+    let mut packed = vec![f32::NAN; m * n];
+    gemm_packed_direct(
+        &mut packed,
         m,
         k,
         n,
         Operand::transposed(&at, m),
         Operand::row_major(&b, n),
     );
-    let diff = max_abs_diff(&simd, &reference);
-    assert!(diff <= 1e-5, "transposed-A avx2 f32 diverged by {diff}");
+    let diff = max_abs_diff(&packed, &reference);
+    assert!(diff <= 1e-5, "transposed-A packed f32 diverged by {diff}");
 }
 
 /// Runs the production int8 entry on a fresh workspace and reports whether it took
@@ -177,18 +168,21 @@ fn i8_production_entry_is_bit_identical_to_the_scalar_reference_on_both_routes()
         let mut reference = vec![0i32; m * n];
         MatmulBackend::Blocked.gemm_i8_into(&mut reference, m, k, n, a_op, b_op);
 
-        let (fast, native) = fast_i8(MatmulBackend::Avx2, m, k, n, a_op, b_op);
+        let (fast, native) = fast_i8(MatmulBackend::Blocked, m, k, n, a_op, b_op);
         assert_eq!(
             native,
             cpu_features().simd_ready(),
             "in-domain operands take the native route exactly where AVX2/FMA exist"
         );
-        assert_eq!(fast, reference, "avx2 i8 ({m},{k},{n}) not bit-identical");
+        assert_eq!(
+            fast, reference,
+            "blocked i8 ({m},{k},{n}) not bit-identical"
+        );
 
-        // A scalar backend never takes the native route: this is the widened-f32
-        // route every non-AVX2 host serves from.
-        let (widened, native) = fast_i8(MatmulBackend::Blocked, m, k, n, a_op, b_op);
-        assert!(!native, "the blocked backend has no native int8 route");
+        // The reference backend never takes the native route: this is the widened-f32
+        // route (the packed-driver form is pinned by the -128 test below).
+        let (widened, native) = fast_i8(MatmulBackend::Naive, m, k, n, a_op, b_op);
+        assert!(!native, "the naive backend has no native int8 route");
         assert_eq!(
             widened, reference,
             "widened i8 ({m},{k},{n}) not bit-identical"
@@ -208,7 +202,7 @@ fn i8_production_entry_handles_transposed_and_clamped_operands_bit_identically()
     // Scanned and marked-clamped operands (what the int8 attention kernels pass: the
     // quantizer saturates at ±127) must reach the same route and the same bits.
     for (a_op, b_op) in [(a_op, b_op), (a_op.clamped(), b_op.clamped())] {
-        let (fast, native) = fast_i8(MatmulBackend::Avx2, m, k, n, a_op, b_op);
+        let (fast, native) = fast_i8(MatmulBackend::Blocked, m, k, n, a_op, b_op);
         assert_eq!(native, cpu_features().simd_ready());
         assert_eq!(fast, reference, "transposed i8 not bit-identical");
     }
@@ -218,34 +212,40 @@ fn i8_production_entry_handles_transposed_and_clamped_operands_bit_identically()
 fn i8_production_entry_routes_minus_128_to_the_widened_path_and_stays_exact() {
     // -128 is the one i8 value the abs/sign maddubs idiom cannot represent
     // (`_mm256_sign_epi8` negation wraps); an unmarked operand holding it must be
-    // caught by the domain scan and multiplied exactly on the widened-f32 route.
-    let (m, k, n) = (9usize, 65usize, 7usize);
-    let mut a: Vec<i8> = (0..m * k).map(|i| entry_i8(i, 3)).collect();
-    let b: Vec<i8> = (0..k * n).map(|i| entry_i8(i, 17)).collect();
-    a[m * k / 2] = i8::MIN;
-    let (a_op, b_op) = (IntOperand::row_major(&a, k), IntOperand::row_major(&b, n));
-    let mut reference = vec![0i32; m * n];
-    MatmulBackend::Blocked.gemm_i8_into(&mut reference, m, k, n, a_op, b_op);
+    // caught by the domain scan and multiplied exactly on the widened-f32 route. The
+    // second shape is above the small-product cutoff in both of its reduction chunks
+    // (k is past I8_EXACT_CHUNK), so the widened route runs on the packed driver.
+    for &(m, k, n) in &[(9usize, 65usize, 7usize), (16, I8_EXACT_CHUNK + 500, 16)] {
+        let mut a: Vec<i8> = (0..m * k).map(|i| entry_i8(i, 3)).collect();
+        let b: Vec<i8> = (0..k * n).map(|i| entry_i8(i, 17)).collect();
+        a[m * k / 2] = i8::MIN;
+        let (a_op, b_op) = (IntOperand::row_major(&a, k), IntOperand::row_major(&b, n));
+        let mut reference = vec![0i32; m * n];
+        MatmulBackend::Naive.gemm_i8_into(&mut reference, m, k, n, a_op, b_op);
 
-    let (fast, native) = fast_i8(MatmulBackend::Avx2, m, k, n, a_op, b_op);
-    assert!(
-        !native,
-        "the native route must refuse operands containing -128"
-    );
-    assert_eq!(fast, reference, "-128 fallback lost exactness");
-    // The scan covers the right operand too: (A·B)ᵀ = Bᵀ·Aᵀ puts the -128 there.
-    let (bt_op, at_op) = (IntOperand::transposed(&b, n), IntOperand::transposed(&a, k));
-    let mut reference_t = vec![0i32; n * m];
-    MatmulBackend::Blocked.gemm_i8_into(&mut reference_t, n, k, m, bt_op, at_op);
-    let (fast_t, native) = fast_i8(MatmulBackend::Avx2, n, k, m, bt_op, at_op);
-    assert!(
-        !native,
-        "the native route must refuse a right operand containing -128"
-    );
-    assert_eq!(
-        fast_t, reference_t,
-        "-128 in the right operand lost exactness"
-    );
+        let (fast, native) = fast_i8(MatmulBackend::Blocked, m, k, n, a_op, b_op);
+        assert!(
+            !native,
+            "the native route must refuse operands containing -128"
+        );
+        assert_eq!(
+            fast, reference,
+            "({m},{k},{n}) -128 fallback lost exactness"
+        );
+        // The scan covers the right operand too: (A·B)ᵀ = Bᵀ·Aᵀ puts the -128 there.
+        let (bt_op, at_op) = (IntOperand::transposed(&b, n), IntOperand::transposed(&a, k));
+        let mut reference_t = vec![0i32; n * m];
+        MatmulBackend::Naive.gemm_i8_into(&mut reference_t, n, k, m, bt_op, at_op);
+        let (fast_t, native) = fast_i8(MatmulBackend::Blocked, n, k, m, bt_op, at_op);
+        assert!(
+            !native,
+            "the native route must refuse a right operand containing -128"
+        );
+        assert_eq!(
+            fast_t, reference_t,
+            "({m},{k},{n}) -128 in the right operand lost exactness"
+        );
+    }
 }
 
 #[test]
@@ -309,31 +309,6 @@ fn quantization_sweeps_match_their_scalar_references_bit_for_bit() {
             "i8_column_sums diverged at ({rows},{cols})"
         );
     }
-}
-
-#[test]
-fn avx2_dispatch_on_unsupported_hosts_still_computes_correct_products() {
-    // Explicit Avx2 requests must degrade, not panic, wherever the features are
-    // missing; where they are present this doubles as one more dispatch check.
-    let (m, k, n) = (33, 65, 17);
-    let a = dense(m, k, entry);
-    let b = dense(k, n, |r, c| entry(c, r));
-    let via_avx2 = MatmulBackend::Avx2.gemm(
-        m,
-        k,
-        n,
-        Operand::row_major(&a, k),
-        Operand::row_major(&b, n),
-    );
-    let reference = MatmulBackend::Naive.gemm(
-        m,
-        k,
-        n,
-        Operand::row_major(&a, k),
-        Operand::row_major(&b, n),
-    );
-    let diff = max_abs_diff(&via_avx2, &reference);
-    assert!(diff <= 1e-5, "Avx2 dispatch diverged by {diff}");
 }
 
 /// Values sweeping the GELU transition, both saturated tails and the `tanh` clamp.

@@ -1,7 +1,6 @@
 //! The trainable Vision Transformer used by the accuracy experiments.
 
 use rand::Rng;
-use rayon::prelude::*;
 
 use crate::block::{AttentionVariant, TransformerBlock};
 use crate::config::TrainConfig;
@@ -9,6 +8,7 @@ use vitality_attention::Int8Calibration;
 use vitality_autograd::{Graph, Var};
 use vitality_nn::registry::{NamedParameters, ParamRegistry};
 use vitality_nn::{ClassificationHead, PatchEmbed};
+use vitality_tensor::parallel::for_each_chunk_mut;
 use vitality_tensor::{with_thread_workspace, Matrix, Workspace};
 
 /// Work one lane of [`VisionTransformer::infer_batch_into`] must have before a batch is
@@ -170,15 +170,6 @@ impl VisionTransformer {
         VitOutput { logits, tokens: x }
     }
 
-    /// Inference over a batch of images, one rayon work unit per image.
-    ///
-    /// The per-image token matrices are completely independent, so this is the
-    /// model-level parallel axis; each worker thread runs on its own persistent
-    /// workspace. Outputs come back in input order.
-    pub fn infer_batch(&self, images: &[Matrix]) -> Vec<VitOutput> {
-        images.par_iter().map(|image| self.infer(image)).collect()
-    }
-
     /// Steady-state batched inference: refills `outputs` with one [`VitOutput`] per
     /// image, in input order, recycling the previous round's outputs first.
     ///
@@ -279,7 +270,7 @@ impl VisionTransformer {
             .zip(images.chunks(per_lane))
             .zip(outputs.chunks_mut(per_lane))
             .collect();
-        jobs.par_chunks_mut(1).for_each(|job| {
+        for_each_chunk_mut(&mut jobs, 1, |_, job| {
             let ((ws, images), slots) = &mut job[0];
             for (image, slot) in images.iter().zip(slots.iter_mut()) {
                 *slot = self.infer_with(image, ws);
@@ -299,12 +290,7 @@ impl VisionTransformer {
         best
     }
 
-    /// Predicted class indices for a batch of images (parallel over images).
-    pub fn predict_batch(&self, images: &[Matrix]) -> Vec<usize> {
-        images.par_iter().map(|image| self.predict(image)).collect()
-    }
-
-    /// Top-1 accuracy over a labelled set of images (parallel over images).
+    /// Top-1 accuracy over a labelled set of images.
     pub fn accuracy(&self, images: &[Matrix], labels: &[usize]) -> f32 {
         assert_eq!(
             images.len(),
@@ -314,11 +300,10 @@ impl VisionTransformer {
         if images.is_empty() {
             return 0.0;
         }
-        let correct = self
-            .predict_batch(images)
+        let correct = images
             .iter()
-            .zip(labels.iter())
-            .filter(|(predicted, label)| predicted == label)
+            .zip(labels)
+            .filter(|&(image, &label)| self.predict(image) == label)
             .count();
         correct as f32 / images.len() as f32
     }
@@ -469,24 +454,6 @@ mod tests {
         assert!(reg.grad("embed.proj.weight", &grads).is_some());
         assert!(reg.grad("block0.attn.wq.weight", &grads).is_some());
         assert!(reg.grad("head.fc.weight", &grads).is_some());
-    }
-
-    #[test]
-    fn infer_batch_matches_sequential_inference() {
-        let cfg = TrainConfig::tiny();
-        let mut rng = StdRng::seed_from_u64(210);
-        let model = VisionTransformer::new(&mut rng, cfg, AttentionVariant::Taylor);
-        let images: Vec<Matrix> = (0..3).map(|i| image(&cfg, 30 + i)).collect();
-        let batched = model.infer_batch(&images);
-        assert_eq!(batched.len(), images.len());
-        for (out, img) in batched.iter().zip(images.iter()) {
-            let single = model.infer(img);
-            assert!(out.logits.approx_eq(&single.logits, 1e-6));
-            assert!(out.tokens.approx_eq(&single.tokens, 1e-6));
-        }
-        let preds = model.predict_batch(&images);
-        let sequential: Vec<usize> = images.iter().map(|img| model.predict(img)).collect();
-        assert_eq!(preds, sequential);
     }
 
     /// The benchmark's served model: 196 tokens, 3.5 MMAC per image.
@@ -728,7 +695,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(230);
         let mut model = VisionTransformer::new(&mut rng, cfg, AttentionVariant::Taylor);
         let samples: Vec<Matrix> = (0..3).map(|i| image(&cfg, 60 + i)).collect();
-        let f32_predictions = model.predict_batch(&samples);
+        let predict_all = |model: &VisionTransformer| -> Vec<usize> {
+            samples.iter().map(|img| model.predict(img)).collect()
+        };
+        let f32_predictions = predict_all(&model);
         let calibration = model.calibrate_int8(&samples);
         let Int8Calibration::Fixed {
             q_absmax,
@@ -746,7 +716,7 @@ mod tests {
         assert_eq!(model.variant().label(), "int8");
         // Calibrated int8 inference stays usable: finite logits, overwhelmingly the
         // same top-1 decisions on the calibration set.
-        let int8_predictions = model.predict_batch(&samples);
+        let int8_predictions = predict_all(&model);
         let agreement = int8_predictions
             .iter()
             .zip(&f32_predictions)

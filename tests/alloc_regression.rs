@@ -14,6 +14,9 @@
 //! batch the engine serves — are orders of magnitude below it. So the scoped count is
 //! deterministic regardless of the host's core count.
 //!
+//! The gate also reaches the packed GEMM driver directly: the tiny model's largest
+//! product is under the small-product cutoff, so inference alone never packs a panel.
+//!
 //! The same gate covers the tracing primitives riding the serve path: with sampling
 //! off, opening/closing a trace and recording a stage histogram sample must also be
 //! allocation-free, so observability costs nothing when it is not watching.
@@ -25,7 +28,8 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vitality::serve::LatencyHistogram;
-use vitality::tensor::{init, Matrix, Workspace};
+use vitality::tensor::backend::{Operand, MC, SMALL_GEMM_LIMIT};
+use vitality::tensor::{init, matmul_backend, Matrix, Workspace};
 use vitality::vit::{AttentionVariant, Int8Calibration, TrainConfig, VisionTransformer, VitOutput};
 
 /// Wraps the system allocator and counts every allocation-producing call made by a
@@ -145,6 +149,35 @@ fn steady_state_infer_batch_into_performs_zero_allocations() {
             );
         }
     }
+
+    // One row panel of the packed driver above the small-product cutoff: its
+    // parallel region has a single chunk and runs inline, so the thread-local panel
+    // scratch is all it touches — on whichever tile this host runs.
+    let (m, k, n) = (64, 64, 64);
+    assert!(m * k * n > SMALL_GEMM_LIMIT && m <= MC);
+    let a = init::uniform(&mut StdRng::seed_from_u64(600), m, k, -1.0, 1.0);
+    let b = init::uniform(&mut StdRng::seed_from_u64(601), k, n, -1.0, 1.0);
+    let mut product = vec![0.0f32; m * n];
+    let backend = matmul_backend();
+    let gemm = |out: &mut [f32]| {
+        let (a, b) = (
+            Operand::row_major(a.as_slice(), k),
+            Operand::row_major(b.as_slice(), n),
+        );
+        backend.gemm_into(out, m, k, n, a, b);
+    };
+    gemm(&mut product);
+    let before = allocations();
+    for _ in 0..10 {
+        gemm(&mut product);
+    }
+    let delta = allocations() - before;
+    assert_eq!(
+        delta,
+        0,
+        "steady-state {} GEMM {m}x{k}x{n} allocated {delta} times",
+        backend.label()
+    );
 
     // Tracing with sampling off is the no-op mode: `begin` returns `None`, every
     // span-recording site is a skipped `if let`, `finish` returns immediately, and

@@ -11,7 +11,13 @@ use vitality::attention::{
     mean_center_keys, quantize_symmetric, AttentionKernel, SangerSparseAttention, SoftmaxAttention,
     TaylorAttention, UnifiedLowRankSparseAttention,
 };
+use vitality::tensor::backend::Operand;
 use vitality::tensor::{init, MatmulBackend, Matrix};
+
+/// `backend`'s `m × n` product of two operands, as a matrix.
+fn gemm(backend: MatmulBackend, m: usize, k: usize, n: usize, a: Operand, b: Operand) -> Matrix {
+    Matrix::from_vec(m, n, backend.gemm(m, k, n, a, b)).unwrap()
+}
 
 /// Strategy producing a matrix with the given shape and bounded entries.
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -161,8 +167,12 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = init::uniform(&mut rng, m, k, -1.0, 1.0);
         let b = init::uniform(&mut rng, k, n, -1.0, 1.0);
-        let fast = a.matmul_with(MatmulBackend::Blocked, &b);
-        let slow = a.matmul_with(MatmulBackend::Naive, &b);
+        let (a, b) = (
+            Operand::row_major(a.as_slice(), k),
+            Operand::row_major(b.as_slice(), n),
+        );
+        let fast = gemm(MatmulBackend::Blocked, m, k, n, a, b);
+        let slow = gemm(MatmulBackend::Naive, m, k, n, a, b);
         prop_assert!(
             fast.approx_eq(&slow, 1e-4),
             "matmul {}x{}x{} diverged by {}", m, k, n, fast.max_abs_diff(&slow)
@@ -181,15 +191,23 @@ proptest! {
         let a = init::uniform(&mut rng, m, k, -1.0, 1.0);
         let b = init::uniform(&mut rng, n, k, -1.0, 1.0);
         let c = init::uniform(&mut rng, m, n, -1.0, 1.0);
-        let fast_bt = a.matmul_transpose_b_with(MatmulBackend::Blocked, &b);
-        let slow_bt = a.matmul_transpose_b_with(MatmulBackend::Naive, &b);
+        let (a_op, bt) = (
+            Operand::row_major(a.as_slice(), k),
+            Operand::transposed(b.as_slice(), k),
+        );
+        let fast_bt = gemm(MatmulBackend::Blocked, m, k, n, a_op, bt);
+        let slow_bt = gemm(MatmulBackend::Naive, m, k, n, a_op, bt);
         prop_assert!(
             fast_bt.approx_eq(&slow_bt, 1e-4),
             "matmul_transpose_b {}x{}x{} diverged by {}",
             m, k, n, fast_bt.max_abs_diff(&slow_bt)
         );
-        let fast_at = a.transpose_matmul_with(MatmulBackend::Blocked, &c);
-        let slow_at = a.transpose_matmul_with(MatmulBackend::Naive, &c);
+        let (at, c) = (
+            Operand::transposed(a.as_slice(), k),
+            Operand::row_major(c.as_slice(), n),
+        );
+        let fast_at = gemm(MatmulBackend::Blocked, k, m, n, at, c);
+        let slow_at = gemm(MatmulBackend::Naive, k, m, n, at, c);
         prop_assert!(
             fast_at.approx_eq(&slow_at, 1e-4),
             "transpose_matmul {}x{}x{} diverged by {}",
