@@ -16,8 +16,9 @@
 //!   event loop calls [`Waker::drain`] when it sees the waker token, otherwise
 //!   the poll would spin.
 //! - **Linux only.** On other targets [`Poll::new`] returns
-//!   [`std::io::ErrorKind::Unsupported`]; callers are expected to fall back to
-//!   a threaded front. Nothing panics at link or load time.
+//!   [`std::io::ErrorKind::Unsupported`], which the serving front passes on
+//!   to its caller; the stub only keeps dependents compiling there. Nothing
+//!   panics at link or load time.
 
 use std::io;
 use std::time::Duration;
@@ -308,7 +309,7 @@ mod sys {
     fn unsupported() -> io::Error {
         io::Error::new(
             io::ErrorKind::Unsupported,
-            "epoll is only available on Linux; use the threaded fallback front",
+            "epoll is only available on Linux",
         )
     }
 
@@ -405,7 +406,7 @@ pub fn set_backlog<S>(_source: &S, _backlog: i32) -> io::Result<()> {
 
 impl Poll {
     /// Create a new poller. Returns [`std::io::ErrorKind::Unsupported`] on
-    /// non-Linux targets — callers should fall back to a threaded front.
+    /// non-Linux targets, which have no epoll.
     pub fn new() -> io::Result<Poll> {
         Ok(Poll {
             inner: sys::Poll::new()?,

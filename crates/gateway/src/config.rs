@@ -123,8 +123,7 @@ pub struct GatewayConfig {
     pub admission: AdmissionConfig,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
-    /// The event loop's poll timeout (doubles as the shutdown poll interval; on
-    /// the threaded fallback it is the socket read timeout serving the same role).
+    /// The event loop's poll timeout (doubles as the shutdown poll interval).
     pub poll_interval: Duration,
     /// Threads in the infer dispatch pool — the blocking cache → route → retry
     /// pipeline runs here, off the connection event loop. This bounds how many

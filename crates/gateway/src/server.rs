@@ -5,7 +5,7 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -41,17 +41,9 @@ struct Shared {
     /// pipeline. A persistently nonzero depth means the dispatch pool, not the
     /// loop, is the bottleneck.
     dispatch_depth: AtomicU64,
-    /// The connection front's loop-health counters. Set once right after the
-    /// front starts; a request racing that window reads default (unstarted)
-    /// stats, never panics.
-    loop_stats: OnceLock<Arc<LoopStats>>,
+    /// The connection front's loop-health counters, which the front counts into.
+    loop_stats: Arc<LoopStats>,
     shutdown: AtomicBool,
-}
-
-impl Shared {
-    fn loop_stats(&self) -> Arc<LoopStats> {
-        self.loop_stats.get().cloned().unwrap_or_default()
-    }
 }
 
 /// RAII window of one admitted request against the gateway-wide concurrency bound.
@@ -130,13 +122,15 @@ pub struct Gateway {
 
 impl Gateway {
     /// Binds the listener, runs one synchronous probe round (so reachable backends
-    /// are admitted before the first request), and spawns the prober and accept
-    /// loops.
+    /// are admitted before the first request), and starts the connection front, the
+    /// prober and the infer dispatch pool.
     ///
     /// # Errors
     ///
-    /// Returns any bind error. Unreachable backends are accepted — they stay
-    /// unadmitted until a probe succeeds, which is exactly the re-admission path.
+    /// Returns any bind error, or the connection front's start error (off Linux,
+    /// [`io::ErrorKind::Unsupported`]: the front needs epoll). Unreachable backends
+    /// are accepted — they stay unadmitted until a probe succeeds, which is exactly
+    /// the re-admission path.
     pub fn start(config: GatewayConfig, backends: &[SocketAddr]) -> io::Result<Gateway> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
@@ -150,7 +144,7 @@ impl Gateway {
             tracer: Arc::new(trace::Tracer::new(&config.trace)),
             in_flight_requests: AtomicU64::new(0),
             dispatch_depth: AtomicU64::new(0),
-            loop_stats: OnceLock::new(),
+            loop_stats: Arc::new(LoopStats::default()),
             pool,
             shutdown: AtomicBool::new(false),
             config,
@@ -161,6 +155,25 @@ impl Gateway {
             shared.pool.mean_pressure(),
             shared.metrics.miss_latency.quantile_us(0.95),
         );
+
+        // The connection front starts first, so a host without epoll fails here
+        // before any thread is spawned; the infer work it dispatches waits in the
+        // channel until the dispatch pool below takes it.
+        let (work_tx, work_rx) = mpsc::channel::<InferWork>();
+        let dispatch_shared = Arc::clone(&shared);
+        let front = EventFront::start(
+            listener,
+            FrontConfig {
+                poll_interval: shared.config.poll_interval,
+                max_body_bytes: shared.config.max_body_bytes,
+                max_pipeline: 64,
+                thread_name: "gateway-conn".to_string(),
+            },
+            Arc::clone(&shared.loop_stats),
+            move |request: &FrontRequest<'_>, completion: Completion| {
+                route(request, completion, &dispatch_shared, &work_tx)
+            },
+        )?;
 
         let prober_shared = Arc::clone(&shared);
         let prober_handle = std::thread::Builder::new()
@@ -195,10 +208,9 @@ impl Gateway {
         // The infer dispatch pool: the blocking cache → route → retry pipeline
         // runs here, handed work by the (non-blocking) connection front. At
         // least 2 threads, so one stalled backend call can never serialize the
-        // whole gateway. Thread names keep the `gateway-conn` prefix the
-        // per-connection threads used to carry, so existing failpoint
-        // thread-scoping specs keep targeting the request path.
-        let (work_tx, work_rx) = mpsc::channel::<InferWork>();
+        // whole gateway. The threads share the event loop's `gateway-conn`
+        // prefix, so a failpoint spec scoped `@gateway-conn` covers the whole
+        // request path.
         let work_rx = Arc::new(Mutex::new(work_rx));
         let dispatchers = (0..shared.config.dispatch_threads.max(2))
             .map(|i| {
@@ -227,21 +239,6 @@ impl Gateway {
                     .expect("spawn gateway dispatcher")
             })
             .collect();
-
-        let dispatch_shared = Arc::clone(&shared);
-        let front = EventFront::start(
-            listener,
-            FrontConfig {
-                poll_interval: shared.config.poll_interval,
-                max_body_bytes: shared.config.max_body_bytes,
-                max_pipeline: 64,
-                thread_name: "gateway-conn".to_string(),
-            },
-            move |request: &FrontRequest<'_>, completion: Completion| {
-                route(request, completion, &dispatch_shared, &work_tx)
-            },
-        )?;
-        let _ = shared.loop_stats.set(front.stats());
 
         Ok(Gateway {
             local_addr,
@@ -360,7 +357,7 @@ fn route(
                 .set("encodings", vec!["json".to_string(), "binary".to_string()])
                 // Loop-front health plus the dispatch hand-off queue: whether
                 // the loop thread or the dispatch pool is the next bottleneck.
-                .set("event_loop", shared.loop_stats().json())
+                .set("event_loop", shared.loop_stats.json())
                 .set(
                     "dispatch_queue_depth",
                     shared.dispatch_depth.load(Ordering::Relaxed),
@@ -373,7 +370,7 @@ fn route(
                 shared
                     .metrics
                     .register_prometheus(&mut reg, &shared.cache, &shared.pool);
-                shared.loop_stats().register(&mut reg, "vitality_gateway");
+                shared.loop_stats.register(&mut reg, "vitality_gateway");
                 reg.gauge(
                     "vitality_gateway_dispatch_queue_depth",
                     "Infer work queued between the event loop and the dispatch pool",
@@ -387,7 +384,7 @@ fn route(
                 ));
             }
             let mut body = shared.metrics.snapshot_json(&shared.cache, &shared.pool);
-            body.set("event_loop", shared.loop_stats().json()).set(
+            body.set("event_loop", shared.loop_stats.json()).set(
                 "dispatch_queue_depth",
                 shared.dispatch_depth.load(Ordering::Relaxed),
             );

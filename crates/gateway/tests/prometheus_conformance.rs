@@ -4,9 +4,9 @@
 //! full-text validator over each body — `# TYPE` before samples, no duplicate
 //! series, escaped labels, cumulative buckets ending in `+Inf` with `_count` and
 //! `_sum` agreement, trailing newline. The JSON `/metrics` shape must stay
-//! byte-compatible at the key level (every pre-existing key still present; the
-//! event-loop block is additive), and `/debug/traces?limit=N` must cap and annotate
-//! the returned ring.
+//! byte-compatible at the key level (every pre-existing key still present), the
+//! loop-health numbers must be on `/metrics` and `/healthz` of both, and
+//! `/debug/traces?limit=N` must cap and annotate the returned ring.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -157,8 +157,7 @@ fn live_scrapes_from_engine_and_gateway_pass_exposition_conformance() {
     }
 
     // The JSON `/metrics` shape is unchanged for existing consumers: every key the
-    // pre-Prometheus snapshot exported is still present, and the event-loop block
-    // rides alongside as a pure addition.
+    // pre-Prometheus snapshot exported is still present, beside the event-loop block.
     let (status, engine_json) = client_json(eng.local_addr(), "/metrics");
     assert_eq!(status, 200);
     for key in [
@@ -181,14 +180,7 @@ fn live_scrapes_from_engine_and_gateway_pass_exposition_conformance() {
             "engine JSON /metrics lost key {key}"
         );
     }
-    assert!(
-        engine_json
-            .get("event_loop")
-            .and_then(|l| l.get("mode"))
-            .and_then(JsonValue::as_str)
-            .is_some(),
-        "engine JSON /metrics gains the event_loop block"
-    );
+    assert_loop_health("engine /metrics", &engine_json);
     let (status, gateway_json) = client_json(gw.local_addr(), "/metrics");
     assert_eq!(status, 200);
     for key in [
@@ -214,27 +206,42 @@ fn live_scrapes_from_engine_and_gateway_pass_exposition_conformance() {
             "gateway JSON /metrics lost key {key}"
         );
     }
+    assert_loop_health("gateway /metrics", &gateway_json);
     assert!(
-        gateway_json.get("event_loop").is_some()
-            && gateway_json.get("dispatch_queue_depth").is_some(),
-        "gateway JSON /metrics gains event_loop + dispatch depth"
+        gateway_json.get("dispatch_queue_depth").is_some(),
+        "gateway JSON /metrics carries the dispatch queue depth"
     );
     // Both `/healthz` bodies surface the loop health inline.
-    for addr in [eng.local_addr(), gw.local_addr()] {
+    for (who, addr) in [("engine", eng.local_addr()), ("gateway", gw.local_addr())] {
         let (status, health) = client_json(addr, "/healthz");
         assert_eq!(status, 200);
-        assert!(
-            health
-                .get("event_loop")
-                .and_then(|l| l.get("mode"))
-                .is_some(),
-            "/healthz must carry the event-loop block"
-        );
+        assert_loop_health(&format!("{who} /healthz"), &health);
     }
 
     drop(client);
     gw.shutdown();
     eng.shutdown();
+}
+
+/// The loop-health fields `benchmark/` turns into `serve.event_loop.{saturation,
+/// ready_per_wake}`, where an absent or `null` field reads as 0: once the loop has
+/// served traffic, `wakeups` is at least one and `saturation` and `events_per_wake`
+/// are numbers.
+fn assert_loop_health(who: &str, body: &JsonValue) {
+    let block = body
+        .get("event_loop")
+        .unwrap_or_else(|| panic!("{who} lacks the event_loop block"));
+    let wakeups = block.get("wakeups").and_then(JsonValue::as_f64);
+    assert!(
+        wakeups.is_some_and(|w| w >= 1.0),
+        "{who} event_loop.wakeups: {wakeups:?}"
+    );
+    for field in ["saturation", "events_per_wake"] {
+        assert!(
+            block.get(field).and_then(JsonValue::as_f64).is_some(),
+            "{who} event_loop.{field} must be a number"
+        );
+    }
 }
 
 fn client_json(addr: std::net::SocketAddr, path: &str) -> (u16, JsonValue) {

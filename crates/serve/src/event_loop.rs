@@ -21,24 +21,20 @@
 //! are unanswered, so a fast pipeliner is backpressured through the kernel
 //! socket buffer instead of growing the parse buffer without bound.
 //!
-//! On platforms without epoll (or with `VITALITY_FORCE_THREADED_FRONT=1`), the
-//! front transparently falls back to the classic thread-per-connection model
-//! over the same dispatcher, so the server logic above it is identical.
+//! The front needs epoll: off Linux, [`EventFront::start`] returns the
+//! [`io::ErrorKind::Unsupported`] error of [`mio::Poll::new`].
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mio::{Events, Interest, Poll, Token, Waker};
 
-use crate::http::{
-    serve_connection, EncodedResponse, HttpMessage, HttpParser, ParseStatus, RouteResponse,
-    WriteReport,
-};
+use crate::http::{EncodedResponse, HttpParser, ParseStatus, RouteResponse, WriteReport};
 use crate::protocol;
 
 /// Tunables of the connection front.
@@ -52,9 +48,9 @@ pub struct FrontConfig {
     /// reading pauses at the cap (kernel-buffer backpressure) and resumes as
     /// responses drain.
     pub max_pipeline: usize,
-    /// Name of the event-loop thread (e.g. `serve-conn-8080`). Failpoint
-    /// thread-prefix scoping keys off this, exactly as it keyed off the
-    /// per-connection thread names of the blocking front.
+    /// Name of the event-loop thread (e.g. `serve-conn-8080`). Every socket
+    /// read and response write runs on it, so a failpoint scoped to this
+    /// thread prefix (`@serve-conn-8080`) hits exactly one server's I/O.
     pub thread_name: String,
 }
 
@@ -104,16 +100,12 @@ impl FrontRequest<'_> {
     }
 }
 
-// 0, the `Default`, is "unstarted".
-const LOOP_MODE_EVENT: u8 = 1;
-const LOOP_MODE_THREADED: u8 = 2;
-
 /// Loop-health counters answering "is the single loop thread the next wall":
 /// epoll wakeups, ready events per wake, the completion-queue depth, and
 /// saturation — the fraction of loop wall-clock spent *outside* `epoll_wait`
 /// (parsing, dispatching, writing). All lock-free; sampled by `/metrics` and
-/// `/healthz`. The threaded fallback reports its mode and leaves the loop
-/// counters at zero (saturation reads as absent).
+/// `/healthz`. A server creates them before its front and hands them to
+/// [`EventFront::start`], so its handlers can read them from the first request.
 #[derive(Debug, Default)]
 pub struct LoopStats {
     /// `epoll_wait` returns (including timeouts and waker wakeups).
@@ -130,20 +122,9 @@ pub struct LoopStats {
     pub busy_ns: AtomicU64,
     /// Nanoseconds the loop spent parked inside the poll call.
     pub idle_ns: AtomicU64,
-    mode: AtomicU8,
 }
 
 impl LoopStats {
-    /// Which front implementation is reporting: `"event"`, `"threaded"`, or
-    /// `"unstarted"`.
-    pub fn mode(&self) -> &'static str {
-        match self.mode.load(Ordering::Relaxed) {
-            LOOP_MODE_EVENT => "event",
-            LOOP_MODE_THREADED => "threaded",
-            _ => "unstarted",
-        }
-    }
-
     /// Mean ready events per wakeup (`None` before the first wakeup).
     pub fn events_per_wake(&self) -> Option<f64> {
         let wakeups = self.wakeups.load(Ordering::Relaxed);
@@ -154,7 +135,7 @@ impl LoopStats {
     }
 
     /// Fraction of loop time spent outside `epoll_wait` (`None` until the loop
-    /// has run, and always `None` on the threaded fallback).
+    /// has run).
     pub fn saturation(&self) -> Option<f64> {
         let busy = self.busy_ns.load(Ordering::Relaxed);
         let idle = self.idle_ns.load(Ordering::Relaxed);
@@ -168,7 +149,6 @@ impl LoopStats {
     pub fn json(&self) -> serde::json::JsonValue {
         let mut block = serde::json::JsonValue::object();
         block
-            .set("mode", self.mode())
             .set("wakeups", self.wakeups.load(Ordering::Relaxed))
             .set("ready_events", self.ready_events.load(Ordering::Relaxed))
             .set("completions", self.completions.load(Ordering::Relaxed))
@@ -189,45 +169,43 @@ impl LoopStats {
     }
 
     /// Register the loop-health series into a Prometheus scrape under
-    /// `<prefix>_event_loop_*` names, labelled with the loop mode.
+    /// `<prefix>_event_loop_*` names.
     pub fn register(&self, reg: &mut crate::exposition::MetricsRegistry, prefix: &str) {
-        let mode = self.mode();
-        let labels: &[(&str, &str)] = &[("mode", mode)];
         reg.counter(
             &format!("{prefix}_event_loop_wakeups_total"),
             "epoll_wait returns on the connection-front loop thread",
-            labels,
+            &[],
             self.wakeups.load(Ordering::Relaxed) as f64,
         );
         reg.counter(
             &format!("{prefix}_event_loop_ready_events_total"),
             "Ready events summed over all wakeups",
-            labels,
+            &[],
             self.ready_events.load(Ordering::Relaxed) as f64,
         );
         reg.counter(
             &format!("{prefix}_event_loop_completions_total"),
             "Responses drained off the completion queue",
-            labels,
+            &[],
             self.completions.load(Ordering::Relaxed) as f64,
         );
         reg.gauge(
             &format!("{prefix}_event_loop_queue_depth"),
             "Current completion (dispatch) queue depth",
-            labels,
+            &[],
             self.queue_depth.load(Ordering::Relaxed) as f64,
         );
         reg.gauge(
             &format!("{prefix}_event_loop_max_queue_depth"),
             "Deepest completion-queue backlog observed",
-            labels,
+            &[],
             self.max_queue_depth.load(Ordering::Relaxed) as f64,
         );
         if let Some(saturation) = self.saturation() {
             reg.gauge(
                 &format!("{prefix}_event_loop_saturation"),
                 "Fraction of loop time spent outside epoll_wait",
-                labels,
+                &[],
                 saturation,
             );
         }
@@ -237,7 +215,7 @@ impl LoopStats {
 /// The completion queue and stop flag shared between the loop thread and
 /// completions fired from worker threads.
 struct FrontShared {
-    waker: Option<Waker>,
+    waker: Waker,
     completions: Mutex<Vec<(u64, u64, RouteResponse)>>,
     stop: AtomicBool,
     stats: Arc<LoopStats>,
@@ -259,21 +237,8 @@ impl FrontShared {
         self.stats
             .max_queue_depth
             .fetch_max(depth, Ordering::Relaxed);
-        if let Some(waker) = &self.waker {
-            let _ = waker.wake();
-        }
+        let _ = self.waker.wake();
     }
-}
-
-enum CompletionSink {
-    /// Event-loop mode: enqueue for the loop and wake it.
-    Event {
-        shared: Arc<FrontShared>,
-        conn: u64,
-        seq: u64,
-    },
-    /// Threaded-fallback mode: rendezvous with the blocked connection thread.
-    Sync(mpsc::Sender<RouteResponse>),
 }
 
 /// The one-shot reply handle for a dispatched request.
@@ -284,7 +249,8 @@ enum CompletionSink {
 /// answers a generic 500 so the connection's response pipeline never stalls on
 /// a hole in the sequence.
 pub struct Completion {
-    sink: Option<CompletionSink>,
+    /// `(shared, conn, seq)`: where the response goes; `None` once delivered.
+    target: Option<(Arc<FrontShared>, u64, u64)>,
 }
 
 impl Completion {
@@ -294,20 +260,15 @@ impl Completion {
     }
 
     fn deliver(&mut self, response: RouteResponse) {
-        match self.sink.take() {
-            Some(CompletionSink::Event { shared, conn, seq }) => {
-                shared.push(conn, seq, response);
-            }
-            // The connection thread may have given up (shutdown); fine.
-            Some(CompletionSink::Sync(tx)) => drop(tx.send(response)),
-            None => {}
+        if let Some((shared, conn, seq)) = self.target.take() {
+            shared.push(conn, seq, response);
         }
     }
 }
 
 impl Drop for Completion {
     fn drop(&mut self) {
-        if self.sink.is_some() {
+        if self.target.is_some() {
             self.deliver(RouteResponse::new(
                 500,
                 protocol::error_body("internal", "request dropped without a response"),
@@ -318,9 +279,8 @@ impl Drop for Completion {
 
 impl std::fmt::Debug for Completion {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match &self.sink {
-            Some(CompletionSink::Event { conn, seq, .. }) => format!("event({conn}#{seq})"),
-            Some(CompletionSink::Sync(_)) => "sync".to_string(),
+        let kind = match &self.target {
+            Some((_, conn, seq)) => format!("{conn}#{seq}"),
             None => "completed".to_string(),
         };
         f.debug_tuple("Completion").field(&kind).finish()
@@ -333,35 +293,28 @@ impl std::fmt::Debug for Completion {
 pub trait Dispatch: FnMut(&FrontRequest<'_>, Completion) + Send + 'static {}
 impl<F: FnMut(&FrontRequest<'_>, Completion) + Send + 'static> Dispatch for F {}
 
-/// A running connection front: the epoll event loop, or its threaded fallback.
+/// A running connection front: one epoll event-loop thread serving every
+/// connection of a listener.
 ///
 /// Stop in two phases: [`stop`](Self::stop) (signal; existing responses still
 /// drain, new requests are no longer parsed) then [`join`](Self::join).
 pub struct EventFront {
-    inner: FrontInner,
-}
-
-enum FrontInner {
-    Event {
-        shared: Arc<FrontShared>,
-        handle: Option<JoinHandle<()>>,
-    },
-    Threaded {
-        stop: Arc<AtomicBool>,
-        local_addr: SocketAddr,
-        accept: Option<JoinHandle<()>>,
-        connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
-        stats: Arc<LoopStats>,
-    },
+    shared: Arc<FrontShared>,
+    handle: Option<JoinHandle<()>>,
 }
 
 impl EventFront {
-    /// Starts the front over an already-bound listener. Uses the epoll event
-    /// loop where available; falls back to thread-per-connection otherwise
-    /// (or when `VITALITY_FORCE_THREADED_FRONT=1`, the fallback's test hook).
+    /// Starts the event loop over an already-bound listener; the loop counts
+    /// its health into `stats`.
+    ///
+    /// # Errors
+    ///
+    /// Any epoll or eventfd setup error — off Linux, the
+    /// [`io::ErrorKind::Unsupported`] error of [`mio::Poll::new`].
     pub fn start(
         listener: TcpListener,
         config: FrontConfig,
+        stats: Arc<LoopStats>,
         dispatch: impl Dispatch,
     ) -> io::Result<EventFront> {
         assert!(config.max_pipeline > 0, "max_pipeline must be positive");
@@ -371,108 +324,23 @@ impl EventFront {
         if let Err(err) = mio::set_backlog(&listener, 4096) {
             trace::debug!("keeping the default accept backlog: {err}");
         }
-        let forced_fallback =
-            std::env::var_os("VITALITY_FORCE_THREADED_FRONT").is_some_and(|v| v == "1");
-        if !forced_fallback {
-            match Poll::new() {
-                Ok(poll) => return Self::start_event(listener, config, dispatch, poll),
-                // No epoll on this platform: fall through to the threaded front.
-                Err(err) if err.kind() == io::ErrorKind::Unsupported => {}
-                Err(err) => return Err(err),
-            }
-        }
-        Self::start_threaded(listener, config, dispatch)
-    }
-
-    /// Whether this front runs the epoll event loop (`false`: threaded fallback).
-    pub fn is_event_loop(&self) -> bool {
-        matches!(self.inner, FrontInner::Event { .. })
-    }
-
-    /// The loop-health counters of this front (all zero on the threaded
-    /// fallback, which has no loop thread — `mode` still reports which
-    /// implementation answered).
-    pub fn stats(&self) -> Arc<LoopStats> {
-        match &self.inner {
-            FrontInner::Event { shared, .. } => Arc::clone(&shared.stats),
-            FrontInner::Threaded { stats, .. } => Arc::clone(stats),
-        }
-    }
-
-    /// Signals the front to stop: no new connections or requests; responses
-    /// already completed (or still in flight toward a completion) drain first.
-    /// Idempotent, callable from any thread.
-    pub fn stop(&self) {
-        match &self.inner {
-            FrontInner::Event { shared, .. } => {
-                shared.stop.store(true, Ordering::SeqCst);
-                if let Some(waker) = &shared.waker {
-                    let _ = waker.wake();
-                }
-            }
-            FrontInner::Threaded {
-                stop, local_addr, ..
-            } => {
-                stop.store(true, Ordering::SeqCst);
-                // Unblock the accept loop with a throwaway connection.
-                let _ = TcpStream::connect(*local_addr);
-            }
-        }
-    }
-
-    /// Waits for the front to wind down (call after [`stop`](Self::stop); the
-    /// loop exits only once every pending response has drained).
-    pub fn join(&mut self) {
-        match &mut self.inner {
-            FrontInner::Event { handle, .. } => {
-                if let Some(handle) = handle.take() {
-                    let _ = handle.join();
-                }
-            }
-            FrontInner::Threaded {
-                accept,
-                connections,
-                ..
-            } => {
-                if let Some(handle) = accept.take() {
-                    let _ = handle.join();
-                }
-                let handles = std::mem::take(
-                    &mut *connections.lock().unwrap_or_else(PoisonError::into_inner),
-                );
-                for handle in handles {
-                    let _ = handle.join();
-                }
-            }
-        }
-    }
-
-    fn start_event(
-        listener: TcpListener,
-        config: FrontConfig,
-        dispatch: impl Dispatch,
-        poll: Poll,
-    ) -> io::Result<EventFront> {
+        let poll = Poll::new()?;
         listener.set_nonblocking(true)?;
         poll.register(&listener, LISTENER, Interest::READABLE)?;
-        let waker = Waker::new(&poll, WAKER)?;
-        let stats = Arc::new(LoopStats::default());
-        stats.mode.store(LOOP_MODE_EVENT, Ordering::Relaxed);
         let shared = Arc::new(FrontShared {
-            waker: Some(waker),
+            waker: Waker::new(&poll, WAKER)?,
             completions: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             stats,
         });
         let loop_shared = Arc::clone(&shared);
-        let loop_config = config.clone();
         let handle = std::thread::Builder::new()
             .name(config.thread_name.clone())
             .spawn(move || {
                 EventLoop {
                     poll,
                     listener,
-                    config: loop_config,
+                    config,
                     shared: loop_shared,
                     conns: HashMap::new(),
                     next_conn_id: FIRST_CONN,
@@ -482,108 +350,33 @@ impl EventFront {
             })
             .expect("spawn event-loop thread");
         Ok(EventFront {
-            inner: FrontInner::Event {
-                shared,
-                handle: Some(handle),
-            },
+            shared,
+            handle: Some(handle),
         })
     }
 
-    fn start_threaded(
-        listener: TcpListener,
-        config: FrontConfig,
-        dispatch: impl Dispatch,
-    ) -> io::Result<EventFront> {
-        let local_addr = listener.local_addr()?;
-        let stats = Arc::new(LoopStats::default());
-        stats.mode.store(LOOP_MODE_THREADED, Ordering::Relaxed);
-        let stop = Arc::new(AtomicBool::new(false));
-        let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        // One dispatcher shared by every connection thread. Dispatch calls are
-        // brief (parse + hand off), so the lock is not a throughput concern on
-        // the fallback path.
-        let dispatch = Arc::new(Mutex::new(dispatch));
-        let accept_stop = Arc::clone(&stop);
-        let accept_connections = Arc::clone(&connections);
-        let conn_name = config.thread_name.clone();
-        let accept = std::thread::Builder::new()
-            .name(format!("{}-accept", config.thread_name))
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let stop = Arc::clone(&accept_stop);
-                    let dispatch = Arc::clone(&dispatch);
-                    let config = config.clone();
-                    let handle = std::thread::Builder::new()
-                        .name(conn_name.clone())
-                        .spawn(move || {
-                            let stop_fn = || stop.load(Ordering::SeqCst);
-                            serve_connection(
-                                stream,
-                                config.poll_interval,
-                                config.max_body_bytes,
-                                &stop_fn,
-                                |message: &HttpMessage| {
-                                    let (tx, rx) = mpsc::channel();
-                                    {
-                                        let mut dispatch =
-                                            dispatch.lock().unwrap_or_else(PoisonError::into_inner);
-                                        let request = FrontRequest {
-                                            start_line: &message.start_line,
-                                            headers: &message.headers,
-                                            body: &message.body,
-                                        };
-                                        dispatch(
-                                            &request,
-                                            Completion {
-                                                sink: Some(CompletionSink::Sync(tx)),
-                                            },
-                                        );
-                                    }
-                                    // The completion's drop guard guarantees a
-                                    // send, so recv can only fail if the guard
-                                    // itself was leaked; answer 500 then.
-                                    rx.recv().unwrap_or_else(|_| {
-                                        RouteResponse::new(
-                                            500,
-                                            protocol::error_body(
-                                                "internal",
-                                                "request dropped without a response",
-                                            ),
-                                        )
-                                    })
-                                },
-                            );
-                        })
-                        .expect("spawn connection handler");
-                    let mut handles = accept_connections
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    handles.retain(|h: &JoinHandle<()>| !h.is_finished());
-                    handles.push(handle);
-                }
-            })
-            .expect("spawn accept loop");
-        Ok(EventFront {
-            inner: FrontInner::Threaded {
-                stop,
-                local_addr,
-                accept: Some(accept),
-                connections,
-                stats,
-            },
-        })
+    /// Signals the front to stop: no new connections or requests; responses
+    /// already completed (or still in flight toward a completion) drain first.
+    /// Idempotent, callable from any thread.
+    pub fn stop(&self) {
+        self.shared.stop.store(true, Ordering::SeqCst);
+        let _ = self.shared.waker.wake();
+    }
+
+    /// Waits for the front to wind down (call after [`stop`](Self::stop); the
+    /// loop exits only once every pending response has drained).
+    pub fn join(&mut self) {
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
     }
 }
 
 impl std::fmt::Debug for EventFront {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventFront")
-            .field("event_loop", &self.is_event_loop())
-            .finish()
+            .field("stopping", &self.shared.stop.load(Ordering::Relaxed))
+            .finish_non_exhaustive()
     }
 }
 
@@ -635,7 +428,8 @@ struct Conn {
     /// Peer sent EOF (possibly half-close: it may still await responses).
     peer_eof: bool,
     /// A framing violation poisoned the byte stream: stop parsing, flush what
-    /// is owed, close. (Old blocking front: close silently.)
+    /// is owed, close. The bad bytes get no reply: past a framing error there
+    /// is no request boundary to answer at.
     broken: bool,
     /// What the connection is currently registered for with the poller.
     registered: Option<(bool, bool)>,
@@ -737,9 +531,7 @@ impl<F: Dispatch> EventLoop<F> {
                 match event.token() {
                     LISTENER => self.accept_ready(stopping),
                     WAKER => {
-                        if let Some(waker) = &self.shared.waker {
-                            waker.drain();
-                        }
+                        self.shared.waker.drain();
                     }
                     Token(id) => {
                         let id = id as u64;
@@ -845,8 +637,8 @@ impl<F: Dispatch> EventLoop<F> {
 
     fn close_conn(&mut self, id: u64) {
         if let Some(mut conn) = self.conns.remove(&id) {
-            // Unfired hooks still observe their write outcome (parity with the
-            // blocking front, which fired hooks even on failed writes).
+            // Unfired hooks still observe their write outcome: a hook closes
+            // its request's trace and write-stage timing, failed write or not.
             for segment in &mut conn.out {
                 segment.fire_hook();
             }
@@ -953,8 +745,7 @@ impl<F: Dispatch> EventLoop<F> {
 
     fn read_ready(&mut self, id: u64, stopping: bool) {
         // Chaos site: `sleep(ms)` here simulates a slow/stalled peer read (the
-        // bytes arrive, the server just takes its time noticing them) — the
-        // event-loop counterpart of the blocking reader's site.
+        // bytes arrive, the server just takes its time noticing them).
         failpoint::fire("serve-read-stall");
         let mut chunk = [0u8; 16 * 1024];
         loop {
@@ -1016,11 +807,7 @@ impl<F: Dispatch> EventLoop<F> {
                     conn.wants_close
                         .push_back((seq, conn.parser.head().wants_close()));
                     let completion = Completion {
-                        sink: Some(CompletionSink::Event {
-                            shared: Arc::clone(&self.shared),
-                            conn: id,
-                            seq,
-                        }),
+                        target: Some((Arc::clone(&self.shared), id, seq)),
                     };
                     {
                         let head = conn.parser.head();
@@ -1041,8 +828,7 @@ impl<F: Dispatch> EventLoop<F> {
                 Ok(ParseStatus::NeedMore) => return true,
                 Err(_) => {
                     // Framing violation: the byte stream is unrecoverable.
-                    // Stop reading; flush whatever is owed, then close
-                    // (the blocking front closed silently too).
+                    // Stop reading; flush whatever is owed, then close.
                     conn.broken = true;
                     if conn.drained() {
                         self.close_conn(id);
@@ -1119,6 +905,7 @@ mod tests {
     use super::*;
     use serde::json::JsonValue;
     use std::io::{BufRead, BufReader};
+    use std::net::SocketAddr;
 
     fn front(dispatch: impl Dispatch) -> (EventFront, SocketAddr) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1129,6 +916,7 @@ mod tests {
                 thread_name: format!("serve-conn-{}", addr.port()),
                 ..FrontConfig::default()
             },
+            Arc::new(LoopStats::default()),
             dispatch,
         )
         .unwrap();
@@ -1306,25 +1094,5 @@ mod tests {
         let mut reader = BufReader::new(stream);
         let (status, _) = read_response(&mut reader);
         assert_eq!(status, 200, "in-flight requests drain through a stop");
-    }
-
-    #[test]
-    fn forced_threaded_fallback_serves_identically() {
-        // The fallback path must stay in behavioural lockstep; exercised here
-        // via the env-var test hook rather than a non-Linux host.
-        std::env::set_var("VITALITY_FORCE_THREADED_FRONT", "1");
-        let (mut front, addr) = front(echo_dispatch());
-        std::env::remove_var("VITALITY_FORCE_THREADED_FRONT");
-        assert!(!front.is_event_loop());
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(b"POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc")
-            .unwrap();
-        let mut reader = BufReader::new(stream);
-        let (status, body) = read_response(&mut reader);
-        assert_eq!(status, 200);
-        assert!(body.contains("\"/a\""), "got {body}");
-        front.stop();
-        front.join();
     }
 }

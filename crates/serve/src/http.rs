@@ -3,15 +3,15 @@
 //!
 //! The core is [`HttpParser`], a resumable incremental parser: feed it whatever bytes
 //! a socket produced, poll it for complete messages, and borrow the body as a
-//! zero-copy slice into the parse buffer. The readiness-driven event loop
-//! ([`crate::event_loop`]) drives it directly; the blocking [`MessageReader`] used by
-//! [`ServeClient`](crate::ServeClient) and the threaded fallback front is a thin
-//! loop over the same parser, so both ends frame messages identically by
+//! zero-copy slice into the parse buffer. The server's event loop
+//! ([`crate::event_loop`]) drives it directly; the blocking [`MessageReader`] that
+//! clients use ([`ServeClient`](crate::ServeClient), the gateway's backend calls) is
+//! a thin loop over the same parser, so both ends frame messages identically by
 //! construction.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde::json::JsonValue;
 
@@ -306,7 +306,7 @@ impl HttpParser {
 }
 
 /// Parses one head (everything before the `\r\n\r\n` terminator) into a
-/// [`ParsedHead`], enforcing the framing rules both fronts share:
+/// [`ParsedHead`], enforcing the framing rules both ends share:
 ///
 /// - `Content-Length` must be non-empty ASCII digits only — `parse::<usize>()`
 ///   alone would accept a leading `+` (`Content-Length: +5`), which peers can
@@ -357,10 +357,7 @@ fn parse_head(head_bytes: &[u8]) -> io::Result<ParsedHead> {
 /// server path share one framing implementation.
 ///
 /// Keeps the parser (and its rollover buffer) across calls so keep-alive
-/// pipelining cannot lose bytes, and treats read timeouts as polls of the `stop`
-/// callback — a caller sets a short read timeout on the socket and passes its
-/// shutdown flag as `stop`, so idle keep-alive connections notice a drain
-/// promptly without racing partial reads.
+/// pipelining cannot lose bytes.
 #[derive(Debug, Default)]
 pub struct MessageReader {
     parser: HttpParser,
@@ -381,20 +378,19 @@ impl MessageReader {
 
     /// Reads the next complete message.
     ///
-    /// Returns `Ok(None)` on clean end-of-stream (EOF between messages) or when `stop`
-    /// reports the owner is shutting down while a message is still incomplete (a
-    /// request that never fully arrived was never admitted, so a shutdown may abandon
-    /// it — blocking the drain on a stalled client would hang the process). EOF in
-    /// the middle of a message is an error.
+    /// Returns `Ok(None)` on clean end-of-stream (EOF between messages). EOF in the
+    /// middle of a message is an error. Each time a socket read times out (the
+    /// stream's read timeout) `stop` is asked whether to give up: `true` returns
+    /// `Ok(None)`, `false` keeps waiting. [`ServeClient`](crate::ServeClient) gives
+    /// up at the first timeout and reports it as
+    /// [`ClientError::TimedOut`](crate::ClientError::TimedOut); pass `&|| false` to
+    /// wait through timeouts.
     pub fn read_message(
         &mut self,
         stream: &mut TcpStream,
         max_body: usize,
         stop: &dyn Fn() -> bool,
     ) -> io::Result<Option<HttpMessage>> {
-        // Chaos site: `sleep(ms)` here simulates a slow/stalled peer read (the bytes
-        // arrive, the server just takes its time noticing them).
-        failpoint::fire("serve-read-stall");
         let mut chunk = [0u8; 4096];
         loop {
             // Poll before filling: pipelined bytes already buffered must parse
@@ -523,8 +519,9 @@ impl RouteResponse {
 }
 
 /// One response encoded to wire bytes, with the write-stage failpoints already
-/// applied. Both fronts (blocking and event loop) write responses through this,
-/// so the chaos sites fire identically under either connection front.
+/// applied. The event loop encodes every response through this on its own
+/// thread, so a chaos spec scoped to that thread (`@serve-conn-<port>`) hits
+/// exactly one server's writes.
 pub struct EncodedResponse {
     /// The complete head + body wire bytes.
     pub bytes: Vec<u8>,
@@ -604,64 +601,6 @@ pub fn encode_response_typed(
     let mut bytes = head.into_bytes();
     bytes.extend_from_slice(body);
     EncodedResponse { bytes, fail_after }
-}
-
-/// Runs one server-side keep-alive connection to completion: read a message, let
-/// `route` produce a [`RouteResponse`], write the response, repeat until the peer
-/// closes, a framing error occurs, or `stop` reports shutdown. The blocking
-/// counterpart of the event-loop front, used by the threaded fallback on
-/// platforms without epoll — identical semantics (timeouts-as-shutdown-polls,
-/// keep-alive handling, 503 headers) by sharing the parser and encoder.
-pub fn serve_connection(
-    mut stream: TcpStream,
-    poll_interval: Duration,
-    max_body: usize,
-    stop: &dyn Fn() -> bool,
-    mut route: impl FnMut(&HttpMessage) -> RouteResponse,
-) {
-    let _ = stream.set_read_timeout(Some(poll_interval));
-    let _ = stream.set_nodelay(true);
-    let mut reader = MessageReader::new();
-    loop {
-        let message = match reader.read_message(&mut stream, max_body, stop) {
-            Ok(Some(message)) => message,
-            Ok(None) => return, // clean EOF or idle shutdown
-            Err(_) => return,   // framing error / peer reset: nothing sane to answer
-        };
-        let wants_close = message.wants_close();
-        let response = route(&message);
-        let keep_alive = !wants_close && !stop();
-        let mut headers: Vec<(&str, String)> = Vec::new();
-        if let Some(secs) = response.retry_after {
-            headers.push(("Retry-After", secs.to_string()));
-        }
-        let serialize_start = Instant::now();
-        let (content_type, body) = match response.text_body {
-            Some((content_type, text)) => (content_type, text),
-            None => ("application/json", response.body.to_json()),
-        };
-        let write_start = Instant::now();
-        let wrote = write_encoded(
-            &mut stream,
-            &encode_response_typed(
-                response.status,
-                body.as_bytes(),
-                keep_alive,
-                &headers,
-                content_type,
-            ),
-        );
-        if let Some(hook) = response.on_written {
-            hook(WriteReport {
-                serialize_start,
-                write_start,
-                done: Instant::now(),
-            });
-        }
-        if wrote.is_err() || !keep_alive {
-            return;
-        }
-    }
 }
 
 fn write_encoded(stream: &mut TcpStream, encoded: &EncodedResponse) -> io::Result<()> {

@@ -4,7 +4,7 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::json::JsonValue;
@@ -35,8 +35,7 @@ pub struct ServerConfig {
     pub policy: BatchPolicy,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
-    /// The event loop's poll timeout (doubles as the shutdown poll interval; on the
-    /// threaded fallback it is the socket read timeout serving the same role).
+    /// The event loop's poll timeout (doubles as the shutdown poll interval).
     pub poll_interval: Duration,
     /// Per-connection cap on dispatched-but-unanswered pipelined requests; reading
     /// pauses at the cap so a fast pipeliner is backpressured through the kernel
@@ -67,17 +66,8 @@ struct Shared {
     metrics: Arc<Metrics>,
     tracer: Arc<trace::Tracer>,
     shutdown: AtomicBool,
-    /// The connection front's loop-health counters. Set once right after the
-    /// front starts (the front owns the stats, the dispatch closure needs
-    /// `Shared` first); a request racing that window reads default (unstarted)
-    /// stats, never panics.
-    loop_stats: OnceLock<Arc<LoopStats>>,
-}
-
-impl Shared {
-    fn loop_stats(&self) -> Arc<LoopStats> {
-        self.loop_stats.get().cloned().unwrap_or_default()
-    }
+    /// The connection front's loop-health counters, which the front counts into.
+    loop_stats: Arc<LoopStats>,
 }
 
 /// A running serving engine.
@@ -107,14 +97,15 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener, spawns the worker pool and the connection front, and
+    /// Binds the listener, starts the connection front and the worker pool, and
     /// returns the running server.
     ///
     /// # Errors
     ///
-    /// Returns any bind error. An empty registry is accepted (every inference request
-    /// then answers 404), since a metrics/health endpoint without models is still a
-    /// valid (if useless) deployment.
+    /// Returns any bind error, or the connection front's start error (off Linux,
+    /// [`io::ErrorKind::Unsupported`]: the front needs epoll). An empty registry is
+    /// accepted (every inference request then answers 404), since a metrics/health
+    /// endpoint without models is still a valid (if useless) deployment.
     pub fn start(config: ServerConfig, registry: ModelRegistry) -> io::Result<Server> {
         config.policy.validate();
         let listener = TcpListener::bind(&config.addr)?;
@@ -132,19 +123,13 @@ impl Server {
             metrics,
             tracer,
             shutdown: AtomicBool::new(false),
-            loop_stats: OnceLock::new(),
+            loop_stats: Arc::new(LoopStats::default()),
         });
         // Thread names carry the bound port so failpoint thread-scoping (and thread
-        // dumps) can tell the engines of an in-process cluster apart. The event
-        // loop inherits the `serve-conn-<port>` name the per-connection threads
-        // used to carry, keeping existing chaos specs aimed at the right thread.
-        let workers = WorkerPool::start_named(
-            worker_count,
-            Arc::clone(&shared.batcher),
-            Arc::clone(&shared.metrics),
-            &format!("serve-worker-{}", local_addr.port()),
-        );
-
+        // dumps) can tell the engines of an in-process cluster apart: a chaos spec
+        // scoped `@serve-conn-<port>` hits one engine's connection I/O, one scoped
+        // `@serve-worker-<port>` its inference. The front starts first, so a host
+        // without epoll fails here before any worker is spawned.
         let dispatch_shared = Arc::clone(&shared);
         let front = EventFront::start(
             listener,
@@ -154,11 +139,17 @@ impl Server {
                 max_pipeline: config.max_pipeline,
                 thread_name: format!("serve-conn-{}", local_addr.port()),
             },
+            Arc::clone(&shared.loop_stats),
             move |request: &FrontRequest<'_>, completion: Completion| {
                 route(request, completion, &dispatch_shared)
             },
         )?;
-        let _ = shared.loop_stats.set(front.stats());
+        let workers = WorkerPool::start_named(
+            worker_count,
+            Arc::clone(&shared.batcher),
+            Arc::clone(&shared.metrics),
+            &format!("serve-worker-{}", local_addr.port()),
+        );
 
         Ok(Server {
             local_addr,
@@ -235,16 +226,16 @@ fn route(request: &FrontRequest<'_>, completion: Completion, shared: &Arc<Shared
                 // Request encodings this engine accepts; callers switch to the
                 // binary image encoding only after seeing it advertised here.
                 .set("encodings", vec!["json".to_string(), "binary".to_string()])
-                // Loop-front health: mode, wakeups, queue depth, saturation —
-                // whether the single loop thread is becoming the bottleneck.
-                .set("event_loop", shared.loop_stats().json());
+                // Loop-front health: wakeups, queue depth, saturation — whether
+                // the single loop thread is becoming the bottleneck.
+                .set("event_loop", shared.loop_stats.json());
             completion.complete(RouteResponse::new(200, body));
         }
         ("GET", "/metrics") => {
             if wants_prometheus(query) {
                 let mut reg = crate::exposition::MetricsRegistry::new();
                 shared.metrics.register_prometheus(&mut reg);
-                shared.loop_stats().register(&mut reg, "vitality_serve");
+                shared.loop_stats.register(&mut reg, "vitality_serve");
                 return completion.complete(RouteResponse::text(
                     200,
                     PROMETHEUS_CONTENT_TYPE,
@@ -252,7 +243,7 @@ fn route(request: &FrontRequest<'_>, completion: Completion, shared: &Arc<Shared
                 ));
             }
             let mut body = shared.metrics.snapshot_json();
-            body.set("event_loop", shared.loop_stats().json());
+            body.set("event_loop", shared.loop_stats.json());
             completion.complete(RouteResponse::new(200, body));
         }
         ("GET", "/debug/traces") => {
