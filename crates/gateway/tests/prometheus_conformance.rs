@@ -3,8 +3,10 @@
 //! `GET /metrics?format=prometheus` from **both** processes' listeners and runs the
 //! full-text validator over each body — `# TYPE` before samples, no duplicate
 //! series, escaped labels, cumulative buckets ending in `+Inf` with `_count` and
-//! `_sum` agreement, trailing newline. The JSON `/metrics` shape must stay
-//! byte-compatible at the key level (every pre-existing key still present), the
+//! `_sum` agreement, trailing newline. The JSON `/metrics` and `/healthz` shapes
+//! must stay byte-compatible at the leaf level (every pinned key path still
+//! present, `backends` an array in pool order), every pinned Prometheus family
+//! must keep its name and `# TYPE`, the
 //! loop-health numbers must be on `/metrics` and `/healthz` of both, and
 //! `/debug/traces?limit=N` must cap and annotate the returned ring.
 
@@ -218,6 +220,47 @@ fn live_scrapes_from_engine_and_gateway_pass_exposition_conformance() {
         assert_loop_health(&format!("{who} /healthz"), &health);
     }
 
+    // The full leaf inventory of every JSON body (one variant, one backend, batches
+    // of one) and every Prometheus family with its type: each may grow, none may
+    // lose a key or change a name.
+    let (_, engine_health) = client_json(eng.local_addr(), "/healthz");
+    let (_, gateway_health) = client_json(gw.local_addr(), "/healthz");
+    for (who, body, expected) in [
+        ("engine /metrics", &engine_json, ENGINE_METRICS_LEAVES),
+        ("engine /healthz", &engine_health, ENGINE_HEALTHZ_LEAVES),
+        ("gateway /metrics", &gateway_json, GATEWAY_METRICS_LEAVES),
+        ("gateway /healthz", &gateway_health, GATEWAY_HEALTHZ_LEAVES),
+    ] {
+        let mut leaves = Vec::new();
+        leaf_paths("", body, &mut leaves);
+        let missing: Vec<&str> = expected
+            .iter()
+            .copied()
+            .filter(|leaf| !leaves.iter().any(|l| l == leaf))
+            .collect();
+        assert!(missing.is_empty(), "{who} lost leaves {missing:?}");
+    }
+    let backends = gateway_json
+        .get("backends")
+        .and_then(JsonValue::as_array)
+        .expect("gateway /metrics backends is an array");
+    assert_eq!(
+        backends[0].get("addr").and_then(JsonValue::as_str),
+        Some(eng.local_addr().to_string().as_str()),
+        "backends are listed in pool order"
+    );
+    for (who, text, expected) in [
+        ("engine", &engine_text, ENGINE_FAMILIES),
+        ("gateway", &gateway_text, GATEWAY_FAMILIES),
+    ] {
+        for (name, kind) in expected {
+            assert!(
+                text.lines().any(|l| l == format!("# TYPE {name} {kind}")),
+                "{who} scrape lost family {name} ({kind})"
+            );
+        }
+    }
+
     drop(client);
     gw.shutdown();
     eng.shutdown();
@@ -243,6 +286,230 @@ fn assert_loop_health(who: &str, body: &JsonValue) {
         );
     }
 }
+
+/// Every leaf of a JSON body as a dotted path; array elements are keyed by index.
+fn leaf_paths(prefix: &str, value: &JsonValue, out: &mut Vec<String>) {
+    let join = |key: &str| {
+        if prefix.is_empty() {
+            key.to_string()
+        } else {
+            format!("{prefix}.{key}")
+        }
+    };
+    if let Some(members) = value.as_object() {
+        for (key, child) in members {
+            leaf_paths(&join(key), child, out);
+        }
+    } else if let Some(items) = value.as_array() {
+        for (i, child) in items.iter().enumerate() {
+            leaf_paths(&join(&i.to_string()), child, out);
+        }
+    } else {
+        out.push(prefix.to_string());
+    }
+}
+
+const ENGINE_METRICS_LEAVES: &[&str] = &[
+    "uptime_s",
+    "compute.matmul_backend",
+    "compute.cpu_avx2",
+    "compute.cpu_fma",
+    "submitted",
+    "completed",
+    "shed",
+    "expired",
+    "worker_panics",
+    "failed",
+    "throughput_rps",
+    "latency.count",
+    "latency.mean_us",
+    "latency.p50_us",
+    "latency.p95_us",
+    "latency.p99_us",
+    "queue_wait.mean_us",
+    "queue_wait.p50_us",
+    "queue_wait.p99_us",
+    "batching.batches",
+    "batching.in_flight_batches",
+    "batching.mean_batch",
+    "batching.max_batch",
+    "batching.size_distribution.1",
+    "variants.taylor.requests",
+    "variants.taylor.mean_us",
+    "variants.taylor.p50_us",
+    "variants.taylor.p95_us",
+    "variants.taylor.p99_us",
+    "variants.taylor.stages.queue_wait.count",
+    "variants.taylor.stages.queue_wait.mean_us",
+    "variants.taylor.stages.queue_wait.p50_us",
+    "variants.taylor.stages.queue_wait.p95_us",
+    "variants.taylor.stages.compute.count",
+    "variants.taylor.stages.compute.mean_us",
+    "variants.taylor.stages.compute.p50_us",
+    "variants.taylor.stages.compute.p95_us",
+    "variants.taylor.stages.write.count",
+    "variants.taylor.stages.write.mean_us",
+    "variants.taylor.stages.write.p50_us",
+    "variants.taylor.stages.write.p95_us",
+    "event_loop.wakeups",
+    "event_loop.ready_events",
+    "event_loop.completions",
+    "event_loop.queue_depth",
+    "event_loop.max_queue_depth",
+    "event_loop.events_per_wake",
+    "event_loop.saturation",
+];
+
+const ENGINE_HEALTHZ_LEAVES: &[&str] = &[
+    "status",
+    "models.0",
+    "queue_depth",
+    "in_flight_batches",
+    "encodings.0",
+    "encodings.1",
+    "event_loop.wakeups",
+    "event_loop.ready_events",
+    "event_loop.completions",
+    "event_loop.queue_depth",
+    "event_loop.max_queue_depth",
+    "event_loop.events_per_wake",
+    "event_loop.saturation",
+];
+
+const GATEWAY_METRICS_LEAVES: &[&str] = &[
+    "uptime_s",
+    "requests",
+    "completed",
+    "failed",
+    "retries",
+    "failovers",
+    "degraded",
+    "admission_shed",
+    "deadline_expired",
+    "cache.entries",
+    "cache.hits",
+    "cache.misses",
+    "cache.hit_ratio",
+    "cache.evictions",
+    "cache.expirations",
+    "hit_latency.count",
+    "hit_latency.mean_us",
+    "hit_latency.p50_us",
+    "hit_latency.p95_us",
+    "hit_latency.p99_us",
+    "miss_latency.count",
+    "miss_latency.mean_us",
+    "miss_latency.p50_us",
+    "miss_latency.p95_us",
+    "miss_latency.p99_us",
+    "stages.backend_attempt.count",
+    "stages.backend_attempt.mean_us",
+    "stages.backend_attempt.p50_us",
+    "stages.backend_attempt.p95_us",
+    "stages.backend_attempt.p99_us",
+    "stages.write.count",
+    "stages.write.mean_us",
+    "stages.write.p50_us",
+    "stages.write.p95_us",
+    "stages.write.p99_us",
+    "routed.taylor",
+    "backends.0.addr",
+    "backends.0.healthy",
+    "backends.0.gateway_in_flight",
+    "backends.0.queue_depth",
+    "backends.0.in_flight_batches",
+    "backends.0.requests",
+    "backends.0.errors",
+    "backends.0.ejections",
+    "backends.0.probes_ok",
+    "backends.0.probes_failed",
+    "healthy_backends",
+    "event_loop.wakeups",
+    "event_loop.ready_events",
+    "event_loop.completions",
+    "event_loop.queue_depth",
+    "event_loop.max_queue_depth",
+    "event_loop.events_per_wake",
+    "event_loop.saturation",
+    "dispatch_queue_depth",
+];
+
+const GATEWAY_HEALTHZ_LEAVES: &[&str] = &[
+    "status",
+    "backends",
+    "healthy",
+    "ejected",
+    "ejections_total",
+    "in_flight_requests",
+    "brownout.engaged",
+    "brownout.pressure",
+    "brownout.enter_pressure",
+    "brownout.exit_pressure",
+    "brownout.entries",
+    "cache.entries",
+    "cache.capacity",
+    "models.0",
+    "encodings.0",
+    "encodings.1",
+    "event_loop.wakeups",
+    "event_loop.ready_events",
+    "event_loop.completions",
+    "event_loop.queue_depth",
+    "event_loop.max_queue_depth",
+    "event_loop.events_per_wake",
+    "event_loop.saturation",
+    "dispatch_queue_depth",
+];
+
+const ENGINE_FAMILIES: &[(&str, &str)] = &[
+    ("vitality_serve_uptime_seconds", "gauge"),
+    ("vitality_serve_requests_submitted_total", "counter"),
+    ("vitality_serve_requests_completed_total", "counter"),
+    ("vitality_serve_requests_shed_total", "counter"),
+    ("vitality_serve_requests_expired_total", "counter"),
+    ("vitality_serve_worker_panics_total", "counter"),
+    ("vitality_serve_requests_failed_total", "counter"),
+    ("vitality_serve_batches_total", "counter"),
+    ("vitality_serve_in_flight_batches", "gauge"),
+    ("vitality_serve_latency_us", "histogram"),
+    ("vitality_serve_queue_wait_us", "histogram"),
+    ("vitality_serve_variant_requests_total", "counter"),
+    ("vitality_serve_variant_latency_us", "histogram"),
+    ("vitality_serve_variant_stage_us", "histogram"),
+    ("vitality_serve_event_loop_wakeups_total", "counter"),
+    ("vitality_serve_event_loop_ready_events_total", "counter"),
+    ("vitality_serve_event_loop_completions_total", "counter"),
+    ("vitality_serve_event_loop_queue_depth", "gauge"),
+    ("vitality_serve_event_loop_max_queue_depth", "gauge"),
+    ("vitality_serve_event_loop_saturation", "gauge"),
+];
+
+const GATEWAY_FAMILIES: &[(&str, &str)] = &[
+    ("vitality_gateway_uptime_seconds", "gauge"),
+    ("vitality_gateway_requests_total", "counter"),
+    ("vitality_gateway_requests_completed_total", "counter"),
+    ("vitality_gateway_requests_failed_total", "counter"),
+    ("vitality_gateway_retries_total", "counter"),
+    ("vitality_gateway_failovers_total", "counter"),
+    ("vitality_gateway_degraded_total", "counter"),
+    ("vitality_gateway_admission_shed_total", "counter"),
+    ("vitality_gateway_deadline_expired_total", "counter"),
+    ("vitality_gateway_hit_latency_us", "histogram"),
+    ("vitality_gateway_miss_latency_us", "histogram"),
+    ("vitality_gateway_stage_us", "histogram"),
+    ("vitality_gateway_routed_total", "counter"),
+    ("vitality_gateway_cache_hits_total", "counter"),
+    ("vitality_gateway_cache_misses_total", "counter"),
+    ("vitality_gateway_healthy_backends", "gauge"),
+    ("vitality_gateway_backend_healthy", "gauge"),
+    ("vitality_gateway_event_loop_wakeups_total", "counter"),
+    ("vitality_gateway_event_loop_ready_events_total", "counter"),
+    ("vitality_gateway_event_loop_completions_total", "counter"),
+    ("vitality_gateway_event_loop_queue_depth", "gauge"),
+    ("vitality_gateway_event_loop_max_queue_depth", "gauge"),
+    ("vitality_gateway_event_loop_saturation", "gauge"),
+    ("vitality_gateway_dispatch_queue_depth", "gauge"),
+];
 
 fn client_json(addr: std::net::SocketAddr, path: &str) -> (u16, JsonValue) {
     let mut client = ServeClient::connect(addr).expect("connect for JSON GET");
