@@ -311,6 +311,13 @@ impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
     }
 }
 
+/// `None` renders as `null`.
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(value: Option<T>) -> Self {
+        value.map_or(JsonValue::Null, Into::into)
+    }
+}
+
 /// A parse failure: what went wrong and the byte offset where it was detected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {

@@ -20,8 +20,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use serde::json::JsonValue;
-
 use crate::config::BrownoutConfig;
 
 /// Tracks cluster pressure across prober rounds and decides whether the gateway is
@@ -100,17 +98,6 @@ impl BrownoutController {
     /// Times brownout has engaged since startup.
     pub fn entries(&self) -> u64 {
         self.entries.load(Ordering::Relaxed)
-    }
-
-    /// The brownout block of the gateway's `/healthz` body.
-    pub fn snapshot_json(&self) -> JsonValue {
-        let mut body = JsonValue::object();
-        body.set("engaged", self.engaged())
-            .set("pressure", self.last_pressure())
-            .set("enter_pressure", self.config.enter_pressure)
-            .set("exit_pressure", self.config.exit_pressure)
-            .set("entries", self.entries());
-        body
     }
 }
 

@@ -16,8 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use serde::json::JsonValue;
-use vitality_serve::InferReply;
+use vitality_serve::{InferReply, MetricsRegistry};
 use vitality_tensor::Matrix;
 
 /// FNV-1a over a byte stream: tiny, allocation-free and plenty for cache keying.
@@ -191,18 +190,42 @@ impl ResponseCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// The `cache` block of the gateway's `/metrics` snapshot.
-    pub fn snapshot_json(&self) -> JsonValue {
-        let hits = self.hits();
-        let misses = self.misses();
-        let mut body = JsonValue::object();
-        body.set("entries", self.len())
-            .set("hits", hits)
-            .set("misses", misses)
-            .set("hit_ratio", hits as f64 / ((hits + misses) as f64).max(1.0))
-            .set("evictions", self.evictions.load(Ordering::Relaxed))
-            .set("expirations", self.expirations.load(Ordering::Relaxed));
-        body
+    /// Declares the cache's series, nested under `cache` in JSON.
+    pub fn register(&self, reg: &mut MetricsRegistry) {
+        let (hits, misses) = (self.hits(), self.misses());
+        reg.scope(&["cache"], &[], |reg| {
+            reg.gauge(
+                "entries",
+                "vitality_gateway_cache_entries",
+                "Live response-cache entries",
+                self.len(),
+            );
+            reg.counter(
+                "hits",
+                "vitality_gateway_cache_hits_total",
+                "Response-cache hits",
+                hits,
+            );
+            reg.counter(
+                "misses",
+                "vitality_gateway_cache_misses_total",
+                "Response-cache misses",
+                misses,
+            );
+            reg.json("hit_ratio", hits as f64 / ((hits + misses) as f64).max(1.0));
+            reg.counter(
+                "evictions",
+                "vitality_gateway_cache_evictions_total",
+                "Entries evicted as least recently used",
+                self.evictions.load(Ordering::Relaxed),
+            );
+            reg.counter(
+                "expirations",
+                "vitality_gateway_cache_expirations_total",
+                "Entries dropped for outliving the TTL",
+                self.expirations.load(Ordering::Relaxed),
+            );
+        });
     }
 }
 
@@ -220,6 +243,14 @@ impl std::fmt::Debug for ResponseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::json::JsonValue;
+
+    /// The cache's `/metrics` block.
+    fn snapshot(cache: &ResponseCache) -> JsonValue {
+        let mut reg = MetricsRegistry::new();
+        cache.register(&mut reg);
+        reg.into_json().get("cache").cloned().expect("cache block")
+    }
 
     fn reply(model: &str, prediction: usize) -> InferReply {
         InferReply {
@@ -276,8 +307,7 @@ mod tests {
         assert!(cache.get("m:b", 2).is_none(), "LRU entry evicted");
         assert!(cache.get("m:c", 3).is_some());
         assert_eq!(
-            cache
-                .snapshot_json()
+            snapshot(&cache)
                 .get("evictions")
                 .and_then(JsonValue::as_usize),
             Some(1)
@@ -293,8 +323,7 @@ mod tests {
         assert!(cache.get("m:a", 7).is_none(), "expired entry misses");
         assert_eq!(cache.len(), 0, "expiry removes the entry");
         assert_eq!(
-            cache
-                .snapshot_json()
+            snapshot(&cache)
                 .get("expirations")
                 .and_then(JsonValue::as_usize),
             Some(1)

@@ -2,8 +2,10 @@
 
 use std::fmt;
 
+use vitality_serve::{ServeError, WireError};
+
 /// Everything that can go wrong between a request reaching the gateway and a response
-/// leaving it. Like [`ServeError`](vitality_serve::ServeError), each variant maps to a
+/// leaving it. Like [`ServeError`], each variant maps to a
 /// stable machine-readable `code` and an HTTP status, so clients can distinguish "fix
 /// your request" from "back off and retry" without string matching.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,9 +51,8 @@ pub enum GatewayError {
     },
 }
 
-impl GatewayError {
-    /// Stable machine-readable error code carried in the JSON error body.
-    pub fn code(&self) -> &str {
+impl WireError for GatewayError {
+    fn code(&self) -> &str {
         match self {
             GatewayError::BadRequest(_) => "bad_request",
             GatewayError::ModelNotFound(_) => "model_not_found",
@@ -62,8 +63,7 @@ impl GatewayError {
         }
     }
 
-    /// The HTTP status the wire layer reports this error with.
-    pub fn http_status(&self) -> u16 {
+    fn http_status(&self) -> u16 {
         match self {
             GatewayError::BadRequest(_) => 400,
             GatewayError::ModelNotFound(_) => 404,
@@ -74,14 +74,21 @@ impl GatewayError {
         }
     }
 
-    /// Seconds a client should wait before retrying (the 503 path), mirrored as a
-    /// `Retry-After` header like the engines' own backpressure responses.
-    pub fn retry_after_secs(&self) -> Option<u64> {
+    /// `Some` on the 503 path, mirrored as a `Retry-After` header like the
+    /// engines' own backpressure responses.
+    fn retry_after_secs(&self) -> Option<u64> {
         match self {
             GatewayError::NoBackend { .. } => Some(1),
             GatewayError::AdmissionFull { retry_after, .. } => Some((*retry_after).max(1)),
             _ => None,
         }
+    }
+}
+
+/// An undecodable request body.
+impl From<ServeError> for GatewayError {
+    fn from(error: ServeError) -> Self {
+        GatewayError::BadRequest(error.to_string())
     }
 }
 

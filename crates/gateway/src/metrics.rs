@@ -1,20 +1,16 @@
 //! Gateway-level metrics: request/retry/failover counters, hit- vs miss-path latency
-//! histograms, per-resolved-variant routing counts, and the aggregated per-backend +
-//! cache blocks exported on the gateway's `GET /metrics`.
+//! histograms and per-resolved-variant routing counts, declared into the gateway's
+//! `GET /metrics` registry beside the cache's and the backends' own series.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use serde::json::JsonValue;
-use vitality_serve::LatencyHistogram;
-
-use crate::cache::ResponseCache;
-use crate::pool::BackendPool;
+use vitality_serve::{LatencyHistogram, MetricsRegistry};
 
 /// All counters one gateway instance maintains (the cache and the backends keep
-/// their own, merged into the snapshot here).
+/// and declare their own).
 #[derive(Debug)]
 pub struct GatewayMetrics {
     /// Inference requests that reached routing (cache hits included).
@@ -95,177 +91,105 @@ impl GatewayMetrics {
             .unwrap_or(0)
     }
 
-    /// Registers the gateway's series into a Prometheus scrape under the
-    /// `vitality_gateway_` prefix — the body of `GET /metrics?format=prometheus`.
-    /// Mirrors [`GatewayMetrics::snapshot_json`]: request/retry/failover counters,
-    /// hit- vs miss-path and stage histograms, per-variant routing counts, cache
-    /// hit/miss counters, and per-backend health gauges.
-    pub fn register_prometheus(
-        &self,
-        reg: &mut vitality_serve::MetricsRegistry,
-        cache: &ResponseCache,
-        pool: &BackendPool,
-    ) {
-        let none: &[(&str, &str)] = &[];
+    /// Declares the gateway's own series once, under the `vitality_gateway_`
+    /// prefix: request/retry/failover counters, hit- vs miss-path and stage
+    /// histograms and per-variant routing counts.
+    pub fn register(&self, reg: &mut MetricsRegistry) {
         reg.gauge(
+            "uptime_s",
             "vitality_gateway_uptime_seconds",
             "Seconds since this gateway started",
-            none,
             self.started.elapsed().as_secs_f64(),
         );
-        for (name, help, value) in [
+        for (key, name, help, value) in [
             (
+                "requests",
                 "vitality_gateway_requests_total",
                 "Inference requests that reached routing (cache hits included)",
                 &self.requests,
             ),
             (
+                "completed",
                 "vitality_gateway_requests_completed_total",
                 "Requests answered 200 (from cache or a backend)",
                 &self.completed,
             ),
             (
+                "failed",
                 "vitality_gateway_requests_failed_total",
                 "Requests answered with any error status",
                 &self.failed,
             ),
             (
+                "retries",
                 "vitality_gateway_retries_total",
                 "Backend attempts beyond each request's first",
                 &self.retries,
             ),
             (
+                "failovers",
                 "vitality_gateway_failovers_total",
                 "Retries caused by a transport-level backend failure",
                 &self.failovers,
             ),
             (
+                "degraded",
                 "vitality_gateway_degraded_total",
                 "Accuracy-tier requests downgraded by brownout",
                 &self.degraded,
             ),
             (
+                "admission_shed",
                 "vitality_gateway_admission_shed_total",
                 "Requests refused 503 by gateway-side admission control",
                 &self.admission_shed,
             ),
             (
+                "deadline_expired",
                 "vitality_gateway_deadline_expired_total",
                 "Requests answered 504 because their deadline expired at the gateway",
                 &self.deadline_expired,
             ),
         ] {
-            reg.counter(name, help, none, value.load(Ordering::Relaxed) as f64);
+            reg.counter(key, name, help, value.load(Ordering::Relaxed));
         }
-        reg.histogram_us(
+        reg.histogram(
+            "hit_latency",
             "vitality_gateway_hit_latency_us",
             "End-to-end latency of cache-hit responses, microseconds",
-            none,
             &self.hit_latency,
         );
-        reg.histogram_us(
+        reg.histogram(
+            "miss_latency",
             "vitality_gateway_miss_latency_us",
             "End-to-end latency of responses that went to a backend, microseconds",
-            none,
             &self.miss_latency,
         );
-        reg.histogram_us(
-            "vitality_gateway_stage_us",
-            "Per-stage gateway latency, microseconds",
-            &[("stage", "backend_attempt")],
-            &self.backend_attempt,
-        );
-        reg.histogram_us(
-            "vitality_gateway_stage_us",
-            "Per-stage gateway latency, microseconds",
-            &[("stage", "write")],
-            &self.write,
-        );
-        for (variant, count) in self.routed.lock().expect("routed counters poisoned").iter() {
-            reg.counter(
-                "vitality_gateway_routed_total",
-                "Requests answered per resolved variant label",
-                &[("variant", variant)],
-                *count as f64,
-            );
+        for (stage, hist) in [
+            ("backend_attempt", &self.backend_attempt),
+            ("write", &self.write),
+        ] {
+            reg.scope(&["stages"], &[("stage", stage)], |reg| {
+                reg.histogram(
+                    stage,
+                    "vitality_gateway_stage_us",
+                    "Per-stage gateway latency, microseconds",
+                    hist,
+                )
+            });
         }
-        reg.counter(
-            "vitality_gateway_cache_hits_total",
-            "Response-cache hits",
-            none,
-            cache.hits() as f64,
-        );
-        reg.counter(
-            "vitality_gateway_cache_misses_total",
-            "Response-cache misses",
-            none,
-            cache.misses() as f64,
-        );
-        reg.gauge(
-            "vitality_gateway_healthy_backends",
-            "Backends currently considered healthy",
-            none,
-            pool.healthy_count() as f64,
-        );
-        for backend in pool.backends() {
-            let addr = backend.addr().to_string();
-            reg.gauge(
-                "vitality_gateway_backend_healthy",
-                "Per-backend health (1 healthy, 0 ejected)",
-                &[("backend", addr.as_str())],
-                f64::from(u8::from(backend.healthy())),
-            );
-        }
-    }
-
-    /// The gateway's `GET /metrics` body: own counters plus the cache block and one
-    /// block per backend.
-    pub fn snapshot_json(&self, cache: &ResponseCache, pool: &BackendPool) -> JsonValue {
-        let latency_block = |hist: &LatencyHistogram| {
-            let mut block = JsonValue::object();
-            block
-                .set("count", hist.count())
-                .set("mean_us", hist.mean_us())
-                .set("p50_us", hist.quantile_us(0.50))
-                .set("p95_us", hist.quantile_us(0.95))
-                .set("p99_us", hist.quantile_us(0.99));
-            block
-        };
-        let mut routed = JsonValue::object();
-        for (variant, count) in self.routed.lock().expect("routed counters poisoned").iter() {
-            routed.set(variant, *count);
-        }
-        let backends: Vec<JsonValue> = pool.backends().iter().map(|b| b.snapshot_json()).collect();
-        let mut root = JsonValue::object();
-        root.set("uptime_s", self.started.elapsed().as_secs_f64())
-            .set("requests", self.requests.load(Ordering::Relaxed))
-            .set("completed", self.completed.load(Ordering::Relaxed))
-            .set("failed", self.failed.load(Ordering::Relaxed))
-            .set("retries", self.retries.load(Ordering::Relaxed))
-            .set("failovers", self.failovers.load(Ordering::Relaxed))
-            .set("degraded", self.degraded.load(Ordering::Relaxed))
-            .set(
-                "admission_shed",
-                self.admission_shed.load(Ordering::Relaxed),
-            )
-            .set(
-                "deadline_expired",
-                self.deadline_expired.load(Ordering::Relaxed),
-            )
-            .set("cache", cache.snapshot_json())
-            .set("hit_latency", latency_block(&self.hit_latency))
-            .set("miss_latency", latency_block(&self.miss_latency))
-            .set("stages", {
-                let mut stages = JsonValue::object();
-                stages
-                    .set("backend_attempt", latency_block(&self.backend_attempt))
-                    .set("write", latency_block(&self.write));
-                stages
-            })
-            .set("routed", routed)
-            .set("backends", backends)
-            .set("healthy_backends", pool.healthy_count());
-        root
+        reg.scope(&["routed"], &[], |reg| {
+            for (variant, count) in self.routed.lock().expect("routed counters poisoned").iter() {
+                reg.scope(&[], &[("variant", variant)], |reg| {
+                    reg.counter(
+                        variant,
+                        "vitality_gateway_routed_total",
+                        "Requests answered per resolved variant label",
+                        *count,
+                    )
+                });
+            }
+        });
     }
 }
 
@@ -278,6 +202,9 @@ impl Default for GatewayMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ResponseCache;
+    use crate::pool::BackendPool;
+    use serde::json::JsonValue;
     use std::time::Duration;
 
     #[test]
@@ -302,7 +229,11 @@ mod tests {
         metrics.record_routed("m:taylor");
         let cache = ResponseCache::new(4, Duration::from_secs(1), 1);
         let pool = BackendPool::new(&["127.0.0.1:40100".parse().unwrap()]);
-        let snap = metrics.snapshot_json(&cache, &pool);
+        let mut reg = MetricsRegistry::new();
+        metrics.register(&mut reg);
+        cache.register(&mut reg);
+        pool.register(&mut reg);
+        let snap = reg.into_json();
         assert_eq!(snap.get("requests").and_then(JsonValue::as_usize), Some(3));
         assert_eq!(
             snap.get("healthy_backends").and_then(JsonValue::as_usize),

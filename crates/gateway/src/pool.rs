@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use serde::json::JsonValue;
-use vitality_serve::{ClientError, InferReply, ServeClient};
+use vitality_serve::{ClientError, InferReply, MetricsRegistry, ServeClient};
 use vitality_tensor::Matrix;
 
 /// Cap on pooled idle keep-alive connections per backend. Beyond this, a finished
@@ -335,26 +335,76 @@ impl Backend {
             .any(|m| m == model_key)
     }
 
-    /// The backend's block in the gateway `/metrics` snapshot.
-    pub fn snapshot_json(&self) -> JsonValue {
-        let mut body = JsonValue::object();
-        body.set("addr", self.addr.to_string())
-            .set("healthy", self.healthy())
-            .set(
-                "gateway_in_flight",
-                self.gateway_in_flight.load(Ordering::Relaxed),
-            )
-            .set("queue_depth", self.queue_depth.load(Ordering::Relaxed))
-            .set(
-                "in_flight_batches",
-                self.in_flight_batches.load(Ordering::Relaxed),
-            )
-            .set("requests", self.requests.load(Ordering::Relaxed))
-            .set("errors", self.errors.load(Ordering::Relaxed))
-            .set("ejections", self.ejections.load(Ordering::Relaxed))
-            .set("probes_ok", self.probes_ok.load(Ordering::Relaxed))
-            .set("probes_failed", self.probes_failed.load(Ordering::Relaxed));
-        body
+    /// Declares the backend's series: one element of the JSON `backends` array,
+    /// labelled `backend=<addr>` in Prometheus.
+    fn register(&self, reg: &mut MetricsRegistry) {
+        let addr = self.addr.to_string();
+        let load = |value: &AtomicU64| value.load(Ordering::Relaxed);
+        reg.item("backends", &[("backend", &addr)], |reg| {
+            reg.json("addr", addr.as_str());
+            reg.gauge(
+                "healthy",
+                "vitality_gateway_backend_healthy",
+                "Per-backend health (1 healthy, 0 ejected)",
+                self.healthy(),
+            );
+            for (key, name, help, value) in [
+                (
+                    "gateway_in_flight",
+                    "vitality_gateway_backend_gateway_in_flight",
+                    "Calls this gateway has outstanding against the backend",
+                    &self.gateway_in_flight,
+                ),
+                (
+                    "queue_depth",
+                    "vitality_gateway_backend_queue_depth",
+                    "The backend's last probed admission-queue depth",
+                    &self.queue_depth,
+                ),
+                (
+                    "in_flight_batches",
+                    "vitality_gateway_backend_in_flight_batches",
+                    "The backend's last probed in-flight batch count",
+                    &self.in_flight_batches,
+                ),
+            ] {
+                reg.gauge(key, name, help, load(value));
+            }
+            for (key, name, help, value) in [
+                (
+                    "requests",
+                    "vitality_gateway_backend_requests_total",
+                    "Calls made to the backend",
+                    &self.requests,
+                ),
+                (
+                    "errors",
+                    "vitality_gateway_backend_errors_total",
+                    "Calls to the backend that failed",
+                    &self.errors,
+                ),
+                (
+                    "ejections",
+                    "vitality_gateway_backend_ejections_total",
+                    "Times the backend was ejected from routing",
+                    &self.ejections,
+                ),
+                (
+                    "probes_ok",
+                    "vitality_gateway_backend_probes_ok_total",
+                    "Successful health probes of the backend",
+                    &self.probes_ok,
+                ),
+                (
+                    "probes_failed",
+                    "vitality_gateway_backend_probes_failed_total",
+                    "Failed health probes of the backend",
+                    &self.probes_failed,
+                ),
+            ] {
+                reg.counter(key, name, help, load(value));
+            }
+        });
     }
 }
 
@@ -501,6 +551,21 @@ impl BackendPool {
             })
             .sum();
         total as f64 / admitted.len() as f64
+    }
+
+    /// Declares every backend's series, in pool order (an empty pool still lists
+    /// an empty `backends` array), and the admitted count.
+    pub fn register(&self, reg: &mut MetricsRegistry) {
+        reg.json("backends", Vec::<JsonValue>::new());
+        for backend in &self.backends {
+            backend.register(reg);
+        }
+        reg.gauge(
+            "healthy_backends",
+            "vitality_gateway_healthy_backends",
+            "Backends currently considered healthy",
+            self.healthy_count(),
+        );
     }
 
     /// Total ejection transitions across all backends since startup.
@@ -674,7 +739,13 @@ mod tests {
         backend.eject(); // second call is a no-op transition-wise
         assert!(!backend.healthy());
         assert_eq!(backend.ejections.load(Ordering::Relaxed), 1);
-        let snap = backend.snapshot_json();
+        let mut reg = MetricsRegistry::new();
+        pool.register(&mut reg);
+        let snap = reg
+            .into_json()
+            .get("backends")
+            .and_then(|b| b.as_array()?.first().cloned())
+            .expect("backend block");
         assert_eq!(
             snap.get("healthy").and_then(JsonValue::as_bool),
             Some(false)

@@ -10,12 +10,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::json::JsonValue;
-use vitality_serve::http::{
-    query_limit, wants_prometheus, RouteResponse, WriteReport, PROMETHEUS_CONTENT_TYPE,
-};
 use vitality_serve::protocol::{self, InferEnvelope};
 use vitality_serve::{
-    ClientError, Completion, EventFront, FrontConfig, FrontRequest, InferReply, LoopStats,
+    ClientError, Completion, EventFront, InferReply, MetricsRegistry, Reply, Service, Shell,
 };
 use vitality_tensor::Matrix;
 
@@ -27,13 +24,14 @@ use crate::metrics::GatewayMetrics;
 use crate::pool::{BackendPool, InFlightGuard, Pick};
 use crate::router::Tier;
 
+/// The gateway's [`Service`]: the state its loop thread, dispatch pool and
+/// prober share.
 struct Shared {
     config: GatewayConfig,
     pool: BackendPool,
     cache: ResponseCache,
     metrics: GatewayMetrics,
     brownout: BrownoutController,
-    tracer: Arc<trace::Tracer>,
     /// Inference requests currently inside the gateway (admission-control bound).
     in_flight_requests: AtomicU64,
     /// Infer work handed to the dispatch pool but not yet picked up by a
@@ -41,8 +39,6 @@ struct Shared {
     /// pipeline. A persistently nonzero depth means the dispatch pool, not the
     /// loop, is the bottleneck.
     dispatch_depth: AtomicU64,
-    /// The connection front's loop-health counters, which the front counts into.
-    loop_stats: Arc<LoopStats>,
     shutdown: AtomicBool,
 }
 
@@ -114,9 +110,9 @@ struct InferWork {
 /// leaves the engines running.
 pub struct Gateway {
     local_addr: SocketAddr,
-    shared: Arc<Shared>,
-    front: Option<EventFront>,
-    prober_handle: Option<JoinHandle<()>>,
+    shell: Arc<Shell<Shared>>,
+    front: EventFront,
+    prober_handle: JoinHandle<()>,
     dispatchers: Vec<JoinHandle<()>>,
 }
 
@@ -137,18 +133,16 @@ impl Gateway {
         let pool = BackendPool::new(backends);
         pool.set_in_flight_limit(config.admission.max_per_backend_in_flight);
         pool.probe_all(config.probe_timeout, config.eject_after_probe_failures);
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             cache: ResponseCache::new(config.cache.capacity, config.cache.ttl, config.cache.shards),
             metrics: GatewayMetrics::new(),
             brownout: BrownoutController::new(config.brownout.clone()),
-            tracer: Arc::new(trace::Tracer::new(&config.trace)),
             in_flight_requests: AtomicU64::new(0),
             dispatch_depth: AtomicU64::new(0),
-            loop_stats: Arc::new(LoopStats::default()),
             pool,
             shutdown: AtomicBool::new(false),
             config,
-        });
+        };
         // The boot probe round's pressure reading seeds the brownout controller, so
         // a gateway started into an already-hot cluster engages on request one.
         shared.brownout.observe(
@@ -157,28 +151,39 @@ impl Gateway {
         );
 
         // The connection front starts first, so a host without epoll fails here
-        // before any thread is spawned; the infer work it dispatches waits in the
-        // channel until the dispatch pool below takes it.
+        // before any thread is spawned. The blocking pipeline must not run on the
+        // event loop: infer requests cross as owned bytes to the dispatch pool,
+        // where they wait in the channel until the pool below takes them. A send
+        // can only fail during shutdown teardown; the completion's drop guard
+        // answers 500 then.
         let (work_tx, work_rx) = mpsc::channel::<InferWork>();
-        let dispatch_shared = Arc::clone(&shared);
-        let front = EventFront::start(
+        let trace = shared.config.trace.clone();
+        let (shell, front) = Shell::start(
             listener,
-            FrontConfig {
-                poll_interval: shared.config.poll_interval,
-                max_body_bytes: shared.config.max_body_bytes,
-                max_pipeline: 64,
-                thread_name: "gateway-conn".to_string(),
-            },
-            Arc::clone(&shared.loop_stats),
-            move |request: &FrontRequest<'_>, completion: Completion| {
-                route(request, completion, &dispatch_shared, &work_tx)
+            "gateway-conn".to_string(),
+            shared.config.poll_interval,
+            shared.config.max_body_bytes,
+            &trace,
+            shared,
+            move |shell, request, completion| {
+                let depth = &shell.service().dispatch_depth;
+                depth.fetch_add(1, Ordering::Relaxed);
+                let sent = work_tx.send(InferWork {
+                    body: request.body.to_vec(),
+                    content_type: request.header("content-type").map(str::to_string),
+                    completion,
+                });
+                if sent.is_err() {
+                    depth.fetch_sub(1, Ordering::Relaxed);
+                }
             },
         )?;
 
-        let prober_shared = Arc::clone(&shared);
+        let prober_shell = Arc::clone(&shell);
         let prober_handle = std::thread::Builder::new()
             .name("gateway-probe".to_string())
             .spawn(move || {
+                let prober_shared = prober_shell.service();
                 // Sleep in short slices so shutdown is prompt even with a long
                 // probe interval.
                 let slice = Duration::from_millis(10);
@@ -212,10 +217,10 @@ impl Gateway {
         // prefix, so a failpoint spec scoped `@gateway-conn` covers the whole
         // request path.
         let work_rx = Arc::new(Mutex::new(work_rx));
-        let dispatchers = (0..shared.config.dispatch_threads.max(2))
+        let dispatchers = (0..shell.service().config.dispatch_threads.max(2))
             .map(|i| {
                 let work_rx = Arc::clone(&work_rx);
-                let shared = Arc::clone(&shared);
+                let shell = Arc::clone(&shell);
                 std::thread::Builder::new()
                     .name(format!("gateway-conn-{i}"))
                     .spawn(move || loop {
@@ -227,10 +232,15 @@ impl Gateway {
                             .recv();
                         match work {
                             Ok(work) => {
-                                shared.dispatch_depth.fetch_sub(1, Ordering::Relaxed);
-                                let response =
-                                    handle_infer(&work.body, work.content_type.as_deref(), &shared);
-                                work.completion.complete(response);
+                                shell
+                                    .service()
+                                    .dispatch_depth
+                                    .fetch_sub(1, Ordering::Relaxed);
+                                shell.infer(
+                                    &work.body,
+                                    work.content_type.as_deref(),
+                                    work.completion,
+                                );
                             }
                             // Channel closed: the front is gone, drain is done.
                             Err(_) => return,
@@ -242,9 +252,9 @@ impl Gateway {
 
         Ok(Gateway {
             local_addr,
-            shared,
-            front: Some(front),
-            prober_handle: Some(prober_handle),
+            shell,
+            front,
+            prober_handle,
             dispatchers,
         })
     }
@@ -256,225 +266,132 @@ impl Gateway {
 
     /// Number of currently admitted backends (probe-refreshed).
     pub fn healthy_backends(&self) -> usize {
-        self.shared.pool.healthy_count()
+        self.shell.service().pool.healthy_count()
     }
 
-    /// A point-in-time snapshot of the gateway's `/metrics` body.
+    /// A point-in-time snapshot of the gateway's JSON `/metrics` body.
     pub fn metrics_json(&self) -> JsonValue {
-        self.shared
-            .metrics
-            .snapshot_json(&self.shared.cache, &self.shared.pool)
+        self.shell.metrics().into_json()
     }
 
     /// The gateway's request tracer (ring buffer behind `GET /debug/traces`).
     pub fn tracer(&self) -> Arc<trace::Tracer> {
-        Arc::clone(&self.shared.tracer)
+        Arc::clone(self.shell.tracer())
     }
 
     /// Graceful shutdown: stop accepting and parsing, flush every in-flight
     /// response, then join the dispatch pool and the prober. Engines are not
     /// touched.
     pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(front) = &self.front {
-            front.stop();
-        }
+        self.shell.service().shutdown.store(true, Ordering::SeqCst);
+        self.front.stop();
         // The front drains: every dispatched request is still answered (the
         // dispatch pool keeps running until the front — and with it the work
         // channel's sender — is gone).
-        if let Some(mut front) = self.front.take() {
-            front.join();
-        }
-        for handle in self.dispatchers.drain(..) {
+        self.front.join();
+        for handle in self.dispatchers {
             let _ = handle.join();
         }
-        if let Some(handle) = self.prober_handle.take() {
-            let _ = handle.join();
-        }
+        let _ = self.prober_handle.join();
     }
 }
 
 impl std::fmt::Debug for Gateway {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let pool = &self.shell.service().pool;
         f.debug_struct("Gateway")
             .field("local_addr", &self.local_addr)
             .field(
                 "backends",
-                &self
-                    .shared
-                    .pool
-                    .backends()
-                    .iter()
-                    .map(|b| b.addr())
-                    .collect::<Vec<_>>(),
+                &pool.backends().iter().map(|b| b.addr()).collect::<Vec<_>>(),
             )
             .finish()
     }
 }
 
-fn route(
-    request: &FrontRequest<'_>,
-    completion: Completion,
-    shared: &Arc<Shared>,
-    work_tx: &mpsc::Sender<InferWork>,
-) {
-    let Ok((method, target)) = request.request_parts() else {
-        return completion.complete(error_response(&GatewayError::BadRequest(
-            "malformed request line".into(),
-        )));
-    };
-    let (path, query) = target.split_once('?').unwrap_or((target, ""));
-    match (method, path) {
-        ("GET", "/healthz") => {
-            let healthy = shared.pool.healthy_count();
-            let total = shared.pool.backends().len();
-            let status = if healthy == total {
-                "ok"
-            } else if healthy > 0 {
-                "degraded"
-            } else {
-                "unavailable"
-            };
-            let mut cache = JsonValue::object();
-            cache
-                .set("entries", shared.cache.len())
-                .set("capacity", shared.config.cache.capacity);
-            let mut body = JsonValue::object();
-            body.set("status", status)
-                .set("backends", total)
-                .set("healthy", healthy)
-                .set("ejected", total - healthy)
-                .set("ejections_total", shared.pool.ejection_total())
-                .set(
-                    "in_flight_requests",
-                    shared.in_flight_requests.load(Ordering::Relaxed),
-                )
-                .set("brownout", shared.brownout.snapshot_json())
-                .set("cache", cache)
-                .set("models", shared.pool.model_union())
-                // Request encodings this gateway accepts; callers switch to the
-                // binary image encoding only after seeing it advertised here.
-                .set("encodings", vec!["json".to_string(), "binary".to_string()])
-                // Loop-front health plus the dispatch hand-off queue: whether
-                // the loop thread or the dispatch pool is the next bottleneck.
-                .set("event_loop", shared.loop_stats.json())
-                .set(
-                    "dispatch_queue_depth",
-                    shared.dispatch_depth.load(Ordering::Relaxed),
-                );
-            completion.complete(RouteResponse::new(200, body));
-        }
-        ("GET", "/metrics") => {
-            if wants_prometheus(query) {
-                let mut reg = vitality_serve::MetricsRegistry::new();
-                shared
-                    .metrics
-                    .register_prometheus(&mut reg, &shared.cache, &shared.pool);
-                shared.loop_stats.register(&mut reg, "vitality_gateway");
-                reg.gauge(
-                    "vitality_gateway_dispatch_queue_depth",
-                    "Infer work queued between the event loop and the dispatch pool",
-                    &[],
-                    shared.dispatch_depth.load(Ordering::Relaxed) as f64,
-                );
-                return completion.complete(RouteResponse::text(
-                    200,
-                    PROMETHEUS_CONTENT_TYPE,
-                    reg.encode(),
-                ));
-            }
-            let mut body = shared.metrics.snapshot_json(&shared.cache, &shared.pool);
-            body.set("event_loop", shared.loop_stats.json()).set(
+impl Service for Shared {
+    type Error = GatewayError;
+    const PREFIX: &'static str = "vitality_gateway";
+
+    fn health(&self) -> JsonValue {
+        let healthy = self.pool.healthy_count();
+        let total = self.pool.backends().len();
+        // No admitted backend is unavailable even when none is configured: every
+        // infer would answer 503 `no_backend`.
+        let status = if healthy == 0 {
+            "unavailable"
+        } else if healthy == total {
+            "ok"
+        } else {
+            "degraded"
+        };
+        let mut brownout = JsonValue::object();
+        brownout
+            .set("engaged", self.brownout.engaged())
+            .set("pressure", self.brownout.last_pressure())
+            .set("enter_pressure", self.config.brownout.enter_pressure)
+            .set("exit_pressure", self.config.brownout.exit_pressure)
+            .set("entries", self.brownout.entries());
+        let mut cache = JsonValue::object();
+        cache
+            .set("entries", self.cache.len())
+            .set("capacity", self.config.cache.capacity);
+        let mut body = JsonValue::object();
+        body.set("status", status)
+            .set("backends", total)
+            .set("healthy", healthy)
+            .set("ejected", total - healthy)
+            .set("ejections_total", self.pool.ejection_total())
+            .set(
+                "in_flight_requests",
+                self.in_flight_requests.load(Ordering::Relaxed),
+            )
+            .set("brownout", brownout)
+            .set("cache", cache)
+            .set("models", self.pool.model_union())
+            // The dispatch hand-off queue beside the shell's loop health: whether
+            // the loop thread or the dispatch pool is the next bottleneck.
+            .set(
                 "dispatch_queue_depth",
-                shared.dispatch_depth.load(Ordering::Relaxed),
+                self.dispatch_depth.load(Ordering::Relaxed),
             );
-            completion.complete(RouteResponse::new(200, body));
-        }
-        ("GET", "/debug/traces") => {
-            let body = match query_limit(query) {
-                Some(limit) => shared.tracer.recent_json_limited(limit),
-                None => shared.tracer.recent_json(),
-            };
-            completion.complete(RouteResponse::new(200, body));
-        }
-        ("POST", "/v1/infer") => {
-            // The blocking pipeline must not run on the event loop: hand the
-            // owned bytes to the dispatch pool. A send can only fail during
-            // shutdown teardown; the completion's drop guard answers 500 then.
-            shared.dispatch_depth.fetch_add(1, Ordering::Relaxed);
-            let sent = work_tx.send(InferWork {
-                body: request.body.to_vec(),
-                content_type: request.header("content-type").map(str::to_string),
-                completion,
-            });
-            if sent.is_err() {
-                shared.dispatch_depth.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-        ("POST" | "GET", _) => completion.complete(RouteResponse::new(
-            404,
-            protocol::error_body("not_found", &format!("no route for {method} {path}")),
-        )),
-        _ => completion.complete(RouteResponse::new(
-            405,
-            protocol::error_body(
-                "method_not_allowed",
-                &format!("unsupported method {method}"),
-            ),
-        )),
+        body
     }
-}
 
-fn error_response(error: &GatewayError) -> RouteResponse {
-    RouteResponse::new(
-        error.http_status(),
-        protocol::error_body(error.code(), &error.to_string()),
-    )
-    .with_retry_after(error.retry_after_secs())
-}
+    fn register(&self, reg: &mut MetricsRegistry) {
+        self.metrics.register(reg);
+        self.cache.register(reg);
+        self.pool.register(reg);
+        reg.gauge(
+            "dispatch_queue_depth",
+            "vitality_gateway_dispatch_queue_depth",
+            "Infer work queued between the event loop and the dispatch pool",
+            self.dispatch_depth.load(Ordering::Relaxed),
+        );
+    }
 
-/// The post-write completion hook: records the gateway-side serialize/write spans,
-/// feeds the write-stage histogram, and hands the finished trace to the tracer's
-/// retention policy.
-fn finish_hook(
-    shared: Arc<Shared>,
-    handle: trace::TraceHandle,
-    status: u16,
-) -> impl FnOnce(WriteReport) + Send + 'static {
-    move |report: WriteReport| {
-        if let Some(t) = &handle {
-            t.record(
-                "serialize",
-                String::new(),
-                report.serialize_start,
-                report.write_start,
-            );
-            t.record("write", String::new(), report.write_start, report.done);
+    /// Every error counts: the gateway has no shed/drain distinction to keep apart.
+    fn count_failure(&self, _error: &GatewayError) {
+        self.metrics.failed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Runs on a dispatch-pool thread. The body is decoded *before* admission
+    /// control on purpose: an admission-shed 503 must still echo the client's
+    /// `request_id`, and the decode cost is bounded by `max_body_bytes` either way.
+    fn infer(&self, envelope: InferEnvelope, reply: Reply<Self>) {
+        match infer_core(
+            envelope,
+            self,
+            reply.received,
+            &reply.request_id,
+            &reply.trace,
+        ) {
+            Ok(body) => reply.ok(body, |shared, write_us| {
+                shared.metrics.write.record_us(write_us)
+            }),
+            Err(err) => reply.err(err),
         }
-        shared
-            .metrics
-            .write
-            .record_us(report.serialize_us() + report.write_us());
-        shared.tracer.finish(handle, status);
     }
-}
-
-/// Builds the error response for an infer request, echoing `request_id` on the
-/// typed error body and closing the request's trace (when one is recording).
-fn infer_error(
-    shared: &Arc<Shared>,
-    error: &GatewayError,
-    request_id: &str,
-    handle: trace::TraceHandle,
-) -> RouteResponse {
-    shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-    let mut response = error_response(error);
-    response.body.set("request_id", request_id);
-    if handle.is_some() {
-        let status = response.status;
-        response = response.with_on_written(finish_hook(Arc::clone(shared), handle, status));
-    }
-    response
 }
 
 /// One request's deadline at the gateway: the budget the client sent (re-derived
@@ -504,61 +421,12 @@ impl Deadline {
     }
 }
 
-/// The request pipeline entry point (run on a dispatch-pool thread): decode the
-/// envelope to learn (or mint) the request id, open the trace, then run the
-/// admit → route → retry core.
-///
-/// The body is decoded *before* admission control on purpose: an admission-shed 503
-/// must still echo the client's `request_id`, and the decode cost is bounded by
-/// `max_body_bytes` either way.
-fn handle_infer(body: &[u8], content_type: Option<&str>, shared: &Arc<Shared>) -> RouteResponse {
-    // The origin for every span offset: decoding the body (UTF-8 check, JSON or
-    // binary decode, field validation) is attributed to the `parse` span
-    // retroactively.
-    let started = Instant::now();
-    let mut envelope = match InferEnvelope::decode(body, content_type) {
-        Ok(envelope) => envelope,
-        // Echo the client's id whenever it parsed; otherwise generate one so even
-        // this failure is quotable from the error body.
-        Err(failed) => {
-            let request_id = failed.request_id.unwrap_or_else(trace::new_request_id);
-            let error = GatewayError::BadRequest(failed.error.to_string());
-            return infer_error(shared, &error, &request_id, None);
-        }
-    };
-    let request_id = envelope
-        .request_id
-        .take()
-        .unwrap_or_else(trace::new_request_id);
-    let _log_scope = trace::request_scope(&request_id);
-    let want_trace = envelope.trace;
-    // `"trace": true` forces span recording even when sampling is off, and the
-    // recorded gateway+engine span tree is embedded in the reply.
-    let handle = shared.tracer.begin(&request_id, started, want_trace);
-    match infer_core(envelope, shared, started, &request_id, &handle) {
-        Ok(mut body) => {
-            body.set("request_id", request_id.as_str());
-            if want_trace {
-                // Embed what has been recorded so far (parse through the backend
-                // attempts, engine spans grafted); the gateway's own serialize/write
-                // spans land after this snapshot and stay gateway-local.
-                if let Some(t) = &handle {
-                    body.set("trace", trace::spans_json(&t.snapshot()));
-                }
-            }
-            let hook = finish_hook(Arc::clone(shared), handle, 200);
-            RouteResponse::new(200, body).with_on_written(hook)
-        }
-        Err(err) => infer_error(shared, &err, &request_id, handle),
-    }
-}
-
 /// The admit → resolve tier routing (brownout may downgrade it) → cache lookup →
 /// deadline-budgeted retry loop core. Returns the response body to send with
 /// status 200 (before the `request_id` / `trace` fields are stamped on).
 fn infer_core(
     envelope: InferEnvelope,
-    shared: &Arc<Shared>,
+    shared: &Shared,
     started: Instant,
     request_id: &str,
     handle: &trace::TraceHandle,
@@ -697,7 +565,7 @@ fn infer_core(
 /// rotation; 503s cool the backend for its `Retry-After` (capped); deterministic
 /// 4xx answers are forwarded without retrying.
 fn call_with_retries(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     resolved: &str,
     image: &Matrix,
     deadline: Option<Deadline>,

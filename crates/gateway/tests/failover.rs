@@ -241,3 +241,33 @@ fn a_cluster_with_no_admitted_backend_answers_typed_503() {
     drop(client);
     gateway.shutdown();
 }
+
+#[test]
+fn a_gateway_without_backends_reports_unavailable() {
+    // 0 of 0 backends healthy is still no backend: every infer answers 503.
+    let gateway = Gateway::start(GatewayConfig::default(), &[]).expect("gateway boots");
+    let mut client = ServeClient::connect(gateway.local_addr()).expect("connect");
+    let (status, health) = client.get("/healthz").expect("healthz");
+    assert_eq!(status, 200);
+    assert_eq!(
+        health.get("status").and_then(JsonValue::as_str),
+        Some("unavailable")
+    );
+    match client.infer("vit:taylor", &image(&TrainConfig::tiny(), 2)) {
+        Err(vitality_serve::ClientError::Server { status, code, .. }) => {
+            assert_eq!((status, code.as_str()), (503, "no_backend"));
+        }
+        other => panic!("expected a typed 503, got {other:?}"),
+    }
+    let backends = gateway.metrics_json();
+    assert_eq!(
+        backends
+            .get("backends")
+            .and_then(JsonValue::as_array)
+            .map(<[JsonValue]>::len),
+        Some(0),
+        "an empty pool lists an empty backends array"
+    );
+    drop(client);
+    gateway.shutdown();
+}

@@ -249,6 +249,37 @@ fn live_scrapes_from_engine_and_gateway_pass_exposition_conformance() {
         Some(eng.local_addr().to_string().as_str()),
         "backends are listed in pool order"
     );
+    // Series that were JSON-only before both bodies rendered from one registry.
+    let backend = format!("{{backend=\"{}\"}}", eng.local_addr());
+    let mut parity: Vec<String> = [
+        "vitality_gateway_cache_entries ",
+        "vitality_gateway_cache_evictions_total ",
+        "vitality_gateway_cache_expirations_total ",
+    ]
+    .map(String::from)
+    .to_vec();
+    for series in [
+        "requests_total",
+        "errors_total",
+        "ejections_total",
+        "probes_ok_total",
+        "probes_failed_total",
+        "queue_depth",
+        "in_flight_batches",
+        "gateway_in_flight",
+    ] {
+        parity.push(format!("vitality_gateway_backend_{series}{backend} "));
+    }
+    for series in &parity {
+        assert!(
+            gateway_text.lines().any(|l| l.starts_with(series.as_str())),
+            "gateway scrape missing {series}"
+        );
+    }
+    assert!(
+        engine_text.contains("vitality_serve_batches_by_size_total{size=\"1\"} "),
+        "engine scrape missing the batch-size series"
+    );
     for (who, text, expected) in [
         ("engine", &engine_text, ENGINE_FAMILIES),
         ("gateway", &gateway_text, GATEWAY_FAMILIES),

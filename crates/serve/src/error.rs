@@ -36,9 +36,20 @@ pub enum ServeError {
     Internal(String),
 }
 
-impl ServeError {
+/// An error that answers a request on the wire: the status, the stable `code` and
+/// the `Retry-After` hint the typed error envelope is built from.
+pub trait WireError: fmt::Display {
     /// Stable machine-readable error code carried in the JSON error body.
-    pub fn code(&self) -> &'static str {
+    fn code(&self) -> &str;
+    /// The HTTP status the wire layer reports this error with.
+    fn http_status(&self) -> u16;
+    /// Seconds a client should wait before retrying; the wire layer turns it into
+    /// a `Retry-After` header.
+    fn retry_after_secs(&self) -> Option<u64>;
+}
+
+impl WireError for ServeError {
+    fn code(&self) -> &str {
         match self {
             ServeError::BadRequest(_) => "bad_request",
             ServeError::InvalidModelName(_) => "invalid_model_name",
@@ -50,8 +61,7 @@ impl ServeError {
         }
     }
 
-    /// The HTTP status the wire layer reports this error with.
-    pub fn http_status(&self) -> u16 {
+    fn http_status(&self) -> u16 {
         match self {
             ServeError::BadRequest(_) | ServeError::InvalidModelName(_) => 400,
             ServeError::ModelNotFound(_) => 404,
@@ -61,15 +71,13 @@ impl ServeError {
         }
     }
 
-    /// Seconds a client should wait before retrying, for the backpressure errors.
-    ///
     /// `Some` exactly for the 503 variants ([`ServeError::Overloaded`],
     /// [`ServeError::ShuttingDown`]); the wire layer turns it into a `Retry-After`
     /// header so load balancers (the gateway's retry budget) can back off without
     /// parsing the body. One second is the floor HTTP's integer-seconds granularity
     /// allows — the batcher usually drains in milliseconds, so "retry in ≤ 1 s" is the
     /// honest conservative hint.
-    pub fn retry_after_secs(&self) -> Option<u64> {
+    fn retry_after_secs(&self) -> Option<u64> {
         match self {
             ServeError::Overloaded { .. } | ServeError::ShuttingDown => Some(1),
             _ => None,

@@ -17,7 +17,7 @@
 //! the loop thread for cheap GETs, or later from a worker thread for inference.
 //! Responses are written strictly in request order per connection (pipelining),
 //! with out-of-order completions stashed until their turn. Readiness is
-//! level-triggered; per-connection reading pauses once `max_pipeline` requests
+//! level-triggered; per-connection reading pauses once [`MAX_PIPELINE`] requests
 //! are unanswered, so a fast pipeliner is backpressured through the kernel
 //! socket buffer instead of growing the parse buffer without bound.
 //!
@@ -37,6 +37,10 @@ use mio::{Events, Interest, Poll, Token, Waker};
 use crate::http::{EncodedResponse, HttpParser, ParseStatus, RouteResponse, WriteReport};
 use crate::protocol;
 
+/// Per-connection cap on dispatched-but-unanswered pipelined requests; reading
+/// pauses at the cap (kernel-buffer backpressure) and resumes as responses drain.
+pub const MAX_PIPELINE: usize = 64;
+
 /// Tunables of the connection front.
 #[derive(Debug, Clone)]
 pub struct FrontConfig {
@@ -44,10 +48,6 @@ pub struct FrontConfig {
     pub poll_interval: Duration,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
-    /// Per-connection cap on dispatched-but-unanswered pipelined requests;
-    /// reading pauses at the cap (kernel-buffer backpressure) and resumes as
-    /// responses drain.
-    pub max_pipeline: usize,
     /// Name of the event-loop thread (e.g. `serve-conn-8080`). Every socket
     /// read and response write runs on it, so a failpoint scoped to this
     /// thread prefix (`@serve-conn-8080`) hits exactly one server's I/O.
@@ -59,7 +59,6 @@ impl Default for FrontConfig {
         Self {
             poll_interval: Duration::from_millis(50),
             max_body_bytes: 16 * 1024 * 1024,
-            max_pipeline: 64,
             thread_name: "serve-conn".to_string(),
         }
     }
@@ -143,72 +142,6 @@ impl LoopStats {
             return None;
         }
         Some(busy as f64 / (busy + idle) as f64)
-    }
-
-    /// The loop-health JSON block shared by `/metrics` and `/healthz`.
-    pub fn json(&self) -> serde::json::JsonValue {
-        let mut block = serde::json::JsonValue::object();
-        block
-            .set("wakeups", self.wakeups.load(Ordering::Relaxed))
-            .set("ready_events", self.ready_events.load(Ordering::Relaxed))
-            .set("completions", self.completions.load(Ordering::Relaxed))
-            .set("queue_depth", self.queue_depth.load(Ordering::Relaxed))
-            .set(
-                "max_queue_depth",
-                self.max_queue_depth.load(Ordering::Relaxed),
-            );
-        match self.events_per_wake() {
-            Some(v) => block.set("events_per_wake", v),
-            None => block.set("events_per_wake", serde::json::JsonValue::Null),
-        };
-        match self.saturation() {
-            Some(v) => block.set("saturation", v),
-            None => block.set("saturation", serde::json::JsonValue::Null),
-        };
-        block
-    }
-
-    /// Register the loop-health series into a Prometheus scrape under
-    /// `<prefix>_event_loop_*` names.
-    pub fn register(&self, reg: &mut crate::exposition::MetricsRegistry, prefix: &str) {
-        reg.counter(
-            &format!("{prefix}_event_loop_wakeups_total"),
-            "epoll_wait returns on the connection-front loop thread",
-            &[],
-            self.wakeups.load(Ordering::Relaxed) as f64,
-        );
-        reg.counter(
-            &format!("{prefix}_event_loop_ready_events_total"),
-            "Ready events summed over all wakeups",
-            &[],
-            self.ready_events.load(Ordering::Relaxed) as f64,
-        );
-        reg.counter(
-            &format!("{prefix}_event_loop_completions_total"),
-            "Responses drained off the completion queue",
-            &[],
-            self.completions.load(Ordering::Relaxed) as f64,
-        );
-        reg.gauge(
-            &format!("{prefix}_event_loop_queue_depth"),
-            "Current completion (dispatch) queue depth",
-            &[],
-            self.queue_depth.load(Ordering::Relaxed) as f64,
-        );
-        reg.gauge(
-            &format!("{prefix}_event_loop_max_queue_depth"),
-            "Deepest completion-queue backlog observed",
-            &[],
-            self.max_queue_depth.load(Ordering::Relaxed) as f64,
-        );
-        if let Some(saturation) = self.saturation() {
-            reg.gauge(
-                &format!("{prefix}_event_loop_saturation"),
-                "Fraction of loop time spent outside epoll_wait",
-                &[],
-                saturation,
-            );
-        }
     }
 }
 
@@ -317,7 +250,6 @@ impl EventFront {
         stats: Arc<LoopStats>,
         dispatch: impl Dispatch,
     ) -> io::Result<EventFront> {
-        assert!(config.max_pipeline > 0, "max_pipeline must be positive");
         // std's bind hard-codes a 128-deep accept queue; under a connection
         // storm the kernel then RSTs the overflow and peers see their first
         // write die. Re-listen with a deeper queue (clamped by somaxconn).
@@ -588,10 +520,8 @@ impl<F: Dispatch> EventLoop<F> {
 
     /// What the connection should currently be polled for.
     fn desired_interest(&self, conn: &Conn, stopping: bool) -> (bool, bool) {
-        let readable = !conn.peer_eof
-            && !conn.broken
-            && !stopping
-            && conn.unanswered < self.config.max_pipeline;
+        let readable =
+            !conn.peer_eof && !conn.broken && !stopping && conn.unanswered < MAX_PIPELINE;
         let writable = !conn.out.is_empty();
         (readable, writable)
     }
@@ -759,7 +689,7 @@ impl<F: Dispatch> EventLoop<F> {
                 // Stop parsing new requests at a message boundary.
                 break;
             }
-            if conn.unanswered >= self.config.max_pipeline {
+            if conn.unanswered >= MAX_PIPELINE {
                 break;
             }
             match conn.stream.read(&mut chunk) {
@@ -793,7 +723,7 @@ impl<F: Dispatch> EventLoop<F> {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return false;
             };
-            if conn.unanswered >= self.config.max_pipeline {
+            if conn.unanswered >= MAX_PIPELINE {
                 return true;
             }
             if stopping && conn.parser.is_between_messages() {

@@ -1,129 +1,102 @@
-//! Shared metrics registry + Prometheus text exposition encoder.
+//! The one declaration of every metric, rendered as JSON and as Prometheus text.
 //!
-//! Both the engine (`serve::metrics`) and the gateway (`gateway::metrics`) keep
-//! their hot-path counters in bespoke lock-free structs and render JSON snapshots;
-//! this module is the *second* renderer those snapshots flow through: a scrape
-//! handler builds a [`MetricsRegistry`], registers every counter, gauge and
-//! histogram into it, and [`MetricsRegistry::encode`] emits valid Prometheus text
-//! exposition format 0.0.4 (`# HELP`/`# TYPE` lines, escaped label values,
-//! cumulative histogram buckets ending in `+Inf`, `_sum`/`_count` series) for
-//! `GET /metrics?format=prometheus`. The JSON shape is untouched — the registry
-//! is built per scrape from the same atomics the JSON snapshot reads.
+//! Both servers keep their hot-path counters in lock-free structs. At scrape time
+//! they declare each counter, gauge and histogram once into a [`MetricsRegistry`]:
+//! its JSON key, its Prometheus name and help, under the JSON path and labels of
+//! the enclosing [`scope`](MetricsRegistry::scope). The registry renders both
+//! bodies of `GET /metrics` from that one list — [`MetricsRegistry::into_json`]
+//! the nested JSON object, [`MetricsRegistry::encode`] Prometheus text exposition
+//! format 0.0.4 for `?format=prometheus` — so the two cannot drift. A histogram
+//! renders the JSON block `{count, mean_us, p50_us, p95_us, p99_us}` everywhere;
+//! derived values with no Prometheus twin go through [`MetricsRegistry::json`].
 //!
 //! [`validate_exposition`] is the matching conformance checker, shared by the
 //! format unit tests, the live engine/gateway scrape tests and the CI step.
 //!
 //! # Worked example: adding a metric
 //!
-//! Suppose a new subsystem wants to export a work counter for its hot loop. Three
-//! steps:
-//!
-//! 1. **Count the work** with an atomic — one relaxed add, no lock, no
-//!    allocation on the hot path:
+//! Count the work with an atomic — one relaxed add, no lock, no allocation on the
+//! hot path — and declare it once where its owner declares its series:
 //!
 //! ```
 //! use std::sync::atomic::{AtomicU64, Ordering};
+//! use vitality_serve::exposition::{validate_exposition, MetricsRegistry};
 //!
 //! static ITEMS: AtomicU64 = AtomicU64::new(0);
-//!
-//! fn hot_loop(work: &[u64]) -> u64 {
-//!     ITEMS.fetch_add(work.len() as u64, Ordering::Relaxed);
-//!     work.iter().sum()
-//! }
-//! # assert_eq!(hot_loop(&[1, 2, 3]), 6);
-//! ```
-//!
-//! 2. **Register it** in the scrape handler, reading the atomic at scrape time:
-//!
-//! ```
-//! use vitality_serve::exposition::MetricsRegistry;
-//! # static ITEMS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+//! ITEMS.fetch_add(3, Ordering::Relaxed);
 //!
 //! let mut reg = MetricsRegistry::new();
-//! reg.counter(
-//!     "vitality_hot_items_total",
-//!     "Items processed by the hot loop",
-//!     &[("subsystem", "example")],
-//!     ITEMS.load(std::sync::atomic::Ordering::Relaxed) as f64,
-//! );
+//! reg.scope(&["hot"], &[("subsystem", "example")], |reg| {
+//!     let items = ITEMS.load(Ordering::Relaxed);
+//!     reg.counter("items", "vitality_hot_items_total", "Items processed by the hot loop", items);
+//! });
 //! let text = reg.encode();
-//! vitality_serve::exposition::validate_exposition(&text).expect("conformant");
+//! validate_exposition(&text).expect("conformant");
+//! assert!(text.contains("vitality_hot_items_total{subsystem=\"example\"} 3"));
+//! let json = reg.into_json();
+//! assert_eq!(json.get("hot").and_then(|h| h.get("items")).and_then(|v| v.as_usize()), Some(3));
 //! ```
-//!
-//! 3. **Keep JSON in sync** by adding the same numbers to the handler's
-//!    `snapshot_json` — the two renderings must come from the same atomics, so a
-//!    scrape and a JSON poll never disagree about what the process did.
 
 use crate::metrics::LatencyHistogram;
+use serde::json::JsonValue;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// What a metric family is, as spelled in its `# TYPE` line.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MetricKind {
-    /// Monotonically non-decreasing count.
-    Counter,
-    /// Point-in-time value that can go up or down.
-    Gauge,
-    /// Cumulative-bucket distribution with `_bucket`/`_sum`/`_count` series.
-    Histogram,
-}
-
-impl MetricKind {
-    fn label(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
-        }
-    }
-}
-
-/// One sample: a rendered label set (already escaped, no `{}`) plus a value line.
+/// One sample line: the name suffix (`_bucket`, `_sum`, ...), the rendered label
+/// set and the value.
 struct Sample {
+    suffix: &'static str,
     labels: String,
     value: f64,
 }
 
-/// One metric family: a name, help text, kind, and its samples.
+/// One metric family: a name, help text, `# TYPE` kind, and its samples.
 struct Family {
     name: String,
     help: String,
-    kind: MetricKind,
+    kind: &'static str,
     samples: Vec<Sample>,
 }
 
-/// A per-scrape registry the JSON-native metric structs register into, encoded as
-/// Prometheus text exposition format 0.0.4. See the module docs for the worked
-/// example; construction is cheap (it lives for one scrape).
-#[derive(Default)]
+/// One step of the JSON path a declaration nests under.
+enum Step {
+    Key(String),
+    Item(usize),
+}
+
+/// A per-scrape registry every metric is declared into once, rendered as nested
+/// JSON and as Prometheus text (see the module docs).
 pub struct MetricsRegistry {
     families: Vec<Family>,
     index: BTreeMap<String, usize>,
+    json: JsonValue,
+    /// The JSON path of the current scope, outermost first.
+    path: Vec<Step>,
+    /// The Prometheus labels of the current scope.
+    labels: Vec<(String, String)>,
 }
 
-/// Escape a label value per the exposition format: backslash, newline, and
-/// double-quote.
-fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '"' => out.push_str("\\\""),
-            _ => out.push(c),
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        Self {
+            families: Vec::new(),
+            index: BTreeMap::new(),
+            json: JsonValue::object(),
+            path: Vec::new(),
+            labels: Vec::new(),
         }
     }
-    out
 }
 
-/// Escape help text per the exposition format: backslash and newline.
-fn escape_help(v: &str) -> String {
+/// Escape help text (backslash, newline) or, with `quote`, a label value (also
+/// the double quote) per the exposition format.
+fn escape(v: &str, quote: bool) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '"' if quote => out.push_str("\\\""),
             _ => out.push(c),
         }
     }
@@ -131,18 +104,15 @@ fn escape_help(v: &str) -> String {
 }
 
 /// Render a label set as `{k="v",...}` (empty string for no labels).
-fn render_labels(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return String::new();
+fn render_labels<'a>(labels: impl IntoIterator<Item = (&'a str, &'a str)>) -> String {
+    let mut out = String::new();
+    for (k, v) in labels {
+        out.push(if out.is_empty() { '{' } else { ',' });
+        let _ = write!(out, "{k}=\"{}\"", escape(v, true));
     }
-    let mut out = String::from("{");
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=\"{}\"", escape_label_value(v));
+    if !out.is_empty() {
+        out.push('}');
     }
-    out.push('}');
     out
 }
 
@@ -160,14 +130,166 @@ fn render_value(v: f64) -> String {
     }
 }
 
+/// The member `key` of the object `node`, inserted as `empty()` when absent.
+fn member<'a>(node: &'a mut JsonValue, key: &str, empty: fn() -> JsonValue) -> &'a mut JsonValue {
+    let JsonValue::Object(members) = node else {
+        panic!("metric key {key:?} declared under a JSON non-object");
+    };
+    let at = match members.iter().position(|(k, _)| k == key) {
+        Some(at) => at,
+        None => {
+            members.push((key.to_string(), empty()));
+            members.len() - 1
+        }
+    };
+    &mut members[at].1
+}
+
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn family(&mut self, name: &str, help: &str, kind: MetricKind) -> &mut Family {
-        let idx = *self.index.entry(name.to_string()).or_insert_with(|| {
+    /// The JSON object of the current scope, created on first use.
+    fn node(&mut self) -> &mut JsonValue {
+        let mut node = &mut self.json;
+        for step in &self.path {
+            node = match (step, node) {
+                (Step::Key(key), node) => member(node, key, JsonValue::object),
+                (Step::Item(at), JsonValue::Array(items)) => &mut items[*at],
+                _ => unreachable!("an item step always follows its array"),
+            };
+        }
+        node
+    }
+
+    /// Runs `declare` with every declaration nested under the JSON object at
+    /// `path` (created even when `declare` declares nothing) and carrying `labels`
+    /// on top of the enclosing scope's in Prometheus.
+    pub fn scope(
+        &mut self,
+        path: &[&str],
+        labels: &[(&str, &str)],
+        declare: impl FnOnce(&mut Self),
+    ) {
+        let (depth, label_count) = (self.path.len(), self.labels.len());
+        self.path
+            .extend(path.iter().map(|key| Step::Key(key.to_string())));
+        self.labels
+            .extend(labels.iter().map(|(k, v)| (k.to_string(), v.to_string())));
+        self.node();
+        declare(self);
+        self.path.truncate(depth);
+        self.labels.truncate(label_count);
+    }
+
+    /// [`scope`](Self::scope) over a new object appended to the JSON array at
+    /// `key` (created empty on first use): per-instance blocks in declaration order.
+    pub fn item(&mut self, key: &str, labels: &[(&str, &str)], declare: impl FnOnce(&mut Self)) {
+        let JsonValue::Array(items) = member(self.node(), key, || JsonValue::Array(Vec::new()))
+        else {
+            panic!("metric array {key:?} declared over a JSON non-array");
+        };
+        items.push(JsonValue::object());
+        let at = items.len() - 1;
+        self.path
+            .extend([Step::Key(key.to_string()), Step::Item(at)]);
+        self.scope(&[], labels, declare);
+        self.path.truncate(self.path.len() - 2);
+    }
+
+    /// A JSON-only value at `key`: derived numbers (ratios, means) and labels
+    /// that have no Prometheus series.
+    pub fn json(&mut self, key: &str, value: impl Into<JsonValue>) {
+        self.node().set(key, value);
+    }
+
+    /// Declares one counter sample: JSON `key`, Prometheus `name` with the
+    /// scope's labels. Declaring a name again adds a sample to its family (one
+    /// `# TYPE` line, many label sets).
+    pub fn counter(&mut self, key: &str, name: &str, help: &str, value: u64) {
+        self.json(key, value);
+        self.sample(name, help, "counter", "", value as f64);
+    }
+
+    /// Declares one gauge sample. A bool renders as 1/0 in Prometheus; `null` (a
+    /// `None` reading) is JSON-only.
+    pub fn gauge(&mut self, key: &str, name: &str, help: &str, value: impl Into<JsonValue>) {
+        let value = value.into();
+        match value {
+            JsonValue::Number(v) => self.sample(name, help, "gauge", "", v),
+            JsonValue::Bool(b) => self.sample(name, help, "gauge", "", f64::from(u8::from(b))),
+            _ => {}
+        }
+        self.json(key, value);
+    }
+
+    /// Declares a [`LatencyHistogram`]: its JSON block at `key` (the scope's own
+    /// object when `key` is empty), and a Prometheus histogram in microseconds —
+    /// cumulative `_bucket` series over the geometric `2^i µs` bounds ending in
+    /// `+Inf` (the histogram's overflow bucket), plus `_sum` and `_count`. The
+    /// `_count` is derived from the bucket counts themselves, so the invariant
+    /// `_count == +Inf bucket` holds even while other threads are recording.
+    pub fn histogram(&mut self, key: &str, name: &str, help: &str, hist: &LatencyHistogram) {
+        let node = self.node();
+        let block = if key.is_empty() {
+            node
+        } else {
+            member(node, key, JsonValue::object)
+        };
+        block
+            .set("count", hist.count())
+            .set("mean_us", hist.mean_us())
+            .set("p50_us", hist.quantile_us(0.50))
+            .set("p95_us", hist.quantile_us(0.95))
+            .set("p99_us", hist.quantile_us(0.99));
+        let mut cumulative = 0u64;
+        for (i, count) in hist.bucket_counts().into_iter().enumerate() {
+            cumulative += count;
+            let le = if i + 1 < LatencyHistogram::BUCKETS {
+                format!("{}", 1u64 << i)
+            } else {
+                "+Inf".to_string()
+            };
+            self.sample_with(
+                name,
+                help,
+                "histogram",
+                "_bucket",
+                Some(&le),
+                cumulative as f64,
+            );
+        }
+        self.sample_with(name, help, "histogram", "_sum", None, hist.sum_us() as f64);
+        self.sample_with(name, help, "histogram", "_count", None, cumulative as f64);
+    }
+
+    fn sample(
+        &mut self,
+        name: &str,
+        help: &str,
+        kind: &'static str,
+        suffix: &'static str,
+        value: f64,
+    ) {
+        self.sample_with(name, help, kind, suffix, None, value);
+    }
+
+    /// Adds one sample, with the scope's labels (and `le`, for a bucket), to the
+    /// family `name`, created on its first sample.
+    fn sample_with(
+        &mut self,
+        name: &str,
+        help: &str,
+        kind: &'static str,
+        suffix: &'static str,
+        le: Option<&str>,
+        value: f64,
+    ) {
+        let scope = self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        let labels = render_labels(scope.chain(le.map(|le| ("le", le))));
+        let at = *self.index.entry(name.to_string()).or_insert_with(|| {
             self.families.push(Family {
                 name: name.to_string(),
                 help: help.to_string(),
@@ -176,97 +298,38 @@ impl MetricsRegistry {
             });
             self.families.len() - 1
         });
-        let family = &mut self.families[idx];
-        debug_assert!(
-            family.kind == kind,
-            "metric family {name} re-registered with a different kind"
+        let family = &mut self.families[at];
+        debug_assert_eq!(
+            family.kind, kind,
+            "metric family {name} re-declared as another kind"
         );
-        family
-    }
-
-    /// Register one counter sample. Re-registering the same name appends a sample
-    /// to the existing family (one `# TYPE` line, many label sets).
-    pub fn counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        let labels = render_labels(labels);
-        self.family(name, help, MetricKind::Counter)
-            .samples
-            .push(Sample { labels, value });
-    }
-
-    /// Register one gauge sample.
-    pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        let labels = render_labels(labels);
-        self.family(name, help, MetricKind::Gauge)
-            .samples
-            .push(Sample { labels, value });
-    }
-
-    /// Register a [`LatencyHistogram`] as a Prometheus histogram in microseconds:
-    /// cumulative `_bucket` series over the geometric `2^i µs` bounds ending in
-    /// `+Inf` (the histogram's overflow bucket), plus `_sum` and `_count`. The
-    /// `_count` is derived from the bucket counts themselves, so the invariant
-    /// `_count == +Inf bucket` holds even while other threads are recording.
-    pub fn histogram_us(
-        &mut self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        hist: &LatencyHistogram,
-    ) {
-        let counts = hist.bucket_counts();
-        let sum_us = hist.sum_us();
-        let family = self.family(name, help, MetricKind::Histogram);
-        let mut cumulative = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            cumulative += c;
-            let le = if i + 1 == counts.len() {
-                "+Inf".to_string()
-            } else {
-                format!("{}", 1u64 << i)
-            };
-            let mut with_le: Vec<(&str, &str)> = labels.to_vec();
-            with_le.push(("le", &le));
-            family.samples.push(Sample {
-                labels: render_labels(&with_le),
-                value: cumulative as f64,
-            });
-        }
-        let rendered = render_labels(labels);
-        // `_sum`/`_count` ride the same family so the encoder emits them under the
-        // single `# TYPE` line; the name suffixes are added at encode time via the
-        // sample's pre-rendered suffix marker below.
         family.samples.push(Sample {
-            labels: format!("\u{0}sum{rendered}"),
-            value: sum_us as f64,
-        });
-        family.samples.push(Sample {
-            labels: format!("\u{0}count{rendered}"),
-            value: cumulative as f64,
+            suffix,
+            labels,
+            value,
         });
     }
 
-    /// Encode everything registered so far as exposition text. Histogram `_bucket`
-    /// samples get the `_bucket` suffix; the `\0sum`/`\0count` markers become
-    /// `_sum`/`_count`.
+    /// The JSON rendering: every declaration nested by its key path.
+    pub fn into_json(self) -> JsonValue {
+        self.json
+    }
+
+    /// The Prometheus text rendering: one `# HELP` and `# TYPE` line per family,
+    /// then its samples.
     pub fn encode(&self) -> String {
         let mut out = String::new();
         for family in &self.families {
-            let _ = writeln!(out, "# HELP {} {}", family.name, escape_help(&family.help));
-            let _ = writeln!(out, "# TYPE {} {}", family.name, family.kind.label());
-            for sample in &family.samples {
-                let value = render_value(sample.value);
-                if let Some(rest) = sample.labels.strip_prefix('\u{0}') {
-                    let (suffix, labels) = if let Some(l) = rest.strip_prefix("sum") {
-                        ("_sum", l)
-                    } else {
-                        ("_count", rest.strip_prefix("count").unwrap_or(rest))
-                    };
-                    let _ = writeln!(out, "{}{suffix}{labels} {value}", family.name);
-                } else if family.kind == MetricKind::Histogram {
-                    let _ = writeln!(out, "{}_bucket{} {value}", family.name, sample.labels);
-                } else {
-                    let _ = writeln!(out, "{}{} {value}", family.name, sample.labels);
-                }
+            let _ = writeln!(
+                out,
+                "# HELP {} {}",
+                family.name,
+                escape(&family.help, false)
+            );
+            let _ = writeln!(out, "# TYPE {} {}", family.name, family.kind);
+            for s in &family.samples {
+                let value = render_value(s.value);
+                let _ = writeln!(out, "{}{}{} {value}", family.name, s.suffix, s.labels);
             }
         }
         out
@@ -490,19 +553,19 @@ mod tests {
     #[test]
     fn encodes_counters_gauges_and_histograms_conformantly() {
         let mut reg = MetricsRegistry::new();
-        reg.counter("demo_requests_total", "Requests", &[("kind", "a")], 3.0);
-        reg.counter("demo_requests_total", "Requests", &[("kind", "b")], 4.0);
-        reg.gauge("demo_depth", "Queue depth", &[], 2.0);
+        for (kind, value) in [("a", 3), ("b", 4)] {
+            reg.scope(&["requests"], &[("kind", kind)], |reg| {
+                reg.counter(kind, "demo_requests_total", "Requests", value)
+            });
+        }
+        reg.gauge("depth", "demo_depth", "Queue depth", 2u64);
         let hist = LatencyHistogram::new();
         for us in [1u64, 3, 700, 5_000_000_000] {
             hist.record_us(us);
         }
-        reg.histogram_us(
-            "demo_latency_us",
-            "Latency (µs)",
-            &[("stage", "e2e")],
-            &hist,
-        );
+        reg.scope(&[], &[("stage", "e2e")], |reg| {
+            reg.histogram("latency", "demo_latency_us", "Latency (µs)", &hist)
+        });
         let text = reg.encode();
         let samples = validate_exposition(&text).expect("conformant output");
         // 2 counters + 1 gauge + 31 buckets + _sum + _count.
@@ -518,12 +581,57 @@ mod tests {
         // The 5000 s outlier lands in the overflow (+Inf) bucket, so the last
         // finite bucket holds 3.
         assert!(text.contains("demo_latency_us_bucket{stage=\"e2e\",le=\"536870912\"} 3"));
+
+        // The same declarations, nested by key path.
+        let json = reg.into_json();
+        let at = |path: &[&str]| {
+            path.iter()
+                .try_fold(&json, |node, key| node.get(key))
+                .and_then(JsonValue::as_f64)
+        };
+        assert_eq!(at(&["requests", "a"]), Some(3.0));
+        assert_eq!(at(&["requests", "b"]), Some(4.0));
+        assert_eq!(at(&["depth"]), Some(2.0));
+        assert_eq!(at(&["latency", "count"]), Some(4.0));
+        for key in ["mean_us", "p50_us", "p95_us", "p99_us"] {
+            assert!(at(&["latency", key]).is_some(), "histogram block has {key}");
+        }
+    }
+
+    #[test]
+    fn items_keep_order_and_absent_gauges_are_json_only() {
+        let mut reg = MetricsRegistry::new();
+        for (addr, up) in [("b:1", true), ("a:2", false)] {
+            reg.item("backends", &[("backend", addr)], |reg| {
+                reg.json("addr", addr);
+                reg.gauge("healthy", "demo_backend_healthy", "Health", up);
+            });
+        }
+        reg.gauge("saturation", "demo_saturation", "Saturation", None::<f64>);
+        let text = reg.encode();
+        validate_exposition(&text).expect("conformant output");
+        assert!(text.contains("demo_backend_healthy{backend=\"b:1\"} 1"));
+        assert!(text.contains("demo_backend_healthy{backend=\"a:2\"} 0"));
+        assert!(
+            !text.contains("demo_saturation"),
+            "no sample for a null gauge"
+        );
+        let json = reg.into_json();
+        let backends = json.get("backends").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(
+            backends[0].get("addr").and_then(JsonValue::as_str),
+            Some("b:1")
+        );
+        assert_eq!(backends[1].get("healthy"), Some(&JsonValue::Bool(false)));
+        assert_eq!(json.get("saturation"), Some(&JsonValue::Null));
     }
 
     #[test]
     fn label_values_escape_backslash_newline_and_quote() {
         let mut reg = MetricsRegistry::new();
-        reg.gauge("demo_escapes", "Escaping", &[("path", "a\\b\nc\"d")], 1.0);
+        reg.scope(&[], &[("path", "a\\b\nc\"d")], |reg| {
+            reg.gauge("escapes", "demo_escapes", "Escaping", 1u64)
+        });
         let text = reg.encode();
         assert!(text.contains(r#"path="a\\b\nc\"d""#), "raw: {text}");
         validate_exposition(&text).expect("escaped output parses");

@@ -19,9 +19,12 @@
 //!    channel, with drain-then-exit shutdown semantics.
 //! 4. **Wire protocol** — a minimal HTTP/1.1 + JSON surface: `POST /v1/infer`,
 //!    `GET /healthz`, `GET /metrics` (see [`protocol`] for the exact shapes), plus
-//!    [`ServeClient`] as the matching blocking client.
+//!    [`ServeClient`] as the matching blocking client. The routes, the request
+//!    lifecycle and the error envelope live once, in the [`Shell`] the engine and
+//!    the gateway both run in.
 //! 5. **[`Metrics`]** — lock-free latency histograms (p50/p95/p99), throughput
-//!    counters and the batch-size distribution, exported on `/metrics`.
+//!    counters and the batch-size distribution, each declared once into the
+//!    [`MetricsRegistry`] that renders `/metrics` as JSON and as Prometheus text.
 //!
 //! # Example
 //!
@@ -59,15 +62,17 @@ pub mod metrics;
 pub mod protocol;
 pub mod registry;
 pub mod server;
+pub mod shell;
 pub mod worker;
 
 pub use batcher::{BatchPolicy, Batcher, InferReply, PendingRequest, RequestDeadline, Responder};
 pub use client::{ClientError, InferResponse, ServeClient};
-pub use error::ServeError;
+pub use error::{ServeError, WireError};
 pub use event_loop::{Completion, EventFront, FrontConfig, FrontRequest, LoopStats};
 pub use exposition::{validate_exposition, MetricsRegistry};
 pub use metrics::{LatencyHistogram, Metrics, VariantStats};
 pub use protocol::InferOptions;
 pub use registry::{ModelEntry, ModelRegistry};
 pub use server::{Server, ServerConfig};
+pub use shell::{Reply, Service, Shell};
 pub use worker::WorkerPool;

@@ -1,7 +1,7 @@
 //! Lock-free serving metrics: latency histograms, throughput counters and the
-//! batch-size distribution, exposed as a JSON snapshot on `GET /metrics`.
+//! batch-size distribution, declared once into the `GET /metrics` registry.
 
-use serde::json::JsonValue;
+use crate::exposition::MetricsRegistry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -125,27 +125,6 @@ pub struct VariantStats {
     pub write: LatencyHistogram,
 }
 
-impl VariantStats {
-    /// The per-stage p50/p95 block exported under each variant's `"stages"` key.
-    pub fn stages_json(&self) -> JsonValue {
-        let mut stages = JsonValue::object();
-        for (label, hist) in [
-            ("queue_wait", &self.queue_wait),
-            ("compute", &self.compute),
-            ("write", &self.write),
-        ] {
-            let mut block = JsonValue::object();
-            block
-                .set("count", hist.count())
-                .set("mean_us", hist.mean_us())
-                .set("p50_us", hist.quantile_us(0.50))
-                .set("p95_us", hist.quantile_us(0.95));
-            stages.set(label, block);
-        }
-        stages
-    }
-}
-
 /// All counters and histograms one server instance maintains. Every per-request field
 /// is atomic, so the hot path never takes a lock to record; the per-variant map is
 /// resolved once per *batch* (not per request) under a short-lived mutex.
@@ -260,186 +239,150 @@ impl Metrics {
         }
     }
 
-    /// Registers every serving series into a Prometheus scrape under the
-    /// `vitality_serve_` prefix — the body of `GET /metrics?format=prometheus`.
-    /// The same counters as [`Metrics::snapshot_json`], in text exposition form:
-    /// request counters, the end-to-end and queue-wait histograms, per-variant
-    /// request/latency/stage series.
-    pub fn register_prometheus(&self, reg: &mut crate::exposition::MetricsRegistry) {
-        let none: &[(&str, &str)] = &[];
+    /// Declares every serving series once, under the `vitality_serve_` prefix:
+    /// request counters, the end-to-end and queue-wait histograms, the batch-size
+    /// distribution and per-variant request/latency/stage series — both bodies of
+    /// `GET /metrics` render from these declarations.
+    pub fn register(&self, reg: &mut MetricsRegistry) {
+        let load = |value: &AtomicU64| value.load(Ordering::Relaxed);
         reg.gauge(
+            "uptime_s",
             "vitality_serve_uptime_seconds",
             "Seconds since this engine started",
-            none,
             self.started.elapsed().as_secs_f64(),
         );
-        for (name, help, value) in [
+        // The *resolved* matmul backend (env request reconciled against the host's
+        // CPU features), plus the raw feature flags — so a fleet operator can tell
+        // from `/metrics` alone whether a node is actually running the SIMD kernels.
+        reg.scope(&["compute"], &[], |reg| {
+            let cpu = vitality_tensor::cpu_features();
+            reg.json("matmul_backend", vitality_tensor::matmul_backend().label());
+            reg.json("cpu_avx2", cpu.avx2);
+            reg.json("cpu_fma", cpu.fma);
+        });
+        for (key, name, help, value) in [
             (
+                "submitted",
                 "vitality_serve_requests_submitted_total",
                 "Requests admitted into the batching queue",
                 &self.submitted,
             ),
             (
+                "completed",
                 "vitality_serve_requests_completed_total",
                 "Requests answered successfully",
                 &self.completed,
             ),
             (
+                "shed",
                 "vitality_serve_requests_shed_total",
                 "Requests shed at admission (queue full)",
                 &self.shed,
             ),
             (
+                "expired",
                 "vitality_serve_requests_expired_total",
                 "Requests shed because their deadline budget expired before inference",
                 &self.expired,
             ),
             (
+                "worker_panics",
                 "vitality_serve_worker_panics_total",
                 "Worker batches that panicked mid-inference",
                 &self.worker_panics,
             ),
             (
+                "failed",
                 "vitality_serve_requests_failed_total",
                 "Requests answered with a non-shed error",
                 &self.failed,
             ),
-            (
-                "vitality_serve_batches_total",
-                "Batches handed to workers",
-                &self.batches,
-            ),
         ] {
-            reg.counter(name, help, none, value.load(Ordering::Relaxed) as f64);
+            reg.counter(key, name, help, load(value));
         }
-        reg.gauge(
-            "vitality_serve_in_flight_batches",
-            "Batches currently running inference on a worker",
-            none,
-            self.in_flight_batches.load(Ordering::Relaxed) as f64,
-        );
-        reg.histogram_us(
+        reg.json("throughput_rps", self.throughput_rps());
+        reg.histogram(
+            "latency",
             "vitality_serve_latency_us",
             "End-to-end request latency (submit to response ready), microseconds",
-            none,
             &self.latency,
         );
-        reg.histogram_us(
+        reg.histogram(
+            "queue_wait",
             "vitality_serve_queue_wait_us",
             "Queue wait (submit to batch formed), microseconds",
-            none,
             &self.queue_wait,
         );
-        for (label, stats) in self
-            .variants
-            .lock()
-            .expect("variant metrics lock poisoned")
-            .iter()
-        {
-            let variant: &[(&str, &str)] = &[("variant", label)];
+        reg.scope(&["batching"], &[], |reg| {
             reg.counter(
-                "vitality_serve_variant_requests_total",
-                "Requests answered, by attention variant",
-                variant,
-                stats.requests.load(Ordering::Relaxed) as f64,
+                "batches",
+                "vitality_serve_batches_total",
+                "Batches handed to workers",
+                load(&self.batches),
             );
-            reg.histogram_us(
-                "vitality_serve_variant_latency_us",
-                "End-to-end request latency by attention variant, microseconds",
-                variant,
-                &stats.latency,
-            );
-            for (stage, hist) in [
-                ("queue_wait", &stats.queue_wait),
-                ("compute", &stats.compute),
-                ("write", &stats.write),
-            ] {
-                reg.histogram_us(
-                    "vitality_serve_variant_stage_us",
-                    "Per-stage latency by attention variant, microseconds",
-                    &[("variant", label), ("stage", stage)],
-                    hist,
-                );
-            }
-        }
-    }
-
-    /// A point-in-time JSON snapshot, the body of `GET /metrics`.
-    pub fn snapshot_json(&self) -> JsonValue {
-        let mut latency = JsonValue::object();
-        latency
-            .set("count", self.latency.count())
-            .set("mean_us", self.latency.mean_us())
-            .set("p50_us", self.latency.quantile_us(0.50))
-            .set("p95_us", self.latency.quantile_us(0.95))
-            .set("p99_us", self.latency.quantile_us(0.99));
-        let mut queue_wait = JsonValue::object();
-        queue_wait
-            .set("mean_us", self.queue_wait.mean_us())
-            .set("p50_us", self.queue_wait.quantile_us(0.50))
-            .set("p99_us", self.queue_wait.quantile_us(0.99));
-        let mut dist = JsonValue::object();
-        for (i, bucket) in self.batch_sizes.iter().enumerate() {
-            let count = bucket.load(Ordering::Relaxed);
-            if count > 0 {
-                let label = if i < MAX_TRACKED_BATCH {
-                    format!("{}", i + 1)
-                } else {
-                    format!(">{MAX_TRACKED_BATCH}")
-                };
-                dist.set(&label, count);
-            }
-        }
-        let mut batching = JsonValue::object();
-        batching
-            .set("batches", self.batches.load(Ordering::Relaxed))
-            .set(
+            reg.gauge(
                 "in_flight_batches",
-                self.in_flight_batches.load(Ordering::Relaxed),
-            )
-            .set("mean_batch", self.mean_batch())
-            .set("max_batch", self.max_batch())
-            .set("size_distribution", dist);
-        let mut variants = JsonValue::object();
-        for (label, stats) in self
-            .variants
-            .lock()
-            .expect("variant metrics lock poisoned")
-            .iter()
-        {
-            let mut v = JsonValue::object();
-            v.set("requests", stats.requests.load(Ordering::Relaxed))
-                .set("mean_us", stats.latency.mean_us())
-                .set("p50_us", stats.latency.quantile_us(0.50))
-                .set("p95_us", stats.latency.quantile_us(0.95))
-                .set("p99_us", stats.latency.quantile_us(0.99))
-                .set("stages", stats.stages_json());
-            variants.set(label, v);
-        }
-        // The *resolved* matmul backend (env request reconciled against the host's
-        // CPU features), plus the raw feature flags — so a fleet operator can tell
-        // from `/metrics` alone whether a node is actually running the SIMD kernels.
-        let cpu = vitality_tensor::cpu_features();
-        let mut compute = JsonValue::object();
-        compute
-            .set("matmul_backend", vitality_tensor::matmul_backend().label())
-            .set("cpu_avx2", cpu.avx2)
-            .set("cpu_fma", cpu.fma);
-        let mut root = JsonValue::object();
-        root.set("uptime_s", self.started.elapsed().as_secs_f64())
-            .set("compute", compute)
-            .set("submitted", self.submitted.load(Ordering::Relaxed))
-            .set("completed", self.completed.load(Ordering::Relaxed))
-            .set("shed", self.shed.load(Ordering::Relaxed))
-            .set("expired", self.expired.load(Ordering::Relaxed))
-            .set("worker_panics", self.worker_panics.load(Ordering::Relaxed))
-            .set("failed", self.failed.load(Ordering::Relaxed))
-            .set("throughput_rps", self.throughput_rps())
-            .set("latency", latency)
-            .set("queue_wait", queue_wait)
-            .set("batching", batching)
-            .set("variants", variants);
-        root
+                "vitality_serve_in_flight_batches",
+                "Batches currently running inference on a worker",
+                load(&self.in_flight_batches),
+            );
+            reg.json("mean_batch", self.mean_batch());
+            reg.json("max_batch", self.max_batch());
+            reg.scope(&["size_distribution"], &[], |reg| {
+                for (i, bucket) in self.batch_sizes.iter().enumerate() {
+                    let count = load(bucket);
+                    if count == 0 {
+                        continue;
+                    }
+                    let size = if i < MAX_TRACKED_BATCH {
+                        format!("{}", i + 1)
+                    } else {
+                        format!(">{MAX_TRACKED_BATCH}")
+                    };
+                    reg.scope(&[], &[("size", &size)], |reg| {
+                        reg.counter(
+                            &size,
+                            "vitality_serve_batches_by_size_total",
+                            "Formed batches by size",
+                            count,
+                        )
+                    });
+                }
+            });
+        });
+        reg.scope(&["variants"], &[], |reg| {
+            let variants = self.variants.lock().expect("variant metrics lock poisoned");
+            for (label, stats) in variants.iter() {
+                reg.scope(&[label], &[("variant", label)], |reg| {
+                    reg.counter(
+                        "requests",
+                        "vitality_serve_variant_requests_total",
+                        "Requests answered, by attention variant",
+                        load(&stats.requests),
+                    );
+                    reg.histogram(
+                        "",
+                        "vitality_serve_variant_latency_us",
+                        "End-to-end request latency by attention variant, microseconds",
+                        &stats.latency,
+                    );
+                    for (stage, hist) in [
+                        ("queue_wait", &stats.queue_wait),
+                        ("compute", &stats.compute),
+                        ("write", &stats.write),
+                    ] {
+                        reg.scope(&["stages", stage], &[("stage", stage)], |reg| {
+                            reg.histogram(
+                                "",
+                                "vitality_serve_variant_stage_us",
+                                "Per-stage latency by attention variant, microseconds",
+                                hist,
+                            )
+                        });
+                    }
+                });
+            }
+        });
     }
 }
 
@@ -452,6 +395,14 @@ impl Default for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::json::JsonValue;
+
+    /// The JSON `/metrics` body the metrics block declares.
+    fn snapshot(m: &Metrics) -> JsonValue {
+        let mut reg = MetricsRegistry::new();
+        m.register(&mut reg);
+        reg.into_json()
+    }
 
     #[test]
     fn latency_buckets_are_geometric_and_inclusive() {
@@ -501,7 +452,7 @@ mod tests {
         m.variant("taylor").compute.record_us(300);
         m.variant("taylor").write.record_us(15);
 
-        let snap = m.snapshot_json();
+        let snap = snapshot(&m);
         let variants = snap.get("variants").expect("variants object");
         let t = variants.get("taylor").expect("taylor block");
         assert_eq!(t.get("requests").and_then(JsonValue::as_usize), Some(4));
@@ -519,7 +470,7 @@ mod tests {
 
     #[test]
     fn snapshot_reports_the_resolved_matmul_backend() {
-        let snap = Metrics::new().snapshot_json();
+        let snap = snapshot(&Metrics::new());
         let compute = snap.get("compute").expect("compute block");
         let backend = compute
             .get("matmul_backend")
@@ -543,7 +494,7 @@ mod tests {
         m.record_batch(MAX_TRACKED_BATCH + 10); // overflow bucket
         assert_eq!(m.max_batch(), MAX_TRACKED_BATCH + 1);
         assert!((m.mean_batch() - (1.0 + 7.0 + 7.0 + 74.0) / 4.0).abs() < 1e-9);
-        let snap = m.snapshot_json();
+        let snap = snapshot(&m);
         let dist = snap
             .get("batching")
             .and_then(|b| b.get("size_distribution"))

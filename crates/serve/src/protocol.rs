@@ -29,7 +29,7 @@
 use serde::json::JsonValue;
 
 use crate::batcher::InferReply;
-use crate::error::ServeError;
+use crate::error::{ServeError, WireError};
 use vitality_tensor::Matrix;
 
 /// Every optional `POST /v1/infer` field in one place, so adding a field does not
@@ -303,8 +303,8 @@ pub fn error_body(code: &str, message: &str) -> JsonValue {
     body
 }
 
-/// Builds the error body for a failed request.
-pub fn error_json(error: &ServeError) -> JsonValue {
+/// Builds the typed error body for a failed request.
+pub fn error_json(error: &impl WireError) -> JsonValue {
     error_body(error.code(), &error.to_string())
 }
 

@@ -120,6 +120,7 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::WireError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vitality_vit::AttentionVariant;
