@@ -103,8 +103,9 @@ impl FrontRequest<'_> {
 /// epoll wakeups, ready events per wake, the completion-queue depth, and
 /// saturation — the fraction of loop wall-clock spent *outside* `epoll_wait`
 /// (parsing, dispatching, writing). All lock-free; sampled by `/metrics` and
-/// `/healthz`. A server creates them before its front and hands them to
-/// [`EventFront::start`], so its handlers can read them from the first request.
+/// `/healthz`. The server shell creates them before its front and hands them
+/// to [`EventFront::start`], so its handlers can read them from the first
+/// request.
 #[derive(Debug, Default)]
 pub struct LoopStats {
     /// `epoll_wait` returns (including timeouts and waker wakeups).
