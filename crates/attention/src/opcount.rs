@@ -158,6 +158,64 @@ pub fn taylor_attention_ops(n: usize, d: usize) -> OpCounts {
     }
 }
 
+/// Operation counts of one head of **Linformer** (Table IV's low-rank baseline): keys and
+/// values are projected from `n` tokens down to `landmarks` tokens (at most `n`) before
+/// an `n x landmarks` softmax attention.
+///
+/// * multiplications: `4 n k d` (the two `k x n` projections plus the two products),
+/// * additions: `4 n k d + n k`, divisions and exponentiations: `n k` (the softmax).
+pub fn linformer_ops(n: usize, d: usize, landmarks: usize) -> OpCounts {
+    let k = landmarks.min(n) as u64;
+    let (n, d) = (n as u64, d as u64);
+    OpCounts {
+        mul: 4 * n * k * d,
+        add: 4 * n * k * d + n * k,
+        div: n * k,
+        exp: n * k,
+    }
+}
+
+/// Operation counts of one head of **Performer** (FAVOR+, Table IV's kernel baseline)
+/// with `features` positive random features: the feature maps (`2 n d m`), the context
+/// (`n m d`), the numerator (`n m d`) and the denominator (`n m`), with one exponential
+/// per feature-map entry.
+pub fn performer_ops(n: usize, d: usize, features: usize) -> OpCounts {
+    let m = features as u64;
+    let (n, d) = (n as u64, d as u64);
+    OpCounts {
+        mul: 2 * n * d * m + 2 * n * m * d + n * m,
+        add: 2 * n * d * m + 2 * n * m * d + 2 * n * m,
+        div: n * d + 2 * n * m,
+        exp: 2 * n * m,
+    }
+}
+
+/// Operation counts of one head of the **Linear Transformer** (`phi(x) = elu(x) + 1`):
+/// the same `O(n d²)` associativity trick as the Taylor attention, with elu's negative
+/// branch costing one exponential per entry (half the entries of `Q` and `K`).
+pub fn linear_kernel_ops(n: usize, d: usize) -> OpCounts {
+    let (n, d) = (n as u64, d as u64);
+    OpCounts {
+        mul: 2 * n * d * d + n * d,
+        add: 2 * n * d * d + 2 * n * d,
+        div: n * d,
+        exp: n * d,
+    }
+}
+
+/// Operation counts of one head of **Efficient Attention**
+/// (`softmax_rows(Q) (softmax_cols(K)ᵀ V)`): two `O(n d²)` products plus a softmax over
+/// each of `Q` and `K`.
+pub fn efficient_attention_ops(n: usize, d: usize) -> OpCounts {
+    let (n, d) = (n as u64, d as u64);
+    OpCounts {
+        mul: 2 * n * d * d,
+        add: 2 * n * d * d + 2 * n * d,
+        div: 2 * n * d,
+        exp: 2 * n * d,
+    }
+}
+
 /// The paper's Eq. (1): theoretical multiplication-count ratio between the vanilla softmax
 /// attention and the Taylor attention, `R_mul = 2n / (2d + 1) ≈ n / d`.
 pub fn theoretical_mul_ratio(n: usize, d: usize) -> f64 {
@@ -218,6 +276,58 @@ mod tests {
         assert_eq!(large.mul, small.mul * 2);
         assert_eq!(large.add, small.add * 2);
         assert_eq!(small.exp, 0);
+    }
+
+    /// The four linear baselines at Table IV's shape (n = 36, d = 8, 9 landmarks /
+    /// 8 features) and at DeiT-Tiny's (n = 197, d = 64, 49 landmarks / 64 features).
+    #[test]
+    fn linear_baseline_counts_are_pinned() {
+        assert_eq!(
+            linformer_ops(36, 8, 9),
+            OpCounts::new(10368, 10692, 324, 324)
+        );
+        assert_eq!(performer_ops(36, 8, 8), OpCounts::new(9504, 9792, 864, 576));
+        assert_eq!(
+            linear_kernel_ops(36, 8),
+            OpCounts::new(4896, 5184, 288, 288)
+        );
+        assert_eq!(
+            efficient_attention_ops(36, 8),
+            OpCounts::new(4608, 5184, 576, 576)
+        );
+        assert_eq!(
+            linformer_ops(197, 64, 49),
+            OpCounts::new(2471168, 2480821, 9653, 9653)
+        );
+        assert_eq!(
+            performer_ops(197, 64, 64),
+            OpCounts::new(3240256, 3252864, 37824, 25216)
+        );
+        assert_eq!(
+            linear_kernel_ops(197, 64),
+            OpCounts::new(1626432, 1639040, 12608, 12608)
+        );
+        assert_eq!(
+            efficient_attention_ops(197, 64),
+            OpCounts::new(1613824, 1639040, 25216, 25216)
+        );
+    }
+
+    #[test]
+    fn linear_baseline_counts_are_linear_in_tokens() {
+        let baselines: [fn(usize, usize) -> OpCounts; 4] = [
+            |n, d| linformer_ops(n, d, 32),
+            |n, d| performer_ops(n, d, 64),
+            linear_kernel_ops,
+            efficient_attention_ops,
+        ];
+        for (i, ops) in baselines.iter().enumerate() {
+            let (a, b) = (ops(128, 64), ops(256, 64));
+            assert_eq!(b.mul, a.mul * 2, "baseline {i}");
+            assert!(a.exp > 0, "baseline {i}");
+        }
+        // Linformer never projects to more landmarks than there are tokens.
+        assert_eq!(linformer_ops(8, 4, 32), linformer_ops(8, 4, 8));
     }
 
     #[test]

@@ -10,9 +10,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::format::{format_percent, render_table};
+use vitality_attention::opcount::{
+    efficient_attention_ops, linear_kernel_ops, linformer_ops, performer_ops,
+};
 use vitality_attention::{
-    AttentionKernel, EfficientAttention, LinearKernelAttention, LinformerAttention,
-    PerformerAttention, SangerSparseAttention, SoftmaxAttention, TaylorAttention,
+    AttentionKernel, SangerSparseAttention, SoftmaxAttention, TaylorAttention,
 };
 use vitality_train::{
     run_scheme_with_baseline, train_baseline, Adam, DatasetConfig, SchemeContext, SyntheticDataset,
@@ -149,7 +151,6 @@ pub fn table4_accuracy_flops(quick: bool) -> String {
         Some(&baseline_model),
     );
 
-    let mut rng = StdRng::seed_from_u64(99);
     let rows = vec![
         vec![
             "BASELINE (softmax)".to_string(),
@@ -177,10 +178,7 @@ pub fn table4_accuracy_flops(quick: bool) -> String {
             "(not trained; linear baseline)".to_string(),
             format!(
                 "{:.3}",
-                attention_gflops(
-                    LinformerAttention::new(&mut rng, tokens, tokens / 4)
-                        .op_counts(tokens, head_dim)
-                )
+                attention_gflops(linformer_ops(tokens, head_dim, tokens / 4))
             ),
             "paper 0.35 / 69.5%".to_string(),
         ],
@@ -190,10 +188,7 @@ pub fn table4_accuracy_flops(quick: bool) -> String {
             "(not trained; linear baseline)".to_string(),
             format!(
                 "{:.3}",
-                attention_gflops(
-                    PerformerAttention::new(&mut rng, head_dim, head_dim)
-                        .op_counts(tokens, head_dim)
-                )
+                attention_gflops(performer_ops(tokens, head_dim, head_dim))
             ),
             "paper 0.40 / 68.3%".to_string(),
         ],
@@ -203,7 +198,7 @@ pub fn table4_accuracy_flops(quick: bool) -> String {
             "(not trained; linear baseline)".to_string(),
             format!(
                 "{:.3}",
-                attention_gflops(LinearKernelAttention::new().op_counts(tokens, head_dim))
+                attention_gflops(linear_kernel_ops(tokens, head_dim))
             ),
             "-".to_string(),
         ],
@@ -213,7 +208,7 @@ pub fn table4_accuracy_flops(quick: bool) -> String {
             "(not trained; linear baseline)".to_string(),
             format!(
                 "{:.3}",
-                attention_gflops(EfficientAttention::new().op_counts(tokens, head_dim))
+                attention_gflops(efficient_attention_ops(tokens, head_dim))
             ),
             "-".to_string(),
         ],
