@@ -33,7 +33,6 @@
 
 #![deny(missing_docs)]
 
-pub mod dropout;
 pub mod embed;
 pub mod head;
 pub mod linear;
@@ -41,7 +40,6 @@ pub mod mlp;
 pub mod norm;
 pub mod registry;
 
-pub use dropout::Dropout;
 pub use embed::{patchify, PatchEmbed};
 pub use head::ClassificationHead;
 pub use linear::Linear;

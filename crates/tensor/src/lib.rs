@@ -21,7 +21,6 @@
 //!   `*_into` forms of the `Matrix` products, giving serving hot paths a zero-allocation
 //!   steady state (one workspace per thread: [`with_thread_workspace`], or the child
 //!   lanes of [`Workspace::lanes_mut`]).
-//! * [`Tensor3`] — a batched stack of equally-shaped matrices (batch or head dimension).
 //! * [`stats`] — histogram and interval-occupancy helpers used for the attention
 //!   distribution study (Fig. 3 of the paper).
 //! * [`init`] — deterministic random initialisers built on the `rand` crate.
@@ -49,7 +48,6 @@ pub mod matrix;
 pub mod parallel;
 pub mod simd;
 pub mod stats;
-pub mod tensor3;
 pub mod workspace;
 
 pub use aligned::{AlignedVec, SIMD_ALIGN};
@@ -57,7 +55,6 @@ pub use backend::{matmul_backend, set_matmul_backend, MatmulBackend};
 pub use error::{ShapeError, TensorResult};
 pub use matrix::Matrix;
 pub use simd::{cpu_features, CpuFeatures};
-pub use tensor3::Tensor3;
 pub use workspace::{with_thread_workspace, Workspace};
 
 /// Numerical tolerance used by the approximate-equality helpers in this workspace.
