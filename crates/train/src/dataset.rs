@@ -1,9 +1,10 @@
 //! Synthetic patch-pattern classification dataset.
 //!
-//! The dataset substitutes ImageNet in the accuracy experiments (see the substitution table
-//! in `DESIGN.md`). Each class is defined by an oriented sinusoidal grating whose phase is
-//! randomised per sample, combined with a class-specific bright patch location; Gaussian
-//! pixel noise makes the task non-trivial. Telling the classes apart requires combining
+//! The dataset substitutes ImageNet in the accuracy experiments: the reproduced quantity
+//! is the ordering between training schemes, not the paper's ImageNet accuracies. Each
+//! class is defined by an oriented sinusoidal grating whose phase is randomised per
+//! sample, combined with a class-specific bright patch location; Gaussian pixel noise
+//! makes the task non-trivial. Telling the classes apart requires combining
 //! *global* structure (the grating orientation/frequency — what attention is good at) with
 //! *local* structure (the bright patch — what the sparse "strong connection" component
 //! helps with), which is exactly the tension the ViTALiTy training scheme resolves.

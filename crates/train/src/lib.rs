@@ -2,9 +2,9 @@
 //!
 //! The paper's accuracy results (Fig. 10, Fig. 13, Fig. 14, Fig. 15, Table IV) come from
 //! fine-tuning ImageNet ViTs; this reproduction substitutes a synthetic patch-pattern
-//! classification task (documented in `DESIGN.md`) and trains the structurally faithful
-//! [`VisionTransformer`](vitality_vit::VisionTransformer) from `vitality-vit` with the
-//! paper's four training schemes:
+//! classification task (documented in the [`dataset`] module) and trains the
+//! structurally faithful [`VisionTransformer`](vitality_vit::VisionTransformer) from
+//! `vitality-vit` with the paper's four training schemes:
 //!
 //! * **BASELINE** — vanilla softmax attention.
 //! * **SPARSE** — Sanger-style sparse attention (threshold `T = 0.02`).
@@ -13,21 +13,19 @@
 //! * **VITALITY** — fine-tune with the unified low-rank + sparse attention (optionally
 //!   with knowledge distillation), then drop the sparse component for inference.
 //!
-//! The crate provides the synthetic dataset, SGD/Adam optimisers, the training loop with
+//! The crate provides the synthetic dataset, the AdamW optimiser, the training loop with
 //! knowledge distillation, the scheme runner, and the sparse-occupancy tracker behind
 //! Fig. 14.
 
 #![deny(missing_docs)]
 
 pub mod dataset;
-pub mod metrics;
 pub mod optimizer;
 pub mod schemes;
 pub mod trainer;
 
 pub use dataset::{DatasetConfig, SyntheticDataset};
-pub use metrics::{accuracy, confusion_matrix};
-pub use optimizer::{Adam, GradientMap, Optimizer, Sgd};
+pub use optimizer::{Adam, GradientMap};
 pub use schemes::{
     run_scheme, run_scheme_with_baseline, train_baseline, SchemeContext, SchemeOutcome,
     TrainingScheme,

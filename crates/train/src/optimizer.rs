@@ -71,89 +71,6 @@ impl GradientMap {
     }
 }
 
-/// An optimiser that updates a model's named parameters from the gradients of one step.
-///
-/// Optimisers keep their state (momentum buffers, Adam moments) keyed by parameter name,
-/// so the same optimiser instance can be reused across training steps even though the
-/// autograd graph is rebuilt every step.
-pub trait Optimizer {
-    /// Applies one update step from gradients accumulated by name.
-    ///
-    /// Parameters without a gradient (e.g. layers that did not participate in the loss)
-    /// are left untouched.
-    fn step(&mut self, model: &mut dyn NamedParameters, grads: &GradientMap);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (used by schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with classical momentum and decoupled weight decay.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: HashMap<String, Matrix>,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate, momentum coefficient and weight decay.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the learning rate is not positive or momentum is outside `[0, 1)`.
-    pub fn new(lr: f32, momentum: f32, weight_decay: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!(
-            (0.0..1.0).contains(&momentum),
-            "momentum must lie in [0, 1)"
-        );
-        Self {
-            lr,
-            momentum,
-            weight_decay,
-            velocity: HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, model: &mut dyn NamedParameters, grads: &GradientMap) {
-        let lr = self.lr;
-        let momentum = self.momentum;
-        let weight_decay = self.weight_decay;
-        let velocity = &mut self.velocity;
-        model.visit_parameters_mut("", &mut |name, value| {
-            let Some(grad) = grads.get(name) else {
-                return;
-            };
-            let buffer = velocity
-                .entry(name.to_string())
-                .or_insert_with(|| Matrix::zeros(value.rows(), value.cols()));
-            for ((v, g), w) in buffer
-                .as_mut_slice()
-                .iter_mut()
-                .zip(grad.as_slice().iter())
-                .zip(value.as_mut_slice().iter_mut())
-            {
-                *v = momentum * *v + g + weight_decay * *w;
-                *w -= lr * *v;
-            }
-        });
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 /// Adam with decoupled weight decay (AdamW), the optimiser DeiT fine-tuning uses.
 #[derive(Debug, Clone)]
 pub struct Adam {
@@ -191,10 +108,13 @@ impl Adam {
     pub fn steps_taken(&self) -> u64 {
         self.step
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, model: &mut dyn NamedParameters, grads: &GradientMap) {
+    /// Applies one update step from gradients accumulated by name.
+    ///
+    /// The moments are keyed by parameter name, so one optimiser serves every step even
+    /// though the autograd graph is rebuilt each time. Parameters without a gradient
+    /// (layers that did not take part in the loss) are left untouched.
+    pub fn step(&mut self, model: &mut dyn NamedParameters, grads: &GradientMap) {
         self.step += 1;
         let lr = self.lr;
         let (beta1, beta2, eps, wd) = (self.beta1, self.beta2, self.eps, self.weight_decay);
@@ -228,14 +148,6 @@ impl Optimizer for Adam {
             }
         });
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -247,7 +159,7 @@ mod tests {
 
     /// Runs a few optimisation steps of `w` toward minimising `|x w - y|^2` and returns the
     /// final loss.
-    fn optimise(optimizer: &mut dyn Optimizer, steps: usize) -> f32 {
+    fn optimise(optimizer: &mut Adam, steps: usize) -> f32 {
         let x = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]).unwrap();
         let y = Matrix::from_rows(&[vec![2.0], vec![-1.0], vec![1.0]]).unwrap();
         let mut layer = Linear::from_weights(Matrix::zeros(2, 1), None);
@@ -266,14 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_reduces_the_loss_of_a_least_squares_problem() {
-        let mut sgd = Sgd::new(0.1, 0.9, 0.0);
-        assert_eq!(sgd.learning_rate(), 0.1);
-        let loss = optimise(&mut sgd, 100);
-        assert!(loss < 0.05, "final loss {loss}");
-    }
-
-    #[test]
     fn adam_reduces_the_loss_of_a_least_squares_problem() {
         let mut adam = Adam::new(0.05, 0.0);
         let loss = optimise(&mut adam, 150);
@@ -282,36 +186,26 @@ mod tests {
     }
 
     #[test]
-    fn learning_rate_can_be_rescheduled() {
-        let mut adam = Adam::new(0.05, 0.0);
-        adam.set_learning_rate(0.01);
-        assert_eq!(adam.learning_rate(), 0.01);
-        let mut sgd = Sgd::new(0.1, 0.0, 0.0);
-        sgd.set_learning_rate(0.2);
-        assert_eq!(sgd.learning_rate(), 0.2);
-    }
-
-    #[test]
     fn weight_decay_shrinks_unused_directions() {
-        // With a zero gradient signal on one component, weight decay should still shrink it.
-        let mut layer = Linear::from_weights(Matrix::filled(1, 1, 1.0), None);
-        let mut sgd = Sgd::new(0.1, 0.0, 0.5);
-        for _ in 0..10 {
-            let graph = Graph::new();
-            let mut reg = ParamRegistry::new();
-            // Loss does not depend on the weight's sign strongly: use y = 0 target with x = 0.
-            let pred = layer.forward(&graph, &mut reg, "", &graph.constant(Matrix::zeros(1, 1)));
-            let loss = pred.hadamard(&pred).mean_all();
-            let grads = graph.backward(&loss);
-            sgd.step(&mut layer, &GradientMap::from_registry(&reg, &grads));
-        }
-        assert!(layer.weight().get(0, 0) < 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "learning rate")]
-    fn sgd_rejects_zero_learning_rate() {
-        let _ = Sgd::new(0.0, 0.0, 0.0);
+        // A zero input gives the weight a zero gradient, so only the decoupled decay
+        // moves it: each step multiplies it by `1 - lr * weight_decay`.
+        let decayed_weight = |weight_decay: f32| {
+            let mut layer = Linear::from_weights(Matrix::filled(1, 1, 1.0), None);
+            let mut adam = Adam::new(0.1, weight_decay);
+            for _ in 0..10 {
+                let graph = Graph::new();
+                let mut reg = ParamRegistry::new();
+                let pred =
+                    layer.forward(&graph, &mut reg, "", &graph.constant(Matrix::zeros(1, 1)));
+                let loss = pred.hadamard(&pred).mean_all();
+                let grads = graph.backward(&loss);
+                adam.step(&mut layer, &GradientMap::from_registry(&reg, &grads));
+            }
+            layer.weight().get(0, 0)
+        };
+        assert_eq!(decayed_weight(0.0), 1.0);
+        let expected = (1.0f32 - 0.1 * 0.5).powi(10);
+        assert!((decayed_weight(0.5) - expected).abs() < 1e-5);
     }
 
     #[test]

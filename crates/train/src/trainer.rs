@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::SyntheticDataset;
-use crate::optimizer::{GradientMap, Optimizer};
+use crate::optimizer::{Adam, GradientMap};
 use vitality_autograd::Graph;
 use vitality_nn::registry::ParamRegistry;
 use vitality_tensor::Matrix;
@@ -100,7 +100,7 @@ impl Trainer {
     pub fn train(
         &self,
         model: &mut VisionTransformer,
-        optimizer: &mut dyn Optimizer,
+        optimizer: &mut Adam,
         dataset: &SyntheticDataset,
         teacher: Option<&VisionTransformer>,
     ) -> Vec<EpochStats> {
