@@ -86,7 +86,7 @@
 //! ```
 
 use crate::opcount::OpCounts;
-use crate::sparse::{quantize_symmetric_into, SangerSparseAttention};
+use crate::sparse::{quantize_symmetric_into, SangerSparseAttention, PREDICTION_BITS};
 use crate::validate_qkv;
 use std::fmt;
 use vitality_autograd::Var;
@@ -357,9 +357,9 @@ pub(crate) fn add_masked_strong_residual(
 
     // Sanger predicts on the mean-centred logits, matching the training pipeline.
     let mut q_p = ws.take(n_q, d_k);
-    quantize_symmetric_into(q, sparse.quant_bits(), &mut q_p);
+    quantize_symmetric_into(q, PREDICTION_BITS, &mut q_p);
     let mut k_p = ws.take(n, d_k);
-    quantize_symmetric_into(k_hat, sparse.quant_bits(), &mut k_p);
+    quantize_symmetric_into(k_hat, PREDICTION_BITS, &mut k_p);
 
     let bs_max = ROW_BLOCK.min(n_q.max(1));
     let mut exact = ws.take_vec(bs_max * n);

@@ -64,7 +64,7 @@ pub use quantized::{
     INT8_UNIFIED_TOLERANCE,
 };
 pub use softmax::SoftmaxAttention;
-pub use sparse::{quantize_symmetric, quantize_symmetric_into, PackedMask, SangerSparseAttention};
+pub use sparse::{quantize_symmetric, quantize_symmetric_into, SangerSparseAttention};
 pub use taxonomy::{AttentionFamily, PostProcessorKind, PreProcessorKind, TaxonomyEntry};
 pub use taylor::{mean_center_keys, TaylorAttention, TaylorTrace};
 pub use unified::UnifiedLowRankSparseAttention;

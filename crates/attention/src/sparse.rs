@@ -2,11 +2,11 @@
 //!
 //! Sanger (MICRO'21) predicts which attention entries matter by computing a *quantized*
 //! low-precision estimate of the softmax attention map, thresholding it into a binary
-//! mask, and then computing the exact attention only at the surviving positions. The mask
-//! is further "packed and split" into hardware-friendly structured blocks for its
-//! reconfigurable systolic array. The ViTALiTy paper uses this mechanism both as its
-//! SPARSE baseline and as the training-time regulariser that approximates the "strong"
-//! higher-order Taylor terms.
+//! mask, and then computing the exact attention only at the surviving positions. Its
+//! accelerator further "packs and splits" the mask into load-balanced blocks; that is a
+//! hardware cost, modelled by the Sanger simulator in `vitality-baselines`. The ViTALiTy
+//! paper uses this mechanism both as its SPARSE baseline and as the training-time
+//! regulariser that approximates the "strong" higher-order Taylor terms.
 
 use crate::kernel::{validate_out, AttentionKernel};
 use crate::opcount::{vanilla_softmax_ops, OpCounts};
@@ -15,8 +15,8 @@ use crate::taylor::mean_center_keys;
 use vitality_autograd::Var;
 use vitality_tensor::{Matrix, Workspace};
 
-/// Default sparsity threshold used by the SPARSE baseline (Sanger's published default).
-pub const DEFAULT_SPARSITY_THRESHOLD: f32 = 0.02;
+/// Bit-width of Sanger's quantized prediction pass.
+pub(crate) const PREDICTION_BITS: u32 = 4;
 
 /// Quantizes a matrix to a signed integer grid with the given number of bits
 /// (symmetric per-matrix scaling), returning the de-quantized approximation.
@@ -58,110 +58,11 @@ pub fn quantize_symmetric_into(m: &Matrix, bits: u32, out: &mut Matrix) {
     }
 }
 
-/// A binary attention mask packed into row-blocks, with the per-block occupancy metadata
-/// the Sanger accelerator's load balancer ("pack and split") consumes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedMask {
-    mask: Matrix,
-    block_rows: usize,
-    row_nnz: Vec<usize>,
-    block_nnz: Vec<usize>,
-}
-
-impl PackedMask {
-    /// Packs a binary mask into blocks of `block_rows` rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `block_rows == 0`.
-    pub fn new(mask: Matrix, block_rows: usize) -> Self {
-        assert!(block_rows > 0, "block_rows must be positive");
-        let row_nnz: Vec<usize> = (0..mask.rows())
-            .map(|r| mask.row(r).iter().filter(|&&v| v != 0.0).count())
-            .collect();
-        let block_nnz = row_nnz
-            .chunks(block_rows)
-            .map(|chunk| chunk.iter().sum())
-            .collect();
-        Self {
-            mask,
-            block_rows,
-            row_nnz,
-            block_nnz,
-        }
-    }
-
-    /// The underlying binary mask.
-    pub fn mask(&self) -> &Matrix {
-        &self.mask
-    }
-
-    /// Rows per packed block.
-    pub fn block_rows(&self) -> usize {
-        self.block_rows
-    }
-
-    /// Non-zero count per row.
-    pub fn row_nnz(&self) -> &[usize] {
-        &self.row_nnz
-    }
-
-    /// Non-zero count per packed row-block.
-    pub fn block_nnz(&self) -> &[usize] {
-        &self.block_nnz
-    }
-
-    /// Total number of surviving attention entries.
-    pub fn total_nnz(&self) -> usize {
-        self.row_nnz.iter().sum()
-    }
-
-    /// Column indices of the surviving entries in `row`, in ascending order.
-    ///
-    /// This is the access pattern the fused unified kernel's SDDMM-style correction
-    /// consumes: the strong residual is evaluated only at these positions.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `row >= mask.rows()`.
-    pub fn row_indices(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
-        self.mask
-            .row(row)
-            .iter()
-            .enumerate()
-            .filter_map(|(j, &v)| (v != 0.0).then_some(j))
-    }
-
-    /// Overall attention density (`nnz / n²`).
-    pub fn density(&self) -> f32 {
-        if self.mask.is_empty() {
-            return 0.0;
-        }
-        self.total_nnz() as f32 / self.mask.len() as f32
-    }
-
-    /// Load-imbalance factor across blocks: `max_block_nnz / mean_block_nnz`. A perfectly
-    /// balanced mask (what pack-and-split aims for) has a factor of 1.
-    pub fn load_imbalance(&self) -> f32 {
-        if self.block_nnz.is_empty() {
-            return 1.0;
-        }
-        let max = *self.block_nnz.iter().max().unwrap() as f32;
-        let mean = self.total_nnz() as f32 / self.block_nnz.len() as f32;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
-}
-
 /// Sanger-style sparse attention: quantized prediction, threshold mask, exact sparse
 /// softmax attention at the surviving positions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SangerSparseAttention {
     threshold: f32,
-    quant_bits: u32,
 }
 
 impl SangerSparseAttention {
@@ -171,27 +72,11 @@ impl SangerSparseAttention {
     ///
     /// Panics when the threshold is outside `[0, 1]`.
     pub fn new(threshold: f32) -> Self {
-        Self::with_quantization(threshold, 4)
-    }
-
-    /// Creates a sparse attention with an explicit prediction bit-width.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the threshold is outside `[0, 1]` or the bit-width outside `[2, 16]`.
-    pub fn with_quantization(threshold: f32, quant_bits: u32) -> Self {
         assert!(
             (0.0..=1.0).contains(&threshold),
             "threshold must lie in [0, 1]"
         );
-        assert!(
-            (2..=16).contains(&quant_bits),
-            "quantization bits must be in [2, 16]"
-        );
-        Self {
-            threshold,
-            quant_bits,
-        }
+        Self { threshold }
     }
 
     /// Configured sparsity threshold.
@@ -199,15 +84,10 @@ impl SangerSparseAttention {
         self.threshold
     }
 
-    /// Configured prediction bit-width.
-    pub fn quant_bits(&self) -> u32 {
-        self.quant_bits
-    }
-
     /// The quantized prediction of the softmax attention map used to derive the mask.
     pub fn predicted_attention(&self, q: &Matrix, k: &Matrix) -> Matrix {
-        let q_q = quantize_symmetric(q, self.quant_bits);
-        let k_q = quantize_symmetric(k, self.quant_bits);
+        let q_q = quantize_symmetric(q, PREDICTION_BITS);
+        let k_q = quantize_symmetric(k, PREDICTION_BITS);
         scaled_similarity(&q_q, &k_q).softmax_rows()
     }
 
@@ -231,11 +111,6 @@ impl SangerSparseAttention {
             }
         }
         mask
-    }
-
-    /// Packs the prediction mask into row-blocks for the Sanger accelerator model.
-    pub fn pack_and_split(&self, q: &Matrix, k: &Matrix, block_rows: usize) -> PackedMask {
-        PackedMask::new(self.prediction_mask(q, k), block_rows)
     }
 
     /// The exact sparse softmax attention map: full-precision logits, masked positions set
@@ -388,37 +263,6 @@ mod tests {
         let dense = SoftmaxAttention::new().compute(&q, &k, &v);
         let nearly_dense = SangerSparseAttention::new(0.0).compute(&q, &k, &v);
         assert!(dense.approx_eq(&nearly_dense, 1e-3));
-    }
-
-    #[test]
-    fn packed_mask_statistics() {
-        let mask = Matrix::from_rows(&[
-            vec![1.0, 0.0, 1.0, 0.0],
-            vec![1.0, 1.0, 1.0, 1.0],
-            vec![0.0, 0.0, 1.0, 0.0],
-            vec![1.0, 0.0, 0.0, 0.0],
-        ])
-        .unwrap();
-        let packed = PackedMask::new(mask, 2);
-        assert_eq!(packed.block_rows(), 2);
-        assert_eq!(packed.row_nnz(), &[2, 4, 1, 1]);
-        assert_eq!(packed.block_nnz(), &[6, 2]);
-        assert_eq!(packed.total_nnz(), 8);
-        assert!((packed.density() - 0.5).abs() < 1e-6);
-        assert!((packed.load_imbalance() - 6.0 / 4.0).abs() < 1e-6);
-        assert_eq!(packed.mask().rows(), 4);
-    }
-
-    #[test]
-    fn pack_and_split_uses_prediction_mask() {
-        let (q, k, _) = qkv(16, 8, 35);
-        let attn = SangerSparseAttention::with_quantization(0.05, 4);
-        assert_eq!(attn.threshold(), 0.05);
-        assert_eq!(attn.quant_bits(), 4);
-        let packed = attn.pack_and_split(&q, &k, 4);
-        assert_eq!(packed.row_nnz().len(), 16);
-        assert_eq!(packed.block_nnz().len(), 4);
-        assert_eq!(packed.total_nnz(), attn.prediction_mask(&q, &k).nnz());
     }
 
     #[test]

@@ -99,9 +99,8 @@ impl AttentionKernel for UnifiedLowRankSparseAttention {
     /// 2. the **sparse** part evaluates the strong residual `softmax_ij − weak_ij` only
     ///    at the positions surviving the Sanger mask (threshold on the quantized
     ///    softmax prediction, argmax fallback — the same rule
-    ///    [`SangerSparseAttention::prediction_mask`] applies, hence the same row indices
-    ///    a [`PackedMask`](crate::PackedMask) built from it would report), 64 query
-    ///    rows at a time, accumulating `strong_ij · v_j` onto the low-rank output row.
+    ///    [`SangerSparseAttention::prediction_mask`] applies, hence the same surviving
+    ///    columns per row as that dense mask), 64 query rows at a time, accumulating `strong_ij · v_j` onto the low-rank output row.
     fn compute_into(
         &self,
         q: &Matrix,
@@ -284,19 +283,20 @@ mod tests {
     }
 
     #[test]
-    fn packed_mask_rows_keep_at_least_one_in_bounds_survivor() {
-        // The fused kernel's per-row mask rule is the dense prediction mask that
-        // PackedMask packs; every row must keep an in-bounds entry (the argmax
-        // fallback). Full functional agreement is covered by
-        // `fused_kernel_matches_the_traced_reference`.
+    fn prediction_mask_rows_keep_at_least_one_in_bounds_survivor() {
+        // The fused kernel's per-row mask rule is the dense prediction mask; every row
+        // must keep an in-bounds entry (the argmax fallback). Full functional agreement
+        // is covered by `fused_kernel_matches_the_traced_reference`.
         let (q, k, _) = qkv(24, 8, 0.8, 70);
         let unified = UnifiedLowRankSparseAttention::new(0.1);
         let mask = unified.sparse().prediction_mask(&q, &mean_center_keys(&k));
-        let packed = crate::PackedMask::new(mask, 4);
+        assert_eq!(mask.shape(), (24, 24));
         for r in 0..24 {
-            let indices: Vec<usize> = packed.row_indices(r).collect();
-            assert!(!indices.is_empty(), "row {r} lost every entry");
-            assert!(indices.iter().all(|&j| j < 24));
+            assert!(
+                mask.row(r).iter().any(|&m| m != 0.0),
+                "row {r} lost every entry"
+            );
+            assert!(mask.row(r).iter().all(|&m| m == 0.0 || m == 1.0));
         }
     }
 
