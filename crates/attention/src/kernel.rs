@@ -235,7 +235,7 @@ pub(crate) fn taylor_aggregates_from_centred(
 /// GEMM; the epilogue (denominator dot, `v_sum` shift, normalisation) is one cheap
 /// `O(nd)` sweep folded over the product rows. `denoms` (length `n_q`) receives each
 /// row's Taylor denominator `t_D = n sqrt(d) + q_i \hat{k}_{sum}^T`, which the
-/// unified kernels reuse for the weak map's normaliser.
+/// unified kernel reuses for the weak map's normaliser.
 // The argument list is the full Algorithm-1 aggregate set plus the two output
 // buffers; bundling them into a struct would just move the same ten names one
 // level down for the three call sites.
@@ -328,7 +328,7 @@ fn sanger_row_survivors(
     }
 }
 
-/// The sparse half of the unified kernels: adds the masked strong residual
+/// The sparse half of the unified kernel: adds the masked strong residual
 /// `Σ_j mask_ij (softmax_ij − weak_ij) v_j` onto the low-rank rows already in `out`,
 /// without any `n x n` intermediate.
 ///
@@ -337,8 +337,7 @@ fn sanger_row_survivors(
 /// [`sanger_row_survivors`] picks the positions where the residual is evaluated, and
 /// only those SDDMM-style terms accumulate `strong_ij · v_j` onto the output row.
 /// `denoms` holds each row's Taylor denominator `t_D` as [`low_rank_outputs`] left it,
-/// so the weak map is normalised by what the low-rank half actually produced — f32 or
-/// integer. Shared by the f32 and int8 unified kernels so the two cannot drift apart.
+/// so the weak map is normalised by what the low-rank half actually produced.
 pub(crate) fn add_masked_strong_residual(
     sparse: &SangerSparseAttention,
     q: &Matrix,

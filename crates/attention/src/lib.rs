@@ -15,9 +15,8 @@
 //! [`AttentionKernel`] (see the [`kernel`] module): `compute_into`, the allocation-free
 //! production path the ViT inference hot path and the serving engine run on;
 //! `forward_train`, the same mechanism on the autograd tape; and the `op_counts` model
-//! the op-count tables read. So do the int8-quantized [`QuantizedTaylorKernel`] /
-//! [`QuantizedUnifiedKernel`] pair (see the [`quantized`] module) that reproduce the
-//! accelerator's integer deployment path. Each mechanism also keeps one unfused,
+//! the op-count tables read. So does the int8-quantized [`QuantizedTaylorKernel`] (see
+//! the [`quantized`] module) that reproduces the accelerator's integer deployment path. Each mechanism also keeps one unfused,
 //! allocating **reference** as an inherent method — `attention_map(q, k) · V`,
 //! [`TaylorAttention::compute_with_trace`],
 //! [`UnifiedLowRankSparseAttention::compute_traced`] — which the conformance suite
@@ -59,10 +58,7 @@ pub mod unified;
 
 pub use kernel::AttentionKernel;
 pub use opcount::OpCounts;
-pub use quantized::{
-    Int8Calibration, QuantizedTaylorKernel, QuantizedUnifiedKernel, INT8_TAYLOR_TOLERANCE,
-    INT8_UNIFIED_TOLERANCE,
-};
+pub use quantized::{Int8Calibration, QuantizedTaylorKernel, INT8_TAYLOR_TOLERANCE};
 pub use softmax::SoftmaxAttention;
 pub use sparse::{quantize_symmetric, quantize_symmetric_into, SangerSparseAttention};
 pub use taxonomy::{AttentionFamily, PostProcessorKind, PreProcessorKind, TaxonomyEntry};
@@ -111,7 +107,6 @@ mod tests {
             Box::new(SangerSparseAttention::new(0.02)),
             Box::new(UnifiedLowRankSparseAttention::new(0.5)),
             Box::new(QuantizedTaylorKernel::new(Int8Calibration::Dynamic)),
-            Box::new(QuantizedUnifiedKernel::new(0.5, Int8Calibration::Dynamic)),
         ];
         for m in &kernels {
             let z = m.compute(&q, &k, &v);

@@ -1,22 +1,14 @@
-//! Int8-quantized attention kernels: the ViTALiTy accelerator's integer arithmetic
-//! pushed through the [`AttentionKernel`] serving interface.
+//! The int8-quantized Taylor attention kernel: the ViTALiTy accelerator's integer
+//! arithmetic pushed through the [`AttentionKernel`] serving interface.
 //!
-//! The ViTALiTy accelerator runs its low-rank Taylor path (and the Sanger-style sparse
-//! correction) on quantized arithmetic; Sanger itself quantizes its prediction pass to
-//! 4 bits to make masking cheap. This module reproduces that deployment path in the
-//! software model:
-//!
-//! * [`QuantizedTaylorKernel`] (label `int8`) — the linear Taylor attention with
-//!   `Q`/`K̂`/`V` quantized **per head** to symmetric int8, the fused Algorithm-1
-//!   accumulation (`G = K̂ᵀV`, `k̂_sum`, `v_sum`) running exactly on `i32` integer
-//!   accumulators through the integer GEMM, and `f32` dequantization only at the
-//!   output stage (one `O(d²)` scale sweep over the finished aggregates, then the
-//!   fused Steps-4–6 output loop shared with the f32 kernel).
-//! * [`QuantizedUnifiedKernel`] (label `int8-unified`) — the unified low-rank + sparse
-//!   path with the same integer low-rank half, reusing the existing quantized-logit
-//!   Sanger prediction mask (the 4-bit [`quantize_symmetric_into`] grid, the same
-//!   threshold/argmax rule as [`SangerSparseAttention::prediction_mask`]) to select
-//!   where the strong residual is evaluated.
+//! The ViTALiTy accelerator runs its low-rank Taylor path on quantized arithmetic. This
+//! module reproduces that deployment path in the software model:
+//! [`QuantizedTaylorKernel`] (label `int8`) is the linear Taylor attention with
+//! `Q`/`K̂`/`V` quantized **per head** to symmetric int8, the fused Algorithm-1
+//! accumulation (`G = K̂ᵀV`, `k̂_sum`, `v_sum`) running exactly on `i32` integer
+//! accumulators through the integer GEMM, and `f32` dequantization only at the output
+//! stage (one `O(d²)` scale sweep over the finished aggregates, then the fused
+//! Steps-4–6 output loop shared with the f32 kernel).
 //!
 //! # Calibration
 //!
@@ -30,26 +22,21 @@
 //!
 //! # Accuracy contract
 //!
-//! Both kernels are differentially gated against their f32 references by the kernel
-//! conformance suite (`tests/kernel_conformance.rs`): [`INT8_TAYLOR_TOLERANCE`] vs the
-//! f32 Taylor trace and [`INT8_UNIFIED_TOLERANCE`] vs the traced unified reference, at
-//! the suite's input scales. The error budget is the symmetric-quantization step
+//! The kernel is differentially gated against its f32 reference by the kernel
+//! conformance suite (`tests/kernel_conformance.rs`): within [`INT8_TAYLOR_TOLERANCE`]
+//! of the f32 Taylor trace at the suite's input scales. The error budget is the symmetric-quantization step
 //! (`absmax/127` per operand, three quantized operands, normalised output), not a
 //! numerical-stability artefact: halving the input magnitude halves the divergence.
 //!
-//! Training always runs in f32 — `forward_train` falls back to the f32 kernels, which
+//! Training always runs in f32 — `forward_train` falls back to the f32 kernel, which
 //! mirrors the paper's deployment (quantization is an inference/accelerator concern,
 //! not a training scheme).
 
 use crate::kernel::{
-    add_masked_strong_residual, center_keys_into, fill_k_bar, low_rank_outputs, validate_out,
-    AttentionKernel,
+    center_keys_into, fill_k_bar, low_rank_outputs, validate_out, AttentionKernel,
 };
 use crate::opcount::OpCounts;
-#[cfg(doc)]
-use crate::sparse::{quantize_symmetric_into, SangerSparseAttention};
 use crate::taylor::TaylorAttention;
-use crate::unified::UnifiedLowRankSparseAttention;
 use vitality_autograd::Var;
 use vitality_tensor::backend::IntOperand;
 // `absmax` dispatches to the AVX2 `vandnps`/`vmaxps` sweep when the host supports it;
@@ -62,11 +49,7 @@ use vitality_tensor::{matmul_backend, AlignedVec, MatmulBackend, Matrix, Workspa
 /// Taylor trace at the conformance suite's input scales (|entries| ≲ 1.5).
 pub const INT8_TAYLOR_TOLERANCE: f32 = 0.05;
 
-/// Documented conformance tolerance of [`QuantizedUnifiedKernel`] against the traced
-/// f32 unified reference at the conformance suite's input scales (|entries| ≲ 1.5).
-pub const INT8_UNIFIED_TOLERANCE: f32 = 0.08;
-
-/// How an int8 kernel derives its per-head quantization scales.
+/// How the int8 kernel derives its per-head quantization scales.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Int8Calibration {
     /// Measure the absmax of each head's `Q` / centred `K̂` / `V` at every call.
@@ -169,7 +152,7 @@ impl Int8LowRank {
     ///
     /// `k_hat` is the **already mean-centred** key buffer (`n × d_k` row-major) —
     /// centring happens before quantization to keep the logits small (the point of
-    /// the Taylor expansion), and both callers already have the centred keys in hand.
+    /// the Taylor expansion), and the caller already has the centred keys in hand.
     fn accumulate(
         q: &Matrix,
         k_hat: &[f32],
@@ -251,7 +234,7 @@ impl Int8LowRank {
     /// Taylor kernel, driven by the query's integer lattice over the scale-folded
     /// aggregates: `out_i = (sqrt(d) v_sum + q_i G) / (n sqrt(d) + q_i k̂_sum)` with
     /// every operand on the int8 grid. Fills `denoms` with each row's Taylor
-    /// denominator `t_D` for the unified kernel's weak normaliser.
+    /// denominator `t_D`, as [`low_rank_outputs`] does for every caller.
     fn output_sweep(
         &self,
         backend: MatmulBackend,
@@ -365,113 +348,6 @@ impl AttentionKernel for QuantizedTaylorKernel {
     }
 }
 
-/// The int8-quantized unified low-rank + sparse attention (serving label
-/// `int8-unified`).
-///
-/// The low-rank half is the integer Algorithm-1 accumulation of
-/// [`QuantizedTaylorKernel`]; the sparse half reuses the existing quantized-logit
-/// prediction mask — the 4-bit [`quantize_symmetric_into`] grid with
-/// [`SangerSparseAttention::prediction_mask`]'s threshold/argmax rule, shared with the
-/// f32 unified kernel through one mask-rule implementation — to pick the positions
-/// where the strong residual `softmax_ij − weak_ij` corrects the integer low-rank row.
-/// The residual itself is evaluated in f32 (it is the correction term; quantizing it
-/// would defeat its purpose), normalised by the *integer* row's Taylor denominator so
-/// the correction matches what the low-rank half actually produced.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuantizedUnifiedKernel {
-    reference: UnifiedLowRankSparseAttention,
-    calibration: Int8Calibration,
-}
-
-impl QuantizedUnifiedKernel {
-    /// Creates the kernel with the given sparsity threshold and calibration mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the threshold is outside `[0, 1]`.
-    pub fn new(threshold: f32, calibration: Int8Calibration) -> Self {
-        Self {
-            reference: UnifiedLowRankSparseAttention::new(threshold),
-            calibration,
-        }
-    }
-
-    /// The sparsity threshold of the sparse component.
-    pub fn threshold(&self) -> f32 {
-        self.reference.threshold()
-    }
-
-    /// The configured calibration mode.
-    pub fn calibration(&self) -> Int8Calibration {
-        self.calibration
-    }
-
-    /// The traced f32 reference this kernel is differentially tested against.
-    pub fn reference(&self) -> UnifiedLowRankSparseAttention {
-        self.reference
-    }
-}
-
-impl AttentionKernel for QuantizedUnifiedKernel {
-    fn label(&self) -> &'static str {
-        "int8-unified"
-    }
-
-    fn compute_into(
-        &self,
-        q: &Matrix,
-        k: &Matrix,
-        v: &Matrix,
-        ws: &mut Workspace,
-        out: &mut Matrix,
-    ) {
-        validate_out(q, k, v, out);
-        let n = k.rows();
-        let d_k = k.cols();
-        let sqrt_d = (q.cols() as f32).sqrt();
-
-        // Mean-centred keys, f32: the integer accumulation quantizes them, the exact
-        // residual logits read them as they are.
-        let mut k_bar = ws.take_vec(d_k);
-        fill_k_bar(k, true, &mut k_bar);
-        let mut k_hat = ws.take(n, d_k);
-        center_keys_into(k, &k_bar, k_hat.as_mut_slice());
-
-        // Integer low-rank aggregates (the int8 Taylor accumulation) and the full
-        // GEMM-backed low-rank output sweep; the residual pass — identical to the f32
-        // unified kernel's — then applies the SDDMM correction on top, normalised by
-        // the integer rows' own denominators.
-        let lr = Int8LowRank::accumulate(q, k_hat.as_slice(), v, self.calibration, ws);
-        let n_sqrt_d = n as f32 * sqrt_d;
-        let mut denoms = ws.take_vec(q.rows());
-        lr.output_sweep(
-            matmul_backend(),
-            sqrt_d,
-            n_sqrt_d,
-            out.as_mut_slice(),
-            &mut denoms,
-        );
-        add_masked_strong_residual(&self.reference.sparse(), q, &k_hat, v, &denoms, ws, out);
-
-        ws.recycle_vec(k_bar);
-        ws.recycle(k_hat);
-        ws.recycle_vec(denoms);
-        lr.recycle(ws);
-    }
-
-    fn op_counts(&self, n: usize, d: usize) -> OpCounts {
-        self.reference.op_counts(n, d)
-    }
-
-    fn forward_train(&self, q: &Var, k: &Var, v: &Var) -> Var {
-        self.reference.forward_train(q, k, v)
-    }
-
-    fn sparse_occupancy(&self, q: &Matrix, k: &Matrix) -> f32 {
-        self.reference.sparse_occupancy(q, k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,23 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn int8_unified_tracks_the_traced_f32_reference() {
-        for &n in &[1usize, 7, 64, 196] {
-            for &threshold in &[0.0f32, 0.1, 0.5] {
-                let (q, k, v) = qkv(n, 16, 0.6, 90 + n as u64);
-                let kernel = QuantizedUnifiedKernel::new(threshold, Int8Calibration::Dynamic);
-                let int8 = kernel.compute(&q, &k, &v);
-                let traced = kernel.reference().compute_traced(&q, &k, &v);
-                let diff = int8.max_abs_diff(&traced);
-                assert!(
-                    diff <= INT8_UNIFIED_TOLERANCE,
-                    "int8 unified diverged at n={n} threshold={threshold}: {diff}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn labels_and_delegated_hooks() {
         let taylor = QuantizedTaylorKernel::new(Int8Calibration::Dynamic);
         assert_eq!(taylor.label(), "int8");
@@ -588,24 +447,14 @@ mod tests {
             taylor.op_counts(64, 16).total(),
             TaylorAttention::new().op_counts(64, 16).total()
         );
-        let unified = QuantizedUnifiedKernel::new(0.5, Int8Calibration::Dynamic);
-        assert_eq!(unified.label(), "int8-unified");
-        assert_eq!(unified.threshold(), 0.5);
         let (q, k, _) = qkv(16, 8, 0.8, 95);
         assert_eq!(taylor.sparse_occupancy(&q, &k), 0.0);
-        assert!(unified.sparse_occupancy(&q, &k) > 0.0);
     }
 
     #[test]
     fn zero_inputs_produce_zero_finite_outputs() {
         let z = Matrix::zeros(5, 4);
-        for kernel in [
-            Box::new(QuantizedTaylorKernel::new(Int8Calibration::Dynamic))
-                as Box<dyn AttentionKernel>,
-            Box::new(QuantizedUnifiedKernel::new(0.1, Int8Calibration::Dynamic)),
-        ] {
-            let out = kernel.compute(&z, &z, &z);
-            assert!(out.iter().all(|&v| v == 0.0), "{} not zero", kernel.label());
-        }
+        let out = QuantizedTaylorKernel::new(Int8Calibration::Dynamic).compute(&z, &z, &z);
+        assert!(out.iter().all(|&v| v == 0.0));
     }
 }

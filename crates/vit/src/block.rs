@@ -14,8 +14,8 @@ use rand::Rng;
 use std::sync::Arc;
 
 use vitality_attention::{
-    AttentionKernel, Int8Calibration, QuantizedTaylorKernel, QuantizedUnifiedKernel,
-    SangerSparseAttention, SoftmaxAttention, TaylorAttention, UnifiedLowRankSparseAttention,
+    AttentionKernel, Int8Calibration, QuantizedTaylorKernel, SangerSparseAttention,
+    SoftmaxAttention, TaylorAttention, UnifiedLowRankSparseAttention,
 };
 use vitality_autograd::{Graph, Var};
 use vitality_nn::registry::{NamedParameters, ParamRegistry};
@@ -50,14 +50,6 @@ pub enum AttentionVariant {
         /// How the per-head quantization scales are derived.
         calibration: Int8Calibration,
     },
-    /// Int8-quantized unified low-rank + sparse attention: the integer low-rank half
-    /// plus the quantized-logit Sanger mask selecting the f32 strong residual.
-    Int8Unified {
-        /// Sparsity threshold of the sparse component.
-        threshold: f32,
-        /// How the per-head quantization scales are derived.
-        calibration: Int8Calibration,
-    },
 }
 
 impl AttentionVariant {
@@ -72,7 +64,6 @@ impl AttentionVariant {
             AttentionVariant::Sparse { .. } => "sparse",
             AttentionVariant::Unified { .. } => "unified",
             AttentionVariant::Int8Taylor { .. } => "int8",
-            AttentionVariant::Int8Unified { .. } => "int8-unified",
         }
     }
 
@@ -97,10 +88,6 @@ impl AttentionVariant {
             AttentionVariant::Int8Taylor { calibration } => {
                 Arc::new(QuantizedTaylorKernel::new(calibration))
             }
-            AttentionVariant::Int8Unified {
-                threshold,
-                calibration,
-            } => Arc::new(QuantizedUnifiedKernel::new(threshold, calibration)),
         }
     }
 
@@ -117,10 +104,6 @@ impl AttentionVariant {
             AttentionVariant::Sparse { threshold: 0.02 },
             AttentionVariant::Unified { threshold: 0.1 },
             AttentionVariant::Int8Taylor {
-                calibration: Int8Calibration::Dynamic,
-            },
-            AttentionVariant::Int8Unified {
-                threshold: 0.1,
                 calibration: Int8Calibration::Dynamic,
             },
         ]
@@ -668,7 +651,7 @@ mod tests {
         // One entry per declared arm: a new variant must extend `all()` (and thereby
         // the conformance suite) before it can ship.
         let all = AttentionVariant::all();
-        assert_eq!(all.len(), 7, "AttentionVariant::all() is missing an arm");
+        assert_eq!(all.len(), 6, "AttentionVariant::all() is missing an arm");
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {
                 assert_ne!(

@@ -318,8 +318,7 @@ impl VisionTransformer {
     /// heads and images become the frozen [`Int8Calibration::Fixed`] ranges, so every
     /// calibration-set activation is representable and anything beyond saturates at
     /// ±127 (the accelerator's behaviour). Returns the calibration for registering
-    /// further models (e.g. an [`AttentionVariant::Int8Unified`] arm) on the same
-    /// ranges.
+    /// further int8 models on the same ranges.
     ///
     /// # Panics
     ///

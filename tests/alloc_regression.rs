@@ -103,17 +103,13 @@ fn steady_state_infer_batch_into_performs_zero_allocations() {
 
     // Every served variant must reach an allocation-free steady state: taylor is the
     // paper's inference configuration, softmax the baseline arm, unified the fused
-    // low-rank + sparse path, and the two int8 variants exercise the workspace's
-    // integer (`Vec<i8>`/`Vec<i32>`) pools.
+    // low-rank + sparse path, and the int8 variant exercises the workspace's integer
+    // (`Vec<i8>`/`Vec<i32>`) pools.
     for variant in [
         AttentionVariant::Taylor,
         AttentionVariant::Softmax,
         AttentionVariant::Unified { threshold: 0.5 },
         AttentionVariant::Int8Taylor {
-            calibration: Int8Calibration::Dynamic,
-        },
-        AttentionVariant::Int8Unified {
-            threshold: 0.5,
             calibration: Int8Calibration::Dynamic,
         },
     ] {

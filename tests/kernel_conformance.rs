@@ -26,7 +26,7 @@ use rand::SeedableRng;
 
 use vitality::attention::{
     AttentionKernel, SangerSparseAttention, SoftmaxAttention, TaylorAttention,
-    UnifiedLowRankSparseAttention, INT8_TAYLOR_TOLERANCE, INT8_UNIFIED_TOLERANCE,
+    UnifiedLowRankSparseAttention, INT8_TAYLOR_TOLERANCE,
 };
 use vitality::autograd::Graph;
 use vitality::nn::ParamRegistry;
@@ -78,26 +78,22 @@ fn reference_and_tolerance(
             UnifiedLowRankSparseAttention::new(threshold).compute_traced(q, k, v),
             1e-4,
         ),
-        // The quantized kernels approximate their f32 siblings; the tolerance is the
+        // The quantized kernel approximates its f32 sibling; the tolerance is the
         // documented quantization error budget, not a numerical artefact.
         AttentionVariant::Int8Taylor { .. } => (
             TaylorAttention::new().compute_with_trace(q, k, v).score,
             INT8_TAYLOR_TOLERANCE,
-        ),
-        AttentionVariant::Int8Unified { threshold, .. } => (
-            UnifiedLowRankSparseAttention::new(threshold).compute_traced(q, k, v),
-            INT8_UNIFIED_TOLERANCE,
         ),
     }
 }
 
 /// Per-variant tolerance for the multi-head train-vs-infer consistency check. Larger
 /// than the kernel-level tolerances because the comparison crosses four projections
-/// and a head merge, and the quantized kernels' `forward_train` deliberately falls
+/// and a head merge, and the quantized kernel's `forward_train` deliberately falls
 /// back to the f32 path.
 fn train_infer_tolerance(variant: AttentionVariant) -> f32 {
     match variant {
-        AttentionVariant::Int8Taylor { .. } | AttentionVariant::Int8Unified { .. } => 0.25,
+        AttentionVariant::Int8Taylor { .. } => 0.25,
         _ => 2e-2,
     }
 }
@@ -237,11 +233,10 @@ fn multi_head_train_and_infer_agree_for_every_variant() {
 }
 
 /// The deterministic fused-vs-traced grid for the f32 unified kernel: token counts
-/// spanning one token to the serving workload × the paper's threshold range. The
-/// int8-unified threshold grid lives in `quantized.rs`'s unit tests (its tolerance is
-/// the quantization budget, not 1e-4); a future threshold-bearing variant needs its
-/// own grid here or beside its kernel — `every_kernel_matches_its_traced_reference`
-/// above covers only the one representative threshold `all()` carries.
+/// spanning one token to the serving workload × the paper's threshold range. A future
+/// threshold-bearing variant needs its own grid here or beside its kernel —
+/// `every_kernel_matches_its_traced_reference` above covers only the one representative
+/// threshold `all()` carries.
 #[test]
 fn fused_unified_kernel_tracks_its_reference_across_the_threshold_grid() {
     for &threshold in &[0.0f32, 0.1, 0.5] {
