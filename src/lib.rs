@@ -8,9 +8,10 @@
 //! * [`autograd`] — reverse-mode automatic differentiation.
 //! * [`nn`] — neural-network layers (linear, layer norm, MLP, patch embedding).
 //! * [`attention`] — the linear Taylor attention (Algorithm 1), the Sanger-style sparse
-//!   attention, the unified training-time attention and the linear-attention baselines.
+//!   attention, the unified training-time attention, the int8 Taylor kernel and the
+//!   op-count models (including Table IV's linear-attention baselines).
 //! * [`vit`] — ViT model configurations, workloads and the trainable Vision Transformer.
-//! * [`train`] — the synthetic task, optimisers and the paper's training schemes.
+//! * [`train`] — the synthetic task, the AdamW optimiser and the paper's training schemes.
 //! * [`accel`] — the cycle-level ViTALiTy accelerator simulator.
 //! * [`baselines`] — Sanger / SALO / CPU / GPU / edge-GPU baseline models.
 //! * [`serve`] — the batched, multi-worker HTTP inference serving engine with dynamic
