@@ -127,8 +127,8 @@ pub fn table4_accuracy_flops(quick: bool) -> String {
     let head_dim = ctx.model_config.head_dim();
     let heads = ctx.model_config.heads as u64;
     let layers = ctx.model_config.layers as u64;
-    let attention_gflops =
-        |ops: vitality_attention::OpCounts| ops.scaled(heads * layers).flops() as f64 / 1e9;
+    let attention_mflops =
+        |ops: vitality_attention::OpCounts| ops.scaled(heads * layers).flops() as f64 / 1e6;
     // DeiT-Tiny-scale attention FLOPs for the reference column (the paper's Table IV).
     let deit = ModelWorkload::for_model(&ModelConfig::deit_tiny());
     let deit_vanilla = deit.vanilla_attention_ops().flops() as f64 / 1e9;
@@ -158,7 +158,7 @@ pub fn table4_accuracy_flops(quick: bool) -> String {
             format_percent(baseline_acc as f64),
             format!(
                 "{:.3}",
-                attention_gflops(SoftmaxAttention::new().op_counts(tokens, head_dim))
+                attention_mflops(SoftmaxAttention::new().op_counts(tokens, head_dim))
             ),
             format!("{deit_vanilla:.2} (DeiT-Tiny scale; paper 0.50)"),
         ],
@@ -168,7 +168,7 @@ pub fn table4_accuracy_flops(quick: bool) -> String {
             format_percent(vitality.final_accuracy as f64),
             format!(
                 "{:.3}",
-                attention_gflops(TaylorAttention::new().op_counts(tokens, head_dim))
+                attention_mflops(TaylorAttention::new().op_counts(tokens, head_dim))
             ),
             format!("{deit_taylor:.2} (DeiT-Tiny scale; paper 0.33)"),
         ],
@@ -178,7 +178,7 @@ pub fn table4_accuracy_flops(quick: bool) -> String {
             "(not trained; linear baseline)".to_string(),
             format!(
                 "{:.3}",
-                attention_gflops(linformer_ops(tokens, head_dim, tokens / 4))
+                attention_mflops(linformer_ops(tokens, head_dim, tokens / 4))
             ),
             "paper 0.35 / 69.5%".to_string(),
         ],
@@ -188,7 +188,7 @@ pub fn table4_accuracy_flops(quick: bool) -> String {
             "(not trained; linear baseline)".to_string(),
             format!(
                 "{:.3}",
-                attention_gflops(performer_ops(tokens, head_dim, head_dim))
+                attention_mflops(performer_ops(tokens, head_dim, head_dim))
             ),
             "paper 0.40 / 68.3%".to_string(),
         ],
@@ -198,7 +198,7 @@ pub fn table4_accuracy_flops(quick: bool) -> String {
             "(not trained; linear baseline)".to_string(),
             format!(
                 "{:.3}",
-                attention_gflops(linear_kernel_ops(tokens, head_dim))
+                attention_mflops(linear_kernel_ops(tokens, head_dim))
             ),
             "-".to_string(),
         ],
@@ -208,7 +208,7 @@ pub fn table4_accuracy_flops(quick: bool) -> String {
             "(not trained; linear baseline)".to_string(),
             format!(
                 "{:.3}",
-                attention_gflops(efficient_attention_ops(tokens, head_dim))
+                attention_mflops(efficient_attention_ops(tokens, head_dim))
             ),
             "-".to_string(),
         ],
@@ -218,7 +218,7 @@ pub fn table4_accuracy_flops(quick: bool) -> String {
             format_percent(sparse.final_accuracy as f64),
             format!(
                 "{:.3}",
-                attention_gflops(SangerSparseAttention::new(0.02).op_counts(tokens, head_dim))
+                attention_mflops(SangerSparseAttention::new(0.02).op_counts(tokens, head_dim))
             ),
             "paper 0.33 / 71.2%".to_string(),
         ],
@@ -231,7 +231,7 @@ pub fn table4_accuracy_flops(quick: bool) -> String {
             "method",
             "type",
             "accuracy (synthetic)",
-            "attention GFLOPs (this task)",
+            "attention MFLOPs (this task)",
             "reference",
         ],
         &rows,
