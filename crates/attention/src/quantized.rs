@@ -24,9 +24,10 @@
 //!
 //! The kernel is differentially gated against its f32 reference by the kernel
 //! conformance suite (`tests/kernel_conformance.rs`): within [`INT8_TAYLOR_TOLERANCE`]
-//! of the f32 Taylor trace at the suite's input scales. The error budget is the symmetric-quantization step
-//! (`absmax/127` per operand, three quantized operands, normalised output), not a
-//! numerical-stability artefact: halving the input magnitude halves the divergence.
+//! of the f32 Taylor trace at the suite's input scales. The error budget is the
+//! symmetric-quantization step (`absmax/127` per operand, three quantized operands,
+//! normalised output), not a numerical-stability artefact: halving the input magnitude
+//! halves the divergence.
 //!
 //! Training always runs in f32 — `forward_train` falls back to the f32 kernel, which
 //! mirrors the paper's deployment (quantization is an inference/accelerator concern,
