@@ -13,11 +13,13 @@
 //! * [`MatmulBackend::Blocked`] — the production tier, a BLIS-style packed driver: the
 //!   operands are packed into thread-local aligned panel buffers (`MC × KC` row panels
 //!   of A, `KC × NC` column panels of B, zero-padded to the register tile), and an
-//!   `MR × NR = 8 × 8` register-tile microkernel accumulates each output tile over
+//!   `MR × NR = 6 × 16` register-tile microkernel accumulates each output tile over
 //!   contiguous packed slices. The tile is the AVX2/FMA one from [`crate::simd`]
 //!   wherever [`crate::simd::simd_available`] holds, else a scalar tile the compiler
 //!   auto-vectorises; the driver picks it once per product. Row panels of the output
 //!   are distributed over threads with [`crate::parallel::for_each_chunk_mut`].
+//!   Each output element is one `k`-ordered chain of multiply-adds per `KC` panel
+//!   whatever the tile's shape, so a new tile shape changes no result bit.
 //!
 //! Both tiers serve all three access patterns the attention kernels need — `A·B`,
 //! `A·Bᵀ` ([`Matrix::matmul_transpose_b`](crate::Matrix::matmul_transpose_b)) and `Aᵀ·B`
@@ -52,9 +54,11 @@
 //! 1. **Write a tile with the driver's signature** in `crates/tensor/src/simd.rs`
 //!    behind a `#[cfg(all(target_arch = "...", not(force_scalar)))]` module: an
 //!    `unsafe` `#[target_feature(...)]` function `(ap, bp, kc, &mut [[f32; NR]; MR])`
-//!    accumulating `kc` depth steps of the packed k-major `MR`-wide / `NR`-wide
-//!    panels (every packer writes *all* tile slots, so dirty reused scratch is safe;
-//!    B panel rows are 32-byte aligned). Every intrinsic block carries a
+//!    (`MR × NR` = 6 × 16) accumulating `kc` depth steps of the packed k-major
+//!    `MR`-wide / `NR`-wide panels (every packer writes *all* tile slots, so dirty
+//!    reused scratch is safe; B panel rows are 64 bytes, 32-byte aligned). A tier
+//!    whose registers favour another shape changes `MR`/`NR` for every tile, the
+//!    scalar one included. Every intrinsic block carries a
 //!    `// SAFETY:` comment — the crate denies `unsafe_op_in_unsafe_fn`.
 //! 2. **Gate it at runtime**: extend [`crate::CpuFeatures`] with the new flag(s),
 //!    detect them in `cpu_features()`, and add a `<tier>_available()` predicate. The
@@ -69,10 +73,16 @@
 //!
 //! | Constant | Value | Role |
 //! |---|---|---|
-//! | `MR × NR` | 8 × 8  | register tile: 64 scalar accumulators held in SIMD registers |
+//! | `MR × NR` | 6 × 16 | f32 register tile: 96 accumulators in twelve 256-bit registers |
 //! | `KC`      | 256    | depth of one packed panel (A panel stays in L1/L2) |
-//! | `MC`      | 64     | rows per parallel work unit (one packed A panel per task) |
+//! | `MC`      | 72     | rows per parallel work unit (one packed A panel per task) |
 //! | `NC`      | 512    | columns per packed B panel (panel stays in L2/L3) |
+//!
+//! The 6 × 16 shape is the BLIS Haswell one: per depth step, two B loads and six
+//! broadcasts feed twelve FMAs, against nine loads per eight FMAs on an 8 × 8 tile.
+//! These constants are the f32 driver's only; the int8 `maddubs` kernel in
+//! [`crate::simd`] keeps its own 8 × 8 tile, whose packed B group of 8 columns × 4
+//! depth bytes is exactly one 256-bit register.
 //!
 //! Products smaller than [`SMALL_GEMM_LIMIT`] scalar multiply-adds skip packing entirely
 //! and run a cache-friendly `i k j` loop — per-head attention matrices in the unit tests
@@ -89,20 +99,21 @@ use crate::parallel::for_each_chunk_mut;
 pub enum MatmulBackend {
     /// Textbook scalar `i j k` triple loop — slow, obviously correct, single-threaded.
     Naive,
-    /// The packed, cache-blocked, 8×8-register-tiled driver with parallelism over row
+    /// The packed, cache-blocked, 6×16-register-tiled driver with parallelism over row
     /// panels, on the AVX2/FMA tile where [`crate::simd::simd_available`] holds and
     /// the scalar tile elsewhere; also the native `maddubs` int8 route. The default.
     Blocked,
 }
 
-/// Register tile height (rows of C accumulated per microkernel call).
-pub const MR: usize = 8;
-/// Register tile width (columns of C accumulated per microkernel call).
-pub const NR: usize = 8;
+/// f32 register tile height (rows of C accumulated per microkernel call).
+pub const MR: usize = 6;
+/// f32 register tile width (columns of C accumulated per microkernel call): two
+/// 256-bit vectors.
+pub const NR: usize = 16;
 /// Packed-panel depth: how many of the shared dimension's entries one panel holds.
 pub const KC: usize = 256;
 /// Rows of C per parallel work unit (multiple of [`MR`]).
-pub const MC: usize = 64;
+pub const MC: usize = 72;
 /// Columns per packed B panel (multiple of [`NR`]).
 pub const NC: usize = 512;
 
@@ -570,7 +581,8 @@ fn gemm_packed(out: &mut [f32], m: usize, k: usize, n: usize, a: Operand<'_>, b:
         packed_driver(out, m, k, n, a, b, |ap, bp, kc, acc| {
             // SAFETY: simd_available() held above (avx2 + fma present); the driver
             // hands every call tiles exactly kc*MR / kc*NR long, the B tile's rows
-            // 32-byte aligned (AlignedVec base, 32-byte tile stride).
+            // 32-byte aligned (AlignedVec base, 64-byte row stride). Every tile edge
+            // and both transposed layouts are pinned by tests/simd_differential.rs.
             unsafe { crate::simd::microkernel_f32(ap, bp, kc, acc) }
         });
         return;
@@ -607,33 +619,36 @@ std::thread_local! {
     static PANEL_B: RefCell<AlignedVec<f32>> = RefCell::new(AlignedVec::new());
 }
 
-/// Packs `kc` depth steps of `count` consecutive A rows (starting at `r0`) into the
-/// k-major `MR`-wide tile, writing **every** slot (edge rows zeroed) so dirty reused
-/// scratch never leaks stale values into the tile.
-fn pack_a(dst: &mut [f32], a: Operand<'_>, kc: usize, k0: usize, r0: usize, count: usize) {
-    for kk in 0..kc {
-        let row = &mut dst[kk * MR..kk * MR + MR];
-        for (i, slot) in row.iter_mut().enumerate() {
-            *slot = if i < count {
-                a.at(r0 + i, k0 + kk)
+/// Packs `kc` depth steps (from `k0`) of `count <= W` consecutive lines (from `l0`:
+/// rows of A, columns of B) of `op` into a k-major `W`-wide tile, writing **every**
+/// slot (edge lines zeroed) so dirty reused scratch never leaks stale values into the
+/// tile. `lines_contiguous` says how `op` stores the tile: each line's depth run is
+/// contiguous (row-major A, transposed B) or each depth step's line run is
+/// (transposed A, row-major B, a straight copy per step).
+fn pack_tile<const W: usize>(
+    dst: &mut [f32],
+    op: Operand<'_>,
+    lines_contiguous: bool,
+    kc: usize,
+    k0: usize,
+    l0: usize,
+    count: usize,
+) {
+    let (data, stride) = (op.data, op.stride);
+    if lines_contiguous {
+        for l in 0..W {
+            let slots = dst[l..].iter_mut().step_by(W).take(kc);
+            if l < count {
+                let src = &data[(l0 + l) * stride + k0..][..kc];
+                slots.zip(src).for_each(|(slot, &v)| *slot = v);
             } else {
-                0.0
-            };
+                slots.for_each(|slot| *slot = 0.0);
+            }
         }
-    }
-}
-
-/// Packs `kc` depth steps of `count` consecutive B columns (starting at `j0`) into the
-/// k-major `NR`-wide tile, writing every slot (edge columns zeroed).
-fn pack_b(dst: &mut [f32], b: Operand<'_>, kc: usize, k0: usize, j0: usize, count: usize) {
-    for kk in 0..kc {
-        let row = &mut dst[kk * NR..kk * NR + NR];
-        for (j, slot) in row.iter_mut().enumerate() {
-            *slot = if j < count {
-                b.at(k0 + kk, j0 + j)
-            } else {
-                0.0
-            };
+    } else {
+        for (kk, row) in dst[..kc * W].chunks_exact_mut(W).enumerate() {
+            row[..count].copy_from_slice(&data[(k0 + kk) * stride + l0..][..count]);
+            row[count..].fill(0.0);
         }
     }
 }
@@ -665,7 +680,8 @@ fn packed_driver<T>(
                 bp.reset_zeroed(n_tiles * kc * NR);
                 for (t, dst) in bp.chunks_exact_mut(kc * NR).enumerate() {
                     let j0 = jc + t * NR;
-                    pack_b(dst, b, kc, pc, j0, NR.min(n - j0));
+                    let cols_contiguous = b.layout == Layout::Transposed;
+                    pack_tile::<NR>(dst, b, cols_contiguous, kc, pc, j0, NR.min(n - j0));
                 }
                 let bp: &[f32] = &bp;
 
@@ -680,7 +696,8 @@ fn packed_driver<T>(
                         ap.reset_zeroed(m_tiles * kc * MR);
                         for (t, dst) in ap.chunks_exact_mut(kc * MR).enumerate() {
                             let r0 = i0 + t * MR;
-                            pack_a(dst, a, kc, pc, r0, MR.min(m - r0));
+                            let rows_contiguous = a.layout == Layout::RowMajor;
+                            pack_tile::<MR>(dst, a, rows_contiguous, kc, pc, r0, MR.min(m - r0));
                         }
 
                         for ti in 0..m_tiles {

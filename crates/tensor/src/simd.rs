@@ -1,22 +1,23 @@
 //! Runtime CPU-feature detection and the explicit AVX2/FMA microkernels behind
 //! [`MatmulBackend::Blocked`](crate::MatmulBackend::Blocked).
 //!
-//! The scalar 8×8 tile of the packed driver in [`crate::backend`] leans on the
+//! The scalar 6×16 tile of the packed driver in [`crate::backend`] leans on the
 //! auto-vectoriser, which on the baseline `x86-64` target means 128-bit SSE2 with
 //! separate multiply and add. This module supplies hand-written `std::arch` kernels for
 //! the two hot element types:
 //!
-//! * **f32** — the AVX2/FMA register tile the packed driver runs where the host has
-//!   the features: eight 256-bit FMA accumulators (one per tile row); each packed
-//!   depth step is one aligned B-row load plus eight broadcast-FMA pairs.
+//! * **f32** — the AVX2/FMA 6×16 register tile the packed driver runs where the host
+//!   has the features: twelve 256-bit FMA accumulators (two per tile row); each
+//!   packed depth step is two aligned B-row loads plus six broadcasts feeding twelve
+//!   FMAs.
 //! * **i8** — the AVX2 integer dot-product idiom hardware PE arrays mirror: depth is
 //!   processed four steps at a time with `_mm256_maddubs_epi16` (unsigned×signed byte
 //!   multiply, pairwise i16 add) followed by `_mm256_madd_epi16` against ones to reach
-//!   exact i32 lane sums. Signedness is handled with the `abs`/`sign` trick
-//!   (`|a| · (b · sign a) = a · b`), which is exact for all operand values in
-//!   `[-127, 127]` — the callers in [`crate::backend`] guard the single excluded value
-//!   `-128` (where `_mm256_sign_epi8`'s negation would wrap) and fall back to the
-//!   scalar-exact path instead.
+//!   exact i32 lane sums, on an 8×8 tile of its own. Signedness is handled with the
+//!   `abs`/`sign` trick (`|a| · (b · sign a) = a · b`), which is exact for all operand
+//!   values in `[-127, 127]` — the callers in [`crate::backend`] guard the single
+//!   excluded value `-128` (where `_mm256_sign_epi8`'s negation would wrap) and fall
+//!   back to the scalar-exact path instead.
 //!
 //! The elementwise kernels further down (`tanh`/GELU/LayerNorm sweeps) take the
 //! other route to the same hardware: no intrinsics, one plain-arithmetic body per
@@ -517,6 +518,11 @@ mod x86 {
 
     /// Depth steps folded into one i32 lane per `maddubs`/`madd` pair.
     const KG: usize = 4;
+    /// The int8 tile is 8 × 8, not the f32 tile's [`MR`] × [`NR`]: one packed B
+    /// group (`NR_I8` columns × [`KG`] depth bytes) is exactly one `__m256i`, and the
+    /// packers' 4×8 byte interleave is built for that width.
+    const MR_I8: usize = 8;
+    const NR_I8: usize = 8;
 
     std::thread_local! {
         // Packed-panel scratch, one cell per operand side: the driver packs A tiles
@@ -525,11 +531,13 @@ mod x86 {
         static PANEL_B_I8: RefCell<AlignedVec<i8>> = RefCell::new(AlignedVec::new());
     }
 
-    /// AVX2+FMA `MR × NR` register tile for the packed driver in [`crate::backend`]:
-    /// accumulates `kc` packed depth steps into `acc`. `ap` is k-major `MR`-wide, `bp`
-    /// k-major `NR`-wide (the same packed layout the scalar tile consumes), and `bp`
-    /// must be 32-byte aligned — each packed B row is exactly one `__m256`, loaded
-    /// aligned.
+    /// AVX2+FMA `MR × NR` = 6 × 16 f32 register tile for the packed driver in
+    /// [`crate::backend`]: accumulates `kc` packed depth steps into `acc`. Each step
+    /// is two aligned B-row loads and six broadcasts feeding twelve FMAs into twelve
+    /// `ymm` accumulators (two per tile row), which leaves three of the sixteen
+    /// registers for the operands. `ap` is k-major `MR`-wide, `bp` k-major `NR`-wide
+    /// (the same packed layout the scalar tile consumes), and `bp` must be 32-byte
+    /// aligned. Every lane is one output element's FMA chain in `k` order.
     ///
     /// # Safety
     ///
@@ -545,31 +553,42 @@ mod x86 {
     ) {
         debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
         debug_assert_eq!(bp.as_ptr() as usize % SIMD_ALIGN, 0);
-        let mut rows = [_mm256_setzero_ps(); MR];
+        let mut rows = [[_mm256_setzero_ps(); 2]; MR];
         let a = ap.as_ptr();
         let b = bp.as_ptr();
         for kk in 0..kc {
-            // SAFETY: `kk < kc`, so the B row starts within bounds (len >= kc * NR);
-            // the panel base is 32-byte aligned and each row is NR * 4 = 32 bytes,
-            // keeping every row start aligned.
-            let bv = unsafe { _mm256_load_ps(b.add(kk * NR)) };
+            // SAFETY: the driver calls this tile only where simd_available() holds;
+            // `kk < kc`, so both halves of the B row lie within bounds (len >=
+            // kc * NR); the panel base is 32-byte aligned and each row is NR * 4 = 64
+            // bytes, keeping both half-row starts aligned. Pinned on every tile edge
+            // by simd_differential::f32_simd_kernel_matches_naive_within_1e5_on_all_remainder_lanes.
+            let (b0, b1) = unsafe {
+                (
+                    _mm256_load_ps(b.add(kk * NR)),
+                    _mm256_load_ps(b.add(kk * NR + 8)),
+                )
+            };
             for (i, row) in rows.iter_mut().enumerate() {
                 // SAFETY: `kk * MR + i < kc * MR <= ap.len()`.
                 let av = unsafe { _mm256_broadcast_ss(&*a.add(kk * MR + i)) };
-                *row = _mm256_fmadd_ps(av, bv, *row);
+                row[0] = _mm256_fmadd_ps(av, b0, row[0]);
+                row[1] = _mm256_fmadd_ps(av, b1, row[1]);
             }
         }
         for (dst, row) in acc.iter_mut().zip(rows) {
-            // SAFETY: `dst` is a [f32; NR] — exactly the 8 lanes stored (unaligned
-            // store: the accumulator tile lives on the stack).
-            unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), row) };
+            // SAFETY: `dst` is a [f32; NR] — exactly the two 8-lane halves stored
+            // (unaligned stores: the accumulator tile lives on the stack).
+            unsafe {
+                _mm256_storeu_ps(dst.as_mut_ptr(), row[0]);
+                _mm256_storeu_ps(dst.as_mut_ptr().add(8), row[1]);
+            }
         }
     }
 
     /// AVX2 `maddubs` integer microkernel: accumulates `groups` packed groups of
-    /// [`KG`] depth steps into the `MR × NR` i32 tile `acc`. Packed layouts (see
-    /// [`pack_a_i8`]/[`pack_b_i8`]): per group, `ap` holds `MR` rows × `KG`
-    /// consecutive depth bytes, `bp` holds `NR` columns × `KG` depth bytes — one
+    /// [`KG`] depth steps into the `MR_I8 × NR_I8` i32 tile `acc`. Packed layouts (see
+    /// [`pack_a_i8`]/[`pack_b_i8`]): per group, `ap` holds `MR_I8` rows × `KG`
+    /// consecutive depth bytes, `bp` holds `NR_I8` columns × `KG` depth bytes — one
     /// 32-byte aligned `__m256i` per B group.
     ///
     /// Exactness: with every operand byte in `[-127, 127]`, each `maddubs` pair sum
@@ -579,26 +598,26 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// CPU must support `avx2`; `ap.len() >= groups * KG * MR`,
-    /// `bp.len() >= groups * KG * NR`, both 32-byte aligned.
+    /// CPU must support `avx2`; `ap.len() >= groups * KG * MR_I8`,
+    /// `bp.len() >= groups * KG * NR_I8`, both 32-byte aligned.
     #[target_feature(enable = "avx2")]
-    unsafe fn microkernel_i8(ap: &[i8], bp: &[i8], groups: usize, acc: &mut [[i32; NR]; MR]) {
-        debug_assert!(ap.len() >= groups * KG * MR && bp.len() >= groups * KG * NR);
+    unsafe fn microkernel_i8(ap: &[i8], bp: &[i8], groups: usize, acc: &mut [[i32; NR_I8]; MR_I8]) {
+        debug_assert!(ap.len() >= groups * KG * MR_I8 && bp.len() >= groups * KG * NR_I8);
         debug_assert_eq!(ap.as_ptr() as usize % SIMD_ALIGN, 0);
         debug_assert_eq!(bp.as_ptr() as usize % SIMD_ALIGN, 0);
         let ones = _mm256_set1_epi16(1);
-        let mut rows = [_mm256_setzero_si256(); MR];
+        let mut rows = [_mm256_setzero_si256(); MR_I8];
         let a = ap.as_ptr();
         let b = bp.as_ptr();
         for g in 0..groups {
-            // SAFETY: group `g` starts at byte `g * 32 < groups * KG * NR <= bp.len()`
+            // SAFETY: group `g` starts at byte `g * 32 < groups * KG * NR_I8 <= bp.len()`
             // and the panel base is 32-byte aligned, so every group load is aligned.
-            let bv = unsafe { _mm256_load_si256(b.add(g * KG * NR).cast::<__m256i>()) };
+            let bv = unsafe { _mm256_load_si256(b.add(g * KG * NR_I8).cast::<__m256i>()) };
             for (i, row) in rows.iter_mut().enumerate() {
                 // SAFETY: the four A bytes of (group g, row i) start at
                 // `g * 32 + i * 4`, in bounds and 4-byte aligned off the 32-byte
                 // aligned base.
-                let aw = unsafe { a.add(g * KG * MR + i * KG).cast::<i32>().read() };
+                let aw = unsafe { a.add(g * KG * MR_I8 + i * KG).cast::<i32>().read() };
                 let av = _mm256_set1_epi32(aw);
                 let ua = _mm256_abs_epi8(av);
                 let sb = _mm256_sign_epi8(bv, av);
@@ -607,7 +626,7 @@ mod x86 {
             }
         }
         for (dst, row) in acc.iter_mut().zip(rows) {
-            // SAFETY: `dst` is a [i32; NR] — exactly the 8 lanes stored.
+            // SAFETY: `dst` is a [i32; NR_I8] — exactly the 8 lanes stored.
             unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast::<__m256i>(), row) };
         }
     }
@@ -641,10 +660,10 @@ mod x86 {
     }
 
     /// Packs `count` consecutive A rows into `groups` byte groups: group `g`, row
-    /// `i`, depth offset `t` lands at `dst[g * KG * MR + i * KG + t]`. Edge rows and
+    /// `i`, depth offset `t` lands at `dst[g * KG * MR_I8 + i * KG + t]`. Edge rows and
     /// the depth tail beyond `k` are zeroed (zero products contribute nothing).
     ///
-    /// Full `MR`-row tiles over complete depth groups — the entire interior of any
+    /// Full `MR_I8`-row tiles over complete depth groups — the entire interior of any
     /// GEMM whose `m` is a multiple of 8 and `k` of 4, e.g. every attention head
     /// aggregate — take a branch-free [`interleave_4x8`]/`memcpy` path; only edge
     /// tiles and the depth tail pay the per-byte bounds/branch cost of the general
@@ -659,15 +678,15 @@ mod x86 {
         count: usize,
     ) {
         let (data, stride, layout) = a.raw();
-        let full = if count == MR { k / KG } else { 0 };
+        let full = if count == MR_I8 { k / KG } else { 0 };
         match layout {
-            // A[r, kk] = data[kk * stride + r]: each depth step is MR consecutive
+            // A[r, kk] = data[kk * stride + r]: each depth step is MR_I8 consecutive
             // source bytes scattered to stride-KG slots of the group block — the
             // 4×8 interleave.
             Layout::Transposed => {
                 for g in 0..full {
-                    let block = &mut dst[g * KG * MR..(g + 1) * KG * MR];
-                    let row = |t: usize| &data[(g * KG + t) * stride + r0..][..MR];
+                    let block = &mut dst[g * KG * MR_I8..(g + 1) * KG * MR_I8];
+                    let row = |t: usize| &data[(g * KG + t) * stride + r0..][..MR_I8];
                     interleave_4x8(block, row(0), row(1), row(2), row(3));
                 }
             }
@@ -675,8 +694,8 @@ mod x86 {
             // source bytes per group — a direct 4-byte copy.
             Layout::RowMajor => {
                 for g in 0..full {
-                    let block = &mut dst[g * KG * MR..(g + 1) * KG * MR];
-                    for i in 0..MR {
+                    let block = &mut dst[g * KG * MR_I8..(g + 1) * KG * MR_I8];
+                    for i in 0..MR_I8 {
                         let src = &data[(r0 + i) * stride + g * KG..][..KG];
                         block[i * KG..(i + 1) * KG].copy_from_slice(src);
                     }
@@ -684,8 +703,8 @@ mod x86 {
             }
         }
         for g in full..groups {
-            let block = &mut dst[g * KG * MR..(g + 1) * KG * MR];
-            for i in 0..MR {
+            let block = &mut dst[g * KG * MR_I8..(g + 1) * KG * MR_I8];
+            for i in 0..MR_I8 {
                 for t in 0..KG {
                     let kk = g * KG + t;
                     block[i * KG + t] = if i < count && kk < k {
@@ -699,7 +718,7 @@ mod x86 {
     }
 
     /// Packs `count` consecutive B columns into `groups` byte groups: group `g`,
-    /// column `j`, depth offset `t` lands at `dst[g * KG * NR + j * KG + t]`.
+    /// column `j`, depth offset `t` lands at `dst[g * KG * NR_I8 + j * KG + t]`.
     /// Same interior fast path / edge slow path split as [`pack_a_i8`].
     fn pack_b_i8(
         dst: &mut [i8],
@@ -710,15 +729,15 @@ mod x86 {
         count: usize,
     ) {
         let (data, stride, layout) = b.raw();
-        let full = if count == NR { k / KG } else { 0 };
+        let full = if count == NR_I8 { k / KG } else { 0 };
         match layout {
-            // B[kk, j] = data[kk * stride + j]: each depth step is NR consecutive
+            // B[kk, j] = data[kk * stride + j]: each depth step is NR_I8 consecutive
             // source bytes scattered to stride-KG slots of the group block — the
             // 4×8 interleave.
             Layout::RowMajor => {
                 for g in 0..full {
-                    let block = &mut dst[g * KG * NR..(g + 1) * KG * NR];
-                    let row = |t: usize| &data[(g * KG + t) * stride + j0..][..NR];
+                    let block = &mut dst[g * KG * NR_I8..(g + 1) * KG * NR_I8];
+                    let row = |t: usize| &data[(g * KG + t) * stride + j0..][..NR_I8];
                     interleave_4x8(block, row(0), row(1), row(2), row(3));
                 }
             }
@@ -726,8 +745,8 @@ mod x86 {
             // consecutive source bytes per group — a direct 4-byte copy.
             Layout::Transposed => {
                 for g in 0..full {
-                    let block = &mut dst[g * KG * NR..(g + 1) * KG * NR];
-                    for j in 0..NR {
+                    let block = &mut dst[g * KG * NR_I8..(g + 1) * KG * NR_I8];
+                    for j in 0..NR_I8 {
                         let src = &data[(j0 + j) * stride + g * KG..][..KG];
                         block[j * KG..(j + 1) * KG].copy_from_slice(src);
                     }
@@ -735,8 +754,8 @@ mod x86 {
             }
         }
         for g in full..groups {
-            let block = &mut dst[g * KG * NR..(g + 1) * KG * NR];
-            for j in 0..NR {
+            let block = &mut dst[g * KG * NR_I8..(g + 1) * KG * NR_I8];
+            for j in 0..NR_I8 {
                 for t in 0..KG {
                     let kk = g * KG + t;
                     block[j * KG + t] = if j < count && kk < k {
@@ -915,31 +934,31 @@ mod x86 {
             return;
         }
         let groups = k.div_ceil(KG);
-        let n_tiles = n.div_ceil(NR);
-        let m_tiles = m.div_ceil(MR);
+        let n_tiles = n.div_ceil(NR_I8);
+        let m_tiles = m.div_ceil(MR_I8);
         PANEL_B_I8.with(|b_cell| {
             let mut bp = b_cell.borrow_mut();
-            bp.reset_zeroed(n_tiles * groups * KG * NR);
-            for (t, tile) in bp.chunks_exact_mut(groups * KG * NR).enumerate() {
-                let j0 = t * NR;
-                pack_b_i8(tile, b, k, groups, j0, NR.min(n - j0));
+            bp.reset_zeroed(n_tiles * groups * KG * NR_I8);
+            for (t, tile) in bp.chunks_exact_mut(groups * KG * NR_I8).enumerate() {
+                let j0 = t * NR_I8;
+                pack_b_i8(tile, b, k, groups, j0, NR_I8.min(n - j0));
             }
             PANEL_A_I8.with(|a_cell| {
                 let mut ap = a_cell.borrow_mut();
-                ap.reset_zeroed(groups * KG * MR);
+                ap.reset_zeroed(groups * KG * MR_I8);
                 for ti in 0..m_tiles {
-                    let r0 = ti * MR;
-                    let rows_here = MR.min(m - r0);
+                    let r0 = ti * MR_I8;
+                    let rows_here = MR_I8.min(m - r0);
                     pack_a_i8(&mut ap, a, k, groups, r0, rows_here);
-                    for (tj, b_tile) in bp.chunks_exact(groups * KG * NR).enumerate() {
-                        let mut acc = [[0i32; NR]; MR];
+                    for (tj, b_tile) in bp.chunks_exact(groups * KG * NR_I8).enumerate() {
+                        let mut acc = [[0i32; NR_I8]; MR_I8];
                         // SAFETY: simd_available() gated the dispatch (avx2 present);
-                        // panels hold exactly groups*KG*{MR,NR} bytes at 32-byte
+                        // panels hold exactly groups*KG*{MR_I8,NR_I8} bytes at 32-byte
                         // aligned bases (AlignedVec, 32-byte group stride).
                         unsafe { microkernel_i8(&ap, b_tile, groups, &mut acc) };
 
-                        let j0 = tj * NR;
-                        let cols_here = NR.min(n - j0);
+                        let j0 = tj * NR_I8;
+                        let cols_here = NR_I8.min(n - j0);
                         for (i, acc_row) in acc.iter().enumerate().take(rows_here) {
                             let c_row = &mut out[(r0 + i) * n + j0..][..cols_here];
                             c_row.copy_from_slice(&acc_row[..cols_here]);

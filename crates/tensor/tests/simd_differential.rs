@@ -8,7 +8,7 @@
 //!   reassociates (each accumulates an output lane sequentially over `k`), but FMA
 //!   keeps the unrounded product, so results may differ from the naive reference by
 //!   rounding only: within `1e-5` across shapes covering every remainder lane of the
-//!   8×8 register tile.
+//!   6×16 f32 register tile and the edges of its `MC` row panel and `KC` depth panel.
 //! * **i8** — the production entry `gemm_i8_fast_into` is exact integer arithmetic on
 //!   both of its routes and must be **bit-identical** to the scalar `gemm_i8_into`
 //!   reference, including reductions longer than `I8_EXACT_CHUNK` (the native
@@ -23,17 +23,33 @@
 //! f32 sweep pins the scalar tile, and the int8 and elementwise entry points fall back
 //! to their scalar forms, so the suite runs on every host.
 
-use vitality_tensor::backend::{gemm_packed_direct, IntOperand, Operand, I8_EXACT_CHUNK};
+use vitality_tensor::backend::{
+    gemm_packed_direct, IntOperand, Operand, I8_EXACT_CHUNK, KC, MC, MR, NR,
+};
 use vitality_tensor::{cpu_features, MatmulBackend, Workspace};
 
-/// Shapes from the issue spec: every combination straddles a different mix of full
-/// and remainder lanes of the MR × NR = 8 × 8 register tile (1 ≪ 8, 7/9 hug the
-/// tile edge, 63/64/65 hug the MC panel edge, 196 is the ViT-base token count).
-const SPAN: [usize; 8] = [1, 7, 8, 9, 63, 64, 65, 196];
+/// Every combination straddles a different mix of full and remainder lanes of the
+/// f32 register tile, `MR × NR` = 6 × 16: 1 is below both edges, 5/6/7 hug the tile
+/// height, 15/16/17 its width, 71/72/73 the `MC` row-panel edge, 196 is the ViT-base
+/// token count and 257 crosses the `KC` depth panel.
+const SPAN: [usize; 12] = [
+    1,
+    MR - 1,
+    MR,
+    MR + 1,
+    NR - 1,
+    NR,
+    NR + 1,
+    MC - 1,
+    MC,
+    MC + 1,
+    196,
+    KC + 1,
+];
 
 /// Deterministic pseudo-random fill, roughly zero-mean with |v| ≤ 0.35 so partial
 /// sums stay small and the FMA-vs-scalar rounding divergence stays well inside the
-/// 1e-5 differential tolerance even at k = 196.
+/// 1e-5 differential tolerance even at k = 257.
 fn entry(r: usize, c: usize) -> f32 {
     let h = (r.wrapping_mul(31).wrapping_add(c.wrapping_mul(17))) % 97;
     (h as f32 / 97.0 - 0.5) * 0.7
@@ -110,27 +126,31 @@ fn f32_simd_kernel_matches_naive_within_1e5_on_all_remainder_lanes() {
 
 #[test]
 fn f32_simd_kernel_handles_transposed_operands() {
-    let (m, k, n) = (65, 196, 63);
+    let (m, k, n) = (MC + 1, 196, 4 * NR - 1);
     let at = dense(k, m, entry); // A^T stored row-major, participating as A
+    let a = dense(m, k, entry);
     let b = dense(k, n, |r, c| entry(r + 11, c));
-    let reference = MatmulBackend::Naive.gemm(
-        m,
-        k,
-        n,
-        Operand::transposed(&at, m),
-        Operand::row_major(&b, n),
-    );
-    let mut packed = vec![f32::NAN; m * n];
-    gemm_packed_direct(
-        &mut packed,
-        m,
-        k,
-        n,
-        Operand::transposed(&at, m),
-        Operand::row_major(&b, n),
-    );
-    let diff = max_abs_diff(&packed, &reference);
-    assert!(diff <= 1e-5, "transposed-A packed f32 diverged by {diff}");
+    let bt = dense(n, k, |r, c| entry(c + 11, r)); // B^T stored row-major, participating as B
+                                                   // Transposed A is the attention kernels' `G = K̂ᵀV`; transposed B is what
+                                                   // `Matrix::matmul_transpose_b` feeds the driver.
+    for (label, a_op, b_op) in [
+        (
+            "transposed-A",
+            Operand::transposed(&at, m),
+            Operand::row_major(&b, n),
+        ),
+        (
+            "transposed-B",
+            Operand::row_major(&a, k),
+            Operand::transposed(&bt, k),
+        ),
+    ] {
+        let reference = MatmulBackend::Naive.gemm(m, k, n, a_op, b_op);
+        let mut packed = vec![f32::NAN; m * n];
+        gemm_packed_direct(&mut packed, m, k, n, a_op, b_op);
+        let diff = max_abs_diff(&packed, &reference);
+        assert!(diff <= 1e-5, "{label} packed f32 diverged by {diff}");
+    }
 }
 
 /// Runs the production int8 entry on a fresh workspace and reports whether it took
