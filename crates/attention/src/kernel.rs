@@ -233,9 +233,10 @@ pub(crate) fn taylor_aggregates_from_centred(
 ///
 /// The `Q G` product — the `O(n d²)` bulk of the pass — runs through the backend
 /// GEMM; the epilogue (denominator dot, `v_sum` shift, normalisation) is one cheap
-/// `O(nd)` sweep folded over the product rows. `denoms` (length `n_q`) receives each
-/// row's Taylor denominator `t_D = n sqrt(d) + q_i \hat{k}_{sum}^T`, which the
-/// unified kernel reuses for the weak map's normaliser.
+/// `O(nd)` sweep folded over the product rows. `denoms`, when given (length `n_q`),
+/// receives each row's Taylor denominator `t_D = n sqrt(d) + q_i \hat{k}_{sum}^T`,
+/// which the unified kernel reuses for the weak map's normaliser; the Taylor kernels
+/// pass `None`.
 // The argument list is the full Algorithm-1 aggregate set plus the two output
 // buffers; bundling them into a struct would just move the same ten names one
 // level down for the three call sites.
@@ -250,12 +251,13 @@ pub(crate) fn low_rank_outputs(
     sqrt_d: f32,
     n_sqrt_d: f32,
     out: &mut [f32],
-    denoms: &mut [f32],
+    mut denoms: Option<&mut [f32]>,
 ) {
     let d_v = v_sum.len();
-    let n_q = denoms.len();
+    let n_q = q.len() / d_k;
     debug_assert_eq!(q.len(), n_q * d_k);
     debug_assert_eq!(out.len(), n_q * d_v);
+    debug_assert!(denoms.as_ref().is_none_or(|t| t.len() == n_q));
     backend.gemm_into(
         out,
         n_q,
@@ -264,10 +266,10 @@ pub(crate) fn low_rank_outputs(
         Operand::row_major(q, d_k),
         Operand::row_major(g, d_v),
     );
-    for ((q_row, out_row), denom) in q
+    for (i, (q_row, out_row)) in q
         .chunks_exact(d_k)
         .zip(out.chunks_exact_mut(d_v))
-        .zip(denoms.iter_mut())
+        .enumerate()
     {
         let mut d = n_sqrt_d;
         for (&qv, &ks) in q_row.iter().zip(k_sum) {
@@ -277,7 +279,9 @@ pub(crate) fn low_rank_outputs(
         for (o, &vs) in out_row.iter_mut().zip(v_sum) {
             *o = (*o + sqrt_d * vs) * inv;
         }
-        *denom = d;
+        if let Some(denoms) = denoms.as_deref_mut() {
+            denoms[i] = d;
+        }
     }
 }
 

@@ -234,16 +234,8 @@ impl Int8LowRank {
     /// Emits every output row — the same fused GEMM-backed Steps-4–6 pass as the f32
     /// Taylor kernel, driven by the query's integer lattice over the scale-folded
     /// aggregates: `out_i = (sqrt(d) v_sum + q_i G) / (n sqrt(d) + q_i k̂_sum)` with
-    /// every operand on the int8 grid. Fills `denoms` with each row's Taylor
-    /// denominator `t_D`, as [`low_rank_outputs`] does for every caller.
-    fn output_sweep(
-        &self,
-        backend: MatmulBackend,
-        sqrt_d: f32,
-        n_sqrt_d: f32,
-        out: &mut [f32],
-        denoms: &mut [f32],
-    ) {
+    /// every operand on the int8 grid.
+    fn output_sweep(&self, backend: MatmulBackend, sqrt_d: f32, n_sqrt_d: f32, out: &mut [f32]) {
         low_rank_outputs(
             backend,
             &self.q_lat,
@@ -254,7 +246,7 @@ impl Int8LowRank {
             sqrt_d,
             n_sqrt_d,
             out,
-            denoms,
+            None,
         );
     }
 
@@ -322,17 +314,9 @@ impl AttentionKernel for QuantizedTaylorKernel {
         center_keys_into(k, &k_bar, &mut k_hat);
         let lr = Int8LowRank::accumulate(q, &k_hat, v, self.calibration, ws);
         let n_sqrt_d = n as f32 * sqrt_d;
-        let mut denoms = ws.take_vec(q.rows());
-        lr.output_sweep(
-            matmul_backend(),
-            sqrt_d,
-            n_sqrt_d,
-            out.as_mut_slice(),
-            &mut denoms,
-        );
+        lr.output_sweep(matmul_backend(), sqrt_d, n_sqrt_d, out.as_mut_slice());
         ws.recycle_vec(k_bar);
         ws.recycle_vec(k_hat);
-        ws.recycle_vec(denoms);
         lr.recycle(ws);
     }
 

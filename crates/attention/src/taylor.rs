@@ -217,7 +217,6 @@ impl AttentionKernel for TaylorAttention {
         let n = k.rows();
         let d_k = k.cols();
         let d_v = v.cols();
-        let n_q = q.rows();
         let sqrt_d = (q.cols() as f32).sqrt();
         let backend = matmul_backend();
 
@@ -232,7 +231,6 @@ impl AttentionKernel for TaylorAttention {
         taylor_aggregates_from_centred(backend, &k_hat, v, &mut g, &mut k_sum, &mut v_sum);
 
         let n_sqrt_d = n as f32 * sqrt_d;
-        let mut denoms = ws.take_vec(n_q);
         low_rank_outputs(
             backend,
             q.as_slice(),
@@ -243,7 +241,7 @@ impl AttentionKernel for TaylorAttention {
             sqrt_d,
             n_sqrt_d,
             out.as_mut_slice(),
-            &mut denoms,
+            None,
         );
 
         ws.recycle_vec(k_bar);
@@ -251,7 +249,6 @@ impl AttentionKernel for TaylorAttention {
         ws.recycle_vec(g);
         ws.recycle_vec(k_sum);
         ws.recycle_vec(v_sum);
-        ws.recycle_vec(denoms);
     }
 
     fn op_counts(&self, n: usize, d: usize) -> OpCounts {

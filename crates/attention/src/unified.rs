@@ -146,7 +146,7 @@ impl AttentionKernel for UnifiedLowRankSparseAttention {
             sqrt_d,
             n_sqrt_d,
             out.as_mut_slice(),
-            &mut denoms,
+            Some(&mut denoms),
         );
         add_masked_strong_residual(&self.sparse, q, &k_hat, v, &denoms, ws, out);
 
