@@ -79,7 +79,7 @@
 //! | `NC`      | 512    | columns per packed B panel (panel stays in L2/L3) |
 //!
 //! The 6 × 16 shape is the BLIS Haswell one: per depth step, two B loads and six
-//! broadcasts feed twelve FMAs, against nine loads per eight FMAs on an 8 × 8 tile.
+//! broadcasts feed twelve FMAs, where a square 8 × 8 tile needs nine loads per eight.
 //! These constants are the f32 driver's only; the int8 `maddubs` kernel in
 //! [`crate::simd`] keeps its own 8 × 8 tile, whose packed B group of 8 columns × 4
 //! depth bytes is exactly one 256-bit register.

@@ -551,6 +551,8 @@ mod x86 {
         kc: usize,
         acc: &mut [[f32; NR]; MR],
     ) {
+        // The loads and stores below address exactly two 8-lane halves per row.
+        const { assert!(NR == 16) };
         debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
         debug_assert_eq!(bp.as_ptr() as usize % SIMD_ALIGN, 0);
         let mut rows = [[_mm256_setzero_ps(); 2]; MR];
