@@ -15,7 +15,8 @@
 //!
 //! The API is the small slice-shaped subset the [`crate::Workspace`] pools and the
 //! packed-panel scratch need: construct, `reset_zeroed` to a length (reallocating only
-//! when capacity is exceeded), and `Deref`/`DerefMut` to `[T]` for everything else.
+//! when capacity is exceeded) or `reset_uncleared` for scratch whose writer fills every
+//! slot, and `Deref`/`DerefMut` to `[T]` for everything else.
 //! There is no `push`/`insert` — the pools always size buffers up front.
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
@@ -89,28 +90,38 @@ impl<T: Copy + Default> AlignedVec<T> {
     /// it is large enough. Previous contents are discarded — this is the checkout
     /// path of the workspace pools, which always hand out zeroed buffers.
     pub fn reset_zeroed(&mut self, len: usize) {
+        let reused = len <= self.cap;
+        self.reset_uncleared(len);
+        if reused {
+            // SAFETY: `len <= cap`, so the range is inside the live allocation; T is
+            // plain-old-data with an all-zeroes default (asserted in reset_uncleared).
+            unsafe { std::ptr::write_bytes(self.ptr.as_ptr(), 0, len) };
+        }
+    }
+
+    /// Resizes to exactly `len` elements without clearing the reused ones: slots
+    /// inside the current capacity keep whatever was last written, and a grown
+    /// buffer is a fresh zeroed allocation. Sound because every allocation is made by
+    /// `alloc_zeroed`, so no slot below capacity is ever uninitialised. For scratch
+    /// whose writer fills every slot (the packed GEMM panels), where a clearing pass
+    /// would be pure overhead.
+    pub fn reset_uncleared(&mut self, len: usize) {
         debug_assert!(
             is_zero_default::<T>(),
             "pooled element must be zero-default"
         );
         if len > self.cap {
             self.release();
-            if let Some(layout) = Self::layout(len) {
-                // SAFETY: `layout` has non-zero size (len > cap >= 0 and T is not a
-                // ZST for any pooled element type) and valid 32-byte alignment.
-                let raw = unsafe { alloc_zeroed(layout) };
-                let Some(ptr) = NonNull::new(raw.cast::<T>()) else {
-                    handle_alloc_error(layout)
-                };
-                self.ptr = ptr;
-                self.cap = len;
-            }
-            self.len = len;
-            return;
+            let layout = Self::layout(len).expect("AlignedVec length overflows a layout");
+            // SAFETY: `layout` has non-zero size (`layout` returns None for zero
+            // bytes) and valid 32-byte alignment.
+            let raw = unsafe { alloc_zeroed(layout) };
+            let Some(ptr) = NonNull::new(raw.cast::<T>()) else {
+                handle_alloc_error(layout)
+            };
+            self.ptr = ptr;
+            self.cap = len;
         }
-        // SAFETY: `len <= cap`, so the range is inside the live allocation; T is
-        // plain-old-data with an all-zeroes default (asserted above).
-        unsafe { std::ptr::write_bytes(self.ptr.as_ptr(), 0, len) };
         self.len = len;
     }
 
@@ -163,7 +174,7 @@ impl<T> Drop for AlignedVec<T> {
         let bytes = std::mem::size_of::<T>() * self.cap;
         let align = SIMD_ALIGN.max(std::mem::align_of::<T>());
         let layout = Layout::from_size_align(bytes, align).expect("live layout");
-        // SAFETY: allocated with exactly this layout in `reset_zeroed`.
+        // SAFETY: allocated with exactly this layout in `reset_uncleared`.
         unsafe { dealloc(self.ptr.as_ptr().cast::<u8>(), layout) };
     }
 }
@@ -172,8 +183,9 @@ impl<T> Deref for AlignedVec<T> {
     type Target = [T];
 
     fn deref(&self) -> &[T] {
-        // SAFETY: `len` elements starting at `ptr` are initialised (zeroed at resize,
-        // then only written through `DerefMut`).
+        // SAFETY: `len <= cap` elements starting at `ptr` are initialised: every
+        // allocation is `alloc_zeroed` over its whole capacity, then only written
+        // through `DerefMut`.
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 }
@@ -249,6 +261,28 @@ mod tests {
         assert_eq!(v.len(), 128);
         assert_eq!(v.as_ptr() as usize % SIMD_ALIGN, 0);
         assert!(v.iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn reset_uncleared_keeps_reused_slots_and_zeroes_fresh_capacity() {
+        let mut v = AlignedVec::<f32>::zeroed(16);
+        let ptr = v.as_ptr();
+        v.iter_mut().for_each(|x| *x = 3.0);
+        v.reset_uncleared(8);
+        assert_eq!(v.as_ptr(), ptr, "shrinking reset must not reallocate");
+        assert!(v.iter().all(|&x| x == 3.0), "reused slots are not cleared");
+        v.reset_uncleared(16);
+        assert!(
+            v.iter().all(|&x| x == 3.0),
+            "slots inside capacity keep their values"
+        );
+        v.reset_uncleared(64);
+        assert_eq!(v.capacity(), 64);
+        assert_eq!(v.as_ptr() as usize % SIMD_ALIGN, 0);
+        assert!(
+            v.iter().all(|&x| x == 0.0),
+            "a grown buffer is freshly zeroed"
+        );
     }
 
     #[test]

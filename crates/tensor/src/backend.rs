@@ -677,7 +677,8 @@ fn packed_driver<T>(
             // Pack the B panel once per (jc, pc); every row-panel task reads it.
             PANEL_B.with(|cell| {
                 let mut bp = cell.borrow_mut();
-                bp.reset_zeroed(n_tiles * kc * NR);
+                // pack_tile writes every slot: no clearing pass on reuse.
+                bp.reset_uncleared(n_tiles * kc * NR);
                 for (t, dst) in bp.chunks_exact_mut(kc * NR).enumerate() {
                     let j0 = jc + t * NR;
                     let cols_contiguous = b.layout == Layout::Transposed;
@@ -693,7 +694,7 @@ fn packed_driver<T>(
 
                     PANEL_A.with(|cell| {
                         let mut ap = cell.borrow_mut();
-                        ap.reset_zeroed(m_tiles * kc * MR);
+                        ap.reset_uncleared(m_tiles * kc * MR);
                         for (t, dst) in ap.chunks_exact_mut(kc * MR).enumerate() {
                             let r0 = i0 + t * MR;
                             let rows_contiguous = a.layout == Layout::RowMajor;

@@ -940,14 +940,16 @@ mod x86 {
         let m_tiles = m.div_ceil(MR_I8);
         PANEL_B_I8.with(|b_cell| {
             let mut bp = b_cell.borrow_mut();
-            bp.reset_zeroed(n_tiles * groups * KG * NR_I8);
+            // Both packers write every slot of their tiles, so neither panel is
+            // cleared when its allocation is reused.
+            bp.reset_uncleared(n_tiles * groups * KG * NR_I8);
             for (t, tile) in bp.chunks_exact_mut(groups * KG * NR_I8).enumerate() {
                 let j0 = t * NR_I8;
                 pack_b_i8(tile, b, k, groups, j0, NR_I8.min(n - j0));
             }
             PANEL_A_I8.with(|a_cell| {
                 let mut ap = a_cell.borrow_mut();
-                ap.reset_zeroed(groups * KG * MR_I8);
+                ap.reset_uncleared(groups * KG * MR_I8);
                 for ti in 0..m_tiles {
                     let r0 = ti * MR_I8;
                     let rows_here = MR_I8.min(m - r0);
