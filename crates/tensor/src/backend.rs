@@ -10,21 +10,25 @@
 //! * [`MatmulBackend::Naive`] — the textbook `i j k` scalar triple loop: the
 //!   differential reference every other product is tested against, and the baseline
 //!   `bench_attention` compares the production tier with.
-//! * [`MatmulBackend::Blocked`] — the production tier, a BLIS-style packed driver: the
-//!   operands are packed into thread-local aligned panel buffers (`MC × KC` row panels
-//!   of A, `KC × NC` column panels of B, zero-padded to the register tile), and an
-//!   `MR × NR = 6 × 16` register-tile microkernel accumulates each output tile over
-//!   contiguous packed slices. The tile is the AVX2/FMA one from [`crate::simd`]
-//!   wherever [`crate::simd::simd_available`] holds, else a scalar tile the compiler
-//!   auto-vectorises; the driver picks it once per product. Row panels of the output
-//!   are distributed over threads with [`crate::parallel::for_each_chunk_mut`].
+//! * [`MatmulBackend::Blocked`] — the production tier, a BLIS-style packed driver: B
+//!   is packed into a thread-local aligned buffer (`KC × NC` column panels,
+//!   zero-padded to the register tile), while A is read where it sits through a row
+//!   and a depth stride — only a product's ragged last row tile (fewer than `MR`
+//!   rows) is packed, zero-padded, beside the B panel. An `MR × NR = 6 × 16`
+//!   register-tile microkernel accumulates each output tile; the first `KC` panel
+//!   stores it into C and later panels add into it, so C needs no zero fill. The
+//!   tile is the AVX2/FMA one from [`crate::simd`] wherever
+//!   [`crate::simd::simd_available`] holds, else a scalar tile the compiler
+//!   auto-vectorises; the driver picks it once per product. `MC`-row panels of the
+//!   output are distributed over threads with [`crate::parallel::for_each_chunk_mut`].
 //!   Each output element is one `k`-ordered chain of multiply-adds per `KC` panel
-//!   whatever the tile's shape, so a new tile shape changes no result bit.
+//!   whatever the tile's shape or where its A operand is read from, so neither
+//!   changes a result bit.
 //!
 //! Both tiers serve all three access patterns the attention kernels need — `A·B`,
 //! `A·Bᵀ` ([`Matrix::matmul_transpose_b`](crate::Matrix::matmul_transpose_b)) and `Aᵀ·B`
-//! ([`Matrix::transpose_matmul`](crate::Matrix::transpose_matmul)) — by packing through a
-//! layout accessor instead of materialising the transpose.
+//! ([`Matrix::transpose_matmul`](crate::Matrix::transpose_matmul)) — through a layout
+//! accessor (B's packer, A's strides) instead of materialising the transpose.
 //!
 //! # Integer GEMM: one reference, one production entry
 //!
@@ -53,11 +57,14 @@
 //!
 //! 1. **Write a tile with the driver's signature** in `crates/tensor/src/simd.rs`
 //!    behind a `#[cfg(all(target_arch = "...", not(force_scalar)))]` module: an
-//!    `unsafe` `#[target_feature(...)]` function `(ap, bp, kc, &mut [[f32; NR]; MR])`
-//!    (`MR × NR` = 6 × 16) accumulating `kc` depth steps of the packed k-major
-//!    `MR`-wide / `NR`-wide panels (every packer writes *all* tile slots, so dirty
-//!    reused scratch is safe; B panel rows are 64 bytes, 32-byte aligned). A tier
-//!    whose registers favour another shape changes `MR`/`NR` for every tile, the
+//!    `unsafe` `#[target_feature(...)]` function
+//!    `(a, rs, ks, bp, kc, &mut [[f32; NR]; MR])` (`MR × NR` = 6 × 16) accumulating
+//!    `kc` depth steps: A's tile element `(i, kk)` is `a[i * rs + kk * ks]` — row-major
+//!    A passes `(stride, 1)`, transposed A `(1, stride)`, the packed ragged tile
+//!    `(1, MR)` — and `a` covers exactly `tile_extent(rs, ks, kc)` elements; `bp` is
+//!    the packed k-major `NR`-wide B tile (every packer writes *all* tile slots, so
+//!    dirty reused scratch is safe; B panel rows are 64 bytes, 32-byte aligned). A
+//!    tier whose registers favour another shape changes `MR`/`NR` for every tile, the
 //!    scalar one included. Every intrinsic block carries a
 //!    `// SAFETY:` comment — the crate denies `unsafe_op_in_unsafe_fn`.
 //! 2. **Gate it at runtime**: extend [`crate::CpuFeatures`] with the new flag(s),
@@ -67,15 +74,16 @@
 //!    `if <tier>_available()` arm handing the tile to the driver.
 //! 4. **Pin it differentially** in `crates/tensor/tests/simd_differential.rs`: the
 //!    direct driver entry [`gemm_packed_direct`] runs the host's tile on every `SPAN`
-//!    shape against [`MatmulBackend::Naive`] (within `1e-5`).
+//!    shape against [`MatmulBackend::Naive`] (within `1e-5`), and bit for bit on
+//!    exact-extent strided operands of both A layouts (run under ASan in CI).
 //!
 //! # Blocking parameters
 //!
 //! | Constant | Value | Role |
 //! |---|---|---|
 //! | `MR × NR` | 6 × 16 | f32 register tile: 96 accumulators in twelve 256-bit registers |
-//! | `KC`      | 256    | depth of one packed panel (A panel stays in L1/L2) |
-//! | `MC`      | 72     | rows per parallel work unit (one packed A panel per task) |
+//! | `KC`      | 256    | depth of one B panel (a tile's `MR × KC` A rows stay in L1) |
+//! | `MC`      | 72     | rows of C per parallel work unit (multiple of `MR`) |
 //! | `NC`      | 512    | columns per packed B panel (panel stays in L2/L3) |
 //!
 //! The 6 × 16 shape is the BLIS Haswell one: per depth step, two B loads and six
@@ -303,6 +311,7 @@ impl<'a> IntOperand<'a> {
     /// The raw buffer, stride and layout — for the SIMD packers' branch-free
     /// full-tile copies, which index the flat buffer directly instead of paying a
     /// per-byte `at` bounds check.
+    #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
     #[inline(always)]
     pub(crate) fn raw(&self) -> (&'a [i8], usize, Layout) {
         (self.data, self.stride, self.layout)
@@ -320,7 +329,9 @@ impl MatmulBackend {
 
     /// Computes the same product into a caller-provided buffer (the allocation-free
     /// entry point behind the `Matrix::*_into` methods and the [`crate::Workspace`]
-    /// hot paths). The buffer is overwritten, not accumulated into.
+    /// hot paths). The buffer is overwritten, not accumulated into, and never read:
+    /// the packed driver and the naive loop store every element, the small-product
+    /// loop and an empty reduction (`k == 0`) zero-fill first.
     ///
     /// # Panics
     ///
@@ -335,7 +346,6 @@ impl MatmulBackend {
         b: Operand<'_>,
     ) {
         assert_eq!(out.len(), m * n, "gemm_into output buffer length");
-        out.fill(0.0);
         self.dispatch(out, m, k, n, a, b);
     }
 
@@ -496,6 +506,8 @@ impl MatmulBackend {
         }
     }
 
+    /// Writes every element of `out`: the packed driver and the naive loop overwrite,
+    /// the small-product loop and the empty reduction zero-fill first.
     fn dispatch(
         self,
         out: &mut [f32],
@@ -505,7 +517,11 @@ impl MatmulBackend {
         a: Operand<'_>,
         b: Operand<'_>,
     ) {
-        if m == 0 || n == 0 || k == 0 {
+        if k == 0 {
+            out.fill(0.0);
+            return;
+        }
+        if m == 0 || n == 0 {
             return;
         }
         match self {
@@ -540,6 +556,7 @@ fn gemm_naive(out: &mut [f32], m: usize, k: usize, n: usize, a: Operand<'_>, b: 
 fn gemm_small(out: &mut [f32], m: usize, k: usize, n: usize, a: Operand<'_>, b: Operand<'_>) {
     for i in 0..m {
         let row = &mut out[i * n..(i + 1) * n];
+        row.fill(0.0);
         for kk in 0..k {
             let a_ik = a.at(i, kk);
             for (j, o) in row.iter_mut().enumerate() {
@@ -551,7 +568,8 @@ fn gemm_small(out: &mut [f32], m: usize, k: usize, n: usize, a: Operand<'_>, b: 
 
 /// Direct entry into the packed driver on this host's tile, bypassing the
 /// small-product cutoff of [`MatmulBackend::gemm`] so differential tests can pin the
-/// tile's remainder lanes on tiny shapes. Overwrites `out`.
+/// tile's remainder lanes on tiny shapes. Overwrites `out` under the same contract as
+/// [`MatmulBackend::gemm_into`], without a fill of its own.
 ///
 /// # Panics
 ///
@@ -566,8 +584,9 @@ pub fn gemm_packed_direct(
     b: Operand<'_>,
 ) {
     assert_eq!(out.len(), m * n, "gemm_packed_direct output buffer length");
-    out.fill(0.0);
-    if m > 0 && n > 0 && k > 0 {
+    if k == 0 {
+        out.fill(0.0);
+    } else if m > 0 && n > 0 {
         gemm_packed(out, m, k, n, a, b);
     }
 }
@@ -578,45 +597,63 @@ pub fn gemm_packed_direct(
 fn gemm_packed(out: &mut [f32], m: usize, k: usize, n: usize, a: Operand<'_>, b: Operand<'_>) {
     #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
     if crate::simd::simd_available() {
-        packed_driver(out, m, k, n, a, b, |ap, bp, kc, acc| {
+        packed_driver(out, m, k, n, a, b, |a_tile, rs, ks, bp, kc, acc| {
             // SAFETY: simd_available() held above (avx2 + fma present); the driver
-            // hands every call tiles exactly kc*MR / kc*NR long, the B tile's rows
-            // 32-byte aligned (AlignedVec base, 64-byte row stride). Every tile edge
-            // and both transposed layouts are pinned by tests/simd_differential.rs.
-            unsafe { crate::simd::microkernel_f32(ap, bp, kc, acc) }
+            // hands every call an A slice bounds-checked to exactly
+            // tile_extent(rs, ks, kc) elements and a B tile exactly kc*NR long, its
+            // rows 32-byte aligned (AlignedVec base, 64-byte row stride). Every tile
+            // edge, both A layouts and strided sub-matrix operands at their exact
+            // extent are pinned by tests/simd_differential.rs, under ASan in CI.
+            unsafe { crate::simd::microkernel_f32(a_tile, rs, ks, bp, kc, acc) }
         });
         return;
     }
     packed_driver(out, m, k, n, a, b, microkernel_scalar);
 }
 
-/// The scalar register tile: accumulates an `MR × NR` tile of C over `kc` packed depth
-/// steps. `ap` is k-major (`ap[kk * MR + i]`), `bp` is k-major (`bp[kk * NR + j]`);
-/// both are zero-padded to the full tile, so the loop body is branch-free and the `j`
-/// loop vectorises.
+/// Elements an A tile spans when its element `(i, kk)` sits at `i * rs + kk * ks`:
+/// the last index read over `MR` rows and `kc` depth steps, plus one.
 #[inline(always)]
-fn microkernel_scalar(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
-    for (a, b) in ap[..kc * MR]
-        .chunks_exact(MR)
-        .zip(bp[..kc * NR].chunks_exact(NR))
-    {
-        let a: &[f32; MR] = a.try_into().expect("packed A tile width");
-        let b: &[f32; NR] = b.try_into().expect("packed B tile width");
-        for i in 0..MR {
-            let a_i = a[i];
+pub(crate) fn tile_extent(rs: usize, ks: usize, kc: usize) -> usize {
+    (MR - 1) * rs + (kc - 1) * ks + 1
+}
+
+/// The scalar register tile: accumulates an `MR × NR` tile of C over `kc` depth
+/// steps. A is read where it sits, element `(i, kk)` at `a[i * rs + kk * ks]`; `bp` is
+/// the packed k-major B tile (`bp[kk * NR + j]`, zero-padded to `NR`), so the `j` loop
+/// is branch-free and vectorises. Two tile rows at a time: their `2 × NR`
+/// accumulators stay in registers as eight independent add chains, A's two rows are
+/// plain strided iterators, and each element's chain is still in `k` order.
+#[inline(always)]
+fn microkernel_scalar(
+    a: &[f32],
+    rs: usize,
+    ks: usize,
+    bp: &[f32],
+    kc: usize,
+    acc: &mut [[f32; NR]; MR],
+) {
+    debug_assert!(a.len() >= tile_extent(rs, ks, kc));
+    const { assert!(MR.is_multiple_of(2)) };
+    for (pair, [c0, c1]) in acc.as_chunks_mut::<2>().0.iter_mut().enumerate() {
+        let a0 = a[2 * pair * rs..].iter().step_by(ks);
+        let a1 = a[(2 * pair + 1) * rs..].iter().step_by(ks);
+        let (mut r0, mut r1) = (*c0, *c1);
+        for ((&x0, &x1), b) in a0.zip(a1).zip(bp[..kc * NR].chunks_exact(NR)) {
+            let b: &[f32; NR] = b.try_into().expect("packed B tile width");
             for j in 0..NR {
-                acc[i][j] += a_i * b[j];
+                r0[j] += x0 * b[j];
+                r1[j] += x1 * b[j];
             }
         }
+        (*c0, *c1) = (r0, r1);
     }
 }
 
 std::thread_local! {
-    // Packed-panel scratch, one cell per operand side so a caller holding the B-panel
-    // borrow across the parallel region never collides with a worker (possibly this
-    // same thread, when the region runs inline) packing A.
-    static PANEL_A: RefCell<AlignedVec<f32>> = RefCell::new(AlignedVec::new());
-    static PANEL_B: RefCell<AlignedVec<f32>> = RefCell::new(AlignedVec::new());
+    // Packed-panel scratch: the B panel, then the ragged last A tile when the product
+    // has one. Packed once per (jc, pc) before the parallel region, read by every task.
+    static PANEL: RefCell<AlignedVec<f32>> = RefCell::new(AlignedVec::new());
 }
 
 /// Packs `kc` depth steps (from `k0`) of `count <= W` consecutive lines (from `l0`:
@@ -653,10 +690,12 @@ fn pack_tile<const W: usize>(
     }
 }
 
-/// The packed driver: BLIS-style `jc → pc → (parallel) ic` loop nest over
-/// thread-local aligned panel scratch (zero steady-state allocations when a region
-/// runs inline), calling `tile` on every register tile. Accumulates into `out`
-/// (callers zero it first), so the `pc` panel loop composes.
+/// The packed driver: BLIS-style `jc → pc → (parallel) ic` loop nest. B is packed
+/// into thread-local aligned panel scratch (zero steady-state allocations when a
+/// region runs inline); A is read in place, except a ragged last row tile (fewer than
+/// `MR` rows), which is packed zero-padded beside the B panel. `tile` runs on every
+/// register tile; the first `KC` panel stores it into `out`, later panels add into
+/// it, so `out` needs no fill. Callers guarantee `m, k, n > 0`.
 fn packed_driver<T>(
     out: &mut [f32],
     m: usize,
@@ -666,60 +705,78 @@ fn packed_driver<T>(
     b: Operand<'_>,
     tile: T,
 ) where
-    T: Fn(&[f32], &[f32], usize, &mut [[f32; NR]; MR]) + Sync,
+    T: Fn(&[f32], usize, usize, &[f32], usize, &mut [[f32; NR]; MR]) + Sync,
 {
+    // A's element (i, kk) sits at `i * rs + kk * ks`: the one extent check that keeps
+    // every in-place tile read in bounds.
+    let (rs, ks) = match a.layout {
+        Layout::RowMajor => (a.stride, 1),
+        Layout::Transposed => (1, a.stride),
+    };
+    assert!(
+        a.data.len() > (m - 1) * rs + (k - 1) * ks,
+        "A operand of {} elements is shorter than its {m} x {k} extent",
+        a.data.len()
+    );
+    // Rows in full MR tiles; the rest form the one packed tile.
+    let m_full = m - m % MR;
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         let n_tiles = nc.div_ceil(NR);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
 
-            // Pack the B panel once per (jc, pc); every row-panel task reads it.
-            PANEL_B.with(|cell| {
-                let mut bp = cell.borrow_mut();
-                // pack_tile writes every slot: no clearing pass on reuse.
-                bp.reset_uncleared(n_tiles * kc * NR);
+            // Pack the B panel (and the ragged A tile) once per (jc, pc); every
+            // row-panel task reads them. pack_tile writes every slot, so the scratch
+            // is resized without clearing.
+            PANEL.with(|cell| {
+                let mut panel = cell.borrow_mut();
+                let b_len = n_tiles * kc * NR;
+                panel.reset_uncleared(b_len + if m_full < m { kc * MR } else { 0 });
+                let (bp, ragged) = panel.split_at_mut(b_len);
                 for (t, dst) in bp.chunks_exact_mut(kc * NR).enumerate() {
                     let j0 = jc + t * NR;
                     let cols_contiguous = b.layout == Layout::Transposed;
                     pack_tile::<NR>(dst, b, cols_contiguous, kc, pc, j0, NR.min(n - j0));
                 }
-                let bp: &[f32] = &bp;
+                if m_full < m {
+                    let rows_contiguous = a.layout == Layout::RowMajor;
+                    pack_tile::<MR>(ragged, a, rows_contiguous, kc, pc, m_full, m - m_full);
+                }
+                let (bp, ragged): (&[f32], &[f32]) = (bp, ragged);
 
                 // Row panels of C are independent: distribute them over threads.
                 for_each_chunk_mut(out, MC * n, |panel, c_rows| {
                     let i0 = panel * MC;
                     let mc = MC.min(m - i0);
-                    let m_tiles = mc.div_ceil(MR);
+                    for ti in 0..mc.div_ceil(MR) {
+                        let r0 = i0 + ti * MR;
+                        let (a_tile, trs, tks) = if r0 < m_full {
+                            let origin = r0 * rs + pc * ks;
+                            (&a.data[origin..origin + tile_extent(rs, ks, kc)], rs, ks)
+                        } else {
+                            (ragged, 1, MR)
+                        };
+                        let rows_here = MR.min(m - r0);
+                        for tj in 0..n_tiles {
+                            let b_tile = &bp[tj * kc * NR..(tj + 1) * kc * NR];
+                            let mut acc = [[0.0f32; NR]; MR];
+                            tile(a_tile, trs, tks, b_tile, kc, &mut acc);
 
-                    PANEL_A.with(|cell| {
-                        let mut ap = cell.borrow_mut();
-                        ap.reset_uncleared(m_tiles * kc * MR);
-                        for (t, dst) in ap.chunks_exact_mut(kc * MR).enumerate() {
-                            let r0 = i0 + t * MR;
-                            let rows_contiguous = a.layout == Layout::RowMajor;
-                            pack_tile::<MR>(dst, a, rows_contiguous, kc, pc, r0, MR.min(m - r0));
-                        }
-
-                        for ti in 0..m_tiles {
-                            let a_tile = &ap[ti * kc * MR..(ti + 1) * kc * MR];
-                            let rows_here = MR.min(mc - ti * MR);
-                            for tj in 0..n_tiles {
-                                let b_tile = &bp[tj * kc * NR..(tj + 1) * kc * NR];
-                                let mut acc = [[0.0f32; NR]; MR];
-                                tile(a_tile, b_tile, kc, &mut acc);
-
-                                let j0 = jc + tj * NR;
-                                let cols_here = NR.min(n - j0);
-                                for (i, acc_row) in acc.iter().enumerate().take(rows_here) {
-                                    let c_row = &mut c_rows[(ti * MR + i) * n + j0..][..cols_here];
+                            let j0 = jc + tj * NR;
+                            let cols_here = NR.min(n - j0);
+                            for (i, acc_row) in acc.iter().enumerate().take(rows_here) {
+                                let c_row = &mut c_rows[(ti * MR + i) * n + j0..][..cols_here];
+                                if pc == 0 {
+                                    c_row.copy_from_slice(&acc_row[..cols_here]);
+                                } else {
                                     for (o, &v) in c_row.iter_mut().zip(acc_row.iter()) {
                                         *o += v;
                                     }
                                 }
                             }
                         }
-                    });
+                    }
                 });
             });
         }

@@ -7,9 +7,9 @@
 //! the two hot element types:
 //!
 //! * **f32** — the AVX2/FMA 6×16 register tile the packed driver runs where the host
-//!   has the features: twelve 256-bit FMA accumulators (two per tile row); each
-//!   packed depth step is two aligned B-row loads plus six broadcasts feeding twelve
-//!   FMAs.
+//!   has the features: twelve 256-bit FMA accumulators (two per tile row); each depth
+//!   step is two aligned loads from the packed B panel plus six broadcasts, read from
+//!   A where it sits, feeding twelve FMAs.
 //! * **i8** — the AVX2 integer dot-product idiom hardware PE arrays mirror: depth is
 //!   processed four steps at a time with `_mm256_maddubs_epi16` (unsigned×signed byte
 //!   multiply, pairwise i16 add) followed by `_mm256_madd_epi16` against ones to reach
@@ -512,7 +512,7 @@ unsafe fn layer_norm_rows_avx2(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32,
 #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
 mod x86 {
     use crate::aligned::{AlignedVec, SIMD_ALIGN};
-    use crate::backend::{IntOperand, Layout, MR, NR};
+    use crate::backend::{tile_extent, IntOperand, Layout, MR, NR};
     use std::arch::x86_64::*;
     use std::cell::RefCell;
 
@@ -532,31 +532,36 @@ mod x86 {
     }
 
     /// AVX2+FMA `MR × NR` = 6 × 16 f32 register tile for the packed driver in
-    /// [`crate::backend`]: accumulates `kc` packed depth steps into `acc`. Each step
-    /// is two aligned B-row loads and six broadcasts feeding twelve FMAs into twelve
-    /// `ymm` accumulators (two per tile row), which leaves three of the sixteen
-    /// registers for the operands. `ap` is k-major `MR`-wide, `bp` k-major `NR`-wide
-    /// (the same packed layout the scalar tile consumes), and `bp` must be 32-byte
-    /// aligned. Every lane is one output element's FMA chain in `k` order.
+    /// [`crate::backend`]: accumulates `kc` depth steps into `acc`. Each step is two
+    /// aligned B-row loads and six broadcasts feeding twelve FMAs into twelve `ymm`
+    /// accumulators (two per tile row), which leaves three of the sixteen registers
+    /// for the operands. A is read where it sits: element `(i, kk)` of the tile is
+    /// `a[i * rs + kk * ks]` — `(stride, 1)` for row-major A, `(1, stride)` for
+    /// transposed A, `(1, MR)` for the packed ragged tile. `bp` is the packed k-major
+    /// `NR`-wide B tile (the layout the scalar tile consumes), 32-byte aligned. Every
+    /// lane is one output element's FMA chain in `k` order.
     ///
     /// # Safety
     ///
     /// The caller must ensure the CPU supports `avx2` and `fma` (checked via
-    /// [`super::simd_available`] at the driver's tile selection) and that
-    /// `ap.len() >= kc * MR`, `bp.len() >= kc * NR`, with `bp` 32-byte aligned.
+    /// [`super::simd_available`] at the driver's tile selection), that `kc >= 1`,
+    /// `a.len() >= tile_extent(rs, ks, kc)` (`(MR − 1)·rs + (kc − 1)·ks + 1`) and
+    /// `bp.len() >= kc * NR`, with `bp` 32-byte aligned.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(crate) unsafe fn microkernel_f32(
-        ap: &[f32],
+        a: &[f32],
+        rs: usize,
+        ks: usize,
         bp: &[f32],
         kc: usize,
         acc: &mut [[f32; NR]; MR],
     ) {
         // The loads and stores below address exactly two 8-lane halves per row.
         const { assert!(NR == 16) };
-        debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
+        debug_assert!(kc >= 1 && a.len() >= tile_extent(rs, ks, kc) && bp.len() >= kc * NR);
         debug_assert_eq!(bp.as_ptr() as usize % SIMD_ALIGN, 0);
         let mut rows = [[_mm256_setzero_ps(); 2]; MR];
-        let a = ap.as_ptr();
+        let a = a.as_ptr();
         let b = bp.as_ptr();
         for kk in 0..kc {
             // SAFETY: the driver calls this tile only where simd_available() holds;
@@ -571,8 +576,11 @@ mod x86 {
                 )
             };
             for (i, row) in rows.iter_mut().enumerate() {
-                // SAFETY: `kk * MR + i < kc * MR <= ap.len()`.
-                let av = unsafe { _mm256_broadcast_ss(&*a.add(kk * MR + i)) };
+                // SAFETY: `i * rs + kk * ks <= (MR - 1) * rs + (kc - 1) * ks <
+                // a.len()`, the extent the driver bounds-checks in safe code. Pinned
+                // at exact-extent strided operands of both layouts by
+                // simd_differential::f32_packed_driver_reads_a_in_place_within_its_extent.
+                let av = unsafe { _mm256_broadcast_ss(&*a.add(i * rs + kk * ks)) };
                 row[0] = _mm256_fmadd_ps(av, b0, row[0]);
                 row[1] = _mm256_fmadd_ps(av, b1, row[1]);
             }

@@ -65,11 +65,16 @@ fn dense(rows: usize, cols: usize, f: impl Fn(usize, usize) -> f32) -> Vec<f32> 
     data
 }
 
+/// Largest elementwise distance, NaN when any pair differs by NaN (`f32::max` would
+/// drop it, hiding an output slot a route never wrote).
 fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
     a.iter()
         .zip(b.iter())
         .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f32::max)
+        .fold(
+            0.0,
+            |worst, d| if d.is_nan() || d > worst { d } else { worst },
+        )
 }
 
 /// i8 fill constrained to [-127, 127]: the native kernel's documented domain (the
@@ -150,6 +155,102 @@ fn f32_simd_kernel_handles_transposed_operands() {
         gemm_packed_direct(&mut packed, m, k, n, a_op, b_op);
         let diff = max_abs_diff(&packed, &reference);
         assert!(diff <= 1e-5, "{label} packed f32 diverged by {diff}");
+    }
+}
+
+/// Small integers in `[-3, 3]`: every product and partial sum of a reduction up to
+/// `2·KC + 1` deep is an exactly representable integer, so every f32 route must agree
+/// with the naive reference **bit for bit**, whatever its tile or panel order.
+fn small_int(r: usize, c: usize) -> f32 {
+    ((r * 7 + c * 3) % 7) as f32 - 3.0
+}
+
+/// A `rows × cols` matrix stored row-major at row stride `stride >= cols`, in a buffer
+/// of exactly its logical extent, `(rows − 1)·stride + cols` elements: the sub-matrix
+/// view the chunked int8 route builds. The gap slots hold NaN and the allocation ends
+/// at the last logical element, so a read outside the operand poisons the result or,
+/// under AddressSanitizer, faults as a heap overflow.
+fn strided(rows: usize, cols: usize, stride: usize, f: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+    let len = (rows - 1) * stride + cols;
+    let mut data = Vec::with_capacity(len);
+    data.extend((0..len).map(|i| {
+        let (r, c) = (i / stride, i % stride);
+        if c < cols {
+            f(r, c)
+        } else {
+            f32::NAN
+        }
+    }));
+    data
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn f32_packed_driver_reads_a_in_place_within_its_extent() {
+    // Both A layouts (row-major A is every projection; transposed A is the attention
+    // kernels' `G = K̂ᵀV`), each with a strided B of the other layout, at row counts
+    // around the tile height and the row panel plus the served token counts (196 and
+    // 1024 leave a ragged last tile), and at depths where only the storing first `KC`
+    // panel runs and where one or two accumulating panels follow it.
+    let n = NR + 1;
+    for &m in &[MR - 1, MR, MR + 1, MC - 1, MC, MC + 1, 196, 1024] {
+        for &k in &[KC - 1, KC, KC + 1, 2 * KC + 1] {
+            let a_rm = strided(m, k, k + 3, small_int);
+            let at = strided(k, m, m + 5, |r, c| small_int(c, r));
+            let b_rm = strided(k, n, n + 2, |r, c| small_int(c + 1, r));
+            let bt = strided(n, k, k + 1, |r, c| small_int(r + 1, c));
+            for (label, a_op, b_op) in [
+                (
+                    "row-major A",
+                    Operand::row_major(&a_rm, k + 3),
+                    Operand::transposed(&bt, k + 1),
+                ),
+                (
+                    "transposed A",
+                    Operand::transposed(&at, m + 5),
+                    Operand::row_major(&b_rm, n + 2),
+                ),
+            ] {
+                let reference = MatmulBackend::Naive.gemm(m, k, n, a_op, b_op);
+                let mut packed = vec![f32::NAN; m * n];
+                gemm_packed_direct(&mut packed, m, k, n, a_op, b_op);
+                assert_eq!(
+                    bits(&packed),
+                    bits(&reference),
+                    "{label} ({m},{k},{n}) differs from the naive product"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn gemm_into_overwrites_a_nan_filled_output_on_every_route() {
+    // The output contract: every route writes every element, whatever the buffer held.
+    // The naive loop and the packed driver store; the small-product loop and the empty
+    // reduction fill first. (m, k, n) picks the route on the blocked backend.
+    for (route, m, k, n) in [
+        ("small", 7, 9, 5),
+        ("packed", 70, 2 * KC + 1, 40),
+        ("k == 0", 9, 0, 11),
+    ] {
+        let a = dense(m, k, small_int);
+        let b = dense(k, n, |r, c| small_int(c, r + 2));
+        let (a_op, b_op) = (Operand::row_major(&a, k), Operand::row_major(&b, n));
+        let expected = MatmulBackend::Naive.gemm(m, k, n, a_op, b_op);
+        assert!(k > 0 || expected.iter().all(|&v| v == 0.0));
+        for backend in [MatmulBackend::Naive, MatmulBackend::Blocked] {
+            let mut out = vec![f32::NAN; m * n];
+            backend.gemm_into(&mut out, m, k, n, a_op, b_op);
+            assert_eq!(
+                bits(&out),
+                bits(&expected),
+                "{backend:?} on the {route} shape ({m},{k},{n}) left stale output"
+            );
+        }
     }
 }
 
@@ -334,10 +435,6 @@ fn quantization_sweeps_match_their_scalar_references_bit_for_bit() {
 /// Values sweeping the GELU transition, both saturated tails and the `tanh` clamp.
 fn activation(i: usize) -> f32 {
     ((i * 89 + 13) % 241) as f32 / 10.0 - 12.0
-}
-
-fn bits(xs: &[f32]) -> Vec<u32> {
-    xs.iter().map(|v| v.to_bits()).collect()
 }
 
 fn gelu_f64(x: f64) -> f64 {
