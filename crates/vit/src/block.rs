@@ -29,8 +29,6 @@ pub enum AttentionVariant {
     Softmax,
     /// ViTALiTy linear Taylor attention (LOWRANK / ViTALiTy inference).
     Taylor,
-    /// Taylor attention without key mean-centring (ablation).
-    TaylorNoCentering,
     /// Sanger-style sparse attention with the given threshold (SPARSE).
     Sparse {
         /// Sparsity threshold applied to the predicted attention.
@@ -60,7 +58,6 @@ impl AttentionVariant {
         match self {
             AttentionVariant::Softmax => "softmax",
             AttentionVariant::Taylor => "taylor",
-            AttentionVariant::TaylorNoCentering => "taylor-no-centering",
             AttentionVariant::Sparse { .. } => "sparse",
             AttentionVariant::Unified { .. } => "unified",
             AttentionVariant::Int8Taylor { .. } => "int8",
@@ -76,9 +73,6 @@ impl AttentionVariant {
         match *self {
             AttentionVariant::Softmax => Arc::new(SoftmaxAttention::new()),
             AttentionVariant::Taylor => Arc::new(TaylorAttention::new()),
-            AttentionVariant::TaylorNoCentering => {
-                Arc::new(TaylorAttention::without_mean_centering())
-            }
             AttentionVariant::Sparse { threshold } => {
                 Arc::new(SangerSparseAttention::new(threshold))
             }
@@ -100,7 +94,6 @@ impl AttentionVariant {
         vec![
             AttentionVariant::Softmax,
             AttentionVariant::Taylor,
-            AttentionVariant::TaylorNoCentering,
             AttentionVariant::Sparse { threshold: 0.02 },
             AttentionVariant::Unified { threshold: 0.1 },
             AttentionVariant::Int8Taylor {
@@ -505,7 +498,6 @@ mod tests {
             for variant in [
                 AttentionVariant::Softmax,
                 AttentionVariant::Taylor,
-                AttentionVariant::TaylorNoCentering,
                 AttentionVariant::Sparse { threshold: 0.05 },
                 AttentionVariant::Unified { threshold: 0.1 },
             ] {
@@ -634,10 +626,6 @@ mod tests {
         assert_eq!(AttentionVariant::Softmax.label(), "softmax");
         assert_eq!(AttentionVariant::Taylor.label(), "taylor");
         assert_eq!(
-            AttentionVariant::TaylorNoCentering.label(),
-            "taylor-no-centering"
-        );
-        assert_eq!(
             AttentionVariant::Int8Taylor {
                 calibration: Int8Calibration::Dynamic
             }
@@ -651,7 +639,7 @@ mod tests {
         // One entry per declared arm: a new variant must extend `all()` (and thereby
         // the conformance suite) before it can ship.
         let all = AttentionVariant::all();
-        assert_eq!(all.len(), 6, "AttentionVariant::all() is missing an arm");
+        assert_eq!(all.len(), 5, "AttentionVariant::all() is missing an arm");
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {
                 assert_ne!(

@@ -62,12 +62,6 @@ fn reference_and_tolerance(
             TaylorAttention::new().compute_with_trace(q, k, v).score,
             1e-4,
         ),
-        AttentionVariant::TaylorNoCentering => (
-            TaylorAttention::without_mean_centering()
-                .compute_with_trace(q, k, v)
-                .score,
-            1e-4,
-        ),
         AttentionVariant::Sparse { threshold } => (
             SangerSparseAttention::new(threshold)
                 .sparse_attention_map(q, k)
