@@ -506,8 +506,6 @@ impl MatmulBackend {
         }
     }
 
-    /// Writes every element of `out`: the packed driver and the naive loop overwrite,
-    /// the small-product loop and the empty reduction zero-fill first.
     fn dispatch(
         self,
         out: &mut [f32],
@@ -517,11 +515,8 @@ impl MatmulBackend {
         a: Operand<'_>,
         b: Operand<'_>,
     ) {
-        if k == 0 {
+        if m == 0 || n == 0 || k == 0 {
             out.fill(0.0);
-            return;
-        }
-        if m == 0 || n == 0 {
             return;
         }
         match self {
