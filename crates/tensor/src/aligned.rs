@@ -99,12 +99,10 @@ impl<T: Copy + Default> AlignedVec<T> {
         }
     }
 
-    /// Resizes to exactly `len` elements without clearing the reused ones: slots
-    /// inside the current capacity keep whatever was last written, and a grown
-    /// buffer is a fresh zeroed allocation. Sound because every allocation is made by
-    /// `alloc_zeroed`, so no slot below capacity is ever uninitialised. For scratch
-    /// whose writer fills every slot (the packed GEMM panels), where a clearing pass
-    /// would be pure overhead.
+    /// Resizes to exactly `len` elements without clearing reused slots, which keep
+    /// what was last written (a grown buffer is a fresh zeroed allocation; every
+    /// allocation is `alloc_zeroed`, so no slot is ever uninitialised). For scratch
+    /// whose writer fills every slot, such as the packed GEMM panels.
     pub fn reset_uncleared(&mut self, len: usize) {
         debug_assert!(
             is_zero_default::<T>(),

@@ -721,9 +721,8 @@ fn packed_driver<T>(
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
 
-            // Pack the B panel (and the ragged A tile) once per (jc, pc); every
-            // row-panel task reads them. pack_tile writes every slot, so the scratch
-            // is resized without clearing.
+            // Pack the B panel (and the ragged A tile) once per (jc, pc) for every
+            // row-panel task; pack_tile writes every slot, so nothing is cleared.
             PANEL.with(|cell| {
                 let mut panel = cell.borrow_mut();
                 let b_len = n_tiles * kc * NR;
