@@ -702,8 +702,8 @@ fn packed_driver<T>(
 ) where
     T: Fn(&[f32], usize, usize, &[f32], usize, &mut [[f32; NR]; MR]) + Sync,
 {
-    // A's element (i, kk) sits at `i * rs + kk * ks`: the one extent check that keeps
-    // every in-place tile read in bounds.
+    // A's element (i, kk) sits at `i * rs + kk * ks`. Besides this per-product check,
+    // each full tile's slice below is cut, bounds-checked, to its exact extent.
     let (rs, ks) = match a.layout {
         Layout::RowMajor => (a.stride, 1),
         Layout::Transposed => (1, a.stride),
@@ -724,10 +724,10 @@ fn packed_driver<T>(
             // Pack the B panel (and the ragged A tile) once per (jc, pc) for every
             // row-panel task; pack_tile writes every slot, so nothing is cleared.
             PANEL.with(|cell| {
-                let mut panel = cell.borrow_mut();
+                let mut scratch = cell.borrow_mut();
                 let b_len = n_tiles * kc * NR;
-                panel.reset_uncleared(b_len + if m_full < m { kc * MR } else { 0 });
-                let (bp, ragged) = panel.split_at_mut(b_len);
+                scratch.reset_uncleared(b_len + if m_full < m { kc * MR } else { 0 });
+                let (bp, ragged) = scratch.split_at_mut(b_len);
                 for (t, dst) in bp.chunks_exact_mut(kc * NR).enumerate() {
                     let j0 = jc + t * NR;
                     let cols_contiguous = b.layout == Layout::Transposed;
