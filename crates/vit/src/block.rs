@@ -367,6 +367,11 @@ impl TransformerBlock {
         &self.attn
     }
 
+    /// The pre-attention norm: the attention of this block sees `norm1(x)`.
+    pub(crate) fn norm1(&self) -> &LayerNorm {
+        &self.norm1
+    }
+
     /// Per-head Q/K̂/V absmax of this block's attention *as it runs in the forward
     /// pass* — i.e. measured on the pre-norm output `LN(x)` the attention actually
     /// sees, which is what int8 calibration must observe.

@@ -350,26 +350,32 @@ impl VisionTransformer {
         calibration
     }
 
-    /// Mean sparse-component occupancy across blocks for one image (the Fig. 14 probe).
+    /// Mean sparse-component occupancy across blocks for one image (the Fig. 14 probe),
+    /// measured on the input each block's attention sees, `norm1(x)`.
     pub fn sparse_occupancy(&self, image: &Matrix) -> f32 {
         let mut x = self.embed.infer(image);
         let mut ws = Workspace::new();
+        let mut normed = Matrix::zeros(x.rows(), x.cols());
         let mut total = 0.0;
         for block in &self.blocks {
-            total += block.attention().sparse_occupancy(&x);
+            block.norm1().infer_into(&x, &mut normed);
+            total += block.attention().sparse_occupancy(&normed);
             block.infer_inplace(&mut x, &mut ws);
         }
         total / self.blocks.len().max(1) as f32
     }
 
     /// Per-block, per-head attention logits (raw and mean-centred) for one image, consumed
-    /// by the Fig. 3 distribution probe.
+    /// by the Fig. 3 distribution probe; measured on the input each block's attention
+    /// sees, `norm1(x)`.
     pub fn collect_head_logits(&self, image: &Matrix) -> Vec<Vec<(Matrix, Matrix)>> {
         let mut x = self.embed.infer(image);
         let mut ws = Workspace::new();
+        let mut normed = Matrix::zeros(x.rows(), x.cols());
         let mut out = Vec::with_capacity(self.blocks.len());
         for block in &self.blocks {
-            out.push(block.attention().head_logits(&x));
+            block.norm1().infer_into(&x, &mut normed);
+            out.push(block.attention().head_logits(&normed));
             block.infer_inplace(&mut x, &mut ws);
         }
         out
@@ -646,6 +652,33 @@ mod tests {
         model.set_variant(AttentionVariant::Unified { threshold: 0.02 });
         let occupancy = model.sparse_occupancy(&img);
         assert!(occupancy > 0.0 && occupancy <= 1.0);
+    }
+
+    #[test]
+    fn probes_read_the_normalised_attention_input() {
+        // Fig. 3 and Fig. 14 describe the logits the attention computes, i.e. Q/K of
+        // each block's `norm1(x)`, not of the block input `x`.
+        let cfg = TrainConfig::tiny();
+        let mut rng = StdRng::seed_from_u64(207);
+        let model =
+            VisionTransformer::new(&mut rng, cfg, AttentionVariant::Unified { threshold: 0.02 });
+        let img = image(&cfg, 7);
+        let mut ws = Workspace::new();
+        let mut x = Matrix::zeros(cfg.tokens(), cfg.embed_dim);
+        model.embed.infer_into(&img, &mut ws, &mut x);
+        let mut normed = Matrix::zeros(cfg.tokens(), cfg.embed_dim);
+        let (mut logits, mut occupancy) = (Vec::new(), 0.0);
+        for block in &model.blocks {
+            block.norm1().infer_into(&x, &mut normed);
+            logits.push(block.attention().head_logits(&normed));
+            occupancy += block.attention().sparse_occupancy(&normed);
+            block.infer_inplace(&mut x, &mut ws);
+        }
+        assert_eq!(model.collect_head_logits(&img), logits);
+        assert_eq!(
+            model.sparse_occupancy(&img),
+            occupancy / model.depth() as f32
+        );
     }
 
     #[test]
