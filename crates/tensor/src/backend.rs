@@ -791,11 +791,15 @@ mod tests {
         data
     }
 
+    /// Largest elementwise distance, NaN when any pair differs by NaN.
     fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
         a.iter()
             .zip(b.iter())
             .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f32::max)
+            .fold(
+                0.0,
+                |worst, d| if d.is_nan() || d > worst { d } else { worst },
+            )
     }
 
     /// Pseudo-random but deterministic fill, large enough to exercise every edge path.

@@ -840,7 +840,9 @@ impl Matrix {
                 .all(|(&a, &b)| crate::approx_eq(a, b, tol))
     }
 
-    /// Largest absolute elementwise difference between two equally-shaped matrices.
+    /// Largest absolute elementwise difference between two equally-shaped matrices;
+    /// NaN when any pair differs by NaN, so `a.max_abs_diff(&b) <= tol` fails on a NaN
+    /// output (`f32::max` would drop it).
     ///
     /// # Panics
     ///
@@ -851,7 +853,10 @@ impl Matrix {
             .iter()
             .zip(other.data.iter())
             .map(|(&a, &b)| (a - b).abs())
-            .fold(0.0, f32::max)
+            .fold(
+                0.0,
+                |worst, d| if d.is_nan() || d > worst { d } else { worst },
+            )
     }
 }
 
@@ -1062,5 +1067,16 @@ mod tests {
         let b = a.add_scalar(0.5);
         assert!((a.max_abs_diff(&b) - 0.5).abs() < 1e-6);
         assert!((Matrix::identity(2).frobenius_norm() - 2.0_f32.sqrt()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn max_abs_diff_propagates_nan() {
+        let a = sample();
+        let mut b = a.clone();
+        // Not the last element: a larger difference after it must not replace it.
+        b.set(0, 1, f32::NAN);
+        b.set(1, 2, 100.0);
+        assert!(a.max_abs_diff(&b).is_nan());
+        assert!(b.max_abs_diff(&a).is_nan());
     }
 }
