@@ -40,7 +40,8 @@
 //! * workspace reuse is bit-exact and allocation-free on a warm pool;
 //! * outputs stay finite on adversarial inputs (all-zero Q/K/V, large-magnitude
 //!   logits, `n = 1`);
-//! * `forward_train` agrees with `compute` through the multi-head module.
+//! * `forward_train` agrees with `compute_into` through the multi-head module's
+//!   `infer_into`.
 //!
 //! ```
 //! use vitality_attention::kernel::AttentionKernel;

@@ -129,17 +129,9 @@ impl PatchEmbed {
         projected.add(&pos)
     }
 
-    /// Pure-inference embedding.
-    pub fn infer(&self, image: &Matrix) -> Matrix {
-        let patches = patchify(image, self.patch);
-        self.projection
-            .infer(&patches)
-            .try_add(&self.positional)
-            .expect("positional embedding shape")
-    }
-
-    /// Allocation-free embedding into `num_patches x dim` output storage; the patch
-    /// buffer is checked out of (and recycled back into) `ws`.
+    /// Inference embedding into `num_patches x dim` output storage, off the tape: the
+    /// layer's one inference entry. The patch buffer is checked out of (and recycled
+    /// back into) `ws`, so a warm workspace makes it allocation-free.
     ///
     /// # Panics
     ///
@@ -203,7 +195,9 @@ mod tests {
         let mut reg = ParamRegistry::new();
         let y = embed.forward(&graph, &mut reg, "embed", &image);
         assert_eq!(y.shape(), (16, 8));
-        assert!(y.value().approx_eq(&embed.infer(&image), 1e-5));
+        let mut inferred = Matrix::zeros(16, 8);
+        embed.infer_into(&image, &mut Workspace::new(), &mut inferred);
+        assert!(y.value().approx_eq(&inferred, 1e-5));
         let grads = graph.backward(&y.sum());
         assert!(reg.grad("embed.pos", &grads).is_some());
         assert!(reg.grad("embed.proj.weight", &grads).is_some());

@@ -55,14 +55,9 @@ impl ClassificationHead {
             .forward(graph, reg, &qualify(prefix, "fc"), &pooled)
     }
 
-    /// Pure-inference logits.
-    pub fn infer(&self, tokens: &Matrix) -> Matrix {
-        let normed = self.norm.infer(tokens);
-        self.classifier.infer(&normed.col_mean())
-    }
-
-    /// Allocation-free logits into `1 x classes` output storage; the normalised-token
-    /// and pooled buffers are checked out of (and recycled back into) `ws`.
+    /// Inference logits into `1 x classes` output storage, off the tape: the head's one
+    /// inference entry. The normalised-token and pooled buffers are checked out of (and
+    /// recycled back into) `ws`, so a warm workspace makes it allocation-free.
     ///
     /// # Panics
     ///
@@ -101,6 +96,12 @@ mod tests {
     use rand::SeedableRng;
     use vitality_tensor::init;
 
+    fn infer(head: &ClassificationHead, tokens: &Matrix) -> Matrix {
+        let mut logits = Matrix::zeros(1, head.classes());
+        head.infer_into(tokens, &mut Workspace::new(), &mut logits);
+        logits
+    }
+
     #[test]
     fn produces_one_logit_row() {
         let mut rng = StdRng::seed_from_u64(12);
@@ -108,7 +109,7 @@ mod tests {
         assert_eq!(head.classes(), 5);
         assert_eq!(head.dim(), 8);
         let tokens = init::normal(&mut rng, 10, 8, 0.0, 1.0);
-        let logits = head.infer(&tokens);
+        let logits = infer(&head, &tokens);
         assert_eq!(logits.shape(), (1, 5));
     }
 
@@ -120,7 +121,7 @@ mod tests {
         let graph = Graph::new();
         let mut reg = ParamRegistry::new();
         let logits = head.forward(&graph, &mut reg, "head", &graph.constant(tokens.clone()));
-        assert!(logits.value().approx_eq(&head.infer(&tokens), 1e-4));
+        assert!(logits.value().approx_eq(&infer(&head, &tokens), 1e-4));
         let loss = logits.cross_entropy_with_logits(&[1]);
         let grads = graph.backward(&loss);
         for name in [

@@ -80,21 +80,8 @@ impl Linear {
         }
     }
 
-    /// Pure-inference projection that skips the tape entirely.
-    ///
-    /// The product runs on the blocked matmul backend and the bias is folded in with an
-    /// in-place broadcast, so the projection allocates exactly one output buffer.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.weight);
-        if let Some(b) = &self.bias {
-            y.add_row_inplace(b);
-        }
-        y
-    }
-
-    /// Allocation-free projection into a caller-provided `x.rows() x out_features`
-    /// matrix (the [`Workspace`](vitality_tensor::Workspace)-era form of
-    /// [`Linear::infer`], used by the serving hot paths).
+    /// Inference projection into a caller-provided `x.rows() x out_features` matrix,
+    /// off the tape and without allocating: the layer's one inference entry.
     ///
     /// # Panics
     ///
@@ -152,7 +139,9 @@ mod tests {
         let graph = Graph::new();
         let mut reg = ParamRegistry::new();
         let y = layer.forward(&graph, &mut reg, "lin", &graph.constant(x.clone()));
-        assert!(y.value().approx_eq(&layer.infer(&x), 1e-5));
+        let mut inferred = Matrix::zeros(4, 3);
+        layer.infer_into(&x, &mut inferred);
+        assert!(y.value().approx_eq(&inferred, 1e-5));
         assert_eq!(reg.len(), 2);
     }
 
@@ -179,7 +168,9 @@ mod tests {
         assert!(layer.bias().is_some());
         assert_eq!(layer.weight().shape(), (3, 3));
         let x = Matrix::from_rows(&[vec![1.0, 2.0, 3.0]]).unwrap();
-        assert!(layer.infer(&x).approx_eq(&x, 1e-6));
+        let mut y = Matrix::zeros(1, 3);
+        layer.infer_into(&x, &mut y);
+        assert!(y.approx_eq(&x, 1e-6));
     }
 
     #[test]

@@ -68,15 +68,9 @@ impl Mlp {
         self.fc2.forward(graph, reg, &qualify(prefix, "fc2"), &h)
     }
 
-    /// Pure-inference forward pass: the allocating form of [`Mlp::infer_into`].
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(x.rows(), self.features());
-        self.infer_into(x, &mut Workspace::new(), &mut out);
-        out
-    }
-
-    /// Allocation-free forward pass into `x.rows() x features` output storage; the
-    /// hidden activation buffer is checked out of (and recycled back into) `ws`. The
+    /// Inference forward pass into `x.rows() x features` output storage, off the tape:
+    /// the block's one inference entry. The hidden activation buffer is checked out of
+    /// (and recycled back into) `ws`, so a warm workspace makes it allocation-free. The
     /// GELU path folds `fc1`'s bias into the activation sweep (one pass over the
     /// hidden buffer instead of two).
     ///
@@ -123,6 +117,12 @@ mod tests {
     use rand::SeedableRng;
     use vitality_tensor::init;
 
+    fn infer(mlp: &Mlp, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(x.rows(), mlp.features());
+        mlp.infer_into(x, &mut Workspace::new(), &mut out);
+        out
+    }
+
     #[test]
     fn forward_matches_infer() {
         let mut rng = StdRng::seed_from_u64(7);
@@ -134,7 +134,7 @@ mod tests {
         let graph = Graph::new();
         let mut reg = ParamRegistry::new();
         let y = mlp.forward(&graph, &mut reg, "mlp", &graph.constant(x.clone()));
-        assert!(y.value().approx_eq(&mlp.infer(&x), 1e-6));
+        assert!(y.value().approx_eq(&infer(&mlp, &x), 1e-6));
         assert_eq!(reg.len(), 4);
     }
 
@@ -148,9 +148,7 @@ mod tests {
             activation: Activation::Relu,
         };
         let x = Matrix::from_rows(&[vec![-1.0, 2.0]]).unwrap();
-        assert!(mlp
-            .infer(&x)
-            .approx_eq(&Matrix::from_rows(&[vec![0.0, 2.0]]).unwrap(), 1e-6));
+        assert!(infer(&mlp, &x).approx_eq(&Matrix::from_rows(&[vec![0.0, 2.0]]).unwrap(), 1e-6));
     }
 
     #[test]

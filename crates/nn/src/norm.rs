@@ -50,14 +50,8 @@ impl LayerNorm {
         x.layer_norm(&gamma, &beta, self.eps)
     }
 
-    /// Pure-inference layer normalisation without the tape.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(x.rows(), x.cols());
-        self.infer_into(x, &mut out);
-        out
-    }
-
-    /// Allocation-free layer normalisation into an equally-shaped `out` matrix.
+    /// Inference layer normalisation into an equally-shaped `out` matrix, off the tape
+    /// and without allocating: the layer's one inference entry.
     ///
     /// # Panics
     ///
@@ -94,12 +88,18 @@ mod tests {
     use rand::SeedableRng;
     use vitality_tensor::init;
 
+    fn normalise(ln: &LayerNorm, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(x.rows(), x.cols());
+        ln.infer_into(x, &mut out);
+        out
+    }
+
     #[test]
     fn infer_normalises_each_row() {
         let ln = LayerNorm::new(8);
         let mut rng = StdRng::seed_from_u64(5);
         let x = init::normal(&mut rng, 4, 8, 3.0, 2.0);
-        let y = ln.infer(&x);
+        let y = normalise(&ln, &x);
         for i in 0..y.rows() {
             let s = vitality_tensor::stats::Summary::of(y.row(i));
             assert!(s.mean.abs() < 1e-4);
@@ -117,7 +117,7 @@ mod tests {
         let graph = Graph::new();
         let mut reg = ParamRegistry::new();
         let y = ln.forward(&graph, &mut reg, "ln", &graph.constant(x.clone()));
-        assert!(y.value().approx_eq(&ln.infer(&x), 1e-4));
+        assert!(y.value().approx_eq(&normalise(&ln, &x), 1e-4));
         let grads = graph.backward(&y.sum());
         assert!(reg.grad("ln.gamma", &grads).is_some());
         assert!(reg.grad("ln.beta", &grads).is_some());
@@ -136,6 +136,6 @@ mod tests {
             }
         });
         let x = Matrix::zeros(2, 4);
-        assert!(ln.infer(&x).approx_eq(&Matrix::ones(2, 4), 1e-5));
+        assert!(normalise(&ln, &x).approx_eq(&Matrix::ones(2, 4), 1e-5));
     }
 }

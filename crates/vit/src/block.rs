@@ -196,16 +196,8 @@ impl MultiHeadAttention {
             .forward(graph, reg, &format!("{prefix}.wo"), &merged)
     }
 
-    /// Inference forward pass (convenience wrapper over a throwaway workspace).
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut ws = Workspace::new();
-        let mut out = Matrix::zeros(x.rows(), self.wo.out_features());
-        self.infer_into(x, &mut ws, &mut out);
-        out
-    }
-
-    /// Allocation-free inference forward pass into `x.rows() x embed_dim` output
-    /// storage.
+    /// Inference forward pass into `x.rows() x embed_dim` output storage: the module's
+    /// one inference entry, allocation-free on a warm workspace.
     ///
     /// Projections, per-head slices, head outputs and the merge buffer all come from
     /// `ws`; heads run sequentially through the shared kernel (parallelism belongs to
@@ -255,21 +247,38 @@ impl MultiHeadAttention {
         ws.recycle(merged);
     }
 
-    /// Per-head scaled attention logits (raw and mean-centred), used by the Fig. 3
-    /// distribution probe.
-    pub fn head_logits(&self, x: &Matrix) -> Vec<(Matrix, Matrix)> {
-        let q = self.wq.infer(x);
-        let k = self.wk.infer(x);
+    /// Per-head `(Q, K, V)` of `x`, projected as [`MultiHeadAttention::infer_into`]
+    /// projects them: the one input of the offline probes below.
+    fn head_projections(&self, x: &Matrix) -> Vec<(Matrix, Matrix, Matrix)> {
+        let project = |w: &Linear| {
+            let mut out = Matrix::zeros(x.rows(), w.out_features());
+            w.infer_into(x, &mut out);
+            out
+        };
+        let (q, k, v) = (project(&self.wq), project(&self.wk), project(&self.wv));
         let hd = self.head_dim();
         (0..self.heads)
             .map(|h| {
                 let (lo, hi) = (h * hd, (h + 1) * hd);
-                let qh = q.slice_cols(lo, hi);
-                let kh = k.slice_cols(lo, hi);
-                let raw = vitality_attention::softmax::scaled_similarity(&qh, &kh);
+                (
+                    q.slice_cols(lo, hi),
+                    k.slice_cols(lo, hi),
+                    v.slice_cols(lo, hi),
+                )
+            })
+            .collect()
+    }
+
+    /// Per-head scaled attention logits (raw and mean-centred), used by the Fig. 3
+    /// distribution probe.
+    pub fn head_logits(&self, x: &Matrix) -> Vec<(Matrix, Matrix)> {
+        self.head_projections(x)
+            .iter()
+            .map(|(q, k, _)| {
+                let raw = vitality_attention::softmax::scaled_similarity(q, k);
                 let centred = vitality_attention::softmax::scaled_similarity(
-                    &qh,
-                    &vitality_attention::mean_center_keys(&kh),
+                    q,
+                    &vitality_attention::mean_center_keys(k),
                 );
                 (raw, centred)
             })
@@ -281,18 +290,12 @@ impl MultiHeadAttention {
     /// heads. This is the measurement `VisionTransformer::calibrate_int8` aggregates
     /// into an [`Int8Calibration::Fixed`] range set.
     pub fn qkv_absmax(&self, x: &Matrix) -> (f32, f32, f32) {
-        let q = self.wq.infer(x);
-        let k = self.wk.infer(x);
-        let v = self.wv.infer(x);
-        let hd = self.head_dim();
         let absmax = |m: &Matrix| m.iter().fold(0.0f32, |acc, &x| acc.max(x.abs()));
         let (mut q_max, mut k_max, mut v_max) = (0.0f32, 0.0f32, 0.0f32);
-        for h in 0..self.heads {
-            let (lo, hi) = (h * hd, (h + 1) * hd);
-            q_max = q_max.max(absmax(&q.slice_cols(lo, hi)));
-            let kh = k.slice_cols(lo, hi);
-            k_max = k_max.max(absmax(&vitality_attention::mean_center_keys(&kh)));
-            v_max = v_max.max(absmax(&v.slice_cols(lo, hi)));
+        for (q, k, v) in &self.head_projections(x) {
+            q_max = q_max.max(absmax(q));
+            k_max = k_max.max(absmax(&vitality_attention::mean_center_keys(k)));
+            v_max = v_max.max(absmax(v));
         }
         (q_max, k_max, v_max)
     }
@@ -300,15 +303,9 @@ impl MultiHeadAttention {
     /// Mean sparse-component occupancy across heads (Fig. 14 probe); zero for kernels
     /// without a sparse component.
     pub fn sparse_occupancy(&self, x: &Matrix) -> f32 {
-        let q = self.wq.infer(x);
-        let k = self.wk.infer(x);
-        let hd = self.head_dim();
         let mut total = 0.0;
-        for h in 0..self.heads {
-            let (lo, hi) = (h * hd, (h + 1) * hd);
-            total += self
-                .kernel
-                .sparse_occupancy(&q.slice_cols(lo, hi), &k.slice_cols(lo, hi));
+        for (q, k, _) in &self.head_projections(x) {
+            total += self.kernel.sparse_occupancy(q, k);
         }
         total / self.heads as f32
     }
@@ -372,17 +369,6 @@ impl TransformerBlock {
         &self.norm1
     }
 
-    /// Per-head Q/K̂/V absmax of this block's attention *as it runs in the forward
-    /// pass* — i.e. measured on the pre-norm output `LN(x)` the attention actually
-    /// sees, which is what int8 calibration must observe.
-    pub fn attention_qkv_absmax(&self, x: &Matrix, ws: &mut Workspace) -> (f32, f32, f32) {
-        let mut normed = ws.take(x.rows(), x.cols());
-        self.norm1.infer_into(x, &mut normed);
-        let result = self.attn.qkv_absmax(&normed);
-        ws.recycle(normed);
-        result
-    }
-
     /// Switches the attention variant (rebuilds the attention kernel once).
     pub fn set_variant(&mut self, variant: AttentionVariant) {
         self.attn.set_variant(variant);
@@ -412,15 +398,8 @@ impl TransformerBlock {
         x.add(&expanded)
     }
 
-    /// Inference forward pass (convenience wrapper over a throwaway workspace).
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut out = x.clone();
-        let mut ws = Workspace::new();
-        self.infer_inplace(&mut out, &mut ws);
-        out
-    }
-
-    /// Allocation-free inference forward pass, updating the token matrix in place.
+    /// Inference forward pass, updating the token matrix in place: the block's one
+    /// inference entry, allocation-free on a warm workspace.
     ///
     /// The two normalisation buffers and the residual-delta buffer come from `ws`; the
     /// attention sub-module draws its own intermediates from the same workspace.
@@ -473,6 +452,12 @@ mod tests {
         init::normal(&mut StdRng::seed_from_u64(seed), n, d, 0.0, 0.5)
     }
 
+    fn infer(mha: &MultiHeadAttention, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(x.rows(), x.cols());
+        mha.infer_into(x, &mut Workspace::new(), &mut out);
+        out
+    }
+
     #[test]
     fn mha_output_shape_and_parameters() {
         let mut rng = StdRng::seed_from_u64(100);
@@ -483,7 +468,7 @@ mod tests {
         assert_eq!(mha.variant(), AttentionVariant::Softmax);
         assert_eq!(mha.kernel().label(), "softmax");
         let x = tokens(9, 16, 1);
-        let y = mha.infer(&x);
+        let y = infer(&mha, &x);
         assert_eq!(y.shape(), (9, 16));
     }
 
@@ -512,7 +497,7 @@ mod tests {
                 let mut reg = ParamRegistry::new();
                 let xv = graph.constant(x.clone());
                 let trained = mha.forward_train(&graph, &mut reg, "attn", &xv);
-                let inferred = mha.infer(&x);
+                let inferred = infer(&mha, &x);
                 assert!(
                     trained.value().approx_eq(&inferred, 2e-2),
                     "variant {} with {heads} head(s) diverges: {}",
@@ -527,15 +512,22 @@ mod tests {
     fn one_head_skips_the_gather_and_equals_the_kernel_on_the_projections() {
         // With a single head the hot path hands the projections straight to the kernel:
         // the result is `wo(kernel(wq x, wk x, wv x))` bit for bit, and a warm workspace
-        // serves it without a miss.
+        // serves it without a miss. The expected value projects through the layers'
+        // public weights, not through `Linear::infer_into`.
         let x = tokens(9, 8, 8);
+        let project = |w: &Linear, x: &Matrix| {
+            x.matmul(w.weight())
+                .broadcast_add_row(w.bias().expect("attention projections have a bias"))
+        };
         for variant in AttentionVariant::all() {
             let mut rng = StdRng::seed_from_u64(108);
             let mha = MultiHeadAttention::new(&mut rng, 8, 1, variant);
-            let z = mha
-                .kernel()
-                .compute(&mha.wq.infer(&x), &mha.wk.infer(&x), &mha.wv.infer(&x));
-            let expected = mha.wo.infer(&z);
+            let z = mha.kernel().compute(
+                &project(&mha.wq, &x),
+                &project(&mha.wk, &x),
+                &project(&mha.wv, &x),
+            );
+            let expected = project(&mha.wo, &z);
 
             let mut fresh = Workspace::new();
             let mut out = Matrix::zeros(9, 8);
@@ -618,7 +610,9 @@ mod tests {
         let graph = Graph::new();
         let mut reg = ParamRegistry::new();
         let y = block.forward_train(&graph, &mut reg, "block0", &graph.constant(x.clone()));
-        assert!(y.value().approx_eq(&block.infer(&x), 1e-3));
+        let mut inferred = x.clone();
+        block.infer_inplace(&mut inferred, &mut Workspace::new());
+        assert!(y.value().approx_eq(&inferred, 1e-3));
         assert!(block.parameter_count() > 0);
         assert_eq!(block.attention().heads(), 2);
     }
@@ -662,12 +656,12 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(107);
             let mut mha = MultiHeadAttention::new(&mut rng, 8, heads, AttentionVariant::Taylor);
             let x = tokens(6, 8, 7);
-            let f32_out = mha.infer(&x);
+            let f32_out = infer(&mha, &x);
             mha.set_variant(AttentionVariant::Int8Taylor {
                 calibration: Int8Calibration::Dynamic,
             });
             assert_eq!(mha.kernel().label(), "int8");
-            let int8_out = mha.infer(&x);
+            let int8_out = infer(&mha, &x);
             assert_eq!(int8_out.shape(), f32_out.shape());
             assert!(int8_out.iter().all(|v| v.is_finite()));
             // Quantized but close: the projections dominate, attention differs at the

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::block::{AttentionVariant, TransformerBlock};
+use crate::block::{AttentionVariant, MultiHeadAttention, TransformerBlock};
 use crate::config::TrainConfig;
 use vitality_attention::Int8Calibration;
 use vitality_autograd::{Graph, Var};
@@ -332,14 +332,12 @@ impl VisionTransformer {
         let (mut q_max, mut k_max, mut v_max) = (0.0f32, 0.0f32, 0.0f32);
         let mut ws = Workspace::new();
         for image in images {
-            let mut x = self.embed.infer(image);
-            for block in &self.blocks {
-                let (q, k, v) = block.attention_qkv_absmax(&x, &mut ws);
+            self.walk_attention_inputs(image, &mut ws, |attn, x| {
+                let (q, k, v) = attn.qkv_absmax(x);
                 q_max = q_max.max(q);
                 k_max = k_max.max(k);
                 v_max = v_max.max(v);
-                block.infer_inplace(&mut x, &mut ws);
-            }
+            });
         }
         let calibration = Int8Calibration::Fixed {
             q_absmax: q_max,
@@ -353,15 +351,10 @@ impl VisionTransformer {
     /// Mean sparse-component occupancy across blocks for one image (the Fig. 14 probe),
     /// measured on the input each block's attention sees, `norm1(x)`.
     pub fn sparse_occupancy(&self, image: &Matrix) -> f32 {
-        let mut x = self.embed.infer(image);
-        let mut ws = Workspace::new();
-        let mut normed = Matrix::zeros(x.rows(), x.cols());
         let mut total = 0.0;
-        for block in &self.blocks {
-            block.norm1().infer_into(&x, &mut normed);
-            total += block.attention().sparse_occupancy(&normed);
-            block.infer_inplace(&mut x, &mut ws);
-        }
+        self.walk_attention_inputs(image, &mut Workspace::new(), |attn, x| {
+            total += attn.sparse_occupancy(x);
+        });
         total / self.blocks.len().max(1) as f32
     }
 
@@ -369,16 +362,32 @@ impl VisionTransformer {
     /// by the Fig. 3 distribution probe; measured on the input each block's attention
     /// sees, `norm1(x)`.
     pub fn collect_head_logits(&self, image: &Matrix) -> Vec<Vec<(Matrix, Matrix)>> {
-        let mut x = self.embed.infer(image);
-        let mut ws = Workspace::new();
-        let mut normed = Matrix::zeros(x.rows(), x.cols());
         let mut out = Vec::with_capacity(self.blocks.len());
+        self.walk_attention_inputs(image, &mut Workspace::new(), |attn, x| {
+            out.push(attn.head_logits(x));
+        });
+        out
+    }
+
+    /// The one walk of the offline probes: runs `image` through the served forward on
+    /// `ws` and, before each block runs, hands `probe` the block's attention and the
+    /// input that attention sees, `norm1(x)`.
+    fn walk_attention_inputs(
+        &self,
+        image: &Matrix,
+        ws: &mut Workspace,
+        mut probe: impl FnMut(&MultiHeadAttention, &Matrix),
+    ) {
+        let mut x = ws.take(self.config.tokens(), self.config.embed_dim);
+        self.embed.infer_into(image, ws, &mut x);
+        let mut normed = ws.take(x.rows(), x.cols());
         for block in &self.blocks {
             block.norm1().infer_into(&x, &mut normed);
-            out.push(block.attention().head_logits(&normed));
-            block.infer_inplace(&mut x, &mut ws);
+            probe(block.attention(), &normed);
+            block.infer_inplace(&mut x, ws);
         }
-        out
+        ws.recycle(normed);
+        ws.recycle(x);
     }
 }
 

@@ -14,8 +14,9 @@
 //!    reproduces the first call's output exactly and allocates nothing;
 //! 4. outputs stay finite on adversarial inputs (all-zero Q/K/V, large-magnitude
 //!    logits, a single token);
-//! 5. `forward_train` agrees with `compute` through the multi-head module (the
-//!    train/infer consistency the paper's fine-tune-then-switch recipe relies on).
+//! 5. `forward_train` agrees with `compute_into` through the multi-head module's
+//!    `infer_into` (the train/infer consistency the paper's fine-tune-then-switch
+//!    recipe relies on).
 //!
 //! The per-variant comparison loops previously duplicated across
 //! `attention_equivalences.rs` and `property_tests.rs` live here now, parameterized
@@ -201,7 +202,8 @@ fn multi_head_train_and_infer_agree_for_every_variant() {
         mha.set_variant(variant);
         assert_eq!(mha.kernel().label(), variant.label());
         let out = mha.forward_train(&graph, &mut reg, "attn", &graph.constant(x.clone()));
-        let inferred = mha.infer(&x);
+        let mut inferred = Matrix::zeros(10, 16);
+        mha.infer_into(&x, &mut Workspace::new(), &mut inferred);
         let tolerance = train_infer_tolerance(variant);
         assert!(
             out.value().approx_eq(&inferred, tolerance),
