@@ -13,15 +13,17 @@
 //! pointer is 32-byte aligned, so the AVX2 microkernels in [`crate::backend`] can use
 //! aligned vector loads on pooled operands without a scalar peel loop. [`Matrix`]
 //! checkouts come from a separate plain-`Vec` pool because `Matrix` owns its storage as
-//! `Vec<f32>`; nothing on the SIMD fast path reads a `Matrix` buffer directly (operands
-//! are repacked into aligned panels first).
+//! `Vec<f32>`. The SIMD fast path reads such a buffer in place: the packed GEMM driver
+//! takes its A operand where it sits (the microkernels broadcast A one element at a
+//! time, which needs no alignment), and only B is repacked into aligned panels.
 //!
 //! # Ownership discipline
 //!
 //! A `Workspace` is a plain owned value — thread it down the call chain as `&mut
 //! Workspace`. It is deliberately **not** `Sync`: every thread of a parallel region
 //! works on a workspace of its own. Two forms exist. [`with_thread_workspace`] is the
-//! thread-local form behind the convenience entry points (`infer`, `infer_batch`).
+//! thread-local form behind the model's one allocating convenience entry
+//! (`VisionTransformer::infer`, and `predict` through it, in `vitality-vit`).
 //! **Child lanes** ([`Workspace::lanes_mut`]) are the form the allocation-free batch
 //! path uses: a workspace owns a list of child workspaces, hands them out as one
 //! `&mut [Workspace]` that a caller splits across the threads of a parallel region
