@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use serde::json::JsonValue;
 use vitality_gateway::{Gateway, GatewayConfig};
 use vitality_serve::{validate_exposition, ModelRegistry, ServeClient, Server, ServerConfig};
-use vitality_tensor::{init, Matrix};
+use vitality_tensor::{init, Matrix, SimdTier};
 use vitality_vit::{AttentionVariant, TrainConfig, VisionTransformer};
 
 fn engine(model: &VisionTransformer) -> Server {
@@ -183,6 +183,15 @@ fn live_scrapes_from_engine_and_gateway_pass_exposition_conformance() {
         );
     }
     assert_loop_health("engine /metrics", &engine_json);
+    let tile = engine_json
+        .get("compute")
+        .and_then(|compute| compute.get("f32_tile"))
+        .and_then(JsonValue::as_str);
+    assert_eq!(
+        tile,
+        Some(SimdTier::host().label()),
+        "engine JSON /metrics names the f32 tile it runs"
+    );
     let (status, gateway_json) = client_json(gw.local_addr(), "/metrics");
     assert_eq!(status, 200);
     for key in [
@@ -343,6 +352,7 @@ fn leaf_paths(prefix: &str, value: &JsonValue, out: &mut Vec<String>) {
 const ENGINE_METRICS_LEAVES: &[&str] = &[
     "uptime_s",
     "compute.matmul_backend",
+    "compute.f32_tile",
     "compute.cpu_avx2",
     "compute.cpu_fma",
     "submitted",

@@ -252,11 +252,13 @@ impl Metrics {
             self.started.elapsed().as_secs_f64(),
         );
         // The *resolved* matmul backend (env request reconciled against the host's
-        // CPU features), plus the raw feature flags — so a fleet operator can tell
-        // from `/metrics` alone whether a node is actually running the SIMD kernels.
+        // CPU features), the f32 register tile it runs and the raw feature flags — so
+        // a fleet operator can tell from `/metrics` alone which SIMD kernels a node
+        // actually runs.
         reg.scope(&["compute"], &[], |reg| {
             let cpu = vitality_tensor::cpu_features();
             reg.json("matmul_backend", vitality_tensor::matmul_backend().label());
+            reg.json("f32_tile", cpu.tier().label());
             reg.json("cpu_avx2", cpu.avx2);
             reg.json("cpu_fma", cpu.fma);
         });
@@ -479,6 +481,10 @@ mod tests {
         assert!(
             ["naive", "blocked"].contains(&backend),
             "unknown backend label {backend:?}"
+        );
+        assert_eq!(
+            compute.get("f32_tile").and_then(JsonValue::as_str),
+            Some(vitality_tensor::SimdTier::host().label())
         );
         assert!(compute.get("cpu_avx2").is_some());
         assert!(compute.get("cpu_fma").is_some());

@@ -1,17 +1,19 @@
-//! [`AlignedVec`]: a heap buffer with a 32-byte-aligned base pointer.
+//! [`AlignedVec`]: a heap buffer with a cache-line-aligned (64-byte) base pointer.
 //!
-//! The AVX2 microkernels in [`crate::simd`] read their operands with 256-bit vector
-//! loads. A plain `Vec<f32>` only guarantees 4-byte alignment, so a kernel consuming
-//! it either pays an unaligned-access penalty on cache-line-straddling loads or needs
-//! a scalar peel loop to reach the first aligned element. `AlignedVec` removes both:
-//! every allocation is made with a 32-byte-aligned [`Layout`], so SIMD code can assume
-//! vector-width alignment of element `0` unconditionally.
+//! The microkernels in [`crate::simd`] read their operands with 256- and 512-bit
+//! vector loads. A plain `Vec<f32>` only guarantees 4-byte alignment, so a kernel
+//! consuming it either pays an unaligned-access penalty on cache-line-straddling loads
+//! or needs a scalar peel loop to reach the first aligned element. `AlignedVec`
+//! removes both: every allocation is made with a 64-byte-aligned [`Layout`], so SIMD
+//! code can assume vector-width alignment of element `0` unconditionally, up to one
+//! 512-bit register, and a vector load at a multiple of its width never splits a
+//! cache line.
 //!
 //! A `Vec<T>` cannot provide this soundly — its buffer must be deallocated with the
 //! exact layout it was allocated with, and `Vec` always uses `align_of::<T>()`, so a
 //! handed-in over-aligned pointer would be freed with a mismatched layout. This type
 //! owns both sides of the contract: allocation and deallocation use the same
-//! 32-byte-aligned layout, which also keeps it clean under Miri.
+//! 64-byte-aligned layout, which also keeps it clean under Miri.
 //!
 //! The API is the small slice-shaped subset the [`crate::Workspace`] pools and the
 //! packed-panel scratch need: construct, `reset_zeroed` to a length (reallocating only
@@ -23,10 +25,11 @@ use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 
-/// Alignment (bytes) of every `AlignedVec` allocation: one AVX2 vector register.
-pub const SIMD_ALIGN: usize = 32;
+/// Alignment (bytes) of every `AlignedVec` allocation: one cache line, which is one
+/// AVX-512 vector register and two AVX2 ones.
+pub const SIMD_ALIGN: usize = 64;
 
-/// A fixed-capacity, 32-byte-aligned heap buffer of plain-old-data elements.
+/// A fixed-capacity, 64-byte-aligned heap buffer of plain-old-data elements.
 ///
 /// See the [module documentation](self) for why this exists next to `Vec<T>`. The
 /// element bound is `Copy + Default` with the additional (checked) expectation that
@@ -112,7 +115,7 @@ impl<T: Copy + Default> AlignedVec<T> {
             self.release();
             let layout = Self::layout(len).expect("AlignedVec length overflows a layout");
             // SAFETY: `layout` has non-zero size (`layout` returns None for zero
-            // bytes) and valid 32-byte alignment.
+            // bytes) and valid power-of-two alignment.
             let raw = unsafe { alloc_zeroed(layout) };
             let Some(ptr) = NonNull::new(raw.cast::<T>()) else {
                 handle_alloc_error(layout)
@@ -123,7 +126,8 @@ impl<T: Copy + Default> AlignedVec<T> {
         self.len = len;
     }
 
-    /// The allocation layout for `len` elements: element array size, 32-byte aligned.
+    /// The allocation layout for `len` elements: element array size, `SIMD_ALIGN`
+    /// aligned.
     fn layout(len: usize) -> Option<Layout> {
         let bytes = std::mem::size_of::<T>().checked_mul(len)?;
         if bytes == 0 {
@@ -232,7 +236,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn allocations_are_32_byte_aligned() {
+    fn allocations_are_simd_aligned() {
         for len in [1usize, 3, 8, 31, 32, 33, 1000] {
             let f = AlignedVec::<f32>::zeroed(len);
             assert_eq!(f.as_ptr() as usize % SIMD_ALIGN, 0, "f32 len {len}");

@@ -14,16 +14,18 @@
 //!   is packed into a thread-local aligned buffer (`KC × NC` column panels,
 //!   zero-padded to the register tile), while A is read where it sits through a row
 //!   and a depth stride — only a product's ragged last row tile (fewer than `MR`
-//!   rows) is packed, zero-padded, beside the B panel. An `MR × NR = 6 × 16`
-//!   register-tile microkernel accumulates each output tile; the first `KC` panel
-//!   stores it into C and later panels add into it, so C needs no zero fill. The
-//!   tile is the AVX2/FMA one from [`crate::simd`] wherever
-//!   [`crate::simd::simd_available`] holds, else a scalar tile the compiler
-//!   auto-vectorises; the driver picks it once per product. `MC`-row panels of the
-//!   output are distributed over threads with [`crate::parallel::for_each_chunk_mut`].
-//!   Each output element is one `k`-ordered chain of multiply-adds per `KC` panel
+//!   rows) is packed, zero-padded, beside the B panel. An `MR`-row register-tile
+//!   microkernel accumulates each output tile; the first `KC` panel stores it into
+//!   C and later panels add into it, so C needs no zero fill. The tile is the
+//!   host's [`SimdTier`]: the 6 × 32 AVX-512 one from
+//!   [`crate::simd`] where the host has `avx512f`, else the 6 × 16 AVX2/FMA one
+//!   where it has those, else a 6 × 16 scalar tile the compiler auto-vectorises;
+//!   the driver picks it once per product. `MC`-row panels of the output are
+//!   distributed over threads with [`crate::parallel::for_each_chunk_mut`]. Each
+//!   output element is one `k`-ordered chain of multiply-adds per `KC` panel
 //!   whatever the tile's shape or where its A operand is read from, so neither
-//!   changes a result bit.
+//!   changes a result bit: the two FMA tiles return identical bits, and only the
+//!   scalar tile, which rounds each product before adding it, differs from them.
 //!
 //! Both tiers serve all three access patterns the attention kernels need — `A·B`,
 //! `A·Bᵀ` ([`Matrix::matmul_transpose_b`](crate::Matrix::matmul_transpose_b)) and `Aᵀ·B`
@@ -51,44 +53,49 @@
 //!
 //! # Adding a microkernel (worked example)
 //!
-//! A new instruction-set tier (say AVX-512, or NEON on aarch64) is a new tile for the
-//! one driver, not a new backend — four steps, mirroring how the AVX2/FMA tile was
-//! added:
+//! A new instruction-set tier (say NEON on aarch64) is a new tile for the one driver,
+//! not a new backend — four steps, mirroring how the AVX-512 tile was added:
 //!
 //! 1. **Write a tile with the driver's signature** in `crates/tensor/src/simd.rs`
 //!    behind a `#[cfg(all(target_arch = "...", not(force_scalar)))]` module: an
 //!    `unsafe` `#[target_feature(...)]` function
-//!    `(a, rs, ks, bp, kc, &mut [[f32; NR]; MR])` (`MR × NR` = 6 × 16) accumulating
-//!    `kc` depth steps: A's tile element `(i, kk)` is `a[i * rs + kk * ks]` — row-major
-//!    A passes `(stride, 1)`, transposed A `(1, stride)`, the packed ragged tile
-//!    `(1, MR)` — and `a` covers exactly `tile_extent(rs, ks, kc)` elements; `bp` is
-//!    the packed k-major `NR`-wide B tile (every packer writes *all* tile slots, so
-//!    dirty reused scratch is safe; B panel rows are 64 bytes, 32-byte aligned). A
-//!    tier whose registers favour another shape changes `MR`/`NR` for every tile, the
-//!    scalar one included. Every intrinsic block carries a
-//!    `// SAFETY:` comment — the crate denies `unsafe_op_in_unsafe_fn`.
+//!    `(a, rs, ks, bp, kc, &mut [[f32; W]; MR])` accumulating `kc` depth steps of an
+//!    `MR × W` tile, where the width `W` is the tile's own (16 for the scalar and
+//!    AVX2 tiles, [`NR_AVX512`] = 32 for the AVX-512 one; it must divide `NC`): A's
+//!    tile element `(i, kk)` is `a[i * rs + kk * ks]` — row-major A passes
+//!    `(stride, 1)`, transposed A `(1, stride)`, the packed ragged tile `(1, MR)` —
+//!    and `a` covers exactly `tile_extent(rs, ks, kc)` elements; `bp` is the packed
+//!    k-major `W`-wide B tile (every packer writes *all* tile slots, so dirty reused
+//!    scratch is safe; the panel base is [`crate::SIMD_ALIGN`] = 64-byte aligned and
+//!    a B row is `4·W` bytes). `MR` is shared by every tile. Every intrinsic block
+//!    carries a `// SAFETY:` comment — the crate denies `unsafe_op_in_unsafe_fn`.
 //! 2. **Gate it at runtime**: extend [`crate::CpuFeatures`] with the new flag(s),
-//!    detect them in `cpu_features()`, and add a `<tier>_available()` predicate. The
-//!    runtime check is what keeps the `unsafe` call sound on every host.
+//!    detect them in `cpu_features()`, and give [`crate::SimdTier`] a variant that
+//!    `CpuFeatures::tier` returns where the flags are present. The runtime check is
+//!    what keeps the `unsafe` call sound on every host.
 //! 3. **Add it to the driver's one selection point**, `gemm_packed` below: one more
-//!    `if <tier>_available()` arm handing the tile to the driver.
+//!    match arm handing the tile, with its width, to the driver.
 //! 4. **Pin it differentially** in `crates/tensor/tests/simd_differential.rs`: the
-//!    direct driver entry [`gemm_packed_direct`] runs the host's tile on every `SPAN`
-//!    shape against [`MatmulBackend::Naive`] (within `1e-5`), and bit for bit on
-//!    exact-extent strided operands of both A layouts (run under ASan in CI).
+//!    direct driver entry [`gemm_packed_direct`] runs every tile the host has on
+//!    every `SPAN` shape against [`MatmulBackend::Naive`] (within `1e-5`), and bit
+//!    for bit on exact-extent strided operands of both A layouts (run under ASan in
+//!    CI); add the tile's width ± 1 to `SPAN`.
 //!
 //! # Blocking parameters
 //!
 //! | Constant | Value | Role |
 //! |---|---|---|
-//! | `MR × NR` | 6 × 16 | f32 register tile: 96 accumulators in twelve 256-bit registers |
+//! | `MR`      | 6      | f32 register-tile height, shared by every tile |
+//! | [`NR`]    | 16     | scalar and AVX2/FMA tile width: 96 accumulators in twelve 256-bit registers |
+//! | [`NR_AVX512`] | 32 | AVX-512 tile width: 192 accumulators in twelve 512-bit registers |
 //! | `KC`      | 256    | depth of one B panel (a tile's `MR × KC` A rows stay in L1) |
 //! | `MC`      | 72     | rows of C per parallel work unit (multiple of `MR`) |
-//! | `NC`      | 512    | columns per packed B panel (panel stays in L2/L3) |
+//! | `NC`      | 512    | columns per packed B panel (panel stays in L2/L3; multiple of both widths) |
 //!
 //! The 6 × 16 shape is the BLIS Haswell one: per depth step, two B loads and six
 //! broadcasts feed twelve FMAs, where a square 8 × 8 tile needs nine loads per eight.
-//! These constants are the f32 driver's only; the int8 `maddubs` kernel in
+//! The 6 × 32 tile is the same schedule in registers twice as wide. These constants
+//! are the f32 driver's only; the int8 `maddubs` kernel in
 //! [`crate::simd`] keeps its own 8 × 8 tile, whose packed B group of 8 columns × 4
 //! depth bytes is exactly one 256-bit register.
 //!
@@ -101,29 +108,33 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::aligned::AlignedVec;
 use crate::parallel::for_each_chunk_mut;
+use crate::simd::SimdTier;
 
 /// Which dense-GEMM implementation [`Matrix`](crate::Matrix) products run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatmulBackend {
     /// Textbook scalar `i j k` triple loop — slow, obviously correct, single-threaded.
     Naive,
-    /// The packed, cache-blocked, 6×16-register-tiled driver with parallelism over row
-    /// panels, on the AVX2/FMA tile where [`crate::simd::simd_available`] holds and
-    /// the scalar tile elsewhere; also the native `maddubs` int8 route. The default.
+    /// The packed, cache-blocked, register-tiled driver with parallelism over row
+    /// panels, on the host's [`SimdTier`] tile (6×32 AVX-512, 6×16
+    /// AVX2/FMA or 6×16 scalar); also the native `maddubs` int8 route. The default.
     Blocked,
 }
 
 /// f32 register tile height (rows of C accumulated per microkernel call).
 pub const MR: usize = 6;
-/// f32 register tile width (columns of C accumulated per microkernel call): two
-/// 256-bit vectors.
+/// f32 register tile width (columns of C accumulated per microkernel call) of the
+/// scalar and AVX2/FMA tiles: two 256-bit vectors.
 pub const NR: usize = 16;
+/// f32 register tile width of the AVX-512 tile: two 512-bit vectors.
+pub const NR_AVX512: usize = 32;
 /// Packed-panel depth: how many of the shared dimension's entries one panel holds.
 pub const KC: usize = 256;
 /// Rows of C per parallel work unit (multiple of [`MR`]).
 pub const MC: usize = 72;
-/// Columns per packed B panel (multiple of [`NR`]).
+/// Columns per packed B panel (multiple of [`NR`] and [`NR_AVX512`]).
 pub const NC: usize = 512;
+const _: () = assert!(NC.is_multiple_of(NR) && NC.is_multiple_of(NR_AVX512));
 
 /// Below this many scalar multiply-adds (`m * k * n`) the blocked backend skips packing
 /// and runs a plain `i k j` loop instead.
@@ -528,7 +539,7 @@ impl MatmulBackend {
                     gemm_small(out, m, k, n, a, b);
                     return;
                 }
-                gemm_packed(out, m, k, n, a, b);
+                gemm_packed(SimdTier::host(), out, m, k, n, a, b);
             }
         }
     }
@@ -561,16 +572,18 @@ fn gemm_small(out: &mut [f32], m: usize, k: usize, n: usize, a: Operand<'_>, b: 
     }
 }
 
-/// Direct entry into the packed driver on this host's tile, bypassing the
-/// small-product cutoff of [`MatmulBackend::gemm`] so differential tests can pin the
-/// tile's remainder lanes on tiny shapes. Overwrites `out` under the same contract as
-/// [`MatmulBackend::gemm_into`], without a fill of its own.
+/// Direct entry into the packed driver on an explicit tile, bypassing the
+/// small-product cutoff of [`MatmulBackend::gemm`] so differential tests can pin
+/// every tile the host has, including its remainder lanes on tiny shapes. Overwrites
+/// `out` under the same contract as [`MatmulBackend::gemm_into`], without a fill of
+/// its own.
 ///
 /// # Panics
 ///
-/// Panics when `out.len() != m * n`.
+/// Panics when `out.len() != m * n`, or when this host does not run `tile`.
 #[doc(hidden)]
 pub fn gemm_packed_direct(
+    tile: SimdTier,
     out: &mut [f32],
     m: usize,
     k: usize,
@@ -579,31 +592,51 @@ pub fn gemm_packed_direct(
     b: Operand<'_>,
 ) {
     assert_eq!(out.len(), m * n, "gemm_packed_direct output buffer length");
+    assert!(tile.available(), "this host does not run the {tile:?} tile");
     if k == 0 {
         out.fill(0.0);
     } else if m > 0 && n > 0 {
-        gemm_packed(out, m, k, n, a, b);
+        gemm_packed(tile, out, m, k, n, a, b);
     }
 }
 
-/// The driver's one tile selection point: the AVX2/FMA tile where the host has it,
-/// else the scalar tile. Chosen once per product, so each driver instantiation's
-/// inner loop calls its tile directly.
-fn gemm_packed(out: &mut [f32], m: usize, k: usize, n: usize, a: Operand<'_>, b: Operand<'_>) {
-    #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
-    if crate::simd::simd_available() {
-        packed_driver(out, m, k, n, a, b, |a_tile, rs, ks, bp, kc, acc| {
-            // SAFETY: simd_available() held above (avx2 + fma present); the driver
-            // hands every call an A slice bounds-checked to exactly
-            // tile_extent(rs, ks, kc) elements and a B tile exactly kc*NR long, its
-            // rows 32-byte aligned (AlignedVec base, 64-byte row stride). Every tile
-            // edge, both A layouts and strided sub-matrix operands at their exact
-            // extent are pinned by tests/simd_differential.rs, under ASan in CI.
-            unsafe { crate::simd::microkernel_f32(a_tile, rs, ks, bp, kc, acc) }
-        });
-        return;
+/// The driver's one tile selection point: `tile`'s microkernel, at its own width.
+/// Chosen once per product, so each driver instantiation's inner loop calls its tile
+/// directly. Callers guarantee `tile.available()`.
+fn gemm_packed(
+    tile: SimdTier,
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    a: Operand<'_>,
+    b: Operand<'_>,
+) {
+    match tile {
+        #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+        SimdTier::Avx512 => {
+            packed_driver::<NR_AVX512, _>(out, m, k, n, a, b, |a_tile, rs, ks, bp, kc, acc| {
+                // SAFETY: the tier is available (avx512f + avx2 + fma present): callers
+                // pass the host's tier or assert availability. The driver hands every
+                // call an A slice bounds-checked to exactly tile_extent(rs, ks, kc)
+                // elements and a B tile exactly kc*NR_AVX512 long, its rows 64-byte
+                // aligned (AlignedVec base, 128-byte row stride). Every tile edge, both A
+                // layouts and strided sub-matrix operands at their exact extent are pinned
+                // by tests/simd_differential.rs, under ASan in CI.
+                unsafe { crate::simd::microkernel_f32_avx512(a_tile, rs, ks, bp, kc, acc) }
+            })
+        }
+        #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+        SimdTier::Avx2 => {
+            packed_driver::<NR, _>(out, m, k, n, a, b, |a_tile, rs, ks, bp, kc, acc| {
+                // SAFETY: the tier is available (avx2 + fma present), as above; the A
+                // slice is exactly tile_extent(rs, ks, kc) long and the B tile exactly
+                // kc*NR, its rows 32-byte aligned (AlignedVec base, 64-byte row stride).
+                unsafe { crate::simd::microkernel_f32(a_tile, rs, ks, bp, kc, acc) }
+            })
+        }
+        _ => packed_driver::<NR, _>(out, m, k, n, a, b, microkernel_scalar),
     }
-    packed_driver(out, m, k, n, a, b, microkernel_scalar);
 }
 
 /// Elements an A tile spans when its element `(i, kk)` sits at `i * rs + kk * ks`:
@@ -687,11 +720,12 @@ fn pack_tile<const W: usize>(
 
 /// The packed driver: BLIS-style `jc → pc → (parallel) ic` loop nest. B is packed
 /// into thread-local aligned panel scratch (zero steady-state allocations when a
-/// region runs inline); A is read in place, except a ragged last row tile (fewer than
-/// `MR` rows), which is packed zero-padded beside the B panel. `tile` runs on every
-/// register tile; the first `KC` panel stores it into `out`, later panels add into
-/// it, so `out` needs no fill. Callers guarantee `m, k, n > 0`.
-fn packed_driver<T>(
+/// region runs inline), in `W`-wide column tiles; A is read in place, except a ragged
+/// last row tile (fewer than `MR` rows), which is packed zero-padded beside the B
+/// panel. `tile` runs on every `MR × W` register tile; the first `KC` panel stores it
+/// into `out`, later panels add into it, so `out` needs no fill. Callers guarantee
+/// `m, k, n > 0`.
+fn packed_driver<const W: usize, T>(
     out: &mut [f32],
     m: usize,
     k: usize,
@@ -700,7 +734,7 @@ fn packed_driver<T>(
     b: Operand<'_>,
     tile: T,
 ) where
-    T: Fn(&[f32], usize, usize, &[f32], usize, &mut [[f32; NR]; MR]) + Sync,
+    T: Fn(&[f32], usize, usize, &[f32], usize, &mut [[f32; W]; MR]) + Sync,
 {
     // A's element (i, kk) sits at `i * rs + kk * ks`. Besides this per-product check,
     // each full tile's slice below is cut, bounds-checked, to its exact extent.
@@ -717,7 +751,7 @@ fn packed_driver<T>(
     let m_full = m - m % MR;
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
-        let n_tiles = nc.div_ceil(NR);
+        let n_tiles = nc.div_ceil(W);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
 
@@ -725,13 +759,13 @@ fn packed_driver<T>(
             // row-panel task; pack_tile writes every slot, so nothing is cleared.
             PANEL.with(|cell| {
                 let mut scratch = cell.borrow_mut();
-                let b_len = n_tiles * kc * NR;
+                let b_len = n_tiles * kc * W;
                 scratch.reset_uncleared(b_len + if m_full < m { kc * MR } else { 0 });
                 let (bp, ragged) = scratch.split_at_mut(b_len);
-                for (t, dst) in bp.chunks_exact_mut(kc * NR).enumerate() {
-                    let j0 = jc + t * NR;
+                for (t, dst) in bp.chunks_exact_mut(kc * W).enumerate() {
+                    let j0 = jc + t * W;
                     let cols_contiguous = b.layout == Layout::Transposed;
-                    pack_tile::<NR>(dst, b, cols_contiguous, kc, pc, j0, NR.min(n - j0));
+                    pack_tile::<W>(dst, b, cols_contiguous, kc, pc, j0, W.min(n - j0));
                 }
                 if m_full < m {
                     let rows_contiguous = a.layout == Layout::RowMajor;
@@ -753,12 +787,12 @@ fn packed_driver<T>(
                         };
                         let rows_here = MR.min(m - r0);
                         for tj in 0..n_tiles {
-                            let b_tile = &bp[tj * kc * NR..(tj + 1) * kc * NR];
-                            let mut acc = [[0.0f32; NR]; MR];
+                            let b_tile = &bp[tj * kc * W..(tj + 1) * kc * W];
+                            let mut acc = [[0.0f32; W]; MR];
                             tile(a_tile, trs, tks, b_tile, kc, &mut acc);
 
-                            let j0 = jc + tj * NR;
-                            let cols_here = NR.min(n - j0);
+                            let j0 = jc + tj * W;
+                            let cols_here = W.min(n - j0);
                             for (i, acc_row) in acc.iter().enumerate().take(rows_here) {
                                 let c_row = &mut c_rows[(ti * MR + i) * n + j0..][..cols_here];
                                 if pc == 0 {

@@ -9,8 +9,9 @@
 //!   reduction and broadcasting primitives needed by the attention algorithms.
 //! * [`backend`] — the two dense-GEMM backends behind every `Matrix` product: a
 //!   scalar [`MatmulBackend::Naive`] reference and the default [`MatmulBackend::Blocked`]
-//!   packed driver, cache-blocked and register-tiled (AVX2/FMA tile where the host has
-//!   it, scalar tile elsewhere) and parallel over row panels. See the module docs for
+//!   packed driver, cache-blocked and register-tiled (the host's [`SimdTier`]: a 6×32
+//!   AVX-512 tile, a 6×16 AVX2/FMA tile or a 6×16 scalar tile) and parallel over row
+//!   panels. See the module docs for
 //!   the blocking parameters and how to select a backend (the
 //!   `VITALITY_MATMUL_BACKEND` environment variable, [`set_matmul_backend`], or
 //!   [`MatmulBackend::gemm`] on an explicit backend).
@@ -54,7 +55,7 @@ pub use aligned::{AlignedVec, SIMD_ALIGN};
 pub use backend::{matmul_backend, set_matmul_backend, MatmulBackend};
 pub use error::{ShapeError, TensorResult};
 pub use matrix::Matrix;
-pub use simd::{cpu_features, CpuFeatures};
+pub use simd::{cpu_features, CpuFeatures, SimdTier};
 pub use workspace::{with_thread_workspace, Workspace};
 
 /// Numerical tolerance used by the approximate-equality helpers in this workspace.

@@ -1,15 +1,18 @@
-//! Runtime CPU-feature detection and the explicit AVX2/FMA microkernels behind
+//! Runtime CPU-feature detection and the explicit `std::arch` microkernels behind
 //! [`MatmulBackend::Blocked`](crate::MatmulBackend::Blocked).
 //!
 //! The scalar 6×16 tile of the packed driver in [`crate::backend`] leans on the
 //! auto-vectoriser, which on the baseline `x86-64` target means 128-bit SSE2 with
-//! separate multiply and add. This module supplies hand-written `std::arch` kernels for
-//! the two hot element types:
+//! separate multiply and add. This module supplies hand-written kernels for the two
+//! hot element types:
 //!
-//! * **f32** — the AVX2/FMA 6×16 register tile the packed driver runs where the host
-//!   has the features: twelve 256-bit FMA accumulators (two per tile row); each depth
-//!   step is two aligned loads from the packed B panel plus six broadcasts, read from
-//!   A where it sits, feeding twelve FMAs.
+//! * **f32** — two FMA register tiles for the packed driver, one per vector width,
+//!   each `MR` = 6 rows tall with two vectors per tile row: twelve FMA accumulators;
+//!   each depth step is two aligned loads from the packed B panel plus six broadcasts,
+//!   read from A where it sits, feeding twelve FMAs. The AVX2/FMA tile is 6×16 in
+//!   `ymm` registers; the AVX-512 tile is 6×32 in `zmm` registers, twice the columns
+//!   per instruction. Both run one output element's FMA chain in `k` order, so they
+//!   return identical bits.
 //! * **i8** — the AVX2 integer dot-product idiom hardware PE arrays mirror: depth is
 //!   processed four steps at a time with `_mm256_maddubs_epi16` (unsigned×signed byte
 //!   multiply, pairwise i16 add) followed by `_mm256_madd_epi16` against ones to reach
@@ -21,14 +24,14 @@
 //!
 //! The elementwise kernels further down (`tanh`/GELU/LayerNorm sweeps) take the
 //! other route to the same hardware: no intrinsics, one plain-arithmetic body per
-//! kernel compiled once for the baseline target and once under
-//! `#[target_feature(enable = "avx2")]`, bit-identical across both.
+//! kernel compiled once for the baseline target and once per wider [`SimdTier`] under
+//! `#[target_feature]`, bit-identical across all of them.
 //!
 //! Everything here is gated twice: at compile time on `target_arch = "x86_64"` plus the
 //! `--cfg force_scalar` escape hatch (useful under Miri, which does not model the
 //! intrinsics), and at runtime on [`cpu_features`] (cached
-//! `is_x86_feature_detected!`). Non-x86 and feature-less hosts transparently keep the
-//! scalar tile and the widened int8 route.
+//! `is_x86_feature_detected!`), summarised as the host's [`SimdTier`]. Non-x86 and
+//! feature-less hosts transparently keep the scalar tile and the widened int8 route.
 
 use std::sync::OnceLock;
 
@@ -42,12 +45,63 @@ pub struct CpuFeatures {
     pub avx2: bool,
     /// Fused multiply-add (`_mm256_fmadd_ps`).
     pub fma: bool,
+    /// 512-bit foundation ops (`_mm512_fmadd_ps` and friends).
+    pub avx512f: bool,
 }
 
 impl CpuFeatures {
-    /// `true` when both extensions the microkernels rely on are present.
+    /// `true` when both extensions the AVX2 microkernels rely on are present.
     pub fn simd_ready(&self) -> bool {
         self.avx2 && self.fma
+    }
+
+    /// The widest [`SimdTier`] a host with these features runs in this build:
+    /// [`SimdTier::Avx512`] needs `avx512f` on top of AVX2/FMA, so the tiers nest.
+    pub fn tier(&self) -> SimdTier {
+        if !cfg!(all(target_arch = "x86_64", not(force_scalar))) || !self.simd_ready() {
+            SimdTier::Scalar
+        } else if self.avx512f {
+            SimdTier::Avx512
+        } else {
+            SimdTier::Avx2
+        }
+    }
+}
+
+/// An instruction-set tier the f32 kernels are compiled for: which register tile the
+/// packed GEMM driver runs, and which instantiation the elementwise kernels that have
+/// one per tier run. Ordered by width; a host that runs a tier runs every lower one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum SimdTier {
+    /// Plain Rust the compiler vectorises for the build target; runs everywhere.
+    Scalar,
+    /// 256-bit AVX2 + FMA.
+    Avx2,
+    /// 512-bit AVX-512F (on top of AVX2 + FMA).
+    Avx512,
+}
+
+impl SimdTier {
+    /// Every tier, narrowest first.
+    pub const ALL: [SimdTier; 3] = [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512];
+
+    /// The widest tier this host runs in this build: what the kernels dispatch to.
+    pub fn host() -> Self {
+        cpu_features().tier()
+    }
+
+    /// `true` when this host runs this tier in this build.
+    pub fn available(self) -> bool {
+        self <= Self::host()
+    }
+
+    /// The stable lower-case name, as reported by `/metrics` (`compute.f32_tile`).
+    pub fn label(self) -> &'static str {
+        match self {
+            SimdTier::Scalar => "scalar",
+            SimdTier::Avx2 => "avx2",
+            SimdTier::Avx512 => "avx512",
+        }
     }
 }
 
@@ -56,19 +110,16 @@ static FEATURES: OnceLock<CpuFeatures> = OnceLock::new();
 /// Detects (once, cached) the CPU features the SIMD backend needs.
 ///
 /// The first call logs the outcome through `trace::info!` so serving logs record which
-/// kernel family the process dispatched to.
+/// f32 tile the process dispatches to.
 pub fn cpu_features() -> CpuFeatures {
     *FEATURES.get_or_init(|| {
         let f = detect();
         trace::info!(
-            "cpu features: avx2={} fma={} — {}",
+            "cpu features: avx2={} fma={} avx512f={} — f32 tile {}",
             f.avx2,
             f.fma,
-            if f.simd_ready() {
-                "AVX2/FMA microkernels available"
-            } else {
-                "scalar blocked kernels only"
-            }
+            f.avx512f,
+            f.tier().label()
         );
         f
     })
@@ -77,7 +128,7 @@ pub fn cpu_features() -> CpuFeatures {
 /// `true` when the AVX2/FMA microkernels can run on this host and build
 /// (`x86_64`, not `--cfg force_scalar`, and the CPU advertises both features).
 pub fn simd_available() -> bool {
-    cfg!(all(target_arch = "x86_64", not(force_scalar))) && cpu_features().simd_ready()
+    SimdTier::Avx2.available()
 }
 
 #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
@@ -85,6 +136,7 @@ fn detect() -> CpuFeatures {
     CpuFeatures {
         avx2: std::arch::is_x86_feature_detected!("avx2"),
         fma: std::arch::is_x86_feature_detected!("fma"),
+        avx512f: std::arch::is_x86_feature_detected!("avx512f"),
     }
 }
 
@@ -93,11 +145,12 @@ fn detect() -> CpuFeatures {
     CpuFeatures {
         avx2: false,
         fma: false,
+        avx512f: false,
     }
 }
 
 #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
-pub(crate) use x86::{gemm_i8_avx2, microkernel_f32};
+pub(crate) use x86::{gemm_i8_avx2, microkernel_f32, microkernel_f32_avx512};
 
 /// Round-to-nearest-even magic constant (`1.5 · 2²³`): adding it pushes any value in
 /// `[-2²², 2²²]` into the binade where one ulp is exactly 1, so the correctly rounded
@@ -245,16 +298,20 @@ pub fn i8_column_sums_scalar(data: &[i8], out: &mut [i32]) {
 //
 // Unlike the sweeps above, these carry no intrinsics. Each kernel is one
 // `#[inline(always)]` body of plain, branch-free f32 arithmetic (no `mul_add`, no
-// libm call, reductions in an explicit fixed order), instantiated twice: a baseline
-// instantiation the compiler vectorises for the build target (SSE2 on x86-64), and a
-// `#[target_feature(enable = "avx2")]` instantiation it vectorises eight lanes wide,
-// selected by `simd_available()`. Both run the identical IEEE op sequence per element,
-// so every tier — and `--cfg force_scalar`, which compiles the second instantiation
+// libm call, reductions in an explicit fixed order), instantiated once per tier: a
+// baseline instantiation the compiler vectorises for the build target (SSE2 on
+// x86-64), a `#[target_feature(enable = "avx2")]` instantiation it vectorises eight
+// lanes wide, and — for the GELU sweeps — an `avx512f` one it vectorises sixteen wide,
+// selected by `SimdTier::host()`. All run the identical IEEE op sequence per element,
+// so every tier — and `--cfg force_scalar`, which compiles the wider instantiations
 // out — returns the same bits. `tests/simd_differential.rs` pins that on every
 // remainder-lane length.
 //
-// Adding one: write the `*_body`, give it the dispatcher + `*_baseline` + `*_avx2`
-// trio below, and extend `elementwise_tiers_are_bit_identical_on_every_remainder_lane`.
+// Adding one: write the `*_body`, give it a dispatcher plus one instantiation per tier
+// below (`*_on` when it has three, the `*_baseline` + `*_avx2` pair when it has two),
+// and extend `elementwise_tiers_are_bit_identical_on_every_remainder_lane`. LayerNorm
+// has no `avx512f` instantiation: its `lane_sum` fixes eight lanes, and a 16-wide
+// build measured slower.
 
 const SQRT_2_OVER_PI: f32 = 0.797_884_6;
 const GELU_CUBIC: f32 = 0.044_715;
@@ -360,20 +417,29 @@ fn layer_norm_rows_body(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &
 /// formula is below `2e-6` on `[-12, 12]`; NaN → NaN, `+inf` → `+inf`, `-inf` → NaN
 /// and `±0` → `±0`, exactly as the libm-`tanh` formula behaves.
 pub fn gelu_inplace(xs: &mut [f32]) {
-    #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
-    if simd_available() {
-        // SAFETY: simd_available() verified the CPU advertises avx2; this tier is
-        // pinned to the baseline one by
-        // simd_differential::elementwise_tiers_are_bit_identical_on_every_remainder_lane.
-        return unsafe { gelu_inplace_avx2(xs) };
-    }
-    gelu_inplace_baseline(xs);
+    gelu_inplace_on(SimdTier::host(), xs);
 }
 
-/// Baseline instantiation of [`gelu_inplace`] — public for differential tests.
+/// [`gelu_inplace`] on one tier's instantiation — public so differential tests can
+/// pin every tier the host runs against the scalar one.
+///
+/// # Panics
+///
+/// Panics when this host does not run `tier`.
 #[doc(hidden)]
-pub fn gelu_inplace_baseline(xs: &mut [f32]) {
-    gelu_body(xs);
+pub fn gelu_inplace_on(tier: SimdTier, xs: &mut [f32]) {
+    assert!(tier.available(), "this host does not run {tier:?}");
+    match tier {
+        // SAFETY: available() verified the CPU advertises avx512f (and avx2 + fma);
+        // each tier is pinned to the scalar one by
+        // simd_differential::elementwise_tiers_are_bit_identical_on_every_remainder_lane.
+        #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+        SimdTier::Avx512 => unsafe { gelu_inplace_avx512(xs) },
+        // SAFETY: available() verified the CPU advertises avx2 (and fma).
+        #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+        SimdTier::Avx2 => unsafe { gelu_inplace_avx2(xs) },
+        _ => gelu_body(xs),
+    }
 }
 
 /// # Safety
@@ -382,6 +448,15 @@ pub fn gelu_inplace_baseline(xs: &mut [f32]) {
 #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
 #[target_feature(enable = "avx2")]
 unsafe fn gelu_inplace_avx2(xs: &mut [f32]) {
+    gelu_body(xs);
+}
+
+/// # Safety
+///
+/// CPU must support `avx512f`.
+#[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+#[target_feature(enable = "avx512f")]
+unsafe fn gelu_inplace_avx512(xs: &mut [f32]) {
     gelu_body(xs);
 }
 
@@ -403,21 +478,29 @@ pub fn bias_gelu_rows(data: &mut [f32], bias: &[f32]) {
         data.len(),
         bias.len()
     );
-    #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
-    if simd_available() {
-        // SAFETY: simd_available() verified the CPU advertises avx2; this tier is
-        // pinned to the baseline one by
-        // simd_differential::elementwise_tiers_are_bit_identical_on_every_remainder_lane.
-        return unsafe { bias_gelu_rows_avx2(data, bias) };
-    }
-    bias_gelu_rows_baseline(data, bias);
+    bias_gelu_rows_on(SimdTier::host(), data, bias);
 }
 
-/// Baseline instantiation of [`bias_gelu_rows`] — public for differential tests.
-/// `bias` must be non-empty.
+/// [`bias_gelu_rows`] on one tier's instantiation — public so differential tests can
+/// pin every tier the host runs against the scalar one. `bias` must be non-empty.
+///
+/// # Panics
+///
+/// Panics when this host does not run `tier`.
 #[doc(hidden)]
-pub fn bias_gelu_rows_baseline(data: &mut [f32], bias: &[f32]) {
-    bias_gelu_rows_body(data, bias);
+pub fn bias_gelu_rows_on(tier: SimdTier, data: &mut [f32], bias: &[f32]) {
+    assert!(tier.available(), "this host does not run {tier:?}");
+    match tier {
+        // SAFETY: available() verified the CPU advertises avx512f (and avx2 + fma);
+        // each tier is pinned to the scalar one by
+        // simd_differential::elementwise_tiers_are_bit_identical_on_every_remainder_lane.
+        #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+        SimdTier::Avx512 => unsafe { bias_gelu_rows_avx512(data, bias) },
+        // SAFETY: available() verified the CPU advertises avx2 (and fma).
+        #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+        SimdTier::Avx2 => unsafe { bias_gelu_rows_avx2(data, bias) },
+        _ => bias_gelu_rows_body(data, bias),
+    }
 }
 
 /// # Safety
@@ -426,6 +509,15 @@ pub fn bias_gelu_rows_baseline(data: &mut [f32], bias: &[f32]) {
 #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
 #[target_feature(enable = "avx2")]
 unsafe fn bias_gelu_rows_avx2(data: &mut [f32], bias: &[f32]) {
+    bias_gelu_rows_body(data, bias);
+}
+
+/// # Safety
+///
+/// CPU must support `avx512f`.
+#[cfg(all(target_arch = "x86_64", not(force_scalar)))]
+#[target_feature(enable = "avx512f")]
+unsafe fn bias_gelu_rows_avx512(data: &mut [f32], bias: &[f32]) {
     bias_gelu_rows_body(data, bias);
 }
 
@@ -512,9 +604,14 @@ unsafe fn layer_norm_rows_avx2(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32,
 #[cfg(all(target_arch = "x86_64", not(force_scalar)))]
 mod x86 {
     use crate::aligned::{AlignedVec, SIMD_ALIGN};
-    use crate::backend::{tile_extent, IntOperand, Layout, MR, NR};
+    use crate::backend::{tile_extent, IntOperand, Layout, MR, NR, NR_AVX512};
     use std::arch::x86_64::*;
     use std::cell::RefCell;
+
+    /// Alignment (bytes) the 256-bit aligned loads below need: one `ymm` register.
+    /// [`SIMD_ALIGN`] is a whole cache line, so every `AlignedVec` base meets it.
+    const YMM_ALIGN: usize = 32;
+    const _: () = assert!(SIMD_ALIGN.is_multiple_of(YMM_ALIGN));
 
     /// Depth steps folded into one i32 lane per `maddubs`/`madd` pair.
     const KG: usize = 4;
@@ -539,7 +636,8 @@ mod x86 {
     /// `a[i * rs + kk * ks]` — `(stride, 1)` for row-major A, `(1, stride)` for
     /// transposed A, `(1, MR)` for the packed ragged tile. `bp` is the packed k-major
     /// `NR`-wide B tile (the layout the scalar tile consumes), 32-byte aligned. Every
-    /// lane is one output element's FMA chain in `k` order.
+    /// lane is one output element's FMA chain in `k` order, as in
+    /// [`microkernel_f32_avx512`], so the two tiles return identical bits.
     ///
     /// # Safety
     ///
@@ -559,7 +657,7 @@ mod x86 {
         // The loads and stores below address exactly two 8-lane halves per row.
         const { assert!(NR == 16) };
         debug_assert!(kc >= 1 && a.len() >= tile_extent(rs, ks, kc) && bp.len() >= kc * NR);
-        debug_assert_eq!(bp.as_ptr() as usize % SIMD_ALIGN, 0);
+        debug_assert_eq!(bp.as_ptr() as usize % YMM_ALIGN, 0);
         let mut rows = [[_mm256_setzero_ps(); 2]; MR];
         let a = a.as_ptr();
         let b = bp.as_ptr();
@@ -568,7 +666,7 @@ mod x86 {
             // `kk < kc`, so both halves of the B row lie within bounds (len >=
             // kc * NR); the panel base is 32-byte aligned and each row is NR * 4 = 64
             // bytes, keeping both half-row starts aligned. Pinned on every tile edge
-            // by simd_differential::f32_simd_kernel_matches_naive_within_1e5_on_all_remainder_lanes.
+            // by simd_differential::f32_tiles_match_naive_within_1e5_on_all_remainder_lanes.
             let (b0, b1) = unsafe {
                 (
                     _mm256_load_ps(b.add(kk * NR)),
@@ -595,6 +693,69 @@ mod x86 {
         }
     }
 
+    /// AVX-512F `MR × NR_AVX512` = 6 × 32 f32 register tile: [`microkernel_f32`] with
+    /// `zmm` registers. Each depth step is two aligned B-row loads and six broadcasts
+    /// feeding twelve FMAs into twelve `zmm` accumulators (two per tile row), 15 of the
+    /// 32 registers. A is read exactly as the AVX2 tile reads it; `bp` is the packed
+    /// k-major `NR_AVX512`-wide B tile, 64-byte aligned, so every load is one whole
+    /// cache line. Every lane is one output element's FMA chain in `k` order, the
+    /// chain the AVX2 tile runs, so the two tiles return identical bits.
+    ///
+    /// # Safety
+    ///
+    /// The caller must ensure the CPU supports `avx512f` (checked via
+    /// [`super::SimdTier::available`] at the driver's tile selection), that `kc >= 1`,
+    /// `a.len() >= tile_extent(rs, ks, kc)` and `bp.len() >= kc * NR_AVX512`, with `bp`
+    /// 64-byte aligned.
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn microkernel_f32_avx512(
+        a: &[f32],
+        rs: usize,
+        ks: usize,
+        bp: &[f32],
+        kc: usize,
+        acc: &mut [[f32; NR_AVX512]; MR],
+    ) {
+        // The loads and stores below address exactly two 16-lane halves per row.
+        const { assert!(NR_AVX512 == 32) };
+        debug_assert!(kc >= 1 && a.len() >= tile_extent(rs, ks, kc) && bp.len() >= kc * NR_AVX512);
+        debug_assert_eq!(bp.as_ptr() as usize % SIMD_ALIGN, 0);
+        let mut rows = [[_mm512_setzero_ps(); 2]; MR];
+        let a = a.as_ptr();
+        let b = bp.as_ptr();
+        for kk in 0..kc {
+            // SAFETY: the driver calls this tile only where SimdTier::Avx512 is
+            // available; `kk < kc`, so both halves of the B row lie within bounds (len
+            // >= kc * NR_AVX512); the panel base is 64-byte aligned and each row is
+            // NR_AVX512 * 4 = 128 bytes, keeping both half-row starts aligned. Pinned
+            // on every tile edge by
+            // simd_differential::f32_tiles_match_naive_within_1e5_on_all_remainder_lanes.
+            let (b0, b1) = unsafe {
+                (
+                    _mm512_load_ps(b.add(kk * NR_AVX512)),
+                    _mm512_load_ps(b.add(kk * NR_AVX512 + 16)),
+                )
+            };
+            for (i, row) in rows.iter_mut().enumerate() {
+                // SAFETY: `i * rs + kk * ks <= (MR - 1) * rs + (kc - 1) * ks <
+                // a.len()`, the extent the driver bounds-checks in safe code. Pinned
+                // at exact-extent strided operands of both layouts by
+                // simd_differential::f32_packed_driver_reads_a_in_place_within_its_extent.
+                let av = unsafe { _mm512_set1_ps(*a.add(i * rs + kk * ks)) };
+                row[0] = _mm512_fmadd_ps(av, b0, row[0]);
+                row[1] = _mm512_fmadd_ps(av, b1, row[1]);
+            }
+        }
+        for (dst, row) in acc.iter_mut().zip(rows) {
+            // SAFETY: `dst` is a [f32; NR_AVX512] — exactly the two 16-lane halves
+            // stored (unaligned stores: the accumulator tile lives on the stack).
+            unsafe {
+                _mm512_storeu_ps(dst.as_mut_ptr(), row[0]);
+                _mm512_storeu_ps(dst.as_mut_ptr().add(16), row[1]);
+            }
+        }
+    }
+
     /// AVX2 `maddubs` integer microkernel: accumulates `groups` packed groups of
     /// [`KG`] depth steps into the `MR_I8 × NR_I8` i32 tile `acc`. Packed layouts (see
     /// [`pack_a_i8`]/[`pack_b_i8`]): per group, `ap` holds `MR_I8` rows × `KG`
@@ -613,8 +774,8 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     unsafe fn microkernel_i8(ap: &[i8], bp: &[i8], groups: usize, acc: &mut [[i32; NR_I8]; MR_I8]) {
         debug_assert!(ap.len() >= groups * KG * MR_I8 && bp.len() >= groups * KG * NR_I8);
-        debug_assert_eq!(ap.as_ptr() as usize % SIMD_ALIGN, 0);
-        debug_assert_eq!(bp.as_ptr() as usize % SIMD_ALIGN, 0);
+        debug_assert_eq!(ap.as_ptr() as usize % YMM_ALIGN, 0);
+        debug_assert_eq!(bp.as_ptr() as usize % YMM_ALIGN, 0);
         let ones = _mm256_set1_epi16(1);
         let mut rows = [_mm256_setzero_si256(); MR_I8];
         let a = ap.as_ptr();
@@ -1010,20 +1171,34 @@ mod tests {
 
     #[test]
     fn simd_ready_requires_both_features() {
-        assert!(CpuFeatures {
-            avx2: true,
-            fma: true
+        let f = |avx2, fma| CpuFeatures {
+            avx2,
+            fma,
+            avx512f: false,
+        };
+        assert!(f(true, true).simd_ready());
+        assert!(!f(true, false).simd_ready());
+        assert!(!f(false, true).simd_ready());
+    }
+
+    #[test]
+    fn the_avx512_tier_needs_avx2_and_fma_as_well() {
+        let simd_build = cfg!(all(target_arch = "x86_64", not(force_scalar)));
+        let tier = |avx2, fma, avx512f| CpuFeatures { avx2, fma, avx512f }.tier();
+        let (avx2, avx512) = if simd_build {
+            (SimdTier::Avx2, SimdTier::Avx512)
+        } else {
+            (SimdTier::Scalar, SimdTier::Scalar)
+        };
+        assert_eq!(tier(true, true, true), avx512);
+        assert_eq!(tier(true, true, false), avx2);
+        assert_eq!(tier(false, true, true), SimdTier::Scalar);
+        assert_eq!(tier(true, false, true), SimdTier::Scalar);
+        assert_eq!(tier(false, false, false), SimdTier::Scalar);
+        assert_eq!(SimdTier::host(), cpu_features().tier());
+        for t in SimdTier::ALL {
+            assert_eq!(t.available(), t <= SimdTier::host(), "{t:?}");
         }
-        .simd_ready());
-        assert!(!CpuFeatures {
-            avx2: true,
-            fma: false
-        }
-        .simd_ready());
-        assert!(!CpuFeatures {
-            avx2: false,
-            fma: true
-        }
-        .simd_ready());
+        assert!(SimdTier::Scalar.available());
     }
 }

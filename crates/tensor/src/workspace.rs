@@ -10,7 +10,7 @@
 //! the counting-allocator regression test in `tests/alloc_regression.rs`).
 //!
 //! The element pools (`f32`/`i8`/`i32`) hand out [`AlignedVec`] buffers whose base
-//! pointer is 32-byte aligned, so the AVX2 microkernels in [`crate::backend`] can use
+//! pointer is 64-byte aligned, so the SIMD microkernels in [`crate::backend`] can use
 //! aligned vector loads on pooled operands without a scalar peel loop. [`Matrix`]
 //! checkouts come from a separate plain-`Vec` pool because `Matrix` owns its storage as
 //! `Vec<f32>`. The SIMD fast path reads such a buffer in place: the packed GEMM driver
@@ -110,7 +110,7 @@ impl Workspace {
         recycle_into(&mut self.mat_pool, m.into_vec());
     }
 
-    /// Checks out a zeroed, 32-byte-aligned `f32` buffer of exactly `len` elements.
+    /// Checks out a zeroed, 64-byte-aligned `f32` buffer of exactly `len` elements.
     pub fn take_vec(&mut self, len: usize) -> AlignedVec<f32> {
         take_zeroed(&mut self.f32_pool, &mut self.checkouts, &mut self.hits, len)
     }
@@ -120,7 +120,7 @@ impl Workspace {
         recycle_into(&mut self.f32_pool, v);
     }
 
-    /// Checks out a zeroed, 32-byte-aligned `i8` buffer of exactly `len` elements
+    /// Checks out a zeroed, 64-byte-aligned `i8` buffer of exactly `len` elements
     /// (quantized operands of the int8 attention kernels), with the same best-fit
     /// policy as [`Workspace::take_vec`].
     pub fn take_i8_vec(&mut self, len: usize) -> AlignedVec<i8> {
@@ -132,7 +132,7 @@ impl Workspace {
         recycle_into(&mut self.i8_pool, v);
     }
 
-    /// Checks out a zeroed, 32-byte-aligned `i32` buffer of exactly `len` elements
+    /// Checks out a zeroed, 64-byte-aligned `i32` buffer of exactly `len` elements
     /// (integer accumulators of the int8 attention kernels), with the same best-fit
     /// policy as [`Workspace::take_vec`].
     pub fn take_i32_vec(&mut self, len: usize) -> AlignedVec<i32> {
@@ -452,7 +452,7 @@ mod tests {
     #[test]
     fn element_pool_checkouts_stay_32_byte_aligned_through_recycling() {
         // The SIMD satellite contract: every f32/i8/i32 checkout — fresh, recycled,
-        // best-fit downsized or grown-in-place — has a 32-byte-aligned base pointer.
+        // best-fit downsized or grown-in-place — has a 64-byte-aligned base pointer.
         let mut ws = Workspace::new();
         for len in [1usize, 7, 64, 196, 1000] {
             let f = ws.take_vec(len);

@@ -3,12 +3,15 @@
 //!
 //! Three contracts, straight from the dispatch layer's documentation:
 //!
-//! * **f32** — the packed driver runs the host's register tile (AVX2/FMA where the
-//!   host has it, scalar elsewhere and under `--cfg force_scalar`). Neither tile
-//!   reassociates (each accumulates an output lane sequentially over `k`), but FMA
-//!   keeps the unrounded product, so results may differ from the naive reference by
-//!   rounding only: within `1e-5` across shapes covering every remainder lane of the
-//!   6×16 f32 register tile and the edges of its `MC` row panel and `KC` depth panel.
+//! * **f32** — the packed driver runs the host's register tile (6×32 AVX-512 where
+//!   the host has `avx512f`, 6×16 AVX2/FMA where it has those, 6×16 scalar elsewhere
+//!   and under `--cfg force_scalar`); every tile the host can run is pinned here, not
+//!   only the one it selects. No tile reassociates (each accumulates an output lane
+//!   sequentially over `k`), but FMA keeps the unrounded product, so results may
+//!   differ from the naive reference by rounding only: within `1e-5` across shapes
+//!   covering every remainder lane of both tile widths and the edges of the `MC` row
+//!   panel and `KC` depth panel. The two FMA tiles run the same chain per element,
+//!   so they must agree **bit for bit** — what lets one golden logit table serve both.
 //! * **i8** — the production entry `gemm_i8_fast_into` is exact integer arithmetic on
 //!   both of its routes and must be **bit-identical** to the scalar `gemm_i8_into`
 //!   reference, including reductions longer than `I8_EXACT_CHUNK` (the native
@@ -21,18 +24,20 @@
 //!
 //! On hosts or builds without AVX2/FMA (non-x86, `--cfg force_scalar`, old CPUs) the
 //! f32 sweep pins the scalar tile, and the int8 and elementwise entry points fall back
-//! to their scalar forms, so the suite runs on every host.
+//! to their scalar forms, so the suite runs on every host. Which tiles ran is printed
+//! by `the_host_selects_its_widest_tile` (visible with `--nocapture`).
 
 use vitality_tensor::backend::{
-    gemm_packed_direct, IntOperand, Operand, I8_EXACT_CHUNK, KC, MC, MR, NR,
+    gemm_packed_direct, IntOperand, Operand, I8_EXACT_CHUNK, KC, MC, MR, NR, NR_AVX512,
 };
-use vitality_tensor::{cpu_features, MatmulBackend, Workspace};
+use vitality_tensor::{cpu_features, MatmulBackend, SimdTier, Workspace};
 
 /// Every combination straddles a different mix of full and remainder lanes of the
-/// f32 register tile, `MR × NR` = 6 × 16: 1 is below both edges, 5/6/7 hug the tile
-/// height, 15/16/17 its width, 71/72/73 the `MC` row-panel edge, 196 is the ViT-base
-/// token count and 257 crosses the `KC` depth panel.
-const SPAN: [usize; 12] = [
+/// f32 register tiles, `MR` = 6 rows by `NR` = 16 or `NR_AVX512` = 32 columns: 1 is
+/// below every edge, 5/6/7 hug the tile height, 15/16/17 and 31/32/33 the two widths,
+/// 71/72/73 the `MC` row-panel edge, 196 is the ViT-base token count and 257 crosses
+/// the `KC` depth panel.
+const SPAN: [usize; 15] = [
     1,
     MR - 1,
     MR,
@@ -40,6 +45,9 @@ const SPAN: [usize; 12] = [
     NR - 1,
     NR,
     NR + 1,
+    NR_AVX512 - 1,
+    NR_AVX512,
+    NR_AVX512 + 1,
     MC - 1,
     MC,
     MC + 1,
@@ -77,6 +85,14 @@ fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
         )
 }
 
+/// Every f32 tile this host runs in this build, narrowest first.
+fn tiles() -> Vec<SimdTier> {
+    SimdTier::ALL
+        .into_iter()
+        .filter(|tile| tile.available())
+        .collect()
+}
+
 /// i8 fill constrained to [-127, 127]: the native kernel's documented domain (the
 /// excluded -128 gets its own dedicated fallback test below).
 fn entry_i8(i: usize, salt: usize) -> i8 {
@@ -84,41 +100,56 @@ fn entry_i8(i: usize, salt: usize) -> i8 {
 }
 
 #[test]
-fn f32_simd_kernel_matches_naive_within_1e5_on_all_remainder_lanes() {
+fn the_host_selects_its_widest_tile() {
+    let tiles = tiles();
+    let labels: Vec<&str> = tiles.iter().map(|tile| tile.label()).collect();
+    eprintln!(
+        "f32 tile: {} (tiles run here: {})",
+        SimdTier::host().label(),
+        labels.join(", ")
+    );
+    assert_eq!(tiles.last(), Some(&SimdTier::host()));
+    assert_eq!(
+        tiles[0],
+        SimdTier::Scalar,
+        "the scalar tile runs everywhere"
+    );
+    // The public dispatch of a product above the small-product cutoff is the packed
+    // driver on the host's tile.
+    let (m, k, n) = (MC + 1, 196, 2 * NR_AVX512 + 3);
+    let a = dense(m, k, entry);
+    let b = dense(k, n, |r, c| entry(c + 5, r));
+    let (a_op, b_op) = (Operand::row_major(&a, k), Operand::row_major(&b, n));
+    let dispatched = MatmulBackend::Blocked.gemm(m, k, n, a_op, b_op);
+    let mut packed = vec![f32::NAN; m * n];
+    gemm_packed_direct(SimdTier::host(), &mut packed, m, k, n, a_op, b_op);
+    assert_eq!(bits(&dispatched), bits(&packed));
+}
+
+#[test]
+fn f32_tiles_match_naive_within_1e5_on_all_remainder_lanes() {
+    let tiles = tiles();
     for &m in &SPAN {
         for &k in &SPAN {
             for &n in &SPAN {
                 let a = dense(m, k, entry);
                 let b = dense(k, n, |r, c| entry(c + 5, r));
-                let reference = MatmulBackend::Naive.gemm(
-                    m,
-                    k,
-                    n,
-                    Operand::row_major(&a, k),
-                    Operand::row_major(&b, n),
-                );
-                // The raw driver, bypassing the small-product cutoff: this is what
-                // pins the host's tile itself on the tiny shapes.
-                let mut packed = vec![f32::NAN; m * n];
-                gemm_packed_direct(
-                    &mut packed,
-                    m,
-                    k,
-                    n,
-                    Operand::row_major(&a, k),
-                    Operand::row_major(&b, n),
-                );
-                let diff = max_abs_diff(&packed, &reference);
-                assert!(diff <= 1e-5, "packed f32 ({m},{k},{n}) diverged by {diff}");
+                let (a_op, b_op) = (Operand::row_major(&a, k), Operand::row_major(&b, n));
+                let reference = MatmulBackend::Naive.gemm(m, k, n, a_op, b_op);
+                // The raw driver on every tile, bypassing the small-product cutoff:
+                // this is what pins each tile itself on the tiny shapes.
+                for &tile in &tiles {
+                    let mut packed = vec![f32::NAN; m * n];
+                    gemm_packed_direct(tile, &mut packed, m, k, n, a_op, b_op);
+                    let diff = max_abs_diff(&packed, &reference);
+                    assert!(
+                        diff <= 1e-5,
+                        "{tile:?} packed f32 ({m},{k},{n}) diverged by {diff}"
+                    );
+                }
                 // And the public dispatch (small shapes route through gemm_small,
                 // large ones through the packed panels — both must agree).
-                let dispatched = MatmulBackend::Blocked.gemm(
-                    m,
-                    k,
-                    n,
-                    Operand::row_major(&a, k),
-                    Operand::row_major(&b, n),
-                );
+                let dispatched = MatmulBackend::Blocked.gemm(m, k, n, a_op, b_op);
                 let diff = max_abs_diff(&dispatched, &reference);
                 assert!(
                     diff <= 1e-5,
@@ -130,7 +161,7 @@ fn f32_simd_kernel_matches_naive_within_1e5_on_all_remainder_lanes() {
 }
 
 #[test]
-fn f32_simd_kernel_handles_transposed_operands() {
+fn f32_tiles_handle_transposed_operands() {
     let (m, k, n) = (MC + 1, 196, 4 * NR - 1);
     let at = dense(k, m, entry); // A^T stored row-major, participating as A
     let a = dense(m, k, entry);
@@ -151,10 +182,15 @@ fn f32_simd_kernel_handles_transposed_operands() {
         ),
     ] {
         let reference = MatmulBackend::Naive.gemm(m, k, n, a_op, b_op);
-        let mut packed = vec![f32::NAN; m * n];
-        gemm_packed_direct(&mut packed, m, k, n, a_op, b_op);
-        let diff = max_abs_diff(&packed, &reference);
-        assert!(diff <= 1e-5, "{label} packed f32 diverged by {diff}");
+        for tile in tiles() {
+            let mut packed = vec![f32::NAN; m * n];
+            gemm_packed_direct(tile, &mut packed, m, k, n, a_op, b_op);
+            let diff = max_abs_diff(&packed, &reference);
+            assert!(
+                diff <= 1e-5,
+                "{tile:?} {label} packed f32 diverged by {diff}"
+            );
+        }
     }
 }
 
@@ -188,39 +224,111 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Both A layouts (row-major A is every projection; transposed A is the attention
+/// kernels' `G = K̂ᵀV`) as exact-extent strided operands, each with a strided B of the
+/// other layout: `(label, A, B)`.
+fn strided_operands<'a>(
+    k: usize,
+    m: usize,
+    n: usize,
+    a_rm: &'a [f32],
+    at: &'a [f32],
+    b_rm: &'a [f32],
+    bt: &'a [f32],
+) -> [(&'static str, Operand<'a>, Operand<'a>); 2] {
+    [
+        (
+            "row-major A",
+            Operand::row_major(a_rm, k + 3),
+            Operand::transposed(bt, k + 1),
+        ),
+        (
+            "transposed A",
+            Operand::transposed(at, m + 5),
+            Operand::row_major(b_rm, n + 2),
+        ),
+    ]
+}
+
 #[test]
 fn f32_packed_driver_reads_a_in_place_within_its_extent() {
-    // Both A layouts (row-major A is every projection; transposed A is the attention
-    // kernels' `G = K̂ᵀV`), each with a strided B of the other layout, at row counts
-    // around the tile height and the row panel plus the served token counts (196 and
-    // 1024 leave a ragged last tile), and at depths where only the storing first `KC`
-    // panel runs and where one or two accumulating panels follow it.
-    let n = NR + 1;
+    // Row counts around the tile height and the row panel plus the served token counts
+    // (196 and 1024 leave a ragged last tile), at depths where only the storing first
+    // `KC` panel runs and where one or two accumulating panels follow it, and a width
+    // that leaves a ragged last column tile at both tile widths.
+    let n = NR_AVX512 + 1;
+    let tiles = tiles();
     for &m in &[MR - 1, MR, MR + 1, MC - 1, MC, MC + 1, 196, 1024] {
         for &k in &[KC - 1, KC, KC + 1, 2 * KC + 1] {
             let a_rm = strided(m, k, k + 3, small_int);
             let at = strided(k, m, m + 5, |r, c| small_int(c, r));
             let b_rm = strided(k, n, n + 2, |r, c| small_int(c + 1, r));
             let bt = strided(n, k, k + 1, |r, c| small_int(r + 1, c));
-            for (label, a_op, b_op) in [
-                (
-                    "row-major A",
-                    Operand::row_major(&a_rm, k + 3),
-                    Operand::transposed(&bt, k + 1),
-                ),
-                (
-                    "transposed A",
-                    Operand::transposed(&at, m + 5),
-                    Operand::row_major(&b_rm, n + 2),
-                ),
-            ] {
+            for (label, a_op, b_op) in strided_operands(k, m, n, &a_rm, &at, &b_rm, &bt) {
                 let reference = MatmulBackend::Naive.gemm(m, k, n, a_op, b_op);
-                let mut packed = vec![f32::NAN; m * n];
-                gemm_packed_direct(&mut packed, m, k, n, a_op, b_op);
-                assert_eq!(
-                    bits(&packed),
-                    bits(&reference),
-                    "{label} ({m},{k},{n}) differs from the naive product"
+                for &tile in &tiles {
+                    let mut packed = vec![f32::NAN; m * n];
+                    gemm_packed_direct(tile, &mut packed, m, k, n, a_op, b_op);
+                    assert_eq!(
+                        bits(&packed),
+                        bits(&reference),
+                        "{tile:?} {label} ({m},{k},{n}) differs from the naive product"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The packed driver's output bits on one tile.
+fn packed_bits(tile: SimdTier, m: usize, k: usize, n: usize, a: Operand, b: Operand) -> Vec<u32> {
+    let mut out = vec![f32::NAN; m * n];
+    gemm_packed_direct(tile, &mut out, m, k, n, a, b);
+    bits(&out)
+}
+
+#[test]
+fn fma_tiles_return_identical_bits() {
+    if !SimdTier::Avx512.available() {
+        eprintln!("fma_tiles_return_identical_bits: no AVX-512 tile on this host; skipped");
+        return;
+    }
+    // Every SPAN shape in both A layouts, on fractional values whose rounding
+    // depends on the exact chain of FMAs each output element runs.
+    for &m in &SPAN {
+        for &k in &SPAN {
+            for &n in &SPAN {
+                let a = dense(m, k, entry);
+                let at = dense(k, m, |r, c| entry(c, r));
+                let b = dense(k, n, |r, c| entry(c + 5, r));
+                for (label, a_op) in [
+                    ("row-major A", Operand::row_major(&a, k)),
+                    ("transposed A", Operand::transposed(&at, m)),
+                ] {
+                    let b_op = Operand::row_major(&b, n);
+                    assert!(
+                        packed_bits(SimdTier::Avx2, m, k, n, a_op, b_op)
+                            == packed_bits(SimdTier::Avx512, m, k, n, a_op, b_op),
+                        "{label} ({m},{k},{n}): the AVX-512 tile's bits differ from the AVX2 tile's"
+                    );
+                }
+            }
+        }
+    }
+    // Exact-extent strided operands of both A layouts, across accumulating panels.
+    let n = NR_AVX512 + 1;
+    for &m in &[MR + 1, MC + 1, 196] {
+        for &k in &[KC - 1, 2 * KC + 1] {
+            let frac = |r: usize, c: usize| entry(r, c + 3);
+            let a_rm = strided(m, k, k + 3, frac);
+            let at = strided(k, m, m + 5, |r, c| frac(c, r));
+            let b_rm = strided(k, n, n + 2, |r, c| frac(c + 1, r));
+            let bt = strided(n, k, k + 1, |r, c| frac(r + 1, c));
+            for (label, a_op, b_op) in strided_operands(k, m, n, &a_rm, &at, &b_rm, &bt) {
+                assert!(
+                    packed_bits(SimdTier::Avx2, m, k, n, a_op, b_op)
+                        == packed_bits(SimdTier::Avx512, m, k, n, a_op, b_op),
+                    "strided {label} ({m},{k},{n}): the AVX-512 tile's bits differ from the AVX2 tile's"
                 );
             }
         }
@@ -456,26 +564,32 @@ fn gelu_libm(x: f32) -> f32 {
 #[test]
 fn elementwise_tiers_are_bit_identical_on_every_remainder_lane() {
     use vitality_tensor::simd::{
-        bias_gelu_rows, bias_gelu_rows_baseline, gelu_grad_mul, gelu_grad_mul_baseline,
-        gelu_inplace, gelu_inplace_baseline,
+        bias_gelu_rows, bias_gelu_rows_on, gelu_grad_mul, gelu_grad_mul_baseline, gelu_inplace,
+        gelu_inplace_on,
     };
     const ROWS: usize = 3;
-    // Every length through two 8-lane blocks and their tails, each started at every
-    // f32 offset inside a 32-byte line so no tier can lean on alignment.
-    for len in 0..=40usize {
-        for off in 0..8usize {
+    let tiers = tiles();
+    // Every length through three 16-lane blocks and their tails, each started at every
+    // f32 offset inside a 64-byte line so no tier can lean on alignment.
+    for len in 0..=48usize {
+        for off in 0..16usize {
             let src: Vec<f32> = (0..off + len * ROWS).map(activation).collect();
             let xs = &src[off..off + len];
 
+            let mut scalar = xs.to_vec();
+            gelu_inplace_on(SimdTier::Scalar, &mut scalar);
             let mut dispatched = xs.to_vec();
-            let mut baseline = xs.to_vec();
             gelu_inplace(&mut dispatched);
-            gelu_inplace_baseline(&mut baseline);
-            assert_eq!(
-                bits(&dispatched),
-                bits(&baseline),
-                "gelu len {len} off {off}"
-            );
+            assert_eq!(bits(&dispatched), bits(&scalar), "gelu len {len} off {off}");
+            for &tier in &tiers {
+                let mut tiered = xs.to_vec();
+                gelu_inplace_on(tier, &mut tiered);
+                assert_eq!(
+                    bits(&tiered),
+                    bits(&scalar),
+                    "{tier:?} gelu len {len} off {off}"
+                );
+            }
 
             let mut dispatched: Vec<f32> = (0..len).map(|i| activation(i + 7) * 0.1).collect();
             let mut baseline = dispatched.clone();
@@ -493,13 +607,22 @@ fn elementwise_tiers_are_bit_identical_on_every_remainder_lane() {
             let mut dispatched = rows.to_vec();
             bias_gelu_rows(&mut dispatched, &bias);
             if len > 0 {
-                let mut baseline = rows.to_vec();
-                bias_gelu_rows_baseline(&mut baseline, &bias);
+                let mut scalar = rows.to_vec();
+                bias_gelu_rows_on(SimdTier::Scalar, &mut scalar, &bias);
                 assert_eq!(
                     bits(&dispatched),
-                    bits(&baseline),
+                    bits(&scalar),
                     "bias_gelu width {len} off {off}"
                 );
+                for &tier in &tiers {
+                    let mut tiered = rows.to_vec();
+                    bias_gelu_rows_on(tier, &mut tiered, &bias);
+                    assert_eq!(
+                        bits(&tiered),
+                        bits(&scalar),
+                        "{tier:?} bias_gelu width {len} off {off}"
+                    );
+                }
             }
             // Fused means fused, not different: broadcast-then-activate gives the same bits.
             let mut unfused = rows.to_vec();

@@ -11,7 +11,7 @@
 //!
 //! A kernel change that keeps every output element's chain of floating-point
 //! operations (a new register tile, a new packer, a new blocking) must leave this
-//! table untouched. The AVX2/FMA and the scalar GEMM tiles round differently, so the
+//! table untouched. The FMA and the scalar GEMM tiles round differently, so the
 //! expected table is keyed on [`simd_available`]; CI runs the scalar one under
 //! `--cfg force_scalar`.
 
@@ -109,8 +109,9 @@ fn cases() -> Vec<(&'static str, VisionTransformer, &'static [usize])> {
     ]
 }
 
-/// Per-image hashes on the AVX2/FMA GEMM tile.
-const AVX2: &[(&str, &[u64])] = &[
+/// Per-image hashes on the FMA GEMM tiles. Both the 6×16 AVX2/FMA tile and the 6×32
+/// AVX-512 tile must reproduce it: each runs one output element's FMA chain in `k` order.
+const FMA: &[(&str, &[u64])] = &[
     (
         "vit196:taylor",
         &[
@@ -456,7 +457,7 @@ const SCALAR: &[(&str, &[u64])] = &[
 
 #[test]
 fn served_variants_reproduce_their_golden_logits_at_every_batch_size() {
-    let expected = if simd_available() { AVX2 } else { SCALAR };
+    let expected = if simd_available() { FMA } else { SCALAR };
     let mut ws = Workspace::new();
     let mut outputs = Vec::new();
     let mut actual = Vec::new();
@@ -500,7 +501,7 @@ fn served_variants_reproduce_their_golden_logits_at_every_batch_size() {
         mismatches.is_empty(),
         "{} logit hashes differ from the {} table:\n{}\nthis build's table:\n{}",
         mismatches.len(),
-        if simd_available() { "AVX2" } else { "scalar" },
+        if simd_available() { "FMA" } else { "scalar" },
         mismatches.join("\n"),
         actual.join("\n")
     );
